@@ -66,6 +66,11 @@ class MissionConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
+        self.limits()  # sigma_ratio in (0, 1]
+        if not self.sample_time >= 0.0:
+            raise ValueError("sample_time must be non-negative")
+        if not 0.0 < self.termination_fraction <= 1.0:
+            raise ValueError("termination_fraction must be in (0, 1]")
 
     @property
     def initial_level(self) -> int:

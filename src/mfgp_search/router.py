@@ -9,6 +9,8 @@ fidelity groups, and spends a fixed sampling time at each waypoint.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .field_model import FidelityModel, GroundTruth, measure
 from .inference import SampleLog
 from .planner import EpochPlan
@@ -42,42 +44,62 @@ def _path_length(start, order, pts3) -> float:
     return total
 
 
-def _nearest_neighbor(start, pts3) -> list[int]:
-    remaining = list(range(len(pts3)))
+def _axis_squares(coords: np.ndarray) -> np.ndarray:
+    """Squared pairwise differences along one axis, bit-identical to ``(a - b) ** 2``.
+
+    Python's ``**`` goes through libm ``pow``, which differs from ``d * d`` in
+    the last bit for a fraction of inputs; squaring the few distinct
+    differences with ``**`` keeps the matrix on the same bits as ``_dist3``.
+    """
+    uniq, inv = np.unique(coords, return_inverse=True)
+    diffs = (uniq[:, None] - uniq[None, :]).tolist()
+    squares = np.array([[d**2 for d in row] for row in diffs])
+    return squares[inv[:, None], inv[None, :]]
+
+
+def _distance_matrix(start, pts3) -> np.ndarray:
+    """(k+1)² distances with the start as row 0 and point i as row i + 1."""
+    xyz = np.array([start, *pts3], dtype=float)
+    sq = _axis_squares(xyz[:, 0]) + _axis_squares(xyz[:, 1]) + _axis_squares(xyz[:, 2])
+    return np.sqrt(sq)
+
+
+def _nearest_neighbor(dist: np.ndarray) -> list[int]:
+    """Greedy order from row 0; ties go to the lowest point index."""
+    k = dist.shape[0] - 1
+    free = np.ones(k, dtype=bool)
     order = []
-    cur = start
-    while remaining:
-        best = min(remaining, key=lambda i: (_dist3(cur, pts3[i]), i))
+    cur = 0
+    for _ in range(k):
+        row = np.where(free, dist[cur, 1:], np.inf)
+        best = int(np.argmin(row))
         order.append(best)
-        remaining.remove(best)
-        cur = pts3[best]
+        free[best] = False
+        cur = best + 1
     return order
 
 
-def _two_opt(start, order, pts3) -> list[int]:
+def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
     """First-improvement 2-opt on an open path with a fixed start.
 
-    Reversing order[i..j] swaps the edges entering i and leaving j; the scan
-    order (i ascending, then j) is fixed so the result is deterministic.
+    Reversing order[i..j] swaps the edges entering i and leaving j.  Every
+    pass builds the whole (i, j) gain matrix, applies the lexicographically
+    first improving swap and rescans from i = 0, so the result is the same
+    as a scalar scan with i ascending, then j.
     """
     n = len(order)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n - 1):
-            before = start if i == 0 else pts3[order[i - 1]]
-            for j in range(i + 1, n):
-                delta = _dist3(before, pts3[order[j]]) - _dist3(before, pts3[order[i]])
-                if j < n - 1:
-                    after = pts3[order[j + 1]]
-                    delta += _dist3(pts3[order[i]], after) - _dist3(pts3[order[j]], after)
-                if delta < -_IMPROVE_EPS:
-                    order[i : j + 1] = reversed(order[i : j + 1])
-                    improved = True
-                    break
-            if improved:
-                break
-    return order
+    path = np.array([0, *(i + 1 for i in order)])  # matrix rows, start first
+    upper = np.triu(np.ones((n - 1, n), dtype=bool), k=1)  # j > i
+    while True:
+        d = dist[path[:, None], path[None, :]]
+        entering = d.diagonal(1)  # d[i, i + 1]: edge into position i
+        delta = d[: n - 1, 1:] - entering[: n - 1, None]
+        delta[:, : n - 1] += d[1:n, 2:] - entering[None, 1:]
+        hits = np.flatnonzero(upper & (delta < -_IMPROVE_EPS))
+        if hits.size == 0:
+            return [int(p) - 1 for p in path[1:]]
+        i, j = divmod(int(hits[0]), n)
+        path[i + 1 : j + 2] = path[i + 1 : j + 2][::-1]
 
 
 def build_tour(points, altitude: float, start: tuple[float, float, float]) -> Tour:
@@ -90,8 +112,8 @@ def build_tour(points, altitude: float, start: tuple[float, float, float]) -> To
         raise ValueError("build_tour needs at least one point")
     pts3 = [(float(p[0]), float(p[1]), float(altitude)) for p in points]
     start = (float(start[0]), float(start[1]), float(start[2]))
-    order = _nearest_neighbor(start, pts3)
-    order = _two_opt(start, order, pts3)
+    dist = _distance_matrix(start, pts3)
+    order = _two_opt(dist, _nearest_neighbor(dist))
     return Tour(
         start=start,
         waypoints=tuple(pts3[i] for i in order),

@@ -2,11 +2,12 @@
 
 Everything here is deliberately brute force and shares no code path with the
 package: joint-Gaussian conditioning via dense solves, textbook GP formulas,
-log-determinant information, exhaustive TSP, and a from-scratch planning
-loop.
+log-determinant information, exhaustive TSP, the scalar nearest-neighbour
+plus 2-opt router, and a from-scratch planning loop.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -76,6 +77,61 @@ def exhaustive_open_tour(start, points):
         return total
 
     return min(length(list(p)) for p in itertools.permutations(range(len(points))))
+
+
+IMPROVE_EPS = 1e-12  # the router's minimum 2-opt gain
+
+
+def scalar_dist3(a, b) -> float:
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
+
+
+def scalar_path_length(start, order, pts3) -> float:
+    total = 0.0
+    prev = start
+    for i in order:
+        total += scalar_dist3(prev, pts3[i])
+        prev = pts3[i]
+    return total
+
+
+def scalar_nearest_neighbor(start, pts3) -> list[int]:
+    """Greedy open path from start; ties go to the lowest index."""
+    remaining = list(range(len(pts3)))
+    order = []
+    cur = start
+    while remaining:
+        best = min(remaining, key=lambda i: (scalar_dist3(cur, pts3[i]), i))
+        order.append(best)
+        remaining.remove(best)
+        cur = pts3[best]
+    return order
+
+
+def scalar_two_opt(start, order, pts3) -> list[int]:
+    """First-improvement 2-opt on an open path with a fixed start.
+
+    Scans i ascending, then j; applies the first swap that gains more than
+    IMPROVE_EPS and restarts the scan from i = 0.
+    """
+    n = len(order)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n - 1):
+            before = start if i == 0 else pts3[order[i - 1]]
+            for j in range(i + 1, n):
+                delta = scalar_dist3(before, pts3[order[j]]) - scalar_dist3(before, pts3[order[i]])
+                if j < n - 1:
+                    after = pts3[order[j + 1]]
+                    delta += scalar_dist3(pts3[order[i]], after) - scalar_dist3(pts3[order[j]], after)
+                if delta < -IMPROVE_EPS:
+                    order[i : j + 1] = reversed(order[i : j + 1])
+                    improved = True
+                    break
+            if improved:
+                break
+    return order
 
 
 def greedy_plan_reference(cells, candidates, v, l, s, sigma_ratio, cap):

@@ -29,12 +29,13 @@ from mfgp_search import (
     select_next_point,
 )
 from mfgp_search.formats import dump_json
-from mfgp_search.router import _nearest_neighbor, _path_length
 
 from oracles import (
     exhaustive_open_tour,
     joint_gaussian_posterior,
     logdet_information,
+    scalar_nearest_neighbor,
+    scalar_path_length,
     textbook_gp_posterior,
 )
 
@@ -278,7 +279,7 @@ def test_c09_tsp_quality():
         tour = build_tour(pts, 5.0, start)
         best = exhaustive_open_tour(np.array([0.0, 0.0]), [np.array(p) for p in pts])
         pts3 = [(p[0], p[1], 5.0) for p in pts]
-        nn_len = _path_length(start, _nearest_neighbor(start, pts3), pts3)
+        nn_len = scalar_path_length(start, scalar_nearest_neighbor(start, pts3), pts3)
         worst_gap = max(worst_gap, tour.length / best)
         ok = ok and tour.length <= 1.05 * best + 1e-9 and tour.length <= nn_len + 1e-9
     verdict(9, "tsp-quality", ok, f"worst 2opt/optimal {worst_gap:.4f}")

@@ -159,6 +159,24 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mission.sigma_ratio", 1.5, "sigma_ratio"),
+            ("mission.sample_time", -1, "sample_time"),
+            ("mission.termination_fraction", 1.5, "termination_fraction"),
+        ],
+    )
+    def test_rejected_before_manifest(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(small_cfg_text(**{key: value}))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_grid_guard(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(small_cfg_text(**{"domain.resolution": 200}))

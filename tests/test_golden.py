@@ -1,0 +1,54 @@
+"""Golden artifact pins: the desk and planted runs, byte for byte.
+
+Each config runs once as a fresh ``mfgp-search run`` process with 1-thread
+BLAS (the report bytes depend on the BLAS thread count).  A change to any
+pin needs a CHANGES.md entry that says why the bytes moved.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+PINS = {
+    "desk": {
+        "report.json": "8bdc5e617f5153107b66404aaa761aa2c2d2c8ca492396294886cc751b11a364",
+        "plans.csv": "44e9c37ca4a53ad027754cb6f1b94156d21baee5d7280a4d6b019e83733e4af1",
+        "tours.csv": "1231da0fbeb700fe47654de9d5c3c64f5e20d14ed4c527d641bd53ec6511989e",
+    },
+    "planted": {
+        "report.json": "d7775639e46789b260a01ae8b4ef1543fa234fa6b0a8f4dacc4f6ae936bcbe0f",
+        "plans.csv": "895bce100c3fae7f91344710910624076639374a9700cfcc3542e0dc0c06b98d",
+        "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINS))
+def run_out(request, tmp_path_factory):
+    name = request.param
+    out = tmp_path_factory.mktemp(name)
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    cmd = [
+        sys.executable, "-m", "mfgp_search.cli", "run",
+        "--config", str(REPO / "configs" / f"{name}.cfg"), "--out", str(out),
+    ]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode in (0, 2), proc.stderr
+    return name, out
+
+
+@pytest.mark.parametrize("artifact", ["report.json", "plans.csv", "tours.csv"])
+def test_artifact_pinned(run_out, artifact):
+    name, out = run_out
+    digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+    assert digest == PINS[name][artifact], f"{name}/{artifact} changed"

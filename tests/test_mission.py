@@ -158,6 +158,11 @@ class TestRunMission:
             MissionConfig(
                 domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0, baseline="x"
             )
+        for bad in ({"sigma_ratio": 1.5}, {"sample_time": -1.0}, {"termination_fraction": 1.5}):
+            with pytest.raises(ValueError):
+                MissionConfig(
+                    domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0, **bad
+                )
 
 
 class TestCompareDecay:

@@ -17,9 +17,15 @@ from mfgp_search import (
     posterior,
     sample_ground_truth,
 )
-from mfgp_search.router import _nearest_neighbor, _path_length
+from mfgp_search.router import _distance_matrix, _nearest_neighbor, _two_opt
 
-from oracles import exhaustive_open_tour
+from oracles import (
+    exhaustive_open_tour,
+    scalar_dist3,
+    scalar_nearest_neighbor,
+    scalar_path_length,
+    scalar_two_opt,
+)
 
 
 def tour_points(rng, n, side=20.0):
@@ -40,7 +46,7 @@ class TestBuildTour:
             start = (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)), 5.0)
             tour = build_tour(pts, 5.0, start)
             pts3 = [(p[0], p[1], 5.0) for p in pts]
-            nn_len = _path_length(start, _nearest_neighbor(start, pts3), pts3)
+            nn_len = scalar_path_length(start, scalar_nearest_neighbor(start, pts3), pts3)
             assert tour.length <= nn_len + 1e-9
 
     def test_near_optimal_on_small_instances(self):
@@ -84,6 +90,98 @@ class TestBuildTour:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             build_tour([], 4.0, (0.0, 0.0, 4.0))
+
+
+coord = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
+grid_coord = st.integers(0, 19).map(lambda k: k + 0.5)  # desk cell centres
+altitude = st.sampled_from([4.0, 8.0, 5.3])
+
+
+@st.composite
+def tour_case(draw, points_of):
+    """(points, altitude, start): the start is free, on the grid or on a waypoint."""
+    n = draw(st.integers(1, 14))
+    points = draw(points_of(n))
+    z = draw(altitude)
+    where = draw(st.sampled_from(["free", "corner", "waypoint"]))
+    if where == "waypoint":
+        x, y = points[draw(st.integers(0, n - 1))]
+    elif where == "corner":
+        x, y = 0.0, 0.0
+    else:
+        x, y = draw(coord), draw(coord)
+    start_z = draw(st.sampled_from([z, z + 4.0]))
+    return points, z, (x, y, start_z)
+
+
+def random_points(n):
+    return st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
+
+
+def grid_points(n):
+    # cell centres tie exactly in distance; duplicates allowed
+    return st.lists(st.tuples(grid_coord, grid_coord), min_size=n, max_size=n)
+
+
+def repeated_points(n):
+    pool = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
+    return pool.flatmap(lambda p: st.lists(st.sampled_from(p), min_size=n, max_size=n))
+
+
+class TestMatchesScalarOracle:
+    """The array router reproduces the scalar router bit for bit."""
+
+    def check(self, points, z, start):
+        pts3 = [(float(p[0]), float(p[1]), z) for p in points]
+        s = tuple(float(c) for c in start)
+        nn = scalar_nearest_neighbor(s, pts3)
+        expected = scalar_two_opt(s, list(nn), pts3)
+        dist = _distance_matrix(s, pts3)
+        assert _nearest_neighbor(dist) == nn
+        assert _two_opt(dist, nn) == expected
+        tour = build_tour(points, z, start)
+        assert tour.waypoints == tuple(pts3[i] for i in expected)
+        assert tour.length == scalar_path_length(s, expected, pts3)  # exact: same bits
+
+    @settings(max_examples=150, deadline=None)
+    @given(tour_case(random_points))
+    def test_random_points(self, case):
+        self.check(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tour_case(grid_points))
+    def test_grid_centres_with_ties(self, case):
+        self.check(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tour_case(repeated_points))
+    def test_repeated_points(self, case):
+        self.check(*case)
+
+    def test_distance_matrix_bits(self):
+        # Python's ** rounds some squares differently from d * d
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            pts3 = [(x, y, 4.0) for x, y in tour_points(rng, 60)]
+            start = (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)), 7.0)
+            dist = _distance_matrix(start, pts3)
+            rows = [start, *pts3]
+            expected = [[scalar_dist3(a, b) for b in rows] for a in rows]
+            assert dist.tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_tours(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            pts = tour_points(rng, n)
+            self.check(pts, 4.0, (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)), 4.0))
+            self.check(pts, 4.0, (pts[0][0], pts[0][1], 8.0))
+
+    def test_large_grid_epoch(self):
+        rng = np.random.default_rng(4)
+        cells = [(i + 0.5, j + 0.5) for i in range(20) for j in range(20)]
+        picks = rng.choice(len(cells), size=120, replace=False)
+        self.check([cells[k] for k in picks], 8.0, (0.0, 0.0, 8.0))
 
 
 @pytest.fixture
