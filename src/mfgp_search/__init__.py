@@ -27,17 +27,13 @@ from .field_model import (
     GroundTruth,
     kernel_eval,
     measure,
-    prior_moments,
     sample_ground_truth,
 )
 from .inference import (
-    JointCovariance,
     PosteriorField,
     SampleLog,
     append_sample_variance_only,
-    cross_covariance,
     greedy_info_gain,
-    log_marginal_likelihood,
     posterior,
 )
 from .mission import (
@@ -73,7 +69,6 @@ __all__ = [
     "FidelityState",
     "GridDomain",
     "GroundTruth",
-    "JointCovariance",
     "Label",
     "MissionConfig",
     "MissionReport",
@@ -90,17 +85,14 @@ __all__ = [
     "classify_epoch",
     "compare_decay",
     "confidence_interval",
-    "cross_covariance",
     "detection_time_study",
     "execute_epoch",
     "greedy_info_gain",
     "kernel_eval",
-    "log_marginal_likelihood",
     "measure",
     "plan_epoch",
     "plan_tours",
     "posterior",
-    "prior_moments",
     "run_mission",
     "run_missions",
     "sample_ground_truth",

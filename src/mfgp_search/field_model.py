@@ -159,13 +159,6 @@ def kernel_matrix(m: int, X: np.ndarray, Xp: np.ndarray, model: FidelityModel) -
     return kernel_eval(m, X[:, None, :], Xp[None, :, :], model)
 
 
-def prior_moments(x, xp, model: FidelityModel):
-    """Prior mean and covariance of the full-fidelity field between x and x'."""
-    mean = model.prior_mean()
-    cov = sum(kernel_eval(m, x, xp, model) for m in range(1, model.levels + 1))
-    return mean, cov
-
-
 @dataclass(frozen=True)
 class Bump:
     """Radial score bump for planted ground truth: a*exp(-d^2/(2 r^2))."""

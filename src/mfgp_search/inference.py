@@ -3,12 +3,16 @@
 Observations at level m only see the layers 1..m, so the covariance between
 two records truncates the layer sum at the lower of their two levels, and the
 cross-covariance of a record with the full-fidelity field truncates at the
-record's level.  One Cholesky factorization of the observation covariance
-serves the whole grid; within-epoch planning extends that factorization one
-rank at a time instead of refactorizing.
+record's level.  Every record sits on a cell center and the layer kernels are
+stationary, so all of these covariances are lookups in one per-level table
+indexed by the row and column offsets between two cells.  One Cholesky
+factorization of the observation covariance serves the whole grid;
+within-epoch planning extends that factorization one rank at a time instead
+of refactorizing.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,12 +27,14 @@ class SampleLog:
 
     The planner only ever raises the fidelity level, so the record sequence
     must be non-decreasing in fidelity; that contract is asserted on append.
-    Every location must be a cell center of the mission grid.
+    Every location must be a cell center of the mission grid; the record
+    keeps that cell's (row, col) indices.
     """
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
         self._locations: list[tuple[float, float]] = []
+        self._cells: list[tuple[int, int]] = []
         self._values: list[float] = []
         self._fidelities: list[int] = []
 
@@ -36,17 +42,22 @@ class SampleLog:
         return len(self._values)
 
     def append(self, location: tuple[float, float], value: float, fidelity: int):
-        self.domain.index_of(*location)  # raises if not a cell center
+        cell = self.domain.index_of(*location)  # raises if not a cell center
         if self._fidelities and fidelity < self._fidelities[-1]:
             raise ValueError(
                 f"fidelity must be non-decreasing: got {fidelity} after {self._fidelities[-1]}"
             )
         self._locations.append((float(location[0]), float(location[1])))
+        self._cells.append(divmod(cell, self.domain.resolution))
         self._values.append(float(value))
         self._fidelities.append(int(fidelity))
 
     def locations(self) -> np.ndarray:
         return np.array(self._locations, dtype=float).reshape(len(self), 2)
+
+    def cells(self) -> np.ndarray:
+        """(n, 2) integer (row, col) indices of the records' cells."""
+        return np.array(self._cells, dtype=int).reshape(len(self), 2)
 
     def values(self) -> np.ndarray:
         return np.array(self._values, dtype=float)
@@ -54,69 +65,55 @@ class SampleLog:
     def fidelities(self) -> np.ndarray:
         return np.array(self._fidelities, dtype=int)
 
-    def level_counts(self, levels: int) -> list[int]:
-        return [self._fidelities.count(m) for m in range(1, levels + 1)]
 
+@lru_cache(maxsize=8)
+def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
+    """(M, R, R) table of truncated layer sums over cell offsets.
 
-def _pair_covariance(xa, ma, xb, mb, model: FidelityModel):
-    """Covariance between observations at (xa, level ma) and (xb, level mb).
-
-    Entries sum the layer kernels up to min(ma, mb); shapes broadcast.
+    Entry [t, dr, dc] is the sum of the layer kernels 1..t+1 between two cell
+    centers dr rows and dc columns apart, accumulated from zero in layer
+    order.  The covariance of records at levels ma and mb is the entry at
+    t = min(ma, mb) - 1; level M gives the full field.
     """
-    top = np.minimum(ma, mb)
-    out = np.zeros(np.broadcast_shapes(np.shape(top), np.shape(xa[..., 0] - xb[..., 0])))
-    for i in range(1, model.levels + 1):
-        out = out + np.where(top >= i, kernel_eval(i, xa, xb, model), 0.0)
-    return out
+    R = domain.resolution
+    gx, gy = np.meshgrid(np.arange(R) * domain.cell_dx, np.arange(R) * domain.cell_dy)
+    offsets = np.stack([gx, gy], axis=-1)  # [dr, dc] -> (dc * dx, dr * dy)
+    layers = [kernel_eval(i, offsets, np.zeros(2), model) for i in range(1, model.levels + 1)]
+    table = np.cumsum(layers, axis=0)
+    table.setflags(write=False)
+    return table
 
 
-@dataclass(frozen=True)
-class JointCovariance:
-    """Blocked observation covariance K, noise diagonal, and prior sample means."""
-
-    k_block: np.ndarray
-    noise_diag: np.ndarray
-    nu: np.ndarray
-
-    @classmethod
-    def from_log(cls, log: SampleLog, model: FidelityModel) -> "JointCovariance":
-        X = log.locations()
-        m = log.fidelities()
-        K = _pair_covariance(X[:, None, :], m[:, None], X[None, :, :], m[None, :], model)
-        noise = np.array([model.s[mi - 1] ** 2 for mi in m])
-        nu = np.array([sum(model.mu[:mi]) for mi in m])
-        return cls(k_block=K, noise_diag=noise, nu=nu)
-
-    @property
-    def observation_cov(self) -> np.ndarray:
-        return self.k_block + np.diag(self.noise_diag)
+def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
+    """Covariance of records at cells rc_a (levels m_a) and rc_b (m_b); broadcasts."""
+    d = np.abs(rc_a - rc_b)
+    return table[np.minimum(m_a, m_b) - 1, d[..., 0], d[..., 1]]
 
 
-def cross_covariance(x, log: SampleLog, model: FidelityModel) -> np.ndarray:
-    """Covariance of each logged observation with the full field at x.
+def _grid_cov(table, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(n, n_cells) covariance of each record with the full field at every cell."""
+    axis = np.arange(table.shape[1])
+    dr = np.abs(rc[:, 0, None] - axis)
+    dc = np.abs(rc[:, 1, None] - axis)
+    return table[m[:, None, None] - 1, dr[:, :, None], dc[:, None, :]].reshape(len(m), axis.size**2)
 
-    Record j at fidelity m_j contributes the layer sum 1..m_j evaluated
-    between x_j and x.  Returns a length-n vector (empty for an empty log).
+
+def _extend_factor(L: np.ndarray, b: np.ndarray, d: float):
+    """Grow the lower factor L of A to that of [[A, b], [b^T, d]].
+
+    Returns (L', c, gamma2) with c = L^-1 b and gamma2 = d - c.c, the squared
+    new pivot.  L' is None when gamma2 <= 0; callers judge small pivots.
     """
-    if len(log) == 0:
-        return np.zeros(0)
-    X = log.locations()
-    m = log.fidelities()
-    x = np.asarray(x, dtype=float)
-    return _pair_covariance(X, m, x[None, :], np.full(len(log), model.levels), model)
-
-
-def _cross_covariance_matrix(
-    X: np.ndarray, mrec: np.ndarray, cells: np.ndarray, model: FidelityModel
-) -> np.ndarray:
-    """(n, n_cells) cross-covariances of all records with the field at all cells."""
-    n = X.shape[0]
-    out = np.zeros((n, cells.shape[0]))
-    for i in range(1, model.levels + 1):
-        rows = mrec >= i
-        if np.any(rows):
-            out[rows] += kernel_eval(i, X[rows][:, None, :], cells[None, :, :], model)
-    return out
+    c = solve_lower(L, b)
+    gamma2 = d - float(c @ c)
+    if gamma2 <= 0.0:
+        return None, c, gamma2
+    n = L.shape[0]
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = L
+    out[n, :n] = c
+    out[n, n] = np.sqrt(gamma2)
+    return out, c, gamma2
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class PosteriorField:
 
     domain: GridDomain
     model: FidelityModel
-    locations: np.ndarray  # (n, 2)
+    cells: np.ndarray  # (n, 2) record (row, col) indices
     fidelities: np.ndarray  # (n,)
     mu: np.ndarray  # (n_cells,)
     sigma2: np.ndarray  # (n_cells,)
@@ -141,7 +138,7 @@ class PosteriorField:
 
     @property
     def n(self) -> int:
-        return self.locations.shape[0]
+        return self.cells.shape[0]
 
     def max_sigma2(self, candidates: np.ndarray | None = None) -> float:
         if candidates is None:
@@ -175,39 +172,24 @@ def posterior(
     var(x) = k0(x,x) - k(x)^T (K+Theta)^-1 k(x), evaluated for every cell via
     triangular solves against the shared Cholesky factor.
     """
-    cells = domain.cell_centers
     mu0 = model.prior_mean()
     k0 = model.prior_variance()
-    n = len(log)
-    if n == 0:
-        mu = np.full(domain.n_cells, mu0)
-        sigma2 = np.full(domain.n_cells, k0)
-        _freeze(mu, sigma2)
-        return PosteriorField(
-            domain=domain,
-            model=model,
-            locations=np.zeros((0, 2)),
-            fidelities=np.zeros(0, dtype=int),
-            mu=mu,
-            sigma2=sigma2,
-            chol=np.zeros((0, 0)),
-            w=np.zeros((0, domain.n_cells)),
-            jitter=0.0,
-        )
-    joint = JointCovariance.from_log(log, model)
-    L, jitter = jittered_cholesky(joint.observation_cov, jitter_scale)
-    X = log.locations()
+    table = covariance_table(domain, model)
+    rc = log.cells()
     mrec = log.fidelities()
-    kxn = _cross_covariance_matrix(X, mrec, cells, model)
-    w = solve_lower(L, kxn)
-    a = solve_lower(L, log.values() - joint.nu)
+    K = _pair_cov(table, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
+    noise = np.array([model.s[mi - 1] ** 2 for mi in mrec])
+    nu = np.array([sum(model.mu[:mi]) for mi in mrec])
+    L, jitter = jittered_cholesky(K + np.diag(noise), jitter_scale)
+    w = solve_lower(L, _grid_cov(table, rc, mrec))
+    a = solve_lower(L, log.values() - nu)
     mu = mu0 + w.T @ a
     sigma2 = _clamp_sigma2(k0 - np.einsum("ij,ij->j", w, w), jitter)
-    _freeze(mu, sigma2, w, L, X, mrec)
+    _freeze(mu, sigma2, w, L, rc, mrec)
     return PosteriorField(
         domain=domain,
         model=model,
-        locations=X,
+        cells=rc,
         fidelities=mrec,
         mu=mu,
         sigma2=sigma2,
@@ -217,65 +199,36 @@ def posterior(
     )
 
 
-def _append_arrays(state: PosteriorField, x_new, m_new: int):
-    """Covariance pieces for one appended record: (b, d, kappa).
-
-    b: covariance of the new observation with each logged observation;
-    d: its own prior variance plus noise; kappa: its cross-covariance with
-    the full field at every cell.
-    """
-    model = state.model
-    xn = np.asarray(x_new, dtype=float)
-    if state.n:
-        b = _pair_covariance(
-            state.locations,
-            state.fidelities,
-            xn[None, :],
-            np.full(state.n, m_new),
-            model,
-        )
-    else:
-        b = np.zeros(0)
-    d = model.prior_variance(m_new) + model.s[m_new - 1] ** 2
-    kappa = np.zeros(state.domain.n_cells)
-    cells = state.domain.cell_centers
-    for i in range(1, m_new + 1):
-        kappa += kernel_eval(i, xn[None, :], cells, model)
-    return b, d, kappa
-
-
 def append_sample_variance_only(
     state: PosteriorField, x_new, m_new: int
 ) -> PosteriorField:
     """Extend the factorization with a hypothetical sample at (x_new, m_new).
 
-    The variance grid of the result matches a full recompute with the
-    extended log (observed values are irrelevant to the variance).  If the
-    rank-one extension breaks down numerically, falls back to a full
-    refactorization with placeholder observations.
+    ``x_new`` must be a cell center.  The variance grid of the result matches
+    a full recompute with the extended log (observed values are irrelevant to
+    the variance).  If the rank-one extension breaks down numerically, falls
+    back to a full refactorization with placeholder observations.
     """
-    state.model._check_level(m_new)
-    b, d, kappa = _append_arrays(state, x_new, m_new)
-    c = solve_lower(state.chol, b)
-    gamma2 = d + state.jitter - float(c @ c)
+    model, domain = state.model, state.domain
+    model._check_level(m_new)
+    rc_new = np.array(divmod(domain.index_of(x_new[0], x_new[1]), domain.resolution))
+    table = covariance_table(domain, model)
+    b = _pair_cov(table, state.cells, state.fidelities, rc_new, m_new)
+    d = model.prior_variance(m_new) + model.s[m_new - 1] ** 2
+    chol, c, gamma2 = _extend_factor(state.chol, b, d + state.jitter)
     if gamma2 <= max(1e-12 * d, 1e-300):
         return _refactorized_append(state, x_new, m_new)
-    gamma = np.sqrt(gamma2)
-    w_new = (kappa - c @ state.w) / gamma
+    kappa = _grid_cov(table, rc_new[None, :], np.array([m_new]))[0]
+    w_new = (kappa - c @ state.w) / chol[-1, -1]
     sigma2 = _clamp_sigma2(state.sigma2 - w_new**2, state.jitter)
-    n = state.n
-    chol = np.zeros((n + 1, n + 1))
-    chol[:n, :n] = state.chol
-    chol[n, :n] = c
-    chol[n, n] = gamma
     w = np.vstack([state.w, w_new])
-    locations = np.vstack([state.locations, np.asarray(x_new, dtype=float)])
+    cells = np.vstack([state.cells, rc_new])
     fidelities = np.append(state.fidelities, m_new)
-    _freeze(sigma2, chol, w, locations, fidelities)
+    _freeze(sigma2, chol, w, cells, fidelities)
     return PosteriorField(
-        domain=state.domain,
-        model=state.model,
-        locations=locations,
+        domain=domain,
+        model=model,
+        cells=cells,
         fidelities=fidelities,
         mu=state.mu,
         sigma2=sigma2,
@@ -286,17 +239,18 @@ def append_sample_variance_only(
 
 
 def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorField:
-    log = SampleLog(state.domain)
-    for loc, m in zip(state.locations, state.fidelities):
-        log.append((loc[0], loc[1]), 0.0, int(m))
+    domain = state.domain
+    log = SampleLog(domain)
+    for (row, col), m in zip(state.cells, state.fidelities):
+        log.append(domain.cell_center(int(row) * domain.resolution + int(col)), 0.0, int(m))
     log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
-    fresh = posterior(log, state.domain, state.model)
+    fresh = posterior(log, domain, state.model)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
     return PosteriorField(
         domain=fresh.domain,
         model=fresh.model,
-        locations=fresh.locations,
+        cells=fresh.cells,
         fidelities=fresh.fidelities,
         mu=state.mu,
         sigma2=fresh.sigma2,
@@ -306,7 +260,7 @@ def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorF
     )
 
 
-def _chain_terms(log: SampleLog, model: FidelityModel, jitter_scale: float):
+def _chain_terms(log: SampleLog, model: FidelityModel):
     """Per-record mutual-information increments in log order.
 
     Term i is 0.5*log(1 + s_{m_i}^-2 * var_{i-1}(x_i)) where var_{i-1} is the
@@ -316,75 +270,41 @@ def _chain_terms(log: SampleLog, model: FidelityModel, jitter_scale: float):
     n = len(log)
     terms = np.zeros(n)
     var_before = np.zeros(n)
-    if n == 0:
-        return terms, var_before
-    X = log.locations()
+    table = covariance_table(log.domain, model)
+    rc = log.cells()
     mrec = log.fidelities()
     k0 = model.prior_variance()
-    jitter = jitter_scale * (model.prior_variance() + max(si * si for si in model.s))
     L = np.zeros((0, 0))
     for i in range(n):
-        xi = X[i]
         mi = int(mrec[i])
-        if i == 0:
-            var_prev = k0
-        else:
-            kvec = _pair_covariance(
-                X[:i], mrec[:i], xi[None, :], np.full(i, model.levels), model
-            )
-            wi = solve_lower(L, kvec)
-            var_prev = max(k0 - float(wi @ wi), 0.0)
+        wi = solve_lower(L, _pair_cov(table, rc[:i], mrec[:i], rc[i], model.levels))
+        var_prev = max(k0 - float(wi @ wi), 0.0)
         s2 = model.s[mi - 1] ** 2
         terms[i] = 0.5 * np.log1p(var_prev / s2)
         var_before[i] = var_prev
         # extend the observation-covariance factor with record i
-        if i == 0:
-            d = model.prior_variance(mi) + s2 + jitter
-            L = np.array([[np.sqrt(d)]])
-        else:
-            b = _pair_covariance(X[:i], mrec[:i], xi[None, :], np.full(i, mi), model)
-            c = solve_lower(L, b)
-            d = model.prior_variance(mi) + s2 + jitter
-            gamma2 = d - float(c @ c)
-            if gamma2 <= 0:
-                raise NumericalError("information-chain factor broke down", jitter)
-            Lnew = np.zeros((i + 1, i + 1))
-            Lnew[:i, :i] = L
-            Lnew[i, :i] = c
-            Lnew[i, i] = np.sqrt(gamma2)
-            L = Lnew
+        b = _pair_cov(table, rc[:i], mrec[:i], rc[i], mi)
+        L, _, _ = _extend_factor(L, b, model.prior_variance(mi) + s2)
+        if L is None:
+            raise NumericalError("information-chain factor broke down", 0.0)
     return terms, var_before
 
 
-def greedy_info_gain(log: SampleLog, model: FidelityModel, jitter_scale: float = 0.0) -> float:
+def greedy_info_gain(log: SampleLog, model: FidelityModel) -> float:
     """Accumulated mutual information of the log, in log order.
 
     Sums 0.5*log(1 + s^-2 * var) over the records using each record's own
     noise level.  For a single-fidelity log this equals the log-determinant
-    form 0.5*log det(I + s^-2 K) exactly, so the default adds no jitter.
+    form 0.5*log det(I + s^-2 K) exactly, so no jitter is added.
     """
-    terms, _ = _chain_terms(log, model, jitter_scale)
+    terms, _ = _chain_terms(log, model)
     return float(np.sum(terms))
-
-
-def log_marginal_likelihood(
-    log: SampleLog, model: FidelityModel, jitter_scale: float = DEFAULT_JITTER
-) -> float:
-    """Gaussian evidence of the observed values under the model prior."""
-    n = len(log)
-    if n == 0:
-        return 0.0
-    joint = JointCovariance.from_log(log, model)
-    L, _ = jittered_cholesky(joint.observation_cov, jitter_scale)
-    a = solve_lower(L, log.values() - joint.nu)
-    logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
-    return -0.5 * (n * np.log(2.0 * np.pi) + logdet) - 0.5 * float(a @ a)
 
 
 def diagnostics_lines(log: SampleLog, model: FidelityModel) -> list[str]:
     """Line-protocol diagnostics: one record per sample with its variance
     before sampling and its information-gain increment."""
-    terms, var_before = _chain_terms(log, model, jitter_scale=0.0)
+    terms, var_before = _chain_terms(log, model)
     X = log.locations()
     mrec = log.fidelities()
     lines = []

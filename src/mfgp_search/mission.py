@@ -21,6 +21,7 @@ from .classifier import (
     confidence_interval,
 )
 from .field_model import (
+    MAX_EXACT_CELLS,
     Bump,
     FidelityModel,
     GridDomain,
@@ -71,6 +72,17 @@ class MissionConfig:
             raise ValueError("sample_time must be non-negative")
         if not 0.0 < self.termination_fraction <= 1.0:
             raise ValueError("termination_fraction must be in (0, 1]")
+        if self.domain.n_cells > MAX_EXACT_CELLS:
+            raise ValueError(
+                f"grid has {self.domain.n_cells} cells; exact joint draws are guarded at "
+                f"{MAX_EXACT_CELLS}"
+            )
+        if self.start is not None:
+            d = self.domain
+            if not (d.x_min <= self.start[0] <= d.x_max and d.y_min <= self.start[1] <= d.y_max):
+                raise ValueError(f"start {self.start[:2]} lies outside the domain")
+        if any(not b.radius > 0.0 for b in self.bumps):
+            raise ValueError("bump radius must be positive")
 
     @property
     def initial_level(self) -> int:

@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately brute force and shares no code path with the
-package: joint-Gaussian conditioning via dense solves, textbook GP formulas,
-log-determinant information, exhaustive TSP, the scalar nearest-neighbour
-plus 2-opt router, and a from-scratch planning loop.
+package: joint-Gaussian conditioning and the log evidence via dense solves,
+textbook GP formulas, log-determinant information, exhaustive TSP, the scalar
+nearest-neighbour plus 2-opt router, and a from-scratch planning loop.
 """
 
 import itertools
@@ -18,6 +18,15 @@ def sq_exp(v, l, A, B):
     return v * v * np.exp(-d2 / (2.0 * l * l))
 
 
+def _observation_covariance(X, mrec, v, l, s):
+    """Dense covariance of observations that see layers 1..m plus their noise."""
+    Cyy = np.zeros((len(mrec), len(mrec)))
+    for i in range(1, len(v) + 1):
+        pair = np.minimum(mrec[:, None], mrec[None, :]) >= i
+        Cyy += np.where(pair, sq_exp(v[i - 1], l[i - 1], X, X), 0.0)
+    return Cyy + np.diag([s[m - 1] ** 2 for m in mrec])
+
+
 def joint_gaussian_posterior(X, mrec, y, cells, mu, v, l, s):
     """Condition the generative joint Gaussian of (observations, field).
 
@@ -27,22 +36,33 @@ def joint_gaussian_posterior(X, mrec, y, cells, mu, v, l, s):
     X = np.asarray(X, dtype=float)
     mrec = np.asarray(mrec, dtype=int)
     y = np.asarray(y, dtype=float)
-    M = len(v)
-    n = len(y)
-    Cyy = np.zeros((n, n))
-    Cfy = np.zeros((cells.shape[0], n))
-    for i in range(1, M + 1):
-        pair = np.minimum(mrec[:, None], mrec[None, :]) >= i
-        Cyy += np.where(pair, sq_exp(v[i - 1], l[i - 1], X, X), 0.0)
+    Cyy = _observation_covariance(X, mrec, v, l, s)
+    Cfy = np.zeros((cells.shape[0], len(y)))
+    for i in range(1, len(v) + 1):
         cols = mrec >= i
         Cfy[:, cols] += sq_exp(v[i - 1], l[i - 1], cells, X[cols])
-    Cyy += np.diag([s[m - 1] ** 2 for m in mrec])
     nu = np.array([sum(mu[:m]) for m in mrec])
     inv = np.linalg.inv(Cyy)
     mean = sum(mu) + Cfy @ inv @ (y - nu)
     k0 = sum(vi * vi for vi in v)
     var = k0 - np.einsum("ij,jk,ik->i", Cfy, inv, Cfy)
     return mean, var
+
+
+def log_marginal_likelihood(X, mrec, y, mu, v, l, s, jitter_scale=1e-10):
+    """Gaussian log evidence of the observations under the layer-sum prior.
+
+    Dense Cholesky of the observation covariance plus jitter_scale times its
+    largest diagonal entry; raises LinAlgError if that is not positive definite.
+    """
+    X = np.asarray(X, dtype=float)
+    mrec = np.asarray(mrec, dtype=int)
+    y = np.asarray(y, dtype=float)
+    C = _observation_covariance(X, mrec, v, l, s)
+    L = np.linalg.cholesky(C + jitter_scale * np.max(np.diagonal(C)) * np.eye(len(y)))
+    a = np.linalg.solve(L, y - np.array([sum(mu[:m]) for m in mrec]))
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
+    return -0.5 * (len(y) * np.log(2.0 * np.pi) + logdet) - 0.5 * float(a @ a)
 
 
 def textbook_gp_posterior(X, y, cells, mu0, v, l, s):

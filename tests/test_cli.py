@@ -38,6 +38,32 @@ def small_cfg_text(**over) -> str:
     return "\n".join(f"{k} = {v}" for k, v in kv.items()) + "\n"
 
 
+def _bump(radius) -> dict:
+    return {
+        "mission.mode": "planted", "planted.bumps": 1, "planted.bump_1.x": 4.5,
+        "planted.bump_1.y": 4.5, "planted.bump_1.amplitude": 1.2, "planted.bump_1.radius": radius,
+    }
+
+
+# (config overrides, expected error text) that validate and run both refuse
+REJECTED = [
+    ({"mission.sigma_ratio": 1.5}, "sigma_ratio"),
+    ({"mission.sample_time": -1}, "sample_time"),
+    ({"mission.termination_fraction": 1.5}, "termination_fraction"),
+    ({"domain.resolution": 200}, "cells"),
+    ({"mission.start_x": 50, "mission.start_y": 50, "mission.start_z": 8}, "outside"),
+    (_bump(-1), "radius"),
+    (_bump(0), "radius"),
+]
+
+
+def _case_id(case) -> str:
+    """Overrides as key-value pairs joined by "-", e.g. mission.sample_time--1."""
+    if isinstance(case, dict):
+        return "-".join(f"{k}-{v}" for k, v in case.items())
+    return case
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     path = tmp_path / "mission.cfg"
@@ -159,17 +185,10 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "delta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("mission.sigma_ratio", 1.5, "sigma_ratio"),
-            ("mission.sample_time", -1, "sample_time"),
-            ("mission.termination_fraction", 1.5, "termination_fraction"),
-        ],
-    )
-    def test_rejected_before_manifest(self, tmp_path, capsys, key, value, message):
+    @pytest.mark.parametrize("overrides, message", REJECTED, ids=_case_id)
+    def test_rejected_before_manifest(self, tmp_path, capsys, overrides, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(small_cfg_text(**{key: value}))
+        cfg.write_text(small_cfg_text(**overrides))
         assert main(["validate", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
         out = tmp_path / "o"

@@ -9,11 +9,11 @@ from mfgp_search import (
     GridDomain,
     kernel_eval,
     measure,
-    prior_moments,
     sample_ground_truth,
 )
 from mfgp_search.formats import write_grid_csv, write_pgm
 from mfgp_search.field_model import field_to_grid
+from mfgp_search.inference import covariance_table
 
 
 class TestGridDomain:
@@ -106,32 +106,35 @@ class TestKernel:
     def test_prior_gram_psd_on_grid_points(self):
         domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
         rng = np.random.default_rng(3)
-        pts = domain.cell_centers[rng.choice(domain.n_cells, size=50, replace=False)]
-        _, gram = prior_moments(pts[:, None, :], pts[None, :, :], self.model)
+        rows, cols = np.divmod(rng.choice(domain.n_cells, size=50, replace=False), 10)
+        full = covariance_table(domain, self.model)[-1]
+        gram = full[np.abs(rows[:, None] - rows), np.abs(cols[:, None] - cols)]
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-8
 
 
 class TestPriorMoments:
+    # the full-field prior: mean from FidelityModel, covariance from the
+    # top level of the inference layer's covariance table
+    domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
+
     def test_mean_is_sum_of_level_means(self):
         model = FidelityModel(
             mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
         )
-        mean, _ = prior_moments(np.zeros(2), np.ones(2), model)
-        assert mean == pytest.approx(0.15)
+        assert model.prior_mean() == pytest.approx(0.15)
 
     def test_variance_is_sum_of_amplitudes(self):
         model = FidelityModel(
             mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
         )
-        x = np.array([3.0, 3.0])
-        _, var = prior_moments(x, x, model)
-        assert var == pytest.approx(0.34)
+        assert covariance_table(self.domain, model)[-1, 0, 0] == pytest.approx(0.34)
 
     def test_single_level_reduces_to_kernel(self):
         model = FidelityModel(mu=(0.2,), v=(0.7,), l=(3.0,), s=(0.1,), z=(5.0,))
-        a, b = np.array([0.0, 0.0]), np.array([2.0, 1.0])
-        _, cov = prior_moments(a, b, model)
+        # centres of cells (row 0, col 0) and (row 1, col 2) on 1 m cells
+        a, b = np.array([0.5, 0.5]), np.array([2.5, 1.5])
+        cov = covariance_table(self.domain, model)[0, 1, 2]
         assert cov == pytest.approx(kernel_eval(1, a, b, model))
 
 

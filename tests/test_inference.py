@@ -7,17 +7,21 @@ from mfgp_search import (
     NumericalError,
     SampleLog,
     append_sample_variance_only,
-    cross_covariance,
     greedy_info_gain,
-    log_marginal_likelihood,
     posterior,
 )
 from mfgp_search.field_model import sample_ground_truth
-from mfgp_search.inference import JointCovariance, diagnostics_lines
+from mfgp_search.inference import _grid_cov, _pair_cov, covariance_table, diagnostics_lines
 from mfgp_search.planner import select_next_point
 
 from conftest import random_mixed_log
-from oracles import joint_gaussian_posterior, logdet_information, sq_exp, textbook_gp_posterior
+from oracles import (
+    joint_gaussian_posterior,
+    log_marginal_likelihood,
+    logdet_information,
+    sq_exp,
+    textbook_gp_posterior,
+)
 
 
 @pytest.fixture
@@ -51,33 +55,107 @@ class TestSampleLog:
             log.append((0.123, 0.5), 0.1, 1)
 
 
+def _evidence(log, model, **kw):
+    return log_marginal_likelihood(
+        log.locations(), log.fidelities(), log.values(), model.mu, model.v, model.l, model.s, **kw
+    )
+
+
+def _gathered_gram(domain, model, mrec):
+    """Table covariance of every cell pair, records at levels mrec[cell]."""
+    rows, cols = np.divmod(np.arange(domain.n_cells), domain.resolution)
+    rc = np.column_stack([rows, cols])
+    table = covariance_table(domain, model)
+    return _pair_cov(table, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
+
+
+def _brute_layer_sums(domain, model):
+    """Layer sums 1..t over all cell pairs from the kernel formula, per t."""
+    cells = domain.cell_centers
+    acc = np.zeros((domain.n_cells, domain.n_cells))
+    sums = []
+    for v, l in zip(model.v, model.l):
+        acc = acc + sq_exp(v, l, cells, cells)
+        sums.append(acc)
+    return sums
+
+
+class TestCovarianceTable:
+    def test_bit_equal_to_layer_sum_on_desk_grid(self, desk_domain, desk_model):
+        # desk cell centres are exact binary fractions, so the offset table
+        # and the pairwise formula see the same squared distances
+        for t, brute in enumerate(_brute_layer_sums(desk_domain, desk_model), start=1):
+            mrec = np.full(desk_domain.n_cells, t)
+            assert np.array_equal(_gathered_gram(desk_domain, desk_model, mrec), brute)
+
+    def test_inexact_rectangular_grid(self, desk_model):
+        # cell size 2/3 x 13/30 is not exact in binary: offsets and centre
+        # differences round differently, by a few ulps of the prior variance
+        domain = GridDomain(0.0, 20.0, 0.0, 13.0, 30)
+        for t, brute in enumerate(_brute_layer_sums(domain, desk_model), start=1):
+            gathered = _gathered_gram(domain, desk_model, np.full(domain.n_cells, t))
+            scale = desk_model.prior_variance(t)
+            np.testing.assert_allclose(gathered, brute, rtol=0.0, atol=1e-15 * scale)
+
+    def test_truncates_at_lower_level(self, small_domain):
+        model = FidelityModel(
+            mu=(0.0, 0.0, 0.0), v=(0.5, 0.3, 0.2), l=(4.0, 2.0, 1.0), s=(0.1,) * 3,
+            z=(8.0, 4.0, 2.0),
+        )
+        rng = np.random.default_rng(10)
+        mrec = rng.integers(1, 4, size=small_domain.n_cells)
+        gathered = _gathered_gram(small_domain, model, mrec)
+        brute = _brute_layer_sums(small_domain, model)
+        top = np.minimum(mrec[:, None], mrec[None, :])
+        for t in (1, 2, 3):
+            assert np.array_equal(gathered[top == t], brute[t - 1][top == t])
+
+    def test_read_only_and_cached(self, small_domain, two_level):
+        table = covariance_table(small_domain, two_level)
+        assert table.shape == (2, 10, 10)
+        assert not table.flags.writeable
+        assert covariance_table(small_domain, two_level) is table
+
+
 class TestCrossCovariance:
     def test_empty_log(self, small_domain, two_level):
-        assert cross_covariance(np.zeros(2), SampleLog(small_domain), two_level).size == 0
+        log = SampleLog(small_domain)
+        table = covariance_table(small_domain, two_level)
+        assert _grid_cov(table, log.cells(), log.fidelities()).size == 0
 
     def test_top_fidelity_self_covariance_is_prior_variance(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        loc = small_domain.cell_center(7)
-        log.append(loc, 0.0, 2)
-        vec = cross_covariance(np.array(loc), log, two_level)
+        log.append(small_domain.cell_center(7), 0.0, 2)
+        table = covariance_table(small_domain, two_level)
+        vec = _grid_cov(table, log.cells(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.34)
 
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        loc = small_domain.cell_center(7)
-        log.append(loc, 0.0, 1)
-        vec = cross_covariance(np.array(loc), log, two_level)
+        log.append(small_domain.cell_center(7), 0.0, 1)
+        table = covariance_table(small_domain, two_level)
+        vec = _grid_cov(table, log.cells(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.25)
 
 
 class TestJointCovariance:
     def test_symmetry_and_nu(self, small_domain, two_level):
         log = random_mixed_log(small_domain, two_level, np.random.default_rng(0), 8)
-        joint = JointCovariance.from_log(log, two_level)
-        assert np.array_equal(joint.k_block, joint.k_block.T)
-        for j, m in enumerate(log.fidelities()):
-            assert joint.nu[j] == pytest.approx(sum(two_level.mu[:m]))
-            assert joint.noise_diag[j] == pytest.approx(two_level.s[m - 1] ** 2)
+        rc, m = log.cells(), log.fidelities()
+        table = covariance_table(small_domain, two_level)
+        K = _pair_cov(table, rc[:, None, :], m[:, None], rc[None, :, :], m[None, :])
+        assert np.array_equal(K, K.T)
+        # one record at level m: the posterior at its own cell shrinks
+        # y - nu_m by K_fm / (K_mm + s_m^2), with nu_m and s_m^2 level sums
+        for m in (1, 2):
+            single = SampleLog(small_domain)
+            single.append(small_domain.cell_center(7), 0.9, m)
+            post = posterior(single, small_domain, two_level, jitter_scale=0.0)
+            k = two_level.prior_variance(m)
+            nu = sum(two_level.mu[:m])
+            noise = two_level.s[m - 1] ** 2
+            expected = two_level.prior_mean() + k / (k + noise) * (0.9 - nu)
+            assert post.mu[7] == pytest.approx(expected, rel=1e-12)
 
 
 class TestPosterior:
@@ -290,9 +368,7 @@ class TestLogMarginalLikelihood:
         log.append(small_domain.cell_center(3), y, 1)
         var = one_level.v[0] ** 2 + one_level.s[0] ** 2
         expected = -0.5 * np.log(2 * np.pi * var) - 0.5 * (y - one_level.mu[0]) ** 2 / var
-        assert log_marginal_likelihood(log, one_level, jitter_scale=0.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert _evidence(log, one_level, jitter_scale=0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_true_hyperparameters_usually_win(self, small_domain, two_level):
         # data simulated from the model should out-score a badly perturbed model
@@ -314,7 +390,7 @@ class TestLogMarginalLikelihood:
                 x, y = small_domain.cell_center(int(c))
                 noisy = truth.f[m - 1, c] + rng.normal(0.0, two_level.s[m - 1])
                 log.append((x, y), float(noisy), int(m))
-            if log_marginal_likelihood(log, two_level) > log_marginal_likelihood(log, wrong):
+            if _evidence(log, two_level) > _evidence(log, wrong):
                 wins += 1
         assert wins >= 45
 
@@ -324,8 +400,8 @@ class TestLogMarginalLikelihood:
         loc = small_domain.cell_center(10)
         log.append(loc, 0.3, 1)
         log.append(loc, 0.3, 1)
-        with pytest.raises(NumericalError):
-            log_marginal_likelihood(log, model, jitter_scale=0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            _evidence(log, model, jitter_scale=0.0)
 
 
 class TestDiagnostics:

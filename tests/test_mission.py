@@ -158,11 +158,19 @@ class TestRunMission:
             MissionConfig(
                 domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0, baseline="x"
             )
-        for bad in ({"sigma_ratio": 1.5}, {"sample_time": -1.0}, {"termination_fraction": 1.5}):
+        base = dict(domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0)
+        for bad in (
+            {"sigma_ratio": 1.5},
+            {"sample_time": -1.0},
+            {"termination_fraction": 1.5},
+            {"domain": GridDomain(0.0, 10.0, 0.0, 10.0, 101)},  # 10201 cells
+            {"start": (50.0, 50.0, 8.0)},
+            {"start": (5.0, -0.5, 8.0)},
+            {"bumps": (Bump(5.0, 5.0, 1.0, -1.0),)},
+            {"bumps": (Bump(5.0, 5.0, 1.0, 0.0),)},
+        ):
             with pytest.raises(ValueError):
-                MissionConfig(
-                    domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0, **bad
-                )
+                MissionConfig(**{**base, **bad})
 
 
 class TestCompareDecay:
