@@ -19,18 +19,21 @@ class NumericalError(RuntimeError):
 
 
 def jittered_cholesky(cov: np.ndarray, jitter_scale: float = DEFAULT_JITTER):
-    """Lower Cholesky factor of ``cov + jitter*I``.
+    """Lower Cholesky factor of ``cov + jitter*I``; consumes ``cov``.
 
     The jitter is ``jitter_scale`` times the largest diagonal entry, the
-    standard safeguard for nearly-PSD kernel matrices.  Returns
-    ``(L, jitter)``; raises NumericalError if the factorization still fails.
+    standard safeguard for nearly-PSD kernel matrices.  It is added to the
+    diagonal of ``cov`` in place, so callers pass a matrix they no longer
+    need.  Returns ``(L, jitter)``; raises NumericalError if the
+    factorization still fails.
     """
     n = cov.shape[0]
     if n == 0:
         return np.zeros((0, 0)), 0.0
     jitter = jitter_scale * float(np.max(np.diagonal(cov)))
+    cov[np.diag_indices(n)] += jitter
     try:
-        L = np.linalg.cholesky(cov + jitter * np.eye(n))
+        L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance not positive definite: {exc}", jitter) from exc
     return L, jitter

@@ -33,6 +33,8 @@ class GridDomain:
     resolution: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max])):
+            raise ValueError("domain extents must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("domain extents must satisfy x_max > x_min and y_max > y_min")
         if self.resolution < 1:
@@ -108,6 +110,8 @@ class FidelityModel:
         for name in ("mu", "l", "s", "z"):
             if len(getattr(self, name)) != M:
                 raise ValueError(f"level arrays disagree in length: {name}")
+        if not np.all(np.isfinite([self.mu, self.v, self.l, self.s, self.z])):
+            raise ValueError("model parameters must be finite")
         if any(x <= 0 for x in self.v) or any(np.diff(self.v) >= 0):
             raise ValueError("kernel amplitudes v must be positive and strictly decreasing")
         if any(x <= 0 for x in self.l) or any(np.diff(self.l) >= 0):

@@ -6,12 +6,15 @@ cross-covariance of a record with the full-fidelity field truncates at the
 record's level.  Every record sits on a cell center and the layer kernels are
 stationary, so all of these covariances are lookups in one per-level table
 indexed by the row and column offsets between two cells.  One Cholesky
-factorization of the observation covariance serves the whole grid;
-within-epoch planning extends that factorization one rank at a time instead
-of refactorizing.
+factorization L of the observation covariance serves the whole grid through
+W = L^-1 K_xn (GPML Alg. 2.1).  Fidelity never decreases along the log, so
+the covariance of a new record with every earlier one is a column of K_xn and
+its solve against L is the matching column of W: within-epoch planning and
+the samples.log information chain grow W one row at a time with no factor.
 """
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -86,8 +89,10 @@ def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
 
 def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
     """Covariance of records at cells rc_a (levels m_a) and rc_b (m_b); broadcasts."""
-    d = np.abs(rc_a - rc_b)
-    return table[np.minimum(m_a, m_b) - 1, d[..., 0], d[..., 1]]
+    dr = rc_a[..., 0] - rc_b[..., 0]
+    dc = rc_a[..., 1] - rc_b[..., 1]
+    level = np.minimum(m_a, m_b) - 1
+    return table[level, np.abs(dr, out=dr), np.abs(dc, out=dc)]
 
 
 def _grid_cov(table, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -98,32 +103,52 @@ def _grid_cov(table, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
     return table[m[:, None, None] - 1, dr[:, :, None], dc[:, None, :]].reshape(len(m), axis.size**2)
 
 
-def _extend_factor(L: np.ndarray, b: np.ndarray, d: float):
-    """Grow the lower factor L of A to that of [[A, b], [b^T, d]].
+def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
+    """Row of W = L^-1 K for one more record, from W alone.
 
-    Returns (L', c, gamma2) with c = L^-1 b and gamma2 = d - c.c, the squared
-    new pivot.  L' is None when gamma2 <= 0; callers judge small pivots.
+    The new record's covariance with the records of w is column j of the K
+    that w was solved from, so c = L^-1 b = w[:, j] and the new pivot is
+    gamma2 = d - c.c.  Returns (row, c.c) with row = (kappa - c W) / gamma,
+    or (None, c.c) when gamma2 <= floor.
     """
-    c = solve_lower(L, b)
-    gamma2 = d - float(c @ c)
-    if gamma2 <= 0.0:
-        return None, c, gamma2
-    n = L.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = L
-    out[n, :n] = c
-    out[n, n] = np.sqrt(gamma2)
-    return out, c, gamma2
+    c = w[:, j]
+    cc = float(c @ c)
+    gamma2 = d - cc
+    if gamma2 <= floor:
+        return None, cc
+    return (kappa - c @ w) / np.sqrt(gamma2), cc
+
+
+class _RowBuffer:
+    """C-order rows of W with spare capacity, shared along a chain of appends.
+
+    ``used`` rows are taken.  An append to a snapshot of n rows claims row n
+    in place if it is the next free row; otherwise (another append took it,
+    or the buffer is full) it copies its n rows to a new buffer.
+    """
+
+    def __init__(self, data: np.ndarray, used: int):
+        self.data = data
+        self.used = used
+        self._lock = threading.Lock()
+
+    def claim(self, n: int) -> bool:
+        with self._lock:
+            if self.used != n or n == self.data.shape[0]:
+                return False
+            self.used = n + 1
+            return True
 
 
 @dataclass(frozen=True)
 class PosteriorField:
-    """Posterior mean/variance grids plus the factorization state for appends.
+    """Posterior mean/variance grids plus the W rows that appends extend.
 
-    Snapshots are immutable; appending a hypothetical sample produces a new
-    snapshot with an extended factorization.  Appends maintain only the
-    variance grid (the mean is carried over unchanged), which is all the
-    planner needs: the variance never depends on observed values.
+    Snapshots are immutable: their arrays are read-only, and appending a
+    hypothetical sample produces a new snapshot with one more row of W.
+    Appends maintain only the variance grid (the mean is carried over
+    unchanged), which is all the planner needs: the variance never depends
+    on observed values.
     """
 
     domain: GridDomain
@@ -132,9 +157,9 @@ class PosteriorField:
     fidelities: np.ndarray  # (n,)
     mu: np.ndarray  # (n_cells,)
     sigma2: np.ndarray  # (n_cells,)
-    chol: np.ndarray  # (n, n) lower factor of K + Theta + jitter*I
-    w: np.ndarray  # (n, n_cells) = chol^-1 @ cross-covariances
+    w: np.ndarray  # (n, n_cells) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
     jitter: float
+    _rows: _RowBuffer | None = field(default=None, repr=False, compare=False)  # None: no spare rows
 
     @property
     def n(self) -> int:
@@ -177,15 +202,16 @@ def posterior(
     table = covariance_table(domain, model)
     rc = log.cells()
     mrec = log.fidelities()
-    K = _pair_cov(table, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
-    noise = np.array([model.s[mi - 1] ** 2 for mi in mrec])
     nu = np.array([sum(model.mu[:mi]) for mi in mrec])
-    L, jitter = jittered_cholesky(K + np.diag(noise), jitter_scale)
+    K = _pair_cov(table, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
+    K[np.diag_indices(len(mrec))] += [model.s[mi - 1] ** 2 for mi in mrec]
+    L, jitter = jittered_cholesky(K, jitter_scale)
+    del K  # free the n x n covariance before the solves allocate (n, n_cells) arrays
     w = solve_lower(L, _grid_cov(table, rc, mrec))
     a = solve_lower(L, log.values() - nu)
     mu = mu0 + w.T @ a
     sigma2 = _clamp_sigma2(k0 - np.einsum("ij,ij->j", w, w), jitter)
-    _freeze(mu, sigma2, w, L, rc, mrec)
+    _freeze(mu, sigma2, w, rc, mrec)
     return PosteriorField(
         domain=domain,
         model=model,
@@ -193,7 +219,6 @@ def posterior(
         fidelities=mrec,
         mu=mu,
         sigma2=sigma2,
-        chol=L,
         w=w,
         jitter=jitter,
     )
@@ -202,29 +227,40 @@ def posterior(
 def append_sample_variance_only(
     state: PosteriorField, x_new, m_new: int
 ) -> PosteriorField:
-    """Extend the factorization with a hypothetical sample at (x_new, m_new).
+    """Add a hypothetical sample at (x_new, m_new) to the variance grid.
 
-    ``x_new`` must be a cell center.  The variance grid of the result matches
-    a full recompute with the extended log (observed values are irrelevant to
-    the variance).  If the rank-one extension breaks down numerically, falls
-    back to a full refactorization with placeholder observations.
+    ``x_new`` must be a cell center and ``m_new`` at least the level of the
+    last record.  The new row of W comes from W alone (see ``_next_row``), in
+    O(n * n_cells) and without a factor.  The variance grid of the result
+    matches a full recompute with the extended log (observed values are
+    irrelevant to the variance).  If the new pivot breaks down numerically,
+    falls back to a full refactorization with placeholder observations.
     """
     model, domain = state.model, state.domain
     model._check_level(m_new)
-    rc_new = np.array(divmod(domain.index_of(x_new[0], x_new[1]), domain.resolution))
-    table = covariance_table(domain, model)
-    b = _pair_cov(table, state.cells, state.fidelities, rc_new, m_new)
+    n = state.n
+    if n and m_new < state.fidelities[-1]:
+        raise ValueError(
+            f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
+        )
+    j_new = domain.index_of(x_new[0], x_new[1])
+    rc_new = np.array(divmod(j_new, domain.resolution))
+    rows = state._rows
+    if rows is None or not rows.claim(n):
+        data = np.empty((max(2 * n, 16), domain.n_cells))
+        data[:n] = state.w
+        rows = _RowBuffer(data, n + 1)
+    kappa = _grid_cov(covariance_table(domain, model), rc_new[None, :], np.array([m_new]))[0]
     d = model.prior_variance(m_new) + model.s[m_new - 1] ** 2
-    chol, c, gamma2 = _extend_factor(state.chol, b, d + state.jitter)
-    if gamma2 <= max(1e-12 * d, 1e-300):
+    w_new, _ = _next_row(rows.data[:n], j_new, kappa, d + state.jitter, max(1e-12 * d, 1e-300))
+    if w_new is None:
         return _refactorized_append(state, x_new, m_new)
-    kappa = _grid_cov(table, rc_new[None, :], np.array([m_new]))[0]
-    w_new = (kappa - c @ state.w) / chol[-1, -1]
     sigma2 = _clamp_sigma2(state.sigma2 - w_new**2, state.jitter)
-    w = np.vstack([state.w, w_new])
+    rows.data[n] = w_new
+    w = rows.data[: n + 1]
     cells = np.vstack([state.cells, rc_new])
     fidelities = np.append(state.fidelities, m_new)
-    _freeze(sigma2, chol, w, cells, fidelities)
+    _freeze(sigma2, w, cells, fidelities)
     return PosteriorField(
         domain=domain,
         model=model,
@@ -232,9 +268,9 @@ def append_sample_variance_only(
         fidelities=fidelities,
         mu=state.mu,
         sigma2=sigma2,
-        chol=chol,
         w=w,
         jitter=state.jitter,
+        _rows=rows,
     )
 
 
@@ -244,49 +280,41 @@ def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorF
     for (row, col), m in zip(state.cells, state.fidelities):
         log.append(domain.cell_center(int(row) * domain.resolution + int(col)), 0.0, int(m))
     log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
-    fresh = posterior(log, domain, state.model)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
-    return PosteriorField(
-        domain=fresh.domain,
-        model=fresh.model,
-        cells=fresh.cells,
-        fidelities=fresh.fidelities,
-        mu=state.mu,
-        sigma2=fresh.sigma2,
-        chol=fresh.chol,
-        w=fresh.w,
-        jitter=fresh.jitter,
-    )
+    return replace(posterior(log, domain, state.model), mu=state.mu)
 
 
 def _chain_terms(log: SampleLog, model: FidelityModel):
     """Per-record mutual-information increments in log order.
 
     Term i is 0.5*log(1 + s_{m_i}^-2 * var_{i-1}(x_i)) where var_{i-1} is the
-    posterior variance of the full field given the first i-1 records.
+    posterior variance of the full field given the first i-1 records.  W is
+    solved against the log's distinct cells only (no jitter), one row per
+    record by the planning-append step, so var_{i-1}(x_i) = k0 - c.c.
     Returns (terms, variances-before-sampling).
     """
     n = len(log)
-    terms = np.zeros(n)
-    var_before = np.zeros(n)
+    R = log.domain.resolution
     table = covariance_table(log.domain, model)
     rc = log.cells()
     mrec = log.fidelities()
+    flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
+    distinct = np.column_stack(np.divmod(flat, R))
+    kxu = _pair_cov(table, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
+    w = np.empty((n, len(flat)))
+    terms = np.zeros(n)
+    var_before = np.zeros(n)
     k0 = model.prior_variance()
-    L = np.zeros((0, 0))
     for i in range(n):
         mi = int(mrec[i])
-        wi = solve_lower(L, _pair_cov(table, rc[:i], mrec[:i], rc[i], model.levels))
-        var_prev = max(k0 - float(wi @ wi), 0.0)
         s2 = model.s[mi - 1] ** 2
-        terms[i] = 0.5 * np.log1p(var_prev / s2)
-        var_before[i] = var_prev
-        # extend the observation-covariance factor with record i
-        b = _pair_cov(table, rc[:i], mrec[:i], rc[i], mi)
-        L, _, _ = _extend_factor(L, b, model.prior_variance(mi) + s2)
-        if L is None:
-            raise NumericalError("information-chain factor broke down", 0.0)
+        row, cc = _next_row(w[:i], col[i], kxu[i], model.prior_variance(mi) + s2, 0.0)
+        if row is None:
+            raise NumericalError("information-chain pivot broke down", 0.0)
+        w[i] = row
+        var_before[i] = max(k0 - cc, 0.0)
+        terms[i] = 0.5 * np.log1p(var_before[i] / s2)
     return terms, var_before
 
 

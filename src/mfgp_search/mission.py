@@ -61,6 +61,8 @@ class MissionConfig:
             raise ValueError("delta must lie in (0, 1/2)")
         if not np.isfinite(self.th):
             raise ValueError("th must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.epoch_sample_cap < 1 or self.max_epochs < 1:
             raise ValueError("caps must be positive")
         if self.mode not in MODES:
@@ -68,8 +70,8 @@ class MissionConfig:
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
         self.limits()  # sigma_ratio in (0, 1]
-        if not self.sample_time >= 0.0:
-            raise ValueError("sample_time must be non-negative")
+        if not 0.0 <= self.sample_time < np.inf:
+            raise ValueError("sample_time must be non-negative and finite")
         if not 0.0 < self.termination_fraction <= 1.0:
             raise ValueError("termination_fraction must be in (0, 1]")
         if self.domain.n_cells > MAX_EXACT_CELLS:
@@ -83,6 +85,10 @@ class MissionConfig:
                 raise ValueError(f"start {self.start[:2]} lies outside the domain")
         if any(not b.radius > 0.0 for b in self.bumps):
             raise ValueError("bump radius must be positive")
+        values = [self.background, *(self.start or ())]
+        values += [v for b in self.bumps for v in (b.x, b.y, b.amplitude, b.radius)]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("start, bumps and background must be finite")
 
     @property
     def initial_level(self) -> int:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code path with the
 package: joint-Gaussian conditioning and the log evidence via dense solves,
-textbook GP formulas, log-determinant information, exhaustive TSP, the scalar
+textbook GP formulas, log-determinant information, the factor-based
+variance append and information chain, exhaustive TSP, the scalar
 nearest-neighbour plus 2-opt router, and a from-scratch planning loop.
 """
 
@@ -16,6 +17,15 @@ def sq_exp(v, l, A, B):
     """Squared-exponential kernel matrix between point sets A (n,2), B (p,2)."""
     d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
     return v * v * np.exp(-d2 / (2.0 * l * l))
+
+
+def _layer_sum_cov(A, ma, B, mb, v, l):
+    """Covariance of points A seeing layers 1..ma with points B seeing 1..mb."""
+    C = np.zeros((len(ma), len(mb)))
+    for i in range(1, len(v) + 1):
+        pair = np.minimum(ma[:, None], mb[None, :]) >= i
+        C += np.where(pair, sq_exp(v[i - 1], l[i - 1], A, B), 0.0)
+    return C
 
 
 def _observation_covariance(X, mrec, v, l, s):
@@ -63,6 +73,68 @@ def log_marginal_likelihood(X, mrec, y, mu, v, l, s, jitter_scale=1e-10):
     a = np.linalg.solve(L, y - np.array([sum(mu[:m]) for m in mrec]))
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
     return -0.5 * (len(y) * np.log(2.0 * np.pi) + logdet) - 0.5 * float(a @ a)
+
+
+def _extend_cholesky(L, b, d):
+    """Lower factor of [[A, b], [b^T, d]] from the factor L of A, and c = L^-1 b."""
+    c = np.linalg.solve(L, b) if len(b) else np.zeros(0)
+    n = L.shape[0]
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = L
+    out[n, :n] = c
+    out[n, n] = np.sqrt(d - c @ c)
+    return out, c
+
+
+def factor_append_variance(X, mrec, n_start, cells, v, l, s, jitter_scale=1e-10):
+    """Variance grid of a posterior on the first n_start records, grown by
+    rank-one appends of the rest against the Cholesky factor.
+
+    The start factors the observation covariance plus jitter_scale times its
+    largest diagonal entry; each append solves c = L^-1 b for the new
+    record's covariance b with the earlier ones, extends L by the row
+    [c, gamma] and W = L^-1 K_xn by (kappa - c W) / gamma.
+    """
+    X = np.asarray(X, dtype=float)
+    mrec = np.asarray(mrec, dtype=int)
+    top = np.full(cells.shape[0], len(v))
+    C = _observation_covariance(X[:n_start], mrec[:n_start], v, l, s)
+    jitter = jitter_scale * float(np.max(np.diagonal(C))) if n_start else 0.0
+    L = np.linalg.cholesky(C + jitter * np.eye(n_start))
+    W = np.linalg.solve(L, _layer_sum_cov(X[:n_start], mrec[:n_start], cells, top, v, l))
+    var = sum(vi * vi for vi in v) - np.sum(W * W, axis=0)
+    for i in range(n_start, len(mrec)):
+        new, m = X[i : i + 1], mrec[i : i + 1]
+        b = _layer_sum_cov(X[:i], mrec[:i], new, m, v, l)[:, 0]
+        d = sum(vi * vi for vi in v[: m[0]]) + s[m[0] - 1] ** 2 + jitter
+        L, c = _extend_cholesky(L, b, d)
+        w_new = (_layer_sum_cov(new, m, cells, top, v, l)[0] - c @ W) / L[-1, -1]
+        W = np.vstack([W, w_new])
+        var = var - w_new**2
+    return var
+
+
+def log_order_chain(X, mrec, v, l, s):
+    """Information terms and variances before sampling, record by record.
+
+    Record i solves the full-field covariance at its point against the
+    factor of records 0..i-1 (no jitter), then extends that factor by itself.
+    """
+    X = np.asarray(X, dtype=float)
+    mrec = np.asarray(mrec, dtype=int)
+    top = np.array([len(v)])
+    k0 = sum(vi * vi for vi in v)
+    terms, var_before = np.zeros(len(mrec)), np.zeros(len(mrec))
+    L = np.zeros((0, 0))
+    for i, m in enumerate(mrec):
+        new = X[i : i + 1]
+        kvec = _layer_sum_cov(X[:i], mrec[:i], new, top, v, l)[:, 0]
+        wi = np.linalg.solve(L, kvec) if i else np.zeros(0)
+        var_before[i] = max(k0 - wi @ wi, 0.0)
+        terms[i] = 0.5 * np.log1p(var_before[i] / s[m - 1] ** 2)
+        b = _layer_sum_cov(X[:i], mrec[:i], new, mrec[i : i + 1], v, l)[:, 0]
+        L, _ = _extend_cholesky(L, b, sum(vi * vi for vi in v[:m]) + s[m - 1] ** 2)
+    return terms, var_before
 
 
 def textbook_gp_posterior(X, y, cells, mu0, v, l, s):

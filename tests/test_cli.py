@@ -1,9 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfgp_search.cli import ConfigError, main, parse_config_text, resolve_config
+from mfgp_search.cli import ConfigError, cmd_run, main, parse_config_text, resolve_config
 
 REPO = Path(__file__).resolve().parent.parent
 DESK = REPO / "configs" / "desk.cfg"
@@ -54,6 +60,11 @@ REJECTED = [
     ({"mission.start_x": 50, "mission.start_y": 50, "mission.start_z": 8}, "outside"),
     (_bump(-1), "radius"),
     (_bump(0), "radius"),
+    ({"mission.seed": -1}, "seed"),
+    ({"domain.x_max": "inf"}, "finite"),
+    ({"model.l_2": "nan"}, "finite"),
+    ({"mission.sample_time": "inf"}, "sample_time"),
+    ({"planted.background": "nan"}, "finite"),
 ]
 
 
@@ -259,3 +270,89 @@ def test_normalized_echo_round_trips(small_cfg, capsys, tmp_path):
     normalized.write_text(echo)
     assert main(["validate", "--config", str(normalized)]) == 0
     assert capsys.readouterr().out == echo
+
+
+# A valid tiny-grid config (one value per key drawn from VALID), then up to
+# three keys set to an edge or invalid value from ODD.
+VALID = {
+    "domain.x_max": [10, 3],
+    "domain.y_max": [10, 4],
+    "model.v_1": [0.5, 0.9],
+    "model.l_1": [4.0, 6.0],
+    "model.s_1": [0.1, 0.5],
+    "model.s_2": [0.08, 0.02],
+    "model.z_2": [4.0, 1.0],
+    "mission.delta": [0.1, 0.3],
+    "mission.th": [0.3, -0.2, 1.0],
+    "mission.sigma_ratio": [0.75, 0.5, 1.0],
+    "mission.sample_time": [1.0, 0.0],
+    "mission.termination_fraction": [0.99, 0.5],
+    "mission.epoch_sample_cap": [1, 5, 200],
+    "mission.baseline": ["multi-fidelity", "single-fidelity-only"],
+    "mission.mode": ["prior-draw", "planted"],
+    "planted.bumps": [1],
+    "planted.bump_1.x": [1.0, 2.5],
+    "planted.bump_1.y": [1.0],
+    "planted.bump_1.amplitude": [1.2, -0.5],
+    "planted.bump_1.radius": [1.0, 3.0],
+    "planted.background": [-0.1, 0.0],
+}
+ODD = {
+    "domain.resolution": [0, 7, 200],
+    "domain.x_max": [0, -1, 0.5, "inf", "nan"],
+    "domain.y_max": [0, 0.5, "nan"],
+    "model.levels": [1, 3],
+    "model.mu_1": ["nan", "inf"],
+    "model.v_1": [0.3, -0.1, 0.0, "nan"],
+    "model.l_1": [0.0, 1.0, 1e-9, "nan"],
+    "model.l_2": [-1.0, "nan"],
+    "model.s_1": [0.0, 1e-9, -0.1, "nan"],
+    "model.s_2": [1e-9, 5.0, "inf"],
+    "model.z_2": [9.0, 0.0, -1.0, "nan"],
+    "mission.delta": [0.0, 0.5, 0.001, "nan"],
+    "mission.th": ["nan", "inf", 1e9],
+    "mission.seed": [-1, 2**40],
+    "mission.sigma_ratio": [0.0, 1.5, 1e-6, "nan"],
+    "mission.sample_time": [-1.0, "nan", "inf"],
+    "mission.termination_fraction": [0.0, 1.5, "nan"],
+    "mission.epoch_sample_cap": [0, -1],
+    "mission.baseline": ["x"],
+    "mission.mode": ["other"],
+    "mission.start_x": [0.0, 10.0, -1.0, 11.0, "nan"],
+    "mission.start_y": [2.5, -1.0, "nan"],
+    "mission.start_z": [8.0, 0.1, -3.0, "nan"],
+    "planted.bumps": [0, 2],
+    "planted.bump_1.x": ["inf", "nan"],
+    "planted.bump_1.amplitude": ["nan", "inf"],
+    "planted.bump_1.radius": [-1.0, "nan", 1e-6, 1e3],
+    "planted.background": ["nan", "inf"],
+}
+
+
+@st.composite
+def tiny_overrides(draw) -> dict:
+    over = {key: draw(st.sampled_from(values)) for key, values in VALID.items()}
+    over["domain.resolution"] = draw(st.integers(1, 6))
+    over["mission.max_epochs"] = 1
+    for key in draw(st.lists(st.sampled_from(sorted(ODD)), max_size=3, unique=True)):
+        over[key] = draw(st.sampled_from(ODD[key]))
+    return over
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_overrides())
+def test_validate_accepts_only_what_run_accepts(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "tiny.cfg"
+        cfg.write_text(small_cfg_text(**overrides))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            accepted = main(["validate", "--config", str(cfg)]) == 0
+        if not accepted:
+            return
+        args = argparse.Namespace(config=str(cfg), out=str(Path(tmp) / "o"), seed=None, set=[])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cmd_run(args)
+        except (ConfigError, ValueError) as exc:
+            pytest.fail(f"validate accepted {overrides}, run raised {exc!r}")
+        assert code in (0, 2)

@@ -22,6 +22,8 @@ class TestGridDomain:
             GridDomain(0, 0, 0, 1, 4)
         with pytest.raises(ValueError):
             GridDomain(0, 1, 0, 1, 0)
+        with pytest.raises(ValueError, match="finite"):
+            GridDomain(0, float("inf"), 0, 1, 4)
 
     def test_cell_index_bijection(self):
         d = GridDomain(-2.0, 3.0, 1.0, 7.0, 7)
@@ -53,6 +55,11 @@ class TestFidelityModel:
             FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 0.1), z=(4, 8))
         with pytest.raises(ValueError):
             FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, -0.1), z=(8, 4))
+        nan = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, nan), s=(0.1, 0.1), z=(8, 4))
+        with pytest.raises(ValueError, match="finite"):
+            FidelityModel(mu=(nan, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 0.1), z=(8, 4))
 
     def test_level_variance_strictly_increasing(self):
         m = FidelityModel(

@@ -17,13 +17,13 @@ REPO = Path(__file__).resolve().parent.parent
 
 PINS = {
     "desk": {
-        "report.json": "8bdc5e617f5153107b66404aaa761aa2c2d2c8ca492396294886cc751b11a364",
-        "plans.csv": "44e9c37ca4a53ad027754cb6f1b94156d21baee5d7280a4d6b019e83733e4af1",
+        "report.json": "fea5a387ee111af048c23cae675b669b13bae44adcc448e30ff72cff0e4d3289",
+        "plans.csv": "b776f901650b695f0320a83cc249716ffa568af78199d6725af2148fa6fdcb55",
         "tours.csv": "1231da0fbeb700fe47654de9d5c3c64f5e20d14ed4c527d641bd53ec6511989e",
     },
     "planted": {
-        "report.json": "d7775639e46789b260a01ae8b4ef1543fa234fa6b0a8f4dacc4f6ae936bcbe0f",
-        "plans.csv": "895bce100c3fae7f91344710910624076639374a9700cfcc3542e0dc0c06b98d",
+        "report.json": "47b32d25c76993d3fbf282fea770dabeb11f8a408270ea4a1baa96caad6c4118",
+        "plans.csv": "8d322cab0130f024045487502168e98cfdd76cb6bd0dc69514e42b696ad90c54",
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }

@@ -1,5 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfgp_search import (
     FidelityModel,
@@ -10,13 +14,23 @@ from mfgp_search import (
     greedy_info_gain,
     posterior,
 )
+from mfgp_search._linalg import jittered_cholesky, solve_lower
 from mfgp_search.field_model import sample_ground_truth
-from mfgp_search.inference import _grid_cov, _pair_cov, covariance_table, diagnostics_lines
+from mfgp_search.inference import (
+    _RowBuffer,
+    _chain_terms,
+    _grid_cov,
+    _pair_cov,
+    covariance_table,
+    diagnostics_lines,
+)
 from mfgp_search.planner import select_next_point
 
 from conftest import random_mixed_log
 from oracles import (
+    factor_append_variance,
     joint_gaussian_posterior,
+    log_order_chain,
     log_marginal_likelihood,
     logdet_information,
     sq_exp,
@@ -271,6 +285,189 @@ class TestAppendVarianceOnly:
         before = post.sigma2.copy()
         append_sample_variance_only(post, small_domain.cell_center(3), 1)
         assert np.array_equal(post.sigma2, before)
+
+    def test_lower_level_than_last_record_rejected(self, small_domain, two_level):
+        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = append_sample_variance_only(post, small_domain.cell_center(0), 2)
+        # far apart, so the rank-one step itself would not break down
+        with pytest.raises(ValueError, match="non-decreasing"):
+            append_sample_variance_only(post, small_domain.cell_center(99), 1)
+
+
+def _base_posterior(domain, model):
+    log = random_mixed_log(domain, model, np.random.default_rng(11), 6)
+    # keep every later append at a valid level: the base ends at level 1
+    ones = SampleLog(domain)
+    for loc, y in zip(log.locations(), log.values()):
+        ones.append(tuple(loc), float(y), 1)
+    return posterior(ones, domain, model)
+
+
+def _appended(post, domain, cells_and_levels):
+    for c, m in cells_and_levels:
+        post = append_sample_variance_only(post, domain.cell_center(c), m)
+    return post
+
+
+def _same_snapshot(a, b):
+    for name in ("cells", "fidelities", "mu", "sigma2", "w"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestSnapshotBranches:
+    """Appends share a row buffer; branching off a snapshot must copy it."""
+
+    def test_two_appends_to_one_parent(self, small_domain, two_level):
+        parent = _appended(_base_posterior(small_domain, two_level), small_domain, [(2, 1)])
+        w, sigma2 = parent.w.copy(), parent.sigma2.copy()
+        first = _appended(parent, small_domain, [(17, 1)])
+        second = _appended(parent, small_domain, [(71, 2)])
+        fresh = _base_posterior(small_domain, two_level)
+        _same_snapshot(first, _appended(fresh, small_domain, [(2, 1), (17, 1)]))
+        _same_snapshot(second, _appended(fresh, small_domain, [(2, 1), (71, 2)]))
+        assert np.array_equal(parent.w, w)
+        assert np.array_equal(parent.sigma2, sigma2)
+
+    def test_append_to_older_snapshot_after_tip_moved(self, small_domain, two_level):
+        parent = _base_posterior(small_domain, two_level)
+        older = _appended(parent, small_domain, [(5, 1)])
+        w, sigma2 = older.w.copy(), older.sigma2.copy()
+        tip = _appended(older, small_domain, [(40, 1), (41, 2), (99, 2)])
+        branch = _appended(older, small_domain, [(60, 1), (61, 1)])
+        fresh = _base_posterior(small_domain, two_level)
+        _same_snapshot(tip, _appended(fresh, small_domain, [(5, 1), (40, 1), (41, 2), (99, 2)]))
+        _same_snapshot(branch, _appended(fresh, small_domain, [(5, 1), (60, 1), (61, 1)]))
+        assert np.array_equal(older.w, w)
+        assert np.array_equal(older.sigma2, sigma2)
+
+    def test_claim_is_atomic(self):
+        arrived = threading.Barrier(2)
+
+        class Rows:  # its capacity check waits for a second claimant to get that far
+            @property
+            def shape(self):
+                try:
+                    arrived.wait(timeout=0.2)
+                except threading.BrokenBarrierError:
+                    pass
+                return (4, 1)
+
+        buf = _RowBuffer(Rows(), 0)
+        won = []
+        threads = [threading.Thread(target=lambda: won.append(buf.claim(0))) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert sorted(won) == [False, True]
+        assert buf.used == 1
+
+    def test_growth_past_capacity_keeps_rows(self, small_domain, two_level):
+        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        cells = [(int(c), 1) for c in np.random.default_rng(12).integers(0, 100, size=40)]
+        steps = [post]
+        for c, m in cells:
+            steps.append(_appended(steps[-1], small_domain, [(c, m)]))
+        for k, snap in enumerate(steps):
+            assert snap.w.shape == (k, small_domain.n_cells)
+            assert np.array_equal(snap.w, steps[-1].w[:k])
+
+    def test_returned_arrays_read_only(self, small_domain, two_level):
+        parent = _base_posterior(small_domain, two_level)
+        snaps = [parent, _appended(parent, small_domain, [(3, 1)])]
+        snaps.append(_appended(parent, small_domain, [(8, 2)]))  # a branch
+        for snap in snaps:
+            for name in ("cells", "fidelities", "mu", "sigma2", "w"):
+                assert not getattr(snap, name).flags.writeable, name
+
+
+SMALL = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
+TWO_LEVEL = FidelityModel(
+    mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.08), z=(8.0, 4.0)
+)
+
+
+@st.composite
+def nondecreasing_log(draw):
+    """(cells, levels, n_start): a few distinct cells, so most logs repeat."""
+    n = draw(st.integers(0, 24))
+    pool = draw(st.lists(st.integers(0, SMALL.n_cells - 1), min_size=1, max_size=12))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    levels = sorted(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    return cells, levels, draw(st.integers(0, n))
+
+
+def _log_of(cells, levels):
+    log = SampleLog(SMALL)
+    for c, m in zip(cells, levels):
+        log.append(SMALL.cell_center(c), 0.0, m)
+    return log
+
+
+class TestMatchesFactorReference:
+    """The factor-free appends and chain against the Cholesky-factor forms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(nondecreasing_log())
+    @example(([], [], 0))
+    @example(([5], [2], 0))
+    @example(([5], [1], 1))
+    @example(([5, 5, 5, 7], [1, 1, 2, 2], 2))
+    def test_appends(self, case):
+        cells, levels, n_start = case
+        post = posterior(_log_of(cells[:n_start], levels[:n_start]), SMALL, TWO_LEVEL)
+        post = _appended(post, SMALL, zip(cells[n_start:], levels[n_start:]))
+        ref = factor_append_variance(
+            SMALL.cell_centers[cells], levels, n_start, SMALL.cell_centers,
+            TWO_LEVEL.v, TWO_LEVEL.l, TWO_LEVEL.s,
+        )
+        tol = 1e-12 * TWO_LEVEL.prior_variance()
+        np.testing.assert_allclose(post.sigma2, ref, rtol=0.0, atol=tol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(nondecreasing_log())
+    @example(([], [], 0))
+    @example(([5], [2], 0))
+    @example(([5, 5, 5, 7], [1, 1, 2, 2], 0))
+    def test_chain(self, case):
+        cells, levels, _ = case
+        terms, var_before = _chain_terms(_log_of(cells, levels), TWO_LEVEL)
+        ref_terms, ref_var = log_order_chain(
+            SMALL.cell_centers[cells], levels, TWO_LEVEL.v, TWO_LEVEL.l, TWO_LEVEL.s
+        )
+        np.testing.assert_allclose(terms, ref_terms, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(var_before, ref_var, rtol=0.0, atol=1e-12)
+
+
+class TestLeanAssembly:
+    def test_posterior_bits_match_dense_assembly(self, desk_domain, desk_model):
+        # K + diag(noise), then + jitter*I, factored and solved as written out
+        log = random_mixed_log(desk_domain, desk_model, np.random.default_rng(13), 120)
+        post = posterior(log, desk_domain, desk_model)
+        table = covariance_table(desk_domain, desk_model)
+        rc, m = log.cells(), log.fidelities()
+        K = _pair_cov(table, rc[:, None, :], m[:, None], rc[None, :, :], m[None, :])
+        C = K + np.diag([desk_model.s[mi - 1] ** 2 for mi in m])
+        jitter = 1e-10 * float(np.max(np.diagonal(C)))
+        L = np.linalg.cholesky(C + jitter * np.eye(len(m)))
+        w = solve_lower(L, _grid_cov(table, rc, m))
+        nu = np.array([sum(desk_model.mu[:mi]) for mi in m])
+        mu = desk_model.prior_mean() + w.T @ solve_lower(L, log.values() - nu)
+        assert post.jitter == jitter
+        assert np.array_equal(post.w, w)
+        assert np.array_equal(post.mu, mu)
+        sigma2 = desk_model.prior_variance() - np.einsum("ij,ij->j", w, w)
+        assert np.array_equal(post.sigma2, np.maximum(sigma2, 0.0))
+
+    def test_jittered_cholesky_jitters_in_place(self):
+        rng = np.random.default_rng(14)
+        A = rng.normal(size=(30, 30))
+        K = A @ A.T
+        kept = K.copy()
+        L, jitter = jittered_cholesky(K, 1e-6)
+        assert jitter == 1e-6 * float(np.max(np.diagonal(kept)))
+        assert np.array_equal(L, np.linalg.cholesky(kept + jitter * np.eye(30)))
+        assert np.array_equal(K, kept + jitter * np.eye(30))
 
 
 class TestGreedyInfoGain:

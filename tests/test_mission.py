@@ -168,6 +168,11 @@ class TestRunMission:
             {"start": (5.0, -0.5, 8.0)},
             {"bumps": (Bump(5.0, 5.0, 1.0, -1.0),)},
             {"bumps": (Bump(5.0, 5.0, 1.0, 0.0),)},
+            {"seed": -1},
+            {"sample_time": float("inf")},
+            {"start": (5.0, 5.0, float("nan"))},
+            {"bumps": (Bump(5.0, 5.0, float("nan"), 1.0),)},
+            {"background": float("inf")},
         ):
             with pytest.raises(ValueError):
                 MissionConfig(**{**base, **bad})
