@@ -55,12 +55,11 @@ from .planner import (
     select_next_point,
     update_fidelity,
 )
-from .router import Clock, Tour, build_tour, execute_epoch, plan_tours
+from .router import Tour, build_tour, execute_epoch, plan_tours
 
 __all__ = [
     "Bump",
     "ClassificationMap",
-    "Clock",
     "ConfidenceParams",
     "DecayCurves",
     "DetectionTimeTable",

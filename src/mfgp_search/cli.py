@@ -7,6 +7,7 @@ reproduce that run's outputs byte-for-byte.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def _as_float(v) -> float:
 
 def _as_int(v) -> int:
     f = float(v)
-    if f != int(f):
+    if not (math.isfinite(f) and f == int(f)):
         raise ValueError(f"expected an integer, got {v!r}")
     return int(f)
 

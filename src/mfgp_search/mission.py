@@ -6,9 +6,7 @@ eliminate empty regions, and stop once enough of the floor is classified.
 Everything is deterministic given the mission seed.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .field_model import (
 )
 from .inference import SampleLog, posterior
 from .planner import FidelityState, PlanLimits, plan_epoch
-from .router import Clock, execute_epoch, plan_tours
+from .router import execute_epoch, plan_tours
 
 BOUNDARY_TOL = 1e-6  # |f - th| below this: cell excluded from error accounting
 REPORT_SCHEMA_VERSION = 1
@@ -179,7 +177,6 @@ class MissionReport:
     posterior_sigma2: np.ndarray | None = None
     plan_rows: list[tuple] = field(default_factory=list)
     tour_rows: list[tuple] = field(default_factory=list)
-    increments: list[tuple[str, float]] = field(default_factory=list)
     terminated: str = "epoch-cap"
     n_total: int = 0
     clock_total: float = 0.0
@@ -214,24 +211,7 @@ class MissionReport:
             "label_counts": self.label_counts,
             "misclassification": mis,
             "fidelity_trace": self.fidelity_trace,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "n_before": e.n_before,
-                    "n_after": e.n_after,
-                    "sigma_max_before": e.sigma_max_before,
-                    "sigma_max_after_pred": e.sigma_max_after_pred,
-                    "sigma_max_after": e.sigma_max_after,
-                    "ratio": e.ratio,
-                    "capped": e.capped,
-                    "fidelity_levels": list(e.fidelity_levels),
-                    "altitude_changes": e.altitude_changes,
-                    "classified_fraction": e.classified_fraction,
-                    "clock": e.clock,
-                    "coverage_outside": e.coverage_outside,
-                }
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
             "decay": [[n, v] for n, v in self.decay],
             "cells": {
                 "label": [int(v) for v in self.labels],
@@ -265,7 +245,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
     limits = config.limits()
 
     log = SampleLog(domain)
-    clock = Clock()
+    clock = 0.0
     cmap = ClassificationMap.initial(domain)
     state = FidelityState(model, level=config.initial_level)
     position = config.start_position()
@@ -291,10 +271,10 @@ def run_mission(config: MissionConfig) -> MissionReport:
             position,
             sample_time=config.sample_time,
         )
-        position = trace.end_position
+        position, clock = trace.end_position, trace.end_time
         post = posterior(log, domain, model)
         sigma_after = float(np.sqrt(post.max_sigma2(candidates)))
-        cmap = classify_epoch(post, cmap, params, j, clock_time=clock.time)
+        cmap = classify_epoch(post, cmap, params, j, clock_time=clock)
         low_j, up_j = confidence_interval(post.mu, np.sqrt(post.sigma2), params.epsilon(j))
         outside = int(np.sum((truth.f[-1] < low_j) | (truth.f[-1] > up_j)))
 
@@ -304,7 +284,6 @@ def run_mission(config: MissionConfig) -> MissionReport:
             )
             report.fidelity_trace.append(s.fidelity)
         report.tour_rows.extend(trace.waypoint_rows)
-        report.increments.extend(trace.increments)
         for k, mv in enumerate(plan.max_var_trace):
             report.decay.append((plan.n_before + k + 1, mv))
         report.epochs.append(
@@ -320,7 +299,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
                 fidelity_levels=plan.fidelity_levels(),
                 altitude_changes=trace.altitude_changes,
                 classified_fraction=cmap.classified_fraction(),
-                clock=clock.time,
+                clock=clock,
                 coverage_outside=outside,
             )
         )
@@ -335,7 +314,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
     truth_mask = truth.target_mask(config.th)
     report.terminated = terminated
     report.n_total = len(log)
-    report.clock_total = clock.time
+    report.clock_total = clock
     report.labels = np.asarray(cmap.labels)
     report.truth_labels = truth_mask
     report.truth_field = truth.f[-1]
@@ -390,19 +369,9 @@ def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
     return DecayCurves(n=list(range(n_samples + 1)), multi_fidelity=multi, single_fidelity=single)
 
 
-def _worker_count(n_jobs: int) -> int:
-    workers = min(n_jobs, os.cpu_count() or 1)
-    cap = os.environ.get("MFGP_SEARCH_THREADS")
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    return max(1, workers)
-
-
 def run_missions(config: MissionConfig, seeds) -> list[MissionReport]:
-    """Run one mission per seed, in parallel, results in seed order."""
-    configs = [replace(config, seed=int(s)) for s in seeds]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(configs))) as pool:
-        return list(pool.map(run_mission, configs))
+    """Run one mission per seed, one after another, results in seed order."""
+    return [run_mission(replace(config, seed=int(s))) for s in seeds]
 
 
 @dataclass

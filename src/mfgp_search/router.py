@@ -121,21 +121,6 @@ def build_tour(points, altitude: float, start: tuple[float, float, float]) -> To
     )
 
 
-@dataclass
-class Clock:
-    """Mission time: unit-speed travel plus fixed per-sample dwell."""
-
-    time: float = 0.0
-
-    def advance_travel(self, distance: float):
-        if distance < 0:
-            raise ValueError("travel distance must be non-negative")
-        self.time += distance
-
-    def advance_sampling(self, sample_time: float):
-        self.time += sample_time
-
-
 def plan_tours(
     plan: EpochPlan, model: FidelityModel, position: tuple[float, float, float]
 ) -> list[Tour]:
@@ -159,9 +144,9 @@ class ExecutionTrace:
     """What one executed epoch did to the clock and where it ended."""
 
     waypoint_rows: list[tuple[int, int, float, float, float, float]] = field(default_factory=list)
-    increments: list[tuple[str, float]] = field(default_factory=list)
     altitude_changes: int = 0
     travel: float = 0.0
+    end_time: float = 0.0
     end_position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
@@ -171,16 +156,19 @@ def execute_epoch(
     truth: GroundTruth,
     model: FidelityModel,
     log: SampleLog,
-    clock: Clock,
+    start_time: float,
     rng,
     position: tuple[float, float, float],
     sample_time: float = 1.0,
 ) -> ExecutionTrace:
-    """Fly the epoch's tours, measure at every waypoint, and advance the clock.
+    """Fly the epoch's tours from mission time ``start_time`` and measure at
+    every waypoint.
 
     Fidelity groups run lowest level first; between groups the vehicle first
     climbs or descends vertically (|dz| at unit speed), then follows the
-    tour.  Observations are appended to the log in visit order.
+    tour.  The clock adds each move and each dwell as it happens, so every
+    waypoint time is the running sum in visit order.  Observations are
+    appended to the log in visit order.
     """
     groups = plan.by_fidelity()
     if len(tours) != len(groups):
@@ -190,27 +178,26 @@ def execute_epoch(
             raise ValueError(f"tour waypoints do not cover the level-{level} plan points")
 
     trace = ExecutionTrace()
+    clock = start_time
     pos = (float(position[0]), float(position[1]), float(position[2]))
     order = 0
     for tour, (level, _) in zip(tours, groups.items()):
         if pos[2] != tour.start[2]:
             dz = abs(tour.start[2] - pos[2])
-            clock.advance_travel(dz)
-            trace.increments.append(("travel", dz))
+            clock += dz
             trace.travel += dz
             trace.altitude_changes += 1
             pos = (pos[0], pos[1], tour.start[2])
         for wp in tour.waypoints:
             seg = _dist3(pos, wp)
-            clock.advance_travel(seg)
-            trace.increments.append(("travel", seg))
+            clock += seg
             trace.travel += seg
             pos = wp
             order += 1
-            trace.waypoint_rows.append((plan.epoch, order, wp[0], wp[1], wp[2], clock.time))
+            trace.waypoint_rows.append((plan.epoch, order, wp[0], wp[1], wp[2], clock))
             value = measure(truth, wp[0], wp[1], level, model, rng)
             log.append((wp[0], wp[1]), value, level)
-            clock.advance_sampling(sample_time)
-            trace.increments.append(("sample", sample_time))
+            clock += sample_time
+    trace.end_time = clock
     trace.end_position = pos
     return trace

@@ -65,6 +65,10 @@ REJECTED = [
     ({"model.l_2": "nan"}, "finite"),
     ({"mission.sample_time": "inf"}, "sample_time"),
     ({"planted.background": "nan"}, "finite"),
+    ({"domain.resolution": "inf"}, "domain.resolution"),
+    ({"mission.seed": "1e400"}, "mission.seed"),
+    ({"bench.seeds": "inf"}, "bench.seeds"),
+    ({"planted.bumps": "-inf"}, "planted.bumps"),
 ]
 
 
@@ -298,10 +302,10 @@ VALID = {
     "planted.background": [-0.1, 0.0],
 }
 ODD = {
-    "domain.resolution": [0, 7, 200],
+    "domain.resolution": [0, 7, 200, "inf"],
     "domain.x_max": [0, -1, 0.5, "inf", "nan"],
     "domain.y_max": [0, 0.5, "nan"],
-    "model.levels": [1, 3],
+    "model.levels": [1, 3, "inf"],
     "model.mu_1": ["nan", "inf"],
     "model.v_1": [0.3, -0.1, 0.0, "nan"],
     "model.l_1": [0.0, 1.0, 1e-9, "nan"],
@@ -311,17 +315,17 @@ ODD = {
     "model.z_2": [9.0, 0.0, -1.0, "nan"],
     "mission.delta": [0.0, 0.5, 0.001, "nan"],
     "mission.th": ["nan", "inf", 1e9],
-    "mission.seed": [-1, 2**40],
+    "mission.seed": [-1, 2**40, "inf"],
     "mission.sigma_ratio": [0.0, 1.5, 1e-6, "nan"],
     "mission.sample_time": [-1.0, "nan", "inf"],
     "mission.termination_fraction": [0.0, 1.5, "nan"],
-    "mission.epoch_sample_cap": [0, -1],
+    "mission.epoch_sample_cap": [0, -1, "inf"],
     "mission.baseline": ["x"],
     "mission.mode": ["other"],
     "mission.start_x": [0.0, 10.0, -1.0, 11.0, "nan"],
     "mission.start_y": [2.5, -1.0, "nan"],
     "mission.start_z": [8.0, 0.1, -3.0, "nan"],
-    "planted.bumps": [0, 2],
+    "planted.bumps": [0, 2, "inf"],
     "planted.bump_1.x": ["inf", "nan"],
     "planted.bump_1.amplitude": ["nan", "inf"],
     "planted.bump_1.radius": [-1.0, "nan", 1e-6, 1e3],

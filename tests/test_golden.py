@@ -1,8 +1,9 @@
-"""Golden artifact pins: the desk and planted runs, byte for byte.
+"""Golden artifact pins: the desk and planted runs and the desk study, byte
+for byte.
 
-Each config runs once as a fresh ``mfgp-search run`` process with 1-thread
-BLAS (the report bytes depend on the BLAS thread count).  A change to any
-pin needs a CHANGES.md entry that says why the bytes moved.
+Each command runs once as a fresh ``mfgp-search`` process with 1-thread BLAS
+(the report bytes depend on the BLAS thread count).  A change to any pin
+needs a CHANGES.md entry that says why the bytes moved.
 """
 
 import hashlib
@@ -27,24 +28,41 @@ PINS = {
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }
+# bench --config configs/desk.cfg --set bench.seeds=6
+BENCH_PINS = {
+    "decay.csv": "898a12ee83fdfc76eff5e0b3ef0067dfdf96bc331a08e8984ae35e34f543576c",
+    "detection_time.csv": "e46ecc81600c59d97b3deabbfa215a6ce477ebd85d924ea2ec3200e2061e867b",
+}
+
+
+def _cli(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    cmd = [sys.executable, "-m", "mfgp_search.cli", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module", params=sorted(PINS))
 def run_out(request, tmp_path_factory):
     name = request.param
     out = tmp_path_factory.mktemp(name)
-    env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
-    cmd = [
-        sys.executable, "-m", "mfgp_search.cli", "run",
-        "--config", str(REPO / "configs" / f"{name}.cfg"), "--out", str(out),
-    ]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = _cli("run", "--config", str(REPO / "configs" / f"{name}.cfg"), "--out", str(out))
     assert proc.returncode in (0, 2), proc.stderr
     return name, out
+
+
+@pytest.fixture(scope="module")
+def bench_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bench")
+    proc = _cli(
+        "bench", "--config", str(REPO / "configs" / "desk.cfg"),
+        "--set", "bench.seeds=6", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out
 
 
 @pytest.mark.parametrize("artifact", ["report.json", "plans.csv", "tours.csv"])
@@ -52,3 +70,9 @@ def test_artifact_pinned(run_out, artifact):
     name, out = run_out
     digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
     assert digest == PINS[name][artifact], f"{name}/{artifact} changed"
+
+
+@pytest.mark.parametrize("artifact", sorted(BENCH_PINS))
+def test_bench_artifact_pinned(bench_out, artifact):
+    digest = hashlib.sha256((bench_out / artifact).read_bytes()).hexdigest()
+    assert digest == BENCH_PINS[artifact], f"bench/{artifact} changed"

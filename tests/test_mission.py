@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,10 +100,18 @@ class TestRunMission:
         assert all(b <= a + 1e-12 for a, b in zip(vars_, vars_[1:]))
 
     def test_clock_accounts_travel_plus_samples(self, small_report):
-        replay = 0.0
-        for _, amount in small_report.increments:
-            replay += amount
-        assert small_report.clock_total == replay
+        config, rows = small_report.config, small_report.tour_rows
+        last_time = {row[0]: row[5] for row in rows}
+        for e in small_report.epochs:  # exact: each epoch ends on a dwell
+            assert e.clock == last_time[e.epoch] + config.sample_time
+        assert small_report.clock_total == rows[-1][5] + config.sample_time
+        travel, pos = 0.0, config.start_position()
+        for _, _, x, y, z, _ in rows:  # climb or descend first, then fly level
+            travel += abs(z - pos[2]) + math.dist((x, y), pos[:2])
+            pos = (x, y, z)
+        assert small_report.clock_total == pytest.approx(
+            travel + len(rows) * config.sample_time, rel=1e-12
+        )
 
     def test_single_fidelity_baseline_forces_top_level(self, small_domain, small_model):
         config = MissionConfig(
@@ -256,14 +267,14 @@ class TestDetectionTimeStudy:
         assert t_tight >= t_loose
 
 
-def test_thread_cap_env_does_not_change_results(monkeypatch, small_domain, small_model):
+def test_run_missions_is_run_mission_per_seed(small_domain, small_model):
     config = MissionConfig(
         domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0, max_epochs=3
     )
-    parallel = [dump_json(r.to_json_dict()) for r in run_missions(config, range(4))]
-    monkeypatch.setenv("MFGP_SEARCH_THREADS", "1")
-    serial = [dump_json(r.to_json_dict()) for r in run_missions(config, range(4))]
-    assert parallel == serial
+    seeds = [3, 0, 2]
+    batch = [dump_json(r.to_json_dict()) for r in run_missions(config, seeds)]
+    one_by_one = [dump_json(run_mission(replace(config, seed=s)).to_json_dict()) for s in seeds]
+    assert batch == one_by_one
 
 
 def _boundary_cells(config, seeds) -> int:

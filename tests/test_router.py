@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgp_search import (
-    Clock,
     FidelityModel,
     FidelityState,
     GridDomain,
@@ -206,9 +205,8 @@ class TestExecuteEpoch:
         start = (loc[0], loc[1], model.z[0])
         tours = plan_tours(plan, model, start)
         log = SampleLog(domain)
-        clock = Clock()
-        execute_epoch(plan, tours, truth, model, log, clock, np.random.default_rng(0), start)
-        assert clock.time == pytest.approx(1.0)
+        trace = execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(0), start)
+        assert trace.end_time == pytest.approx(1.0)
         assert len(log) == 1
 
     def test_two_fidelity_groups_one_altitude_change(self, epoch_setup):
@@ -225,10 +223,7 @@ class TestExecuteEpoch:
         start = (0.0, 0.0, model.z[0])
         tours = plan_tours(plan, model, start)
         log = SampleLog(domain)
-        clock = Clock()
-        trace = execute_epoch(
-            plan, tours, truth, model, log, clock, np.random.default_rng(0), start
-        )
+        trace = execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(0), start)
         assert trace.altitude_changes == 1
 
     def test_replay_is_identical(self, epoch_setup):
@@ -242,9 +237,10 @@ class TestExecuteEpoch:
         def run():
             tours = plan_tours(plan, model, start)
             log = SampleLog(domain)
-            clock = Clock()
-            execute_epoch(plan, tours, truth, model, log, clock, np.random.default_rng(7), start)
-            return log.values().tolist(), clock.time
+            trace = execute_epoch(
+                plan, tours, truth, model, log, 0.0, np.random.default_rng(7), start
+            )
+            return log.values().tolist(), trace.end_time
 
         values_a, time_a = run()
         values_b, time_b = run()
@@ -263,18 +259,11 @@ class TestExecuteEpoch:
         start = (0.0, 0.0, model.z[0])
         tours = plan_tours(plan, model, start)
         log = SampleLog(domain)
-        clock = Clock()
-        trace = execute_epoch(
-            plan, tours, truth, model, log, clock, np.random.default_rng(1), start
-        )
-        replay = 0.0
-        for kind, amount in trace.increments:
-            replay += amount
-        assert clock.time == replay  # exact: same accumulation order
-        travel = sum(a for k, a in trace.increments if k == "travel")
-        samples = sum(1 for k, _ in trace.increments if k == "sample")
-        assert samples == len(plan.samples)
-        assert clock.time == pytest.approx(travel + samples * 1.0, abs=1e-12)
+        trace = execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(1), start)
+        rows = trace.waypoint_rows
+        assert len(rows) == len(plan.samples)
+        assert trace.end_time == rows[-1][5] + 1.0  # exact: the epoch ends on a dwell
+        assert trace.end_time == pytest.approx(trace.travel + len(rows) * 1.0, abs=1e-12)
 
     def test_mismatched_tours_rejected(self, epoch_setup):
         domain, model, truth = epoch_setup
@@ -288,7 +277,7 @@ class TestExecuteEpoch:
             pytest.skip("degenerate pick")
         with pytest.raises(ValueError):
             execute_epoch(
-                plan, wrong, truth, model, SampleLog(domain), Clock(), np.random.default_rng(0), start
+                plan, wrong, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0), start
             )
 
     def test_custom_sample_time(self, epoch_setup):
@@ -300,9 +289,8 @@ class TestExecuteEpoch:
         )
         start = (loc[0], loc[1], model.z[0])
         tours = plan_tours(plan, model, start)
-        clock = Clock()
-        execute_epoch(
-            plan, tours, truth, model, SampleLog(domain), clock,
+        trace = execute_epoch(
+            plan, tours, truth, model, SampleLog(domain), 0.0,
             np.random.default_rng(0), start, sample_time=20.0,
         )
-        assert clock.time == pytest.approx(20.0)
+        assert trace.end_time == pytest.approx(20.0)
