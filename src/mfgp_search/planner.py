@@ -14,6 +14,13 @@ import numpy as np
 from .field_model import FidelityModel
 from .inference import PosteriorField, append_sample_variance_only
 
+# Relative band below the maximum variance within which candidates count as
+# tied.  On the desk and planted missions, variances of symmetric cells
+# differ by at most 1e-15 relative, while every real gap between the top two
+# candidates is at least 1.3e-13 (far cells after the first sample) and all
+# later ones at least 7e-8.
+TIE_RTOL = 1e-14
+
 
 class PlanningComplete(Exception):
     """Raised when no candidate cells remain to plan over."""
@@ -55,11 +62,15 @@ def select_next_point(
 ) -> tuple[float, float]:
     """Most uncertain candidate cell center; ties go to the lowest cell index.
 
-    ``candidates`` is a sorted array of uneliminated cell indices.
+    ``candidates`` is a sorted array of uneliminated cell indices.  Every
+    candidate within ``TIE_RTOL`` (relative) of the maximum variance is a
+    tie, so roundoff-level changes to the variances never change the pick.
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    local = int(np.argmax(posterior.sigma2[candidates]))
+    values = posterior.sigma2[candidates]
+    top = values.max()
+    local = int(np.argmax(values >= top - TIE_RTOL * abs(top)))
     idx = int(candidates[local])
     return posterior.domain.cell_center(idx)
 

@@ -18,20 +18,20 @@ REPO = Path(__file__).resolve().parent.parent
 
 PINS = {
     "desk": {
-        "report.json": "fea5a387ee111af048c23cae675b669b13bae44adcc448e30ff72cff0e4d3289",
-        "plans.csv": "b776f901650b695f0320a83cc249716ffa568af78199d6725af2148fa6fdcb55",
-        "tours.csv": "1231da0fbeb700fe47654de9d5c3c64f5e20d14ed4c527d641bd53ec6511989e",
+        "report.json": "14f390db1125e591ca31b9bc14479325dfc30802c06fa3f1354d99003fe5de12",
+        "plans.csv": "f3dcb1dae9a2dae38ac8f1bad4e61b6cf700e7861851e442d8c486bd260b303b",
+        "tours.csv": "34263a204420651f79781ada93e19f0d498af3311f93868ebf6291a584c484fc",
     },
     "planted": {
-        "report.json": "47b32d25c76993d3fbf282fea770dabeb11f8a408270ea4a1baa96caad6c4118",
-        "plans.csv": "8d322cab0130f024045487502168e98cfdd76cb6bd0dc69514e42b696ad90c54",
+        "report.json": "66f4215849036c36742f9a56578ba7ed6a11037f02b30ba9f28d381d6263e550",
+        "plans.csv": "9802fbcfc9b4fc8e4ea667cf6d860046b52d8836774815ba1c9de4a3771bb6a7",
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }
 # bench --config configs/desk.cfg --set bench.seeds=6
 BENCH_PINS = {
-    "decay.csv": "898a12ee83fdfc76eff5e0b3ef0067dfdf96bc331a08e8984ae35e34f543576c",
-    "detection_time.csv": "e46ecc81600c59d97b3deabbfa215a6ce477ebd85d924ea2ec3200e2061e867b",
+    "decay.csv": "cf278c6e701eed1c26cf80c1a3bb27aebb5138d70103ffea2432f026ece6d913",
+    "detection_time.csv": "63af1512deca0f5f631fcee9d830c54da50f5b4dc470b679a780ed252296735b",
 }
 
 

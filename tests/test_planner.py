@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgp_search import (
     FidelityModel,
@@ -14,6 +18,7 @@ from mfgp_search import (
     update_fidelity,
 )
 from mfgp_search.inference import append_sample_variance_only
+from mfgp_search.planner import TIE_RTOL
 
 from oracles import greedy_plan_reference, scalar_resample_count
 
@@ -127,6 +132,53 @@ class TestUpdateFidelity:
             if state.level == 3:
                 break
         assert visited == [1, 2, 3]
+
+
+GRID4 = GridDomain(0.0, 4.0, 0.0, 4.0, 4)
+PRIOR4 = posterior(
+    SampleLog(GRID4), GRID4, FidelityModel(mu=(0.0,), v=(0.5,), l=(1.0,), s=(0.1,), z=(5.0,))
+)
+candidate_sets = st.lists(
+    st.integers(0, GRID4.n_cells - 1), min_size=1, max_size=GRID4.n_cells, unique=True
+).map(sorted)
+
+
+def _pick(sigma2, candidates) -> int:
+    post = replace(PRIOR4, sigma2=np.asarray(sigma2, dtype=float))
+    return GRID4.index_of(*select_next_point(post, np.array(candidates)))
+
+
+class TestTieBreak:
+    """Variances within TIE_RTOL of the maximum tie; ties go to the lowest index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        candidate_sets,
+        st.lists(st.integers(0, 4), min_size=16, max_size=16),
+        st.lists(st.floats(-TIE_RTOL / 10, TIE_RTOL / 10), min_size=16, max_size=16),
+        st.floats(1e-3, 10.0),
+    )
+    def test_perturbation_below_tolerance_keeps_pick(self, cands, levels, noise, scale):
+        # exact ties and gaps of at least 1/105 relative between levels
+        base = scale * (1.0 + 0.01 * np.array(levels))
+        top = max(levels[c] for c in cands)
+        lowest_tied = min(c for c in cands if levels[c] == top)
+        assert _pick(base, cands) == lowest_tied
+        assert _pick(base * (1.0 + np.array(noise)), cands) == lowest_tied
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        candidate_sets,
+        st.data(),
+        st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16),
+        st.floats(1.5 * TIE_RTOL, 0.5),
+    )
+    def test_gap_above_tolerance_is_honoured(self, cands, data, values, gap):
+        winner = data.draw(st.sampled_from(cands))
+        sigma2 = np.array(values)
+        second = max((sigma2[c] for c in cands if c != winner), default=1.0)
+        sigma2[winner] = second / (1.0 - gap)
+        assert _pick(sigma2, cands) == winner
 
 
 class TestPlanEpoch:
