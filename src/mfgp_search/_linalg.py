@@ -1,7 +1,6 @@
-"""Shared dense linear-algebra helpers (jittered Cholesky, triangular solves)."""
+"""Shared dense linear-algebra helpers: the jittered Cholesky and its error."""
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 DEFAULT_JITTER = 1e-10
 
@@ -38,9 +37,3 @@ def jittered_cholesky(cov: np.ndarray, jitter_scale: float = DEFAULT_JITTER):
         raise NumericalError(f"covariance not positive definite: {exc}", jitter) from exc
     return L, jitter
 
-
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L."""
-    if L.shape[0] == 0:
-        return np.zeros_like(b)
-    return solve_triangular(L, b, lower=True, check_finite=False)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from ._linalg import DEFAULT_JITTER, jittered_cholesky
 
@@ -196,6 +195,29 @@ class GroundTruth:
         return self.f[-1] >= th
 
 
+def _gaussian_blur(grid: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a 2D grid with mirrored edges.
+
+    The kernel is exp(-x^2 / (2 sigma^2)) on x = -r..r, r = int(4 sigma + 0.5),
+    normalised to sum 1.  Each axis (0, then 1) is padded by reflection
+    (edge cells repeated) and summed as the center term, then each symmetric
+    pair of taps, farthest pair first.  That order reproduces
+    scipy.ndimage.gaussian_filter(grid, sigma) bit for bit.
+    """
+    r = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (phi / phi.sum())[r:]
+    out = np.asarray(grid, dtype=float)
+    for axis in (0, 1):
+        p = np.pad(np.moveaxis(out, axis, 0), [(r, r), (0, 0)], mode="symmetric")
+        size = p.shape[0] - 2 * r
+        acc = p[r : r + size] * w[0]
+        for j in range(r, 0, -1):
+            acc += (p[r - j : r - j + size] + p[r + j : r + j + size]) * w[j]
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
 @lru_cache(maxsize=8)
 def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int, jitter_scale: float):
     K = kernel_matrix(m, domain.cell_centers, domain.cell_centers, model)
@@ -250,7 +272,7 @@ def sample_ground_truth(
         res = domain.resolution
         for m in range(M - 1, 0, -1):
             sigma_cells = model.l[m - 1] / domain.cell_dx
-            blurred = gaussian_filter(top.reshape(res, res), sigma=sigma_cells)
+            blurred = _gaussian_blur(top.reshape(res, res), sigma_cells)
             f[m - 1] = blurred.ravel()
         h[0] = f[0]
         for m in range(2, M + 1):

@@ -5,12 +5,14 @@ two records truncates the layer sum at the lower of their two levels, and the
 cross-covariance of a record with the full-fidelity field truncates at the
 record's level.  Every record sits on a cell center and the layer kernels are
 stationary, so all of these covariances are lookups in one per-level table
-indexed by the row and column offsets between two cells.  One Cholesky
-factorization L of the observation covariance serves the whole grid through
-W = L^-1 K_xn (GPML Alg. 2.1).  Fidelity never decreases along the log, so
-the covariance of a new record with every earlier one is a column of K_xn and
-its solve against L is the matching column of W: within-epoch planning and
-the samples.log information chain grow W one row at a time with no factor.
+indexed by the row and column offsets between two cells.  The posterior
+serves the whole grid through W = L^-1 K_xn, L the Cholesky factor of the
+observation covariance (GPML Alg. 2.1), but never forms L: records sorted by
+level see the full field's covariance with every earlier record, so the
+solve of a new record's covariance against L is a column of W, and W grows
+one row at a time.  The same step builds the epoch posterior over the log's
+distinct (cell, level) records, the within-epoch planning appends and the
+samples.log information chain.
 """
 
 import threading
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import DEFAULT_JITTER, NumericalError, jittered_cholesky, solve_lower
+from ._linalg import DEFAULT_JITTER, NumericalError
 from .field_model import FidelityModel, GridDomain, kernel_eval
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
@@ -108,15 +110,15 @@ def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
 
     The new record's covariance with the records of w is column j of the K
     that w was solved from, so c = L^-1 b = w[:, j] and the new pivot is
-    gamma2 = d - c.c.  Returns (row, c.c) with row = (kappa - c W) / gamma,
-    or (None, c.c) when gamma2 <= floor.
+    gamma2 = d - c.c.  Returns (row, c, c.c) with row = (kappa - c W) / gamma,
+    or (None, c, c.c) when gamma2 <= floor.
     """
     c = w[:, j]
     cc = float(c @ c)
     gamma2 = d - cc
     if gamma2 <= floor:
-        return None, cc
-    return (kappa - c @ w) / np.sqrt(gamma2), cc
+        return None, c, cc
+    return (kappa - c @ w) / np.sqrt(gamma2), c, cc
 
 
 class _RowBuffer:
@@ -144,7 +146,9 @@ class _RowBuffer:
 class PosteriorField:
     """Posterior mean/variance grids plus the W rows that appends extend.
 
-    Snapshots are immutable: their arrays are read-only, and appending a
+    One row of W per record: a distinct (cell, level) of the sample log with
+    its replicate count, or one planning append (count 1).  Snapshots are
+    immutable: their arrays are read-only, and appending a
     hypothetical sample produces a new snapshot with one more row of W.
     Appends maintain only the variance grid (the mean is carried over
     unchanged), which is all the planner needs: the variance never depends
@@ -153,17 +157,19 @@ class PosteriorField:
 
     domain: GridDomain
     model: FidelityModel
-    cells: np.ndarray  # (n, 2) record (row, col) indices
-    fidelities: np.ndarray  # (n,)
+    cells: np.ndarray  # (r, 2) record (row, col) indices
+    fidelities: np.ndarray  # (r,)
+    counts: np.ndarray  # (r,) samples merged into each record
     mu: np.ndarray  # (n_cells,)
     sigma2: np.ndarray  # (n_cells,)
-    w: np.ndarray  # (n, n_cells) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
+    w: np.ndarray  # (r, n_cells) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
     jitter: float
     _rows: _RowBuffer | None = field(default=None, repr=False, compare=False)  # None: no spare rows
 
     @property
     def n(self) -> int:
-        return self.cells.shape[0]
+        """Number of samples (not records) the snapshot conditions on."""
+        return int(self.counts.sum())
 
     def max_sigma2(self, candidates: np.ndarray | None = None) -> float:
         if candidates is None:
@@ -191,36 +197,58 @@ def posterior(
     model: FidelityModel,
     jitter_scale: float = DEFAULT_JITTER,
 ) -> PosteriorField:
-    """Exact posterior over all grid cells from one factorization.
+    """Exact posterior over all grid cells from the log's distinct records.
 
     mean(x) = mu0 + k(x)^T (K+Theta)^-1 (y - nu) and
-    var(x) = k0(x,x) - k(x)^T (K+Theta)^-1 k(x), evaluated for every cell via
-    triangular solves against the shared Cholesky factor.
+    var(x) = k0(x,x) - k(x)^T (K+Theta)^-1 k(x).  The k samples at one
+    (cell, level) enter only through their mean, as one record with noise
+    s_m^2 / k (replicate aggregation), so the work scales with the distinct
+    records, sorted by level then cell.  Every raw sample carries the
+    diagonal jitter, jitter_scale times the largest raw k0_m + s_m^2, so a
+    record's diagonal is k0_m + (s_m^2 + jitter) / k.  W and
+    a = L^-1 (ybar - nu) are built one record at a time (see ``_next_row``);
+    a pivot <= 0 raises NumericalError.
     """
-    mu0 = model.prior_mean()
-    k0 = model.prior_variance()
+    n_cells = domain.n_cells
     table = covariance_table(domain, model)
     rc = log.cells()
-    mrec = log.fidelities()
-    nu = np.array([sum(model.mu[:mi]) for mi in mrec])
-    K = _pair_cov(table, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
-    K[np.diag_indices(len(mrec))] += [model.s[mi - 1] ** 2 for mi in mrec]
-    L, jitter = jittered_cholesky(K, jitter_scale)
-    del K  # free the n x n covariance before the solves allocate (n, n_cells) arrays
-    w = solve_lower(L, _grid_cov(table, rc, mrec))
-    a = solve_lower(L, log.values() - nu)
-    mu = mu0 + w.T @ a
-    sigma2 = _clamp_sigma2(k0 - np.einsum("ij,ij->j", w, w), jitter)
-    _freeze(mu, sigma2, w, rc, mrec)
+    keys, group, counts = np.unique(
+        log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
+        return_inverse=True,
+        return_counts=True,
+    )
+    levels, flat = np.divmod(keys, n_cells)
+    cells = np.column_stack(np.divmod(flat, domain.resolution))
+    resid = np.bincount(group, weights=log.values(), minlength=len(keys)) / counts
+    resid -= [sum(model.mu[:m]) for m in levels]
+    d = np.array([model.prior_variance(m) for m in levels])
+    noise = np.array([model.s[m - 1] ** 2 for m in levels])
+    jitter = jitter_scale * float(np.max(d + noise)) if len(keys) else 0.0
+    d += (noise + jitter) / counts
+    data = np.empty((max(2 * len(keys), 16), n_cells))
+    data[: len(keys)] = _grid_cov(table, cells, levels)
+    a = np.empty(len(keys))
+    for i, j in enumerate(flat):
+        row, c, cc = _next_row(data[:i], j, data[i], d[i], 0.0)
+        if row is None:
+            raise NumericalError(f"posterior pivot {d[i] - cc:g} at record {i}", jitter)
+        data[i] = row
+        a[i] = (resid[i] - c @ a[:i]) / np.sqrt(d[i] - cc)
+    w = data[: len(keys)]
+    mu = model.prior_mean() + w.T @ a
+    sigma2 = _clamp_sigma2(model.prior_variance() - np.einsum("ij,ij->j", w, w), jitter)
+    _freeze(mu, sigma2, w, cells, levels, counts)
     return PosteriorField(
         domain=domain,
         model=model,
-        cells=rc,
-        fidelities=mrec,
+        cells=cells,
+        fidelities=levels,
+        counts=counts,
         mu=mu,
         sigma2=sigma2,
         w=w,
         jitter=jitter,
+        _rows=_RowBuffer(data, len(keys)),
     )
 
 
@@ -238,7 +266,7 @@ def append_sample_variance_only(
     """
     model, domain = state.model, state.domain
     model._check_level(m_new)
-    n = state.n
+    n = len(state.fidelities)
     if n and m_new < state.fidelities[-1]:
         raise ValueError(
             f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
@@ -252,7 +280,7 @@ def append_sample_variance_only(
         rows = _RowBuffer(data, n + 1)
     kappa = _grid_cov(covariance_table(domain, model), rc_new[None, :], np.array([m_new]))[0]
     d = model.prior_variance(m_new) + model.s[m_new - 1] ** 2
-    w_new, _ = _next_row(rows.data[:n], j_new, kappa, d + state.jitter, max(1e-12 * d, 1e-300))
+    w_new, _, _ = _next_row(rows.data[:n], j_new, kappa, d + state.jitter, max(1e-12 * d, 1e-300))
     if w_new is None:
         return _refactorized_append(state, x_new, m_new)
     sigma2 = _clamp_sigma2(state.sigma2 - w_new**2, state.jitter)
@@ -260,12 +288,14 @@ def append_sample_variance_only(
     w = rows.data[: n + 1]
     cells = np.vstack([state.cells, rc_new])
     fidelities = np.append(state.fidelities, m_new)
-    _freeze(sigma2, w, cells, fidelities)
+    counts = np.append(state.counts, 1)
+    _freeze(sigma2, w, cells, fidelities, counts)
     return PosteriorField(
         domain=domain,
         model=model,
         cells=cells,
         fidelities=fidelities,
+        counts=counts,
         mu=state.mu,
         sigma2=sigma2,
         w=w,
@@ -277,8 +307,9 @@ def append_sample_variance_only(
 def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorField:
     domain = state.domain
     log = SampleLog(domain)
-    for (row, col), m in zip(state.cells, state.fidelities):
-        log.append(domain.cell_center(int(row) * domain.resolution + int(col)), 0.0, int(m))
+    for (row, col), m, k in zip(state.cells, state.fidelities, state.counts):
+        for _ in range(k):
+            log.append(domain.cell_center(int(row) * domain.resolution + int(col)), 0.0, int(m))
     log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
@@ -309,7 +340,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     for i in range(n):
         mi = int(mrec[i])
         s2 = model.s[mi - 1] ** 2
-        row, cc = _next_row(w[:i], col[i], kxu[i], model.prior_variance(mi) + s2, 0.0)
+        row, _, cc = _next_row(w[:i], col[i], kxu[i], model.prior_variance(mi) + s2, 0.0)
         if row is None:
             raise NumericalError("information-chain pivot broke down", 0.0)
         w[i] = row

@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately brute force and shares no code path with the
-package: joint-Gaussian conditioning and the log evidence via dense solves,
-textbook GP formulas, log-determinant information, the factor-based
-variance append and information chain, exhaustive TSP, the scalar
-nearest-neighbour plus 2-opt router, and a from-scratch planning loop.
+package: joint-Gaussian conditioning, the raw-log posterior and the log
+evidence via dense solves, textbook GP formulas, log-determinant
+information, the factor-based variance append and information chain,
+exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, and a
+from-scratch planning loop.
 """
 
 import itertools
@@ -57,6 +58,24 @@ def joint_gaussian_posterior(X, mrec, y, cells, mu, v, l, s):
     k0 = sum(vi * vi for vi in v)
     var = k0 - np.einsum("ij,jk,ik->i", Cfy, inv, Cfy)
     return mean, var
+
+
+def dense_raw_posterior(X, mrec, y, cells, mu, v, l, s, jitter_scale=1e-10):
+    """Posterior over every raw record, from one dense n x n factorization.
+
+    Factors the observation covariance plus jitter_scale times its largest
+    diagonal entry and solves W = L^-1 K_xn and a = L^-1 (y - nu) densely.
+    Returns (mean, variance, jitter).
+    """
+    X = np.asarray(X, dtype=float)
+    mrec = np.asarray(mrec, dtype=int)
+    C = _observation_covariance(X, mrec, v, l, s)
+    jitter = jitter_scale * float(np.max(np.diagonal(C))) if len(mrec) else 0.0
+    L = np.linalg.cholesky(C + jitter * np.eye(len(mrec)))
+    top = np.full(cells.shape[0], len(v))
+    W = np.linalg.solve(L, _layer_sum_cov(X, mrec, cells, top, v, l))
+    a = np.linalg.solve(L, np.asarray(y, dtype=float) - np.array([sum(mu[:m]) for m in mrec]))
+    return sum(mu) + W.T @ a, sum(vi * vi for vi in v) - np.sum(W * W, axis=0), jitter
 
 
 def log_marginal_likelihood(X, mrec, y, mu, v, l, s, jitter_scale=1e-10):

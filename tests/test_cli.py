@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -360,3 +363,34 @@ def test_validate_accepts_only_what_run_accepts(overrides):
         except (ConfigError, ValueError) as exc:
             pytest.fail(f"validate accepted {overrides}, run raised {exc!r}")
         assert code in (0, 2)
+
+
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from mfgp_search.cli import main
+
+assert main(["validate", "--config", "configs/planted.cfg"]) == 0
+code = main(["run", "--config", "configs/planted.cfg", "--out", sys.argv[1],
+             "--set", "domain.resolution=6", "--set", "mission.max_epochs=1"])
+assert code in (0, 2), code
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+"""
+
+
+def test_validate_and_run_need_no_scipy(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out")],
+        cwd=repo, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "truth_f1.csv").exists()

@@ -12,7 +12,7 @@ from mfgp_search import (
     sample_ground_truth,
 )
 from mfgp_search.formats import write_grid_csv, write_pgm
-from mfgp_search.field_model import field_to_grid
+from mfgp_search.field_model import _gaussian_blur, field_to_grid
 from mfgp_search.inference import covariance_table
 
 
@@ -207,6 +207,18 @@ class TestGroundTruth:
             g = field_to_grid(self.domain, truth.f[level])
             return np.abs(np.diff(g, axis=0)).mean() + np.abs(np.diff(g, axis=1)).mean()
         assert roughness(0) < roughness(1)
+
+
+class TestGaussianBlur:
+    @pytest.mark.parametrize("size", [3, 7, 20, 30])
+    @pytest.mark.parametrize("sigma", [0.7, 1.6, 2.5, 6.25, 12.0])
+    def test_bit_identical_to_scipy(self, size, sigma):
+        # sigma 12 has radius 48, past the grid edge on every size: the
+        # mirrored padding wraps more than once
+        from scipy.ndimage import gaussian_filter  # a test dependency only
+
+        grid = np.random.default_rng(size).normal(size=(size, size))
+        assert np.array_equal(_gaussian_blur(grid, sigma), gaussian_filter(grid, sigma))
 
 
 class TestMeasure:

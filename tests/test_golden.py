@@ -18,13 +18,13 @@ REPO = Path(__file__).resolve().parent.parent
 
 PINS = {
     "desk": {
-        "report.json": "14f390db1125e591ca31b9bc14479325dfc30802c06fa3f1354d99003fe5de12",
-        "plans.csv": "f3dcb1dae9a2dae38ac8f1bad4e61b6cf700e7861851e442d8c486bd260b303b",
+        "report.json": "7af6313a20f394229a61e498fff68b8f6762aba46fad0608a4f5a4963fc23adc",
+        "plans.csv": "2367a6bcb8674bb2d5b24fc22a24df856215456b9d4e37213f32aaeb81619f6f",
         "tours.csv": "34263a204420651f79781ada93e19f0d498af3311f93868ebf6291a584c484fc",
     },
     "planted": {
-        "report.json": "66f4215849036c36742f9a56578ba7ed6a11037f02b30ba9f28d381d6263e550",
-        "plans.csv": "9802fbcfc9b4fc8e4ea667cf6d860046b52d8836774815ba1c9de4a3771bb6a7",
+        "report.json": "c412d265c314b4964ab73e70dce912dc71a4fc2f500dfb388cd216744718ca93",
+        "plans.csv": "5db2f2c579ff898cad87bc3003f7b21fe19811b313bc1896530afd12b0a8c540",
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }

@@ -14,7 +14,8 @@ from mfgp_search import (
     greedy_info_gain,
     posterior,
 )
-from mfgp_search._linalg import jittered_cholesky, solve_lower
+from mfgp_search import inference
+from mfgp_search._linalg import jittered_cholesky
 from mfgp_search.field_model import sample_ground_truth
 from mfgp_search.inference import (
     _RowBuffer,
@@ -28,6 +29,7 @@ from mfgp_search.planner import select_next_point
 
 from conftest import random_mixed_log
 from oracles import (
+    dense_raw_posterior,
     factor_append_variance,
     joint_gaussian_posterior,
     log_order_chain,
@@ -226,13 +228,13 @@ class TestPosterior:
         np.testing.assert_allclose(pa.sigma2, pb.sigma2, atol=1e-12)
 
     def test_factorization_failure_reports_jitter(self, small_domain):
-        # duplicated record with (numerically) zero noise is singular when
-        # the jitter safeguard is disabled
-        model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-12,), z=(5.0,))
+        # distinct cells, (numerically) zero noise and a length scale far
+        # beyond the grid: the covariance is singular to working precision
+        # when the jitter safeguard is disabled
+        model = FidelityModel(mu=(0.0,), v=(0.5,), l=(50.0,), s=(1e-12,), z=(5.0,))
         log = SampleLog(small_domain)
-        loc = small_domain.cell_center(0)
-        log.append(loc, 0.1, 1)
-        log.append(loc, 0.1, 1)
+        for cell in range(0, small_domain.n_cells, 3):
+            log.append(small_domain.cell_center(cell), 0.1, 1)
         with pytest.raises(NumericalError) as err:
             posterior(log, small_domain, model, jitter_scale=0.0)
         assert err.value.jitter == 0.0
@@ -279,6 +281,34 @@ class TestAppendVarianceOnly:
             extended.append(loc, float(rng.normal()), level)
         batch = posterior(extended, small_domain, two_level)
         np.testing.assert_allclose(post.sigma2, batch.sigma2, atol=1e-8)
+
+    def test_refactorized_fallback_matches_fresh_posterior(self, small_domain, monkeypatch):
+        # a repeat at a cell already pinned down by near-noiseless replicates
+        # leaves a pivot below the append floor (no jitter in the base), so
+        # the append refactorizes through the module-level posterior
+        model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-7,), z=(5.0,))
+        log = SampleLog(small_domain)
+        for cell, y in ((3, 0.1), (40, 0.2), (3, 0.3), (40, 0.4), (3, 0.5)):
+            log.append(small_domain.cell_center(cell), y, 1)
+        base = posterior(log, small_domain, model, jitter_scale=0.0)
+        assert base.n == 5 and list(base.counts) == [3, 2]
+        calls = []
+        fresh_posterior = inference.posterior
+
+        def counted(*args):
+            calls.append(args)
+            return fresh_posterior(*args)
+
+        monkeypatch.setattr(inference, "posterior", counted)
+        appended = append_sample_variance_only(base, small_domain.cell_center(3), 1)
+        assert len(calls) == 1
+        log.append(small_domain.cell_center(3), 0.0, 1)
+        fresh = fresh_posterior(log, small_domain, model)
+        assert appended.n == fresh.n == 6
+        for name in ("cells", "fidelities", "counts", "sigma2", "w"):
+            assert np.array_equal(getattr(appended, name), getattr(fresh, name)), name
+        assert appended.jitter == fresh.jitter
+        assert appended.mu is base.mu
 
     def test_snapshots_are_independent(self, small_domain, two_level):
         post = posterior(SampleLog(small_domain), small_domain, two_level)
@@ -439,26 +469,41 @@ class TestMatchesFactorReference:
         np.testing.assert_allclose(var_before, ref_var, rtol=0.0, atol=1e-12)
 
 
-class TestLeanAssembly:
-    def test_posterior_bits_match_dense_assembly(self, desk_domain, desk_model):
-        # K + diag(noise), then + jitter*I, factored and solved as written out
-        log = random_mixed_log(desk_domain, desk_model, np.random.default_rng(13), 120)
-        post = posterior(log, desk_domain, desk_model)
-        table = covariance_table(desk_domain, desk_model)
-        rc, m = log.cells(), log.fidelities()
-        K = _pair_cov(table, rc[:, None, :], m[:, None], rc[None, :, :], m[None, :])
-        C = K + np.diag([desk_model.s[mi - 1] ** 2 for mi in m])
-        jitter = 1e-10 * float(np.max(np.diagonal(C)))
-        L = np.linalg.cholesky(C + jitter * np.eye(len(m)))
-        w = solve_lower(L, _grid_cov(table, rc, m))
-        nu = np.array([sum(desk_model.mu[:mi]) for mi in m])
-        mu = desk_model.prior_mean() + w.T @ solve_lower(L, log.values() - nu)
-        assert post.jitter == jitter
-        assert np.array_equal(post.w, w)
-        assert np.array_equal(post.mu, mu)
-        sigma2 = desk_model.prior_variance() - np.einsum("ij,ij->j", w, w)
-        assert np.array_equal(post.sigma2, np.maximum(sigma2, 0.0))
+@st.composite
+def replicated_log(draw):
+    """(cells, levels, values): many samples on a few cells, so most repeat."""
+    n = draw(st.integers(1, 300))
+    pool = draw(st.lists(st.integers(0, SMALL.n_cells - 1), min_size=1, max_size=20, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(pool, size=n), np.sort(rng.integers(1, 3, size=n)), rng.normal(size=n)
 
+
+class TestReplicateAggregation:
+    @settings(max_examples=60, deadline=None)
+    @given(replicated_log(), st.sampled_from([1e-10, 0.0]))
+    @example((np.array([5, 5]), np.array([1, 1]), np.array([0.3, -0.1])), 0.0)
+    def test_matches_dense_raw_log_posterior(self, case, jitter_scale):
+        # k replicates with noise s^2 + jitter each are one record with
+        # noise (s^2 + jitter) / k at their mean value
+        cells, levels, values = case
+        log = SampleLog(SMALL)
+        for c, m, y in zip(cells, levels, values):
+            log.append(SMALL.cell_center(int(c)), float(y), int(m))
+        post = posterior(log, SMALL, TWO_LEVEL, jitter_scale=jitter_scale)
+        mu, var, jitter = dense_raw_posterior(
+            log.locations(), levels, values, SMALL.cell_centers,
+            TWO_LEVEL.mu, TWO_LEVEL.v, TWO_LEVEL.l, TWO_LEVEL.s, jitter_scale=jitter_scale,
+        )
+        assert post.jitter == jitter
+        assert post.n == len(values)
+        assert len(post.fidelities) == len(set(zip(cells, levels)))
+        np.testing.assert_allclose(post.mu, mu, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(
+            post.sigma2, np.maximum(var, 0.0), rtol=0.0, atol=1e-13 * TWO_LEVEL.prior_variance()
+        )
+
+
+class TestLeanAssembly:
     def test_jittered_cholesky_jitters_in_place(self):
         rng = np.random.default_rng(14)
         A = rng.normal(size=(30, 30))

@@ -93,6 +93,17 @@ class TestRunMission:
         assert all(b >= a for a, b in zip(fractions, fractions[1:]))
         assert len(small_report.fidelity_trace) == small_report.n_total
 
+    def test_epochs_chain_raw_sample_counts(self, small_report):
+        # the posterior merges replicates into records; n_before still
+        # counts samples, so each epoch starts where the previous one ended
+        log = small_report.log
+        assert len(set(zip(map(tuple, log.cells()), log.fidelities()))) < len(log)
+        epochs = small_report.epochs
+        assert epochs[0].n_before == 0
+        for prev, cur in zip(epochs, epochs[1:]):
+            assert cur.n_before == prev.n_after
+        assert epochs[-1].n_after == small_report.n_total
+
     def test_decay_curve_non_increasing_and_consistent(self, small_report):
         ns = [n for n, _ in small_report.decay]
         vars_ = [v for _, v in small_report.decay]
