@@ -18,7 +18,8 @@ from .inference import PosteriorField, append_sample_variance_only
 # tied.  On the desk and planted missions, variances of symmetric cells
 # differ by at most 1e-15 relative, while every real gap between the top two
 # candidates is at least 1.3e-13 (far cells after the first sample) and all
-# later ones at least 7e-8.
+# later ones at least 4e-7.  A band of 1e-11 would swallow the 6.8e-13 desk
+# gap and change the decay curves that acceptance criterion 8 compares.
 TIE_RTOL = 1e-14
 
 
@@ -64,7 +65,7 @@ def select_next_point(
 
     ``candidates`` is a sorted array of uneliminated cell indices.  Every
     candidate within ``TIE_RTOL`` (relative) of the maximum variance is a
-    tie, so roundoff-level changes to the variances never change the pick.
+    tie, so last-bit differences between tied cells do not decide the pick.
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
