@@ -40,7 +40,7 @@ class ConfidenceParams:
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
         if not math.isfinite(self.th):
-            raise ValueError("detection threshold must be finite")
+            raise ValueError("th must be finite")
 
     def epsilon(self, epoch: int) -> float:
         """Per-epoch tolerance delta / 2^j; halves every epoch."""

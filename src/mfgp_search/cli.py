@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 from . import __version__
@@ -18,7 +19,9 @@ from .field_model import Bump, FidelityModel, GridDomain, field_to_grid
 from .formats import dump_json, fmt, write_csv, write_grid_csv, write_pgm
 from .inference import diagnostics_lines
 from .mission import (
+    _START_KEYS,
     MissionConfig,
+    _config_fields,
     compare_decay,
     detection_time_study,
     run_mission,
@@ -50,19 +53,15 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get(kv: dict, key: str, cast, default=None):
+def _get(kv: dict, key: str, cast, default=MISSING):
     if key not in kv:
-        if default is not None:
+        if default is not MISSING:
             return default
         raise ConfigError(f"missing required config key {key!r}")
     try:
         return cast(kv[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _as_float(v) -> float:
-    return float(v)
 
 
 def _as_int(v) -> int:
@@ -72,68 +71,54 @@ def _as_int(v) -> int:
     return int(f)
 
 
+_CASTS = {float: float, int: _as_int, str: str}
+# bench.<name>: (default, smallest allowed value)
+_BENCH_KEYS = {"samples": (80, 0), "seeds": (30, 1), "delta_bins": (3, 1)}
+
+
+def _at_least(key: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"config key {key!r}: must be >= {low}")
+    return value
+
+
+def _read(kv: dict, cls, section: str, level: int | None = None) -> dict:
+    """Field values of a config dataclass from its keys, cast and defaulted by its fields."""
+    return {
+        f.name: _get(kv, key, _CASTS[typ], f.default)
+        for key, f, typ in _config_fields(cls, section, level)
+    }
+
+
 def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
     """Build a MissionConfig (and bench settings) from flat key-values."""
     kv = {str(k): str(v) for k, v in kv.items()}
-    domain = GridDomain(
-        x_min=_get(kv, "domain.x_min", _as_float),
-        x_max=_get(kv, "domain.x_max", _as_float),
-        y_min=_get(kv, "domain.y_min", _as_float),
-        y_max=_get(kv, "domain.y_max", _as_float),
-        resolution=_get(kv, "domain.resolution", _as_int),
-    )
-    levels = _get(kv, "model.levels", _as_int)
-    if levels < 1:
-        raise ConfigError("config key 'model.levels': must be >= 1")
-    per_level = {}
-    for name in ("mu", "v", "l", "s", "z"):
-        per_level[name] = tuple(
-            _get(kv, f"model.{name}_{m}", _as_float) for m in range(1, levels + 1)
-        )
+    domain = GridDomain(**_read(kv, GridDomain, "domain"))
+    levels = _at_least("model.levels", _get(kv, "model.levels", _as_int), 1)
+    rows = [_read(kv, FidelityModel, "model", m) for m in range(1, levels + 1)]
     try:
-        model = FidelityModel(**per_level)
+        model = FidelityModel(**{name: tuple(r[name] for r in rows) for name in rows[0]})
     except ValueError as exc:
         raise ConfigError(f"model block: {exc}") from exc
-
     n_bumps = _get(kv, "planted.bumps", _as_int, default=0)
-    bumps = tuple(
-        Bump(
-            x=_get(kv, f"planted.bump_{k}.x", _as_float),
-            y=_get(kv, f"planted.bump_{k}.y", _as_float),
-            amplitude=_get(kv, f"planted.bump_{k}.amplitude", _as_float),
-            radius=_get(kv, f"planted.bump_{k}.radius", _as_float),
-        )
-        for k in range(1, n_bumps + 1)
-    )
+    bumps = tuple(Bump(**_read(kv, Bump, f"planted.bump_{k}")) for k in range(1, n_bumps + 1))
     start = None
-    if any(f"mission.start_{ax}" in kv for ax in "xyz"):
-        start = tuple(_get(kv, f"mission.start_{ax}", _as_float) for ax in "xyz")
+    if any(key in kv for key in _START_KEYS):
+        start = tuple(_get(kv, key, float) for key in _START_KEYS)
     try:
         config = MissionConfig(
             domain=domain,
             model=model,
-            delta=_get(kv, "mission.delta", _as_float),
-            th=_get(kv, "mission.th", _as_float),
-            seed=_get(kv, "mission.seed", _as_int, default=0),
-            mode=_get(kv, "mission.mode", str, default="prior-draw"),
-            baseline=_get(kv, "mission.baseline", str, default="multi-fidelity"),
-            epoch_sample_cap=_get(kv, "mission.epoch_sample_cap", _as_int, default=200),
-            max_epochs=_get(kv, "mission.max_epochs", _as_int, default=30),
-            sigma_ratio=_get(kv, "mission.sigma_ratio", _as_float, default=0.75),
-            sample_time=_get(kv, "mission.sample_time", _as_float, default=1.0),
-            termination_fraction=_get(
-                kv, "mission.termination_fraction", _as_float, default=0.99
-            ),
+            **_read(kv, MissionConfig, "mission"),
+            **_read(kv, MissionConfig, "planted"),
             bumps=bumps,
-            background=_get(kv, "planted.background", _as_float, default=0.0),
             start=start,
         )
     except ValueError as exc:
         raise ConfigError(f"mission block: {exc}") from exc
     bench = {
-        "samples": _get(kv, "bench.samples", _as_int, default=80),
-        "seeds": _get(kv, "bench.seeds", _as_int, default=30),
-        "delta_bins": _get(kv, "bench.delta_bins", _as_int, default=3),
+        name: _at_least(f"bench.{name}", _get(kv, f"bench.{name}", _as_int, default), low)
+        for name, (default, low) in _BENCH_KEYS.items()
     }
     return config, bench
 

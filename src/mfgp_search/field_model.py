@@ -248,7 +248,6 @@ def sample_ground_truth(
         )
     M = model.levels
     n = domain.n_cells
-    h = np.empty((M, n))
     f = np.empty((M, n))
     if mode == "prior-draw":
         rng = np.random.default_rng(seed)
@@ -258,10 +257,6 @@ def sample_ground_truth(
             draw = model.mu[m - 1] + L @ rng.standard_normal(n)
             acc = acc + draw
             f[m - 1] = acc
-        # store increments as exact stored-field differences
-        h[0] = f[0]
-        for m in range(2, M + 1):
-            h[m - 1] = f[m - 1] - f[m - 2]
     elif mode == "planted":
         centers = domain.cell_centers
         top = np.full(n, float(background))
@@ -274,11 +269,13 @@ def sample_ground_truth(
             sigma_cells = model.l[m - 1] / domain.cell_dx
             blurred = _gaussian_blur(top.reshape(res, res), sigma_cells)
             f[m - 1] = blurred.ravel()
-        h[0] = f[0]
-        for m in range(2, M + 1):
-            h[m - 1] = f[m - 1] - f[m - 2]
     else:
         raise ValueError(f"unknown ground-truth mode: {mode!r}")
+    # store increments as exact stored-field differences
+    h = np.empty((M, n))
+    h[0] = f[0]
+    for m in range(2, M + 1):
+        h[m - 1] = f[m - 1] - f[m - 2]
     f.setflags(write=False)
     h.setflags(write=False)
     return GroundTruth(domain=domain, f=f, h=h)

@@ -6,7 +6,8 @@ eliminate empty regions, and stop once enough of the floor is classified.
 Everything is deterministic given the mission seed.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -34,15 +35,32 @@ REPORT_SCHEMA_VERSION = 1
 
 MODES = ("prior-draw", "planted")
 BASELINES = ("multi-fidelity", "single-fidelity-only")
+_START_KEYS = ("mission.start_x", "mission.start_y", "mission.start_z")
+
+
+def _config_fields(cls, section: str, level: int | None = None):
+    """Yield (key, field, type) for the float, int and str fields of a config dataclass.
+
+    The key is ``section.<name>``, or ``section.<name>_<level>`` with the element
+    type for the per-level tuples of FidelityModel.  A field whose metadata
+    names a section is walked under that section only, and alone.
+    """
+    marked = [f for f in fields(cls) if f.metadata.get("section") == section]
+    for f in marked or [f for f in fields(cls) if "section" not in f.metadata]:
+        typ = f.type if level is None else get_args(f.type)[0]
+        if typ in (float, int, str):
+            yield f"{section}.{f.name}" + ("" if level is None else f"_{level}"), f, typ
 
 
 @dataclass(frozen=True)
 class MissionConfig:
+    """One mission; its float, int and str fields are config keys (``_config_fields``)."""
+
     domain: GridDomain
     model: FidelityModel
     delta: float
     th: float
-    seed: int
+    seed: int = 0
     mode: str = "prior-draw"
     baseline: str = "multi-fidelity"
     epoch_sample_cap: int = 200
@@ -51,14 +69,11 @@ class MissionConfig:
     sample_time: float = 1.0
     termination_fraction: float = 0.99
     bumps: tuple[Bump, ...] = ()
-    background: float = 0.0
+    background: float = field(default=0.0, metadata={"section": "planted"})
     start: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
-        if not np.isfinite(self.th):
-            raise ValueError("th must be finite")
+        self.params()  # delta in (0, 1/2), th finite
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.epoch_sample_cap < 1 or self.max_epochs < 1:
@@ -104,43 +119,26 @@ class MissionConfig:
         return ConfidenceParams(delta=self.delta, th=self.th)
 
     def to_flat_dict(self) -> dict:
-        d = {
-            "domain.x_min": self.domain.x_min,
-            "domain.x_max": self.domain.x_max,
-            "domain.y_min": self.domain.y_min,
-            "domain.y_max": self.domain.y_max,
-            "domain.resolution": self.domain.resolution,
-            "model.levels": self.model.levels,
-        }
+        """The flat ``section.key`` values that ``resolve_config`` reads back."""
+        d = {}
+
+        def put(obj, section, level=None):
+            for key, f, _ in _config_fields(type(obj), section, level):
+                value = getattr(obj, f.name)
+                d[key] = value if level is None else value[level - 1]
+
+        put(self.domain, "domain")
+        d["model.levels"] = self.model.levels
         for m in range(1, self.model.levels + 1):
-            for name in ("mu", "v", "l", "s", "z"):
-                d[f"model.{name}_{m}"] = getattr(self.model, name)[m - 1]
-        d.update(
-            {
-                "mission.delta": self.delta,
-                "mission.th": self.th,
-                "mission.seed": self.seed,
-                "mission.mode": self.mode,
-                "mission.baseline": self.baseline,
-                "mission.epoch_sample_cap": self.epoch_sample_cap,
-                "mission.max_epochs": self.max_epochs,
-                "mission.sigma_ratio": self.sigma_ratio,
-                "mission.sample_time": self.sample_time,
-                "mission.termination_fraction": self.termination_fraction,
-            }
-        )
+            put(self.model, "model", m)
+        put(self, "mission")
         if self.start is not None:
-            d["mission.start_x"] = self.start[0]
-            d["mission.start_y"] = self.start[1]
-            d["mission.start_z"] = self.start[2]
-        if self.mode == "planted" or self.bumps:
-            d["planted.background"] = self.background
+            d.update(zip(_START_KEYS, self.start))
+        if self.mode == "planted" or self.bumps or self.background:
+            put(self, "planted")
             d["planted.bumps"] = len(self.bumps)
             for k, b in enumerate(self.bumps, start=1):
-                d[f"planted.bump_{k}.x"] = b.x
-                d[f"planted.bump_{k}.y"] = b.y
-                d[f"planted.bump_{k}.amplitude"] = b.amplitude
-                d[f"planted.bump_{k}.radius"] = b.radius
+                put(b, f"planted.bump_{k}")
         return d
 
 

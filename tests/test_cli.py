@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfgp_search.cli import ConfigError, cmd_run, main, parse_config_text, resolve_config
+from mfgp_search.cli import (
+    ConfigError,
+    cmd_run,
+    load_config,
+    main,
+    parse_config_text,
+    resolve_config,
+    write_manifest,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 DESK = REPO / "configs" / "desk.cfg"
@@ -72,6 +80,14 @@ REJECTED = [
     ({"mission.seed": "1e400"}, "mission.seed"),
     ({"bench.seeds": "inf"}, "bench.seeds"),
     ({"planted.bumps": "-inf"}, "planted.bumps"),
+]
+# (bench overrides, key named in the error) that validate and bench both refuse
+BENCH_REJECTED = [
+    ({"bench.seeds": 0}, "bench.seeds"),
+    ({"bench.seeds": -2}, "bench.seeds"),
+    ({"bench.delta_bins": 0}, "bench.delta_bins"),
+    ({"bench.delta_bins": -1}, "bench.delta_bins"),
+    ({"bench.samples": -3}, "bench.samples"),
 ]
 
 
@@ -255,6 +271,24 @@ class TestBench:
         assert "warning" in capsys.readouterr().err
         assert (out / "detection_time.csv").exists()
 
+    @pytest.mark.parametrize("overrides, message", BENCH_REJECTED, ids=_case_id)
+    def test_bench_keys_rejected_before_manifest(self, tmp_path, capsys, overrides, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(small_cfg_text(**overrides))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_zero_samples_accepted(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(small_cfg_text(**{"bench.samples": 0, "bench.seeds": 1}))
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "decay.csv").read_text().splitlines()) == 2  # header + n=0
+
     def test_bench_rerun_from_manifest_reproduces_bytes(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(small_cfg_text(**{"bench.seeds": 3, "bench.samples": 8}))
@@ -363,6 +397,41 @@ def test_validate_accepts_only_what_run_accepts(overrides):
         except (ConfigError, ValueError) as exc:
             pytest.fail(f"validate accepted {overrides}, run raised {exc!r}")
         assert code in (0, 2)
+
+
+# Keys a config may leave out: resolve_config takes their dataclass defaults.
+OPTIONAL = [
+    "mission.seed", "mission.mode", "mission.baseline", "mission.epoch_sample_cap",
+    "mission.max_epochs", "mission.sigma_ratio", "mission.sample_time",
+    "mission.termination_fraction", "planted.background", "planted.bumps",
+    "bench.samples", "bench.seeds", "bench.delta_bins",
+]
+START = {"mission.start_x": [0.0, 2.5, 3.0], "mission.start_y": [0.0, 1.5, 4.0],
+         "mission.start_z": [8.0, 0.1]}
+BENCH = {"bench.samples": [0, 15], "bench.seeds": [1, 3], "bench.delta_bins": [1, 4]}
+
+
+@st.composite
+def valid_configs(draw) -> dict:
+    over = {key: draw(st.sampled_from(values)) for key, values in {**VALID, **BENCH}.items()}
+    over["domain.resolution"] = draw(st.integers(1, 12))
+    over["planted.bumps"] = draw(st.sampled_from([0, 1]))
+    if draw(st.booleans()):
+        over.update({key: draw(st.sampled_from(values)) for key, values in START.items()})
+    kv = parse_config_text(small_cfg_text(**over))
+    for key in draw(st.lists(st.sampled_from(OPTIONAL), unique=True)):
+        del kv[key]
+    return kv
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_configs())
+def test_manifest_round_trips_config_and_bench(kv):
+    config, bench = resolve_config(kv)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_manifest(Path(tmp), Path("mission.cfg"), config, [], bench)
+        resolved = load_config(Path(tmp) / "manifest.json")
+    assert resolve_config(resolved) == (config, bench)
 
 
 NO_SCIPY = """
