@@ -8,6 +8,7 @@ reproduce that run's outputs byte-for-byte.
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING
 from pathlib import Path
@@ -90,9 +91,24 @@ def _read(kv: dict, cls, section: str, level: int | None = None) -> dict:
     }
 
 
+def _check_known(kv: dict):
+    """Refuse a key that names no config field, so that a misspelt key is not dropped."""
+    sections = ((GridDomain, "domain"), (MissionConfig, "mission"), (MissionConfig, "planted"))
+    fixed = {key for cls, section in sections for key, _, _ in _config_fields(cls, section)}
+    fixed.update(("model.levels", "planted.bumps", *_START_KEYS), (f"bench.{n}" for n in _BENCH_KEYS))
+    per_level = {f.name for _, f, _ in _config_fields(FidelityModel, "model", 1)}
+    per_bump = {f.name for _, f, _ in _config_fields(Bump, "bump")}
+    for key in kv:
+        level = re.fullmatch(r"model\.(\w+)_\d+", key)
+        bump = re.fullmatch(r"planted\.bump_\d+\.(\w+)", key)
+        if not (key in fixed or (level and level[1] in per_level) or (bump and bump[1] in per_bump)):
+            raise ConfigError(f"unknown config key {key!r}")
+
+
 def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
     """Build a MissionConfig (and bench settings) from flat key-values."""
     kv = {str(k): str(v) for k, v in kv.items()}
+    _check_known(kv)
     domain = GridDomain(**_read(kv, GridDomain, "domain"))
     levels = _at_least("model.levels", _get(kv, "model.levels", _as_int), 1)
     rows = [_read(kv, FidelityModel, "model", m) for m in range(1, levels + 1)]
@@ -100,7 +116,7 @@ def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
         model = FidelityModel(**{name: tuple(r[name] for r in rows) for name in rows[0]})
     except ValueError as exc:
         raise ConfigError(f"model block: {exc}") from exc
-    n_bumps = _get(kv, "planted.bumps", _as_int, default=0)
+    n_bumps = _at_least("planted.bumps", _get(kv, "planted.bumps", _as_int, default=0), 0)
     bumps = tuple(Bump(**_read(kv, Bump, f"planted.bump_{k}")) for k in range(1, n_bumps + 1))
     start = None
     if any(key in kv for key in _START_KEYS):
@@ -227,6 +243,9 @@ def cmd_bench(args) -> int:
     config, bench = resolve_config(kv)
     if config.model.levels < 2:
         print("bench requires model.levels >= 2 to compare samplers", file=sys.stderr)
+        return 1
+    if config.mode != "prior-draw":
+        print("bench requires mission.mode = prior-draw for its detection-time study", file=sys.stderr)
         return 1
     if bench["seeds"] < 2:
         print("warning: detection-time study with a single seed is noisy", file=sys.stderr)

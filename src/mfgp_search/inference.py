@@ -12,7 +12,9 @@ level see the full field's covariance with every earlier record, so the
 solve of a new record's covariance against L is a column of W, and W grows
 one row at a time.  The same step builds the epoch posterior over the log's
 distinct (cell, level) records, the within-epoch planning appends and the
-samples.log information chain.
+samples.log information chain.  A snapshot may carry W and the variance over
+a sorted subset of the cells only (``restrict``); appends to it then cost
+O(n * len(columns)).
 """
 
 import threading
@@ -144,13 +146,15 @@ class _RowBuffer:
 
 @dataclass(frozen=True)
 class PosteriorField:
-    """Posterior mean/variance grids plus the W rows that appends extend.
+    """Posterior mean/variance plus the W rows that appends extend.
 
     One row of W per record: a distinct (cell, level) of the sample log with
-    its replicate count, or one planning append (count 1).  Snapshots are
+    its replicate count, or one planning append (count 1).  ``columns`` are
+    the sorted cells that mu, sigma2 and the columns of W cover: every cell
+    for ``posterior``, a subset after ``restrict``.  Snapshots are
     immutable: their arrays are read-only, and appending a
     hypothetical sample produces a new snapshot with one more row of W.
-    Appends maintain only the variance grid (the mean is carried over
+    Appends maintain only the variance (the mean is carried over
     unchanged), which is all the planner needs: the variance never depends
     on observed values.
     """
@@ -160,9 +164,11 @@ class PosteriorField:
     cells: np.ndarray  # (r, 2) record (row, col) indices
     fidelities: np.ndarray  # (r,)
     counts: np.ndarray  # (r,) samples merged into each record
-    mu: np.ndarray  # (n_cells,)
-    sigma2: np.ndarray  # (n_cells,)
-    w: np.ndarray  # (r, n_cells) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
+    columns: np.ndarray  # (k,) sorted cell indices of the entries below
+    _position: np.ndarray = field(repr=False)  # (n_cells,) each cell's index in columns, or -1
+    mu: np.ndarray  # (k,)
+    sigma2: np.ndarray  # (k,)
+    w: np.ndarray  # (r, k) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
     jitter: float
     _rows: _RowBuffer | None = field(default=None, repr=False, compare=False)  # None: no spare rows
 
@@ -172,11 +178,19 @@ class PosteriorField:
         return int(self.counts.sum())
 
     def max_sigma2(self, candidates: np.ndarray | None = None) -> float:
+        """Largest variance over the candidate cells, or over all columns."""
         if candidates is None:
             return float(np.max(self.sigma2))
         if len(candidates) == 0:
             raise ValueError("empty candidate set")
-        return float(np.max(self.sigma2[candidates]))
+        return float(np.max(self.sigma2[self.column_of(candidates)]))
+
+    def column_of(self, cells):
+        """Positions of cell indices in ``columns``; ValueError for a cell outside them."""
+        pos = self._position[cells]
+        if (pos < 0).any():
+            raise ValueError(f"cell outside the snapshot's {len(self.columns)} columns")
+        return pos
 
 
 def _freeze(*arrays: np.ndarray):
@@ -237,13 +251,16 @@ def posterior(
     w = data[: len(keys)]
     mu = model.prior_mean() + w.T @ a
     sigma2 = _clamp_sigma2(model.prior_variance() - np.einsum("ij,ij->j", w, w), jitter)
-    _freeze(mu, sigma2, w, cells, levels, counts)
+    columns = np.arange(n_cells)  # every cell, so also each cell's position
+    _freeze(mu, sigma2, w, cells, levels, counts, columns)
     return PosteriorField(
         domain=domain,
         model=model,
         cells=cells,
         fidelities=levels,
         counts=counts,
+        columns=columns,
+        _position=columns,
         mu=mu,
         sigma2=sigma2,
         w=w,
@@ -252,17 +269,42 @@ def posterior(
     )
 
 
+def restrict(state: PosteriorField, columns: np.ndarray, spare: int = 16) -> PosteriorField:
+    """The snapshot over the cells ``columns`` only: W[:, columns], sigma2[columns].
+
+    ``columns`` must be sorted, unique and among the snapshot's own columns.
+    Appends to the result compute the variance at these cells alone; the
+    first ``spare`` of them extend its rows in place.
+    """
+    columns = np.asarray(columns)
+    if len(columns) == 0 or np.any(np.diff(columns) <= 0):
+        raise ValueError("columns must be non-empty, sorted and unique")
+    local = state.column_of(columns)
+    r = len(state.fidelities)
+    data = np.empty((r + spare, len(columns)))
+    np.take(state.w, local, axis=1, out=data[:r])
+    position = np.full(state.domain.n_cells, -1)
+    position[columns] = np.arange(len(columns))
+    mu, sigma2, w, columns = state.mu[local], state.sigma2[local], data[:r], columns.copy()
+    _freeze(mu, sigma2, w, columns, position)
+    return replace(
+        state, columns=columns, _position=position, mu=mu, sigma2=sigma2, w=w,
+        _rows=_RowBuffer(data, r),
+    )
+
+
 def append_sample_variance_only(
     state: PosteriorField, x_new, m_new: int
 ) -> PosteriorField:
-    """Add a hypothetical sample at (x_new, m_new) to the variance grid.
+    """Add a hypothetical sample at (x_new, m_new) to the variance.
 
-    ``x_new`` must be a cell center and ``m_new`` at least the level of the
-    last record.  The new row of W comes from W alone (see ``_next_row``), in
-    O(n * n_cells) and without a factor.  The variance grid of the result
-    matches a full recompute with the extended log (observed values are
-    irrelevant to the variance).  If the new pivot breaks down numerically,
-    falls back to a full refactorization with placeholder observations.
+    ``x_new`` must be the center of one of the snapshot's columns and
+    ``m_new`` at least the level of the last record.  The new row of W comes
+    from W alone (see ``_next_row``), in O(n * len(columns)) and without a
+    factor.  The variance of the result matches a full recompute with the
+    extended log (observed values are irrelevant to the variance).  If the
+    new pivot breaks down numerically, falls back to a full refactorization
+    with placeholder observations, restricted to the same columns.
     """
     model, domain = state.model, state.domain
     model._check_level(m_new)
@@ -272,15 +314,17 @@ def append_sample_variance_only(
             f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
         )
     j_new = domain.index_of(x_new[0], x_new[1])
+    col = int(state.column_of(j_new))
     rc_new = np.array(divmod(j_new, domain.resolution))
     rows = state._rows
     if rows is None or not rows.claim(n):
-        data = np.empty((max(2 * n, 16), domain.n_cells))
+        data = np.empty((max(2 * n, 16), len(state.columns)))
         data[:n] = state.w
         rows = _RowBuffer(data, n + 1)
-    kappa = _grid_cov(covariance_table(domain, model), rc_new[None, :], np.array([m_new]))[0]
+    table = covariance_table(domain, model)
+    kappa = _grid_cov(table, rc_new[None, :], np.array([m_new]))[0, state.columns]
     d = model.prior_variance(m_new) + model.s[m_new - 1] ** 2
-    w_new, _, _ = _next_row(rows.data[:n], j_new, kappa, d + state.jitter, max(1e-12 * d, 1e-300))
+    w_new, _, _ = _next_row(rows.data[:n], col, kappa, d + state.jitter, max(1e-12 * d, 1e-300))
     if w_new is None:
         return _refactorized_append(state, x_new, m_new)
     sigma2 = _clamp_sigma2(state.sigma2 - w_new**2, state.jitter)
@@ -296,6 +340,8 @@ def append_sample_variance_only(
         cells=cells,
         fidelities=fidelities,
         counts=counts,
+        columns=state.columns,
+        _position=state._position,
         mu=state.mu,
         sigma2=sigma2,
         w=w,
@@ -313,7 +359,7 @@ def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorF
     log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
-    return replace(posterior(log, domain, state.model), mu=state.mu)
+    return replace(restrict(posterior(log, domain, state.model), state.columns), mu=state.mu)
 
 
 def _chain_terms(log: SampleLog, model: FidelityModel):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field_model import FidelityModel
-from .inference import PosteriorField, append_sample_variance_only
+from .inference import PosteriorField, append_sample_variance_only, restrict
 
 # Relative band below the maximum variance within which candidates count as
 # tied.  On the desk and planted missions, variances of symmetric cells
@@ -58,6 +58,13 @@ class FidelityState:
         return max_sigma2 - self.inaccessible()
 
 
+def _most_uncertain(values: np.ndarray) -> int:
+    """Position of the largest variance; every value within ``TIE_RTOL``
+    (relative) of it ties, and ties go to the lowest position."""
+    top = values.max()
+    return int(np.argmax(values >= top - TIE_RTOL * abs(top)))
+
+
 def select_next_point(
     posterior: PosteriorField, candidates: np.ndarray
 ) -> tuple[float, float]:
@@ -69,11 +76,8 @@ def select_next_point(
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    values = posterior.sigma2[candidates]
-    top = values.max()
-    local = int(np.argmax(values >= top - TIE_RTOL * abs(top)))
-    idx = int(candidates[local])
-    return posterior.domain.cell_center(idx)
+    local = _most_uncertain(posterior.sigma2[posterior.column_of(candidates)])
+    return posterior.domain.cell_center(int(candidates[local]))
 
 
 def update_fidelity(
@@ -149,29 +153,31 @@ def plan_epoch(
     append it hypothetically, re-check the fidelity switch rule; stop once
     the predicted max std dev over the candidates has fallen to
     ``sigma_ratio`` times its starting value, or the cap is reached.
+    Planning reads the variance at the candidates only, so the appends run
+    on a snapshot restricted to them (sorted cell indices).
     Deterministic for a given posterior snapshot and state.
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    sigma_before = float(np.sqrt(posterior.max_sigma2(candidates)))
-    working = posterior
+    working = restrict(posterior, candidates, spare=limits.sample_cap)
+    sigma_before = float(np.sqrt(working.max_sigma2()))
     samples: list[PlannedSample] = []
     trace: list[float] = []
     capped = False
     while True:
-        loc = select_next_point(working, candidates)
-        cell = working.domain.index_of(*loc)
+        local = _most_uncertain(working.sigma2)
+        loc = working.domain.cell_center(int(working.columns[local]))
         samples.append(
             PlannedSample(
                 location=loc,
                 fidelity=state.level,
-                sigma_before=float(np.sqrt(working.sigma2[cell])),
+                sigma_before=float(np.sqrt(working.sigma2[local])),
             )
         )
         working = append_sample_variance_only(working, loc, state.level)
-        max_var = working.max_sigma2(candidates)
+        max_var = working.max_sigma2()
         trace.append(max_var)
-        state = update_fidelity(state, working, candidates)
+        state = update_fidelity(state, working)
         if np.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
             break
         if len(samples) >= limits.sample_cap:

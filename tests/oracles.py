@@ -5,13 +5,18 @@ package: joint-Gaussian conditioning, the raw-log posterior and the log
 evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
 exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, and a
-from-scratch planning loop.
+from-scratch planning loop.  The one exception is ``full_grid_plan``: the
+epoch-planning loop on the package's own full-grid appends, the reference
+that planning on the candidate cells alone must reproduce.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from mfgp_search.inference import append_sample_variance_only
+from mfgp_search.planner import select_next_point, update_fidelity
 
 
 def sq_exp(v, l, A, B):
@@ -265,6 +270,29 @@ def greedy_plan_reference(cells, candidates, v, l, s, sigma_ratio, cap):
             return picks, False
         if len(picks) >= cap:
             return picks, True
+
+
+def full_grid_plan(post, state, limits, candidates):
+    """The epoch-planning loop with every append over all cells of the grid.
+
+    Picks, the max-variance trace and the fidelity switch read the candidate
+    cells of each full-grid snapshot.  Returns (locations, fidelities,
+    variances, trace, capped), where variances[k] is the variance at every
+    cell before sample k.
+    """
+    start = np.sqrt(post.max_sigma2(candidates))
+    locations, fidelities, variances, trace = [], [], [], []
+    while True:
+        loc = select_next_point(post, candidates)
+        locations.append(loc)
+        fidelities.append(state.level)
+        variances.append(post.sigma2)
+        post = append_sample_variance_only(post, loc, state.level)
+        trace.append(post.max_sigma2(candidates))
+        state = update_fidelity(state, post, candidates)
+        done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
+        if done or len(locations) >= limits.sample_cap:
+            return locations, fidelities, variances, trace, not done
 
 
 def scalar_resample_count(prior_var, noise_var, sigma_ratio):

@@ -80,6 +80,11 @@ REJECTED = [
     ({"mission.seed": "1e400"}, "mission.seed"),
     ({"bench.seeds": "inf"}, "bench.seeds"),
     ({"planted.bumps": "-inf"}, "planted.bumps"),
+    ({"planted.bumps": -2}, "planted.bumps"),
+    ({"mission.max_epoch": 3}, "unknown config key 'mission.max_epoch'"),
+    ({"model.sigma_1": 0.1}, "unknown config key 'model.sigma_1'"),
+    ({"planted.bump_1.r": 1.0}, "unknown config key 'planted.bump_1.r'"),
+    ({"bench.seed": 3}, "unknown config key 'bench.seed'"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse
 BENCH_REJECTED = [
@@ -250,6 +255,14 @@ class TestBench:
         cfg.write_text("\n".join(lines) + "\n")
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "levels" in capsys.readouterr().err
+
+    def test_planted_mode_refused_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "planted.cfg"
+        cfg.write_text(small_cfg_text(**_bump(1.0)))
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "prior-draw" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bench_outputs_and_schema(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

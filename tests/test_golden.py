@@ -18,13 +18,13 @@ REPO = Path(__file__).resolve().parent.parent
 
 PINS = {
     "desk": {
-        "report.json": "7af6313a20f394229a61e498fff68b8f6762aba46fad0608a4f5a4963fc23adc",
-        "plans.csv": "2367a6bcb8674bb2d5b24fc22a24df856215456b9d4e37213f32aaeb81619f6f",
+        "report.json": "d542b6224dd5169cddf43cf41078b31952dc7068708c24b71f0a12ab82239533",
+        "plans.csv": "db7f2e32bfe456a6b1f0cdd02fc16beb5103c5beba1bc5c3ffe697800df37488",
         "tours.csv": "34263a204420651f79781ada93e19f0d498af3311f93868ebf6291a584c484fc",
     },
     "planted": {
-        "report.json": "c412d265c314b4964ab73e70dce912dc71a4fc2f500dfb388cd216744718ca93",
-        "plans.csv": "5db2f2c579ff898cad87bc3003f7b21fe19811b313bc1896530afd12b0a8c540",
+        "report.json": "26fdf06b8aab8b611b6e1fa9e86599b08ce5a2cd2d0c639ccda0c802b85ca90e",
+        "plans.csv": "015e7e3195521cfc3e2ff8d7b4fda7f1a981a28cdfc5e4cb0fd9a6ff4b0c95b9",
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }

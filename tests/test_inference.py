@@ -24,6 +24,7 @@ from mfgp_search.inference import (
     _pair_cov,
     covariance_table,
     diagnostics_lines,
+    restrict,
 )
 from mfgp_search.planner import select_next_point
 
@@ -309,6 +310,56 @@ class TestAppendVarianceOnly:
             assert np.array_equal(getattr(appended, name), getattr(fresh, name)), name
         assert appended.jitter == fresh.jitter
         assert appended.mu is base.mu
+
+    def test_fallback_keeps_the_columns(self, small_domain, monkeypatch):
+        # the set-up of the test above, on a snapshot over five cells
+        model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-7,), z=(5.0,))
+        log = SampleLog(small_domain)
+        for cell, y in ((3, 0.1), (40, 0.2), (3, 0.3), (40, 0.4), (3, 0.5)):
+            log.append(small_domain.cell_center(cell), y, 1)
+        columns = np.array([0, 3, 17, 40, 99])
+        base = restrict(posterior(log, small_domain, model, jitter_scale=0.0), columns)
+        calls = []
+        fresh_posterior = inference.posterior
+
+        def counted(*args):
+            calls.append(args)
+            return fresh_posterior(*args)
+
+        monkeypatch.setattr(inference, "posterior", counted)
+        appended = append_sample_variance_only(base, small_domain.cell_center(3), 1)
+        assert len(calls) == 1
+        log.append(small_domain.cell_center(3), 0.0, 1)
+        fresh = restrict(fresh_posterior(log, small_domain, model), columns)
+        assert np.array_equal(appended.columns, columns)
+        assert appended.w.shape == (2, len(columns))
+        for name in ("cells", "counts", "sigma2", "w"):
+            assert np.array_equal(getattr(appended, name), getattr(fresh, name)), name
+        assert appended.mu is base.mu
+
+    def test_restricted_appends_match_full_grid(self, small_domain, two_level):
+        full = _base_posterior(small_domain, two_level)
+        columns = np.array([1, 2, 17, 40, 41, 64, 99])
+        part = restrict(full, columns)
+        for c, m in ((40, 1), (2, 1), (40, 2), (99, 2)):
+            full = append_sample_variance_only(full, small_domain.cell_center(c), m)
+            part = append_sample_variance_only(part, small_domain.cell_center(c), m)
+        np.testing.assert_allclose(part.sigma2, full.sigma2[columns], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(part.w, full.w[:, columns], rtol=0, atol=1e-14)
+        assert part.max_sigma2(columns[2:]) == part.sigma2[2:].max()
+
+    def test_append_outside_the_columns_raises(self, small_domain, two_level):
+        part = restrict(_base_posterior(small_domain, two_level), np.array([1, 5, 7]))
+        for cell in (0, 2, 99):
+            with pytest.raises(ValueError, match="outside"):
+                append_sample_variance_only(part, small_domain.cell_center(cell), 1)
+        with pytest.raises(ValueError, match="outside"):
+            restrict(part, np.array([1, 6]))
+
+    @pytest.mark.parametrize("columns", [[], [5, 1], [3, 3]])
+    def test_columns_sorted_unique_non_empty(self, small_domain, two_level, columns):
+        with pytest.raises(ValueError, match="sorted"):
+            restrict(_base_posterior(small_domain, two_level), np.array(columns, dtype=int))
 
     def test_snapshots_are_independent(self, small_domain, two_level):
         post = posterior(SampleLog(small_domain), small_domain, two_level)
