@@ -14,12 +14,13 @@ import numpy as np
 from .field_model import FidelityModel
 from .inference import PosteriorField, append_sample_variance_only, restrict
 
-# Relative band below the maximum variance within which candidates count as
-# tied.  On the desk and planted missions, variances of symmetric cells
-# differ by at most 1e-15 relative, while every real gap between the top two
-# candidates is at least 1.3e-13 (far cells after the first sample) and all
-# later ones at least 4e-7.  A band of 1e-11 would swallow the 6.8e-13 desk
-# gap and change the decay curves that acceptance criterion 8 compares.
+# Band below the maximum variance within which candidates count as tied,
+# relative to the prior variance k0: the roundoff of k0 - sum(w^2) scales
+# with k0, not with the variance that is left.  On the desk and planted
+# missions, variances of symmetric cells differ by at most 1e-15 k0, while
+# the first real gap between far cells (whose variance is still close to
+# k0) is 1.3e-13 k0.  A band of 1e-11 would swallow the 6.8e-13 desk gap and
+# change the decay curves that acceptance criterion 8 compares.
 TIE_RTOL = 1e-14
 
 
@@ -58,11 +59,10 @@ class FidelityState:
         return max_sigma2 - self.inaccessible()
 
 
-def _most_uncertain(values: np.ndarray) -> int:
+def _most_uncertain(values: np.ndarray, model: FidelityModel) -> int:
     """Position of the largest variance; every value within ``TIE_RTOL``
-    (relative) of it ties, and ties go to the lowest position."""
-    top = values.max()
-    return int(np.argmax(values >= top - TIE_RTOL * abs(top)))
+    times the prior variance of it ties, and ties go to the lowest position."""
+    return int(np.argmax(values >= values.max() - TIE_RTOL * model.prior_variance()))
 
 
 def select_next_point(
@@ -71,12 +71,14 @@ def select_next_point(
     """Most uncertain candidate cell center; ties go to the lowest cell index.
 
     ``candidates`` is a sorted array of uneliminated cell indices.  Every
-    candidate within ``TIE_RTOL`` (relative) of the maximum variance is a
-    tie, so last-bit differences between tied cells do not decide the pick.
+    candidate within ``TIE_RTOL`` times the prior variance of the maximum
+    variance is a tie, so roundoff between tied cells does not decide the
+    pick.
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    local = _most_uncertain(posterior.sigma2[posterior.column_of(candidates)])
+    sigma2 = posterior.sigma2[posterior.column_of(candidates)]
+    local = _most_uncertain(sigma2, posterior.model)
     return posterior.domain.cell_center(int(candidates[local]))
 
 
@@ -165,7 +167,7 @@ def plan_epoch(
     trace: list[float] = []
     capped = False
     while True:
-        local = _most_uncertain(working.sigma2)
+        local = _most_uncertain(working.sigma2, working.model)
         loc = working.domain.cell_center(int(working.columns[local]))
         samples.append(
             PlannedSample(
