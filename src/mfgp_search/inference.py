@@ -14,7 +14,8 @@ one row at a time.  The same step builds the epoch posterior over the log's
 distinct (cell, level) records, the within-epoch planning appends and the
 samples.log information chain.  A snapshot may carry W and the variance over
 a sorted subset of the cells only (``restrict``); appends to it then cost
-O(n * len(columns)).
+O(n * len(columns)).  Appends run in place on a ``_WorkingSet``, which the
+planner keeps open for a whole epoch; snapshots are made only at the API.
 """
 
 import threading
@@ -91,6 +92,24 @@ def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def _level_moments(model: FidelityModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prior mean, prior variance and noise variance of level-m observations,
+    indexed by m = 1..M (entry 0 unused).
+
+    The sums run in layer order from zero, so entry m equals
+    ``sum(model.mu[:m])`` and ``model.prior_variance(m)`` bit for bit; the
+    noise keeps Python's ``s ** 2``, which can differ from ``s * s`` in the
+    last bit.
+    """
+    moments = tuple(
+        np.concatenate([[0.0], a])
+        for a in (np.cumsum(model.mu), np.cumsum(np.square(model.v)), [s**2 for s in model.s])
+    )
+    _freeze(*moments)
+    return moments
+
+
 def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
     """Covariance of records at cells rc_a (levels m_a) and rc_b (m_b); broadcasts."""
     dr = rc_a[..., 0] - rc_b[..., 0]
@@ -124,17 +143,33 @@ def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
 
 
 class _RowBuffer:
-    """C-order rows of W with spare capacity, shared along a chain of appends.
+    """C-order rows of W and their records, with spare capacity, shared along
+    a chain of appends.
 
-    ``used`` rows are taken.  An append to a snapshot of n rows claims row n
-    in place if it is the next free row; otherwise (another append took it,
-    or the buffer is full) it copies its n rows to a new buffer.
+    Row i of ``data`` belongs to the record at cell ``cells[i]`` (row, col)
+    with level ``fidelities[i]`` and ``counts[i]`` merged samples.  ``used``
+    rows are taken, and a taken row is never rewritten, so snapshots hold
+    views of them.  An append to a snapshot of n rows claims row n in place
+    if it is the next free row; otherwise (another append took it, or the
+    buffer is full) it copies its n rows to a new buffer (``branch``).
     """
 
-    def __init__(self, data: np.ndarray, used: int):
-        self.data = data
+    def __init__(self, capacity: int, width: int, used: int):
+        self.data = np.empty((capacity, width))
+        self.cells = np.empty((capacity, 2), dtype=int)
+        self.fidelities = np.empty(capacity, dtype=int)
+        self.counts = np.empty(capacity, dtype=int)
         self.used = used
         self._lock = threading.Lock()
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The buffer's arrays, keyed by the PosteriorField fields they back."""
+        return {
+            "w": self.data,
+            "cells": self.cells,
+            "fidelities": self.fidelities,
+            "counts": self.counts,
+        }
 
     def claim(self, n: int) -> bool:
         with self._lock:
@@ -142,6 +177,19 @@ class _RowBuffer:
                 return False
             self.used = n + 1
             return True
+
+    def branch(self, n: int) -> "_RowBuffer":
+        """A new buffer holding this one's first n rows, with row n taken."""
+        new = _RowBuffer(max(2 * n, 16), self.data.shape[1], n + 1)
+        for dst, src in zip(new._arrays().values(), self._arrays().values()):
+            dst[:n] = src[:n]
+        return new
+
+    def views(self, n: int) -> dict[str, np.ndarray]:
+        """Read-only views of the first n rows, keyed by PosteriorField field."""
+        views = {name: a[:n] for name, a in self._arrays().items()}
+        _freeze(*views.values())
+        return views
 
 
 @dataclass(frozen=True)
@@ -152,7 +200,7 @@ class PosteriorField:
     its replicate count, or one planning append (count 1).  ``columns`` are
     the sorted cells that mu, sigma2 and the columns of W cover: every cell
     for ``posterior``, a subset after ``restrict``.  Snapshots are
-    immutable: their arrays are read-only, and appending a
+    immutable: their arrays are read-only views, and appending a
     hypothetical sample produces a new snapshot with one more row of W.
     Appends maintain only the variance (the mean is carried over
     unchanged), which is all the planner needs: the variance never depends
@@ -170,7 +218,7 @@ class PosteriorField:
     sigma2: np.ndarray  # (k,)
     w: np.ndarray  # (r, k) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
     jitter: float
-    _rows: _RowBuffer | None = field(default=None, repr=False, compare=False)  # None: no spare rows
+    _rows: _RowBuffer = field(repr=False, compare=False)  # backs w, cells, fidelities, counts
 
     @property
     def n(self) -> int:
@@ -199,10 +247,11 @@ def _freeze(*arrays: np.ndarray):
 
 
 def _clamp_sigma2(sigma2: np.ndarray, jitter: float) -> np.ndarray:
-    worst = float(np.min(sigma2)) if sigma2.size else 0.0
+    """Clamp negative variances to zero in place; NumericalError below -SIGMA2_TOL."""
+    worst = float(sigma2.min()) if sigma2.size else 0.0
     if worst < -SIGMA2_TOL:
         raise NumericalError(f"posterior variance fell to {worst:g}", jitter)
-    return np.maximum(sigma2, 0.0)
+    return np.maximum(sigma2, 0.0, out=sigma2)
 
 
 def posterior(
@@ -231,41 +280,40 @@ def posterior(
         return_inverse=True,
         return_counts=True,
     )
+    r = len(keys)
     levels, flat = np.divmod(keys, n_cells)
     cells = np.column_stack(np.divmod(flat, domain.resolution))
-    resid = np.bincount(group, weights=log.values(), minlength=len(keys)) / counts
-    resid -= [sum(model.mu[:m]) for m in levels]
-    d = np.array([model.prior_variance(m) for m in levels])
-    noise = np.array([model.s[m - 1] ** 2 for m in levels])
-    jitter = jitter_scale * float(np.max(d + noise)) if len(keys) else 0.0
-    d += (noise + jitter) / counts
-    data = np.empty((max(2 * len(keys), 16), n_cells))
-    data[: len(keys)] = _grid_cov(table, cells, levels)
-    a = np.empty(len(keys))
+    mean, var, noise = (a[levels] for a in _level_moments(model))
+    resid = np.bincount(group, weights=log.values(), minlength=r) / counts
+    resid -= mean
+    jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
+    d = var + (noise + jitter) / counts
+    rows = _RowBuffer(max(2 * r, 16), n_cells, r)
+    data = rows.data
+    data[:r] = _grid_cov(table, cells, levels)
+    rows.cells[:r], rows.fidelities[:r], rows.counts[:r] = cells, levels, counts
+    a = np.empty(r)
     for i, j in enumerate(flat):
         row, c, cc = _next_row(data[:i], j, data[i], d[i], 0.0)
         if row is None:
             raise NumericalError(f"posterior pivot {d[i] - cc:g} at record {i}", jitter)
         data[i] = row
         a[i] = (resid[i] - c @ a[:i]) / np.sqrt(d[i] - cc)
-    w = data[: len(keys)]
+    w = data[:r]
     mu = model.prior_mean() + w.T @ a
     sigma2 = _clamp_sigma2(model.prior_variance() - np.einsum("ij,ij->j", w, w), jitter)
     columns = np.arange(n_cells)  # every cell, so also each cell's position
-    _freeze(mu, sigma2, w, cells, levels, counts, columns)
+    _freeze(mu, sigma2, columns)
     return PosteriorField(
         domain=domain,
         model=model,
-        cells=cells,
-        fidelities=levels,
-        counts=counts,
         columns=columns,
         _position=columns,
         mu=mu,
         sigma2=sigma2,
-        w=w,
         jitter=jitter,
-        _rows=_RowBuffer(data, len(keys)),
+        _rows=rows,
+        **rows.views(r),
     )
 
 
@@ -281,16 +329,70 @@ def restrict(state: PosteriorField, columns: np.ndarray, spare: int = 16) -> Pos
         raise ValueError("columns must be non-empty, sorted and unique")
     local = state.column_of(columns)
     r = len(state.fidelities)
-    data = np.empty((r + spare, len(columns)))
-    np.take(state.w, local, axis=1, out=data[:r])
+    rows = _RowBuffer(r + spare, len(columns), r)
+    np.take(state.w, local, axis=1, out=rows.data[:r])
+    rows.cells[:r], rows.fidelities[:r] = state.cells, state.fidelities
+    rows.counts[:r] = state.counts
     position = np.full(state.domain.n_cells, -1)
     position[columns] = np.arange(len(columns))
-    mu, sigma2, w, columns = state.mu[local], state.sigma2[local], data[:r], columns.copy()
-    _freeze(mu, sigma2, w, columns, position)
+    mu, sigma2, columns = state.mu[local], state.sigma2[local], columns.copy()
+    _freeze(mu, sigma2, columns, position)
     return replace(
-        state, columns=columns, _position=position, mu=mu, sigma2=sigma2, w=w,
-        _rows=_RowBuffer(data, r),
+        state, columns=columns, _position=position, mu=mu, sigma2=sigma2, _rows=rows,
+        **rows.views(r),
     )
+
+
+class _WorkingSet:
+    """A snapshot opened for appends in place: its W rows and records (in
+    the snapshot's row buffer) and a writable copy of its variance.
+
+    ``add`` is the one variance-append step.  ``snapshot`` freezes the set
+    into a PosteriorField of read-only views; the set takes no appends
+    after that.
+    """
+
+    def __init__(self, state: PosteriorField):
+        self.base = state
+        self.rows = state._rows
+        self.n = len(state.fidelities)
+        self.sigma2 = state.sigma2.copy()
+        self._col_rows, self._col_cols = np.divmod(state.columns, state.domain.resolution)
+        self._table = covariance_table(state.domain, state.model)
+        _, var, noise = _level_moments(state.model)
+        self._diag = var + noise
+
+    def add(self, position: int, level: int) -> bool:
+        """Append a sample at column ``position`` (an index into the
+        snapshot's columns) and fidelity ``level``.
+
+        The new row of W comes from W alone (see ``_next_row``), in
+        O(n * len(columns)).  Returns False, with nothing changed, when the
+        new pivot falls below its floor.  Raises NumericalError, leaving the
+        set unusable, when a variance falls below -SIGMA2_TOL.
+        """
+        n, rows = self.n, self.rows
+        r, c = self._col_rows[position], self._col_cols[position]
+        kappa = self._table[level - 1, np.abs(self._col_rows - r), np.abs(self._col_cols - c)]
+        d, jitter = self._diag[level], self.base.jitter
+        row, _, _ = _next_row(rows.data[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
+        if row is None:
+            return False
+        self.sigma2 -= np.square(row)
+        _clamp_sigma2(self.sigma2, jitter)
+        if not rows.claim(n):
+            rows = self.rows = rows.branch(n)
+        rows.data[n] = row
+        rows.cells[n] = r, c
+        rows.fidelities[n] = level
+        rows.counts[n] = 1
+        self.n = n + 1
+        return True
+
+    def snapshot(self) -> PosteriorField:
+        """The PosteriorField of the set so far; freezes the set's variance."""
+        _freeze(self.sigma2)
+        return replace(self.base, sigma2=self.sigma2, _rows=self.rows, **self.rows.views(self.n))
 
 
 def append_sample_variance_only(
@@ -299,12 +401,13 @@ def append_sample_variance_only(
     """Add a hypothetical sample at (x_new, m_new) to the variance.
 
     ``x_new`` must be the center of one of the snapshot's columns and
-    ``m_new`` at least the level of the last record.  The new row of W comes
-    from W alone (see ``_next_row``), in O(n * len(columns)) and without a
-    factor.  The variance of the result matches a full recompute with the
-    extended log (observed values are irrelevant to the variance).  If the
-    new pivot breaks down numerically, falls back to a full refactorization
-    with placeholder observations, restricted to the same columns.
+    ``m_new`` at least the level of the last record.  Runs the working-set
+    step (``_WorkingSet.add``) on this snapshot, in O(n * len(columns)) and
+    without a factor.  The variance of the result matches a full recompute
+    with the extended log (observed values are irrelevant to the variance).
+    If the new pivot breaks down numerically, falls back to a full
+    refactorization with placeholder observations, restricted to the same
+    columns.
     """
     model, domain = state.model, state.domain
     model._check_level(m_new)
@@ -313,41 +416,10 @@ def append_sample_variance_only(
         raise ValueError(
             f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
         )
-    j_new = domain.index_of(x_new[0], x_new[1])
-    col = int(state.column_of(j_new))
-    rc_new = np.array(divmod(j_new, domain.resolution))
-    rows = state._rows
-    if rows is None or not rows.claim(n):
-        data = np.empty((max(2 * n, 16), len(state.columns)))
-        data[:n] = state.w
-        rows = _RowBuffer(data, n + 1)
-    table = covariance_table(domain, model)
-    kappa = _grid_cov(table, rc_new[None, :], np.array([m_new]))[0, state.columns]
-    d = model.prior_variance(m_new) + model.s[m_new - 1] ** 2
-    w_new, _, _ = _next_row(rows.data[:n], col, kappa, d + state.jitter, max(1e-12 * d, 1e-300))
-    if w_new is None:
+    working = _WorkingSet(state)
+    if not working.add(int(state.column_of(domain.index_of(x_new[0], x_new[1]))), m_new):
         return _refactorized_append(state, x_new, m_new)
-    sigma2 = _clamp_sigma2(state.sigma2 - w_new**2, state.jitter)
-    rows.data[n] = w_new
-    w = rows.data[: n + 1]
-    cells = np.vstack([state.cells, rc_new])
-    fidelities = np.append(state.fidelities, m_new)
-    counts = np.append(state.counts, 1)
-    _freeze(sigma2, w, cells, fidelities, counts)
-    return PosteriorField(
-        domain=domain,
-        model=model,
-        cells=cells,
-        fidelities=fidelities,
-        counts=counts,
-        columns=state.columns,
-        _position=state._position,
-        mu=state.mu,
-        sigma2=sigma2,
-        w=w,
-        jitter=state.jitter,
-        _rows=rows,
-    )
+    return working.snapshot()
 
 
 def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorField:
@@ -379,19 +451,20 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
     distinct = np.column_stack(np.divmod(flat, R))
     kxu = _pair_cov(table, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
+    _, var, noise = _level_moments(model)
+    s2 = noise[mrec]
+    d = var[mrec] + s2
     w = np.empty((n, len(flat)))
     terms = np.zeros(n)
     var_before = np.zeros(n)
     k0 = model.prior_variance()
     for i in range(n):
-        mi = int(mrec[i])
-        s2 = model.s[mi - 1] ** 2
-        row, _, cc = _next_row(w[:i], col[i], kxu[i], model.prior_variance(mi) + s2, 0.0)
+        row, _, cc = _next_row(w[:i], col[i], kxu[i], d[i], 0.0)
         if row is None:
             raise NumericalError("information-chain pivot broke down", 0.0)
         w[i] = row
         var_before[i] = max(k0 - cc, 0.0)
-        terms[i] = 0.5 * np.log1p(var_before[i] / s2)
+        terms[i] = 0.5 * np.log1p(var_before[i] / s2[i])
     return terms, var_before
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field_model import FidelityModel
-from .inference import PosteriorField, append_sample_variance_only, restrict
+from .inference import PosteriorField, _WorkingSet, append_sample_variance_only, restrict
 
 # Band below the maximum variance within which candidates count as tied,
 # relative to the prior variance k0: the roundoff of k0 - sum(w^2) scales
@@ -59,10 +59,11 @@ class FidelityState:
         return max_sigma2 - self.inaccessible()
 
 
-def _most_uncertain(values: np.ndarray, model: FidelityModel) -> int:
-    """Position of the largest variance; every value within ``TIE_RTOL``
-    times the prior variance of it ties, and ties go to the lowest position."""
-    return int(np.argmax(values >= values.max() - TIE_RTOL * model.prior_variance()))
+def _most_uncertain(values: np.ndarray, top: float, band: float) -> int:
+    """Position of the largest variance ``top`` in ``values``; every value
+    within ``band`` (``TIE_RTOL`` times the prior variance) of it ties, and
+    ties go to the lowest position."""
+    return int(np.argmax(values >= top - band))
 
 
 def select_next_point(
@@ -78,7 +79,7 @@ def select_next_point(
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
     sigma2 = posterior.sigma2[posterior.column_of(candidates)]
-    local = _most_uncertain(sigma2, posterior.model)
+    local = _most_uncertain(sigma2, sigma2.max(), TIE_RTOL * posterior.model.prior_variance())
     return posterior.domain.cell_center(int(candidates[local]))
 
 
@@ -89,15 +90,17 @@ def update_fidelity(
 
     Multiple levels can be crossed in one call; the level never decreases.
     """
-    max_var = posterior.max_sigma2(candidates)
-    level = state.level
-    while level < state.model.levels:
-        probe = replace(state, level=level)
-        if probe.accessible_uncertainty(max_var) <= probe.switch_threshold():
-            level += 1
-        else:
-            break
-    return replace(state, level=level)
+    return _advance(state, posterior.max_sigma2(candidates))
+
+
+def _advance(state: FidelityState, max_var: float) -> FidelityState:
+    """The switch rule at maximum variance ``max_var``: raise the level while
+    the accessible uncertainty is at or below the switch threshold."""
+    while state.level < state.model.levels and (
+        state.accessible_uncertainty(max_var) <= state.switch_threshold()
+    ):
+        state = replace(state, level=state.level + 1)
+    return state
 
 
 @dataclass(frozen=True)
@@ -155,20 +158,24 @@ def plan_epoch(
     append it hypothetically, re-check the fidelity switch rule; stop once
     the predicted max std dev over the candidates has fallen to
     ``sigma_ratio`` times its starting value, or the cap is reached.
-    Planning reads the variance at the candidates only, so the appends run
-    on a snapshot restricted to them (sorted cell indices).
+    Planning reads the variance at the candidates only (sorted cell
+    indices), so the epoch runs on one working set restricted to them and
+    appends in place; a pivot breakdown goes through
+    ``append_sample_variance_only``, which refactorizes.
     Deterministic for a given posterior snapshot and state.
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    working = restrict(posterior, candidates, spare=limits.sample_cap)
-    sigma_before = float(np.sqrt(working.max_sigma2()))
+    working = _WorkingSet(restrict(posterior, candidates, spare=limits.sample_cap))
+    domain, band = posterior.domain, TIE_RTOL * posterior.model.prior_variance()
+    max_var = float(working.sigma2.max())
+    sigma_before = float(np.sqrt(max_var))
     samples: list[PlannedSample] = []
     trace: list[float] = []
     capped = False
     while True:
-        local = _most_uncertain(working.sigma2, working.model)
-        loc = working.domain.cell_center(int(working.columns[local]))
+        local = _most_uncertain(working.sigma2, max_var, band)
+        loc = domain.cell_center(int(candidates[local]))
         samples.append(
             PlannedSample(
                 location=loc,
@@ -176,10 +183,11 @@ def plan_epoch(
                 sigma_before=float(np.sqrt(working.sigma2[local])),
             )
         )
-        working = append_sample_variance_only(working, loc, state.level)
-        max_var = working.max_sigma2()
+        if not working.add(local, state.level):
+            working = _WorkingSet(append_sample_variance_only(working.snapshot(), loc, state.level))
+        max_var = float(working.sigma2.max())
         trace.append(max_var)
-        state = update_fidelity(state, working)
+        state = _advance(state, max_var)
         if np.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
             break
         if len(samples) >= limits.sample_cap:

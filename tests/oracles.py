@@ -5,9 +5,11 @@ package: joint-Gaussian conditioning, the raw-log posterior and the log
 evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
 exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, and a
-from-scratch planning loop.  The one exception is ``full_grid_plan``: the
-epoch-planning loop on the package's own full-grid appends, the reference
-that planning on the candidate cells alone must reproduce.
+from-scratch planning loop.  The two exceptions drive the package's own
+appends: ``full_grid_plan``, the epoch-planning loop over all cells of the
+grid, which planning on the candidate cells alone must reproduce, and
+``snapshot_plan``, the loop with one snapshot per planned sample, which the
+in-place pass of ``plan_epoch`` must reproduce exactly.
 """
 
 import itertools
@@ -15,8 +17,8 @@ import math
 
 import numpy as np
 
-from mfgp_search.inference import append_sample_variance_only
-from mfgp_search.planner import select_next_point, update_fidelity
+from mfgp_search.inference import append_sample_variance_only, restrict
+from mfgp_search.planner import EpochPlan, PlannedSample, select_next_point, update_fidelity
 
 
 def sq_exp(v, l, A, B):
@@ -293,6 +295,37 @@ def full_grid_plan(post, state, limits, candidates):
         done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
         if done or len(locations) >= limits.sample_cap:
             return locations, fidelities, variances, trace, not done
+
+
+def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
+    """The epoch-planning loop with one new snapshot per planned sample.
+
+    Restricts the posterior to the candidates once, then appends every
+    planned sample through ``append_sample_variance_only`` and re-reads the
+    pick, the max variance and the fidelity switch from each snapshot.
+    """
+    working = restrict(post, candidates, spare=limits.sample_cap)
+    start = np.sqrt(working.max_sigma2())
+    samples, trace = [], []
+    while True:
+        loc = select_next_point(working, candidates)
+        sigma = np.sqrt(working.sigma2[working.column_of(post.domain.index_of(*loc))])
+        samples.append(PlannedSample(location=loc, fidelity=state.level, sigma_before=float(sigma)))
+        working = append_sample_variance_only(working, loc, state.level)
+        trace.append(working.max_sigma2())
+        state = update_fidelity(state, working)
+        done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
+        if done or len(samples) >= limits.sample_cap:
+            return EpochPlan(
+                epoch=epoch,
+                samples=tuple(samples),
+                n_before=post.n,
+                sigma_max_before=float(start),
+                sigma_max_after=float(np.sqrt(trace[-1])),
+                capped=not done,
+                state_after=state,
+                max_var_trace=tuple(trace),
+            )
 
 
 def scalar_resample_count(prior_var, noise_var, sigma_ratio):

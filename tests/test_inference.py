@@ -433,7 +433,8 @@ class TestSnapshotBranches:
                     pass
                 return (4, 1)
 
-        buf = _RowBuffer(Rows(), 0)
+        buf = _RowBuffer(4, 1, 0)
+        buf.data = Rows()
         won = []
         threads = [threading.Thread(target=lambda: won.append(buf.claim(0))) for _ in range(2)]
         for t in threads:

@@ -17,11 +17,11 @@ from mfgp_search import (
     select_next_point,
     update_fidelity,
 )
-from mfgp_search import planner
+from mfgp_search import inference, planner
 from mfgp_search.inference import append_sample_variance_only
 from mfgp_search.planner import TIE_RTOL
 
-from oracles import full_grid_plan, greedy_plan_reference, scalar_resample_count
+from oracles import full_grid_plan, greedy_plan_reference, scalar_resample_count, snapshot_plan
 
 
 @pytest.fixture
@@ -274,19 +274,75 @@ class TestPlanEpoch:
             plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([], dtype=int))
 
     def test_one_append_per_planned_sample(self, grid20, m2_model, monkeypatch):
-        calls = []
-        real = planner.append_sample_variance_only
+        # one in-place step per planned sample; the snapshot API only runs
+        # after a breakdown, and there is none here
+        adds, snapshot_appends = [], []
+        real_add = inference._WorkingSet.add
 
-        def counted(*args):
-            calls.append(args[1:])
-            return real(*args)
+        def counted_add(self, position, level):
+            adds.append((int(self.base.columns[position]), level))
+            return real_add(self, position, level)
 
-        monkeypatch.setattr(planner, "append_sample_variance_only", counted)
+        monkeypatch.setattr(inference._WorkingSet, "add", counted_add)
+        monkeypatch.setattr(planner, "append_sample_variance_only", lambda *a: snapshot_appends.append(a))
         post = posterior(SampleLog(grid20), grid20, m2_model)
         cands = np.arange(0, grid20.n_cells, 3)
         plan = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands)
         assert len(plan.samples) > 1
-        assert calls == [(s.location, s.fidelity) for s in plan.samples]
+        assert adds == [(grid20.index_of(*s.location), s.fidelity) for s in plan.samples]
+        assert snapshot_appends == []
+
+    def test_input_posterior_untouched(self, grid20, m2_model):
+        log = SampleLog(grid20)
+        for c in (5, 77, 77, 210):
+            log.append(grid20.cell_center(c), 0.1, 1)
+        post = posterior(log, grid20, m2_model)
+        names = ("cells", "fidelities", "counts", "columns", "mu", "sigma2", "w")
+        before = {name: getattr(post, name).copy() for name in names}
+        used = post._rows.used
+        cands = np.arange(1, grid20.n_cells, 2)
+        plans = [plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands) for _ in range(2)]
+        assert plans[0] == plans[1]
+        for name in names:
+            assert np.array_equal(getattr(post, name), before[name]), name
+        assert post._rows.used == used
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_breakdown_resumes_through_the_fallback(self, grid20, m2_model, monkeypatch, k):
+        # the step breaks down when its set holds n_before + k samples, for
+        # the pass and for the snapshot API alike, so both refactorize there
+        log = SampleLog(grid20)
+        for c in (40, 41, 300):
+            log.append(grid20.cell_center(c), 0.2, 1)
+        post = posterior(log, grid20, m2_model)
+        cands = np.arange(0, grid20.n_cells, 2)
+        args = (post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.5, sample_cap=12), cands)
+        real_add = inference._WorkingSet.add
+
+        def breaking_add(self, position, level):
+            if self.rows.counts[: self.n].sum() == post.n + k:
+                return False
+            return real_add(self, position, level)
+
+        monkeypatch.setattr(inference._WorkingSet, "add", breaking_add)
+        fallbacks = []
+        real_append = planner.append_sample_variance_only
+
+        def counted_append(*a):
+            fallbacks.append(real_append(*a))
+            return fallbacks[-1]
+
+        monkeypatch.setattr(planner, "append_sample_variance_only", counted_append)
+        refactorized = []
+        real_posterior = inference.posterior
+        monkeypatch.setattr(inference, "posterior", lambda *a: refactorized.append(a) or real_posterior(*a))
+        plan = plan_epoch(*args)
+        assert len(plan.samples) > k + 1
+        assert len(fallbacks) == len(refactorized) == 1
+        assert np.array_equal(fallbacks[0].columns, cands)
+        assert fallbacks[0].n == post.n + k + 1
+        assert plan == snapshot_plan(*args)
+        assert len(refactorized) == 2
 
 
 MODELS = (
@@ -315,6 +371,13 @@ def planning_cases(draw):
     )
     post = posterior(log, domain, model)
     return post, FidelityState(model, level), limits, np.array(sorted(cands))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planning_cases())
+def test_in_place_pass_matches_snapshot_loop(case):
+    post, state, limits, cands = case
+    assert plan_epoch(post, state, limits, cands) == snapshot_plan(post, state, limits, cands)
 
 
 @settings(max_examples=100, deadline=None)
