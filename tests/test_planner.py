@@ -284,7 +284,9 @@ class TestPlanEpoch:
             return real_add(self, position, level)
 
         monkeypatch.setattr(inference._WorkingSet, "add", counted_add)
-        monkeypatch.setattr(planner, "append_sample_variance_only", lambda *a: snapshot_appends.append(a))
+        monkeypatch.setattr(
+            planner, "append_sample_variance_only", lambda *a: snapshot_appends.append(a)
+        )
         post = posterior(SampleLog(grid20), grid20, m2_model)
         cands = np.arange(0, grid20.n_cells, 3)
         plan = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands)
@@ -301,7 +303,8 @@ class TestPlanEpoch:
         before = {name: getattr(post, name).copy() for name in names}
         used = post._rows.used
         cands = np.arange(1, grid20.n_cells, 2)
-        plans = [plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands) for _ in range(2)]
+        limits = PlanLimits(sigma_ratio=0.3)
+        plans = [plan_epoch(post, FidelityState(m2_model, 1), limits, cands) for _ in range(2)]
         assert plans[0] == plans[1]
         for name in names:
             assert np.array_equal(getattr(post, name), before[name]), name
@@ -335,7 +338,9 @@ class TestPlanEpoch:
         monkeypatch.setattr(planner, "append_sample_variance_only", counted_append)
         refactorized = []
         real_posterior = inference.posterior
-        monkeypatch.setattr(inference, "posterior", lambda *a: refactorized.append(a) or real_posterior(*a))
+        monkeypatch.setattr(
+            inference, "posterior", lambda *a: refactorized.append(a) or real_posterior(*a)
+        )
         plan = plan_epoch(*args)
         assert len(plan.samples) > k + 1
         assert len(fallbacks) == len(refactorized) == 1
