@@ -149,8 +149,12 @@ def load_config(path: Path) -> dict[str, str]:
             manifest = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{path}: manifest is not a JSON object")
         if "resolved" not in manifest:
             raise ConfigError(f"{path}: manifest has no 'resolved' config block")
+        if not isinstance(manifest["resolved"], dict):
+            raise ConfigError(f"{path}: manifest's 'resolved' block is not a JSON object")
         return {str(k): str(v) for k, v in manifest["resolved"].items()}
     return parse_config_text(text)
 

@@ -14,11 +14,11 @@ one row at a time.  The same step builds the epoch posterior over the log's
 distinct (cell, level) records, the within-epoch planning appends and the
 samples.log information chain.  A snapshot may carry W and the variance over
 a sorted subset of the cells only (``restrict``); appends to it then cost
-O(n * len(columns)).  Appends run in place on a ``_WorkingSet``, which the
-planner keeps open for a whole epoch; snapshots are made only at the API.
+O(n * len(columns)).  Appends run in place on a ``_WorkingSet``, the one
+writable copy of a snapshot's rows, which the planner keeps open for a
+whole epoch; snapshots are made only at the API.
 """
 
-import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -142,56 +142,6 @@ def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
     return (kappa - c @ w) / np.sqrt(gamma2), c, cc
 
 
-class _RowBuffer:
-    """C-order rows of W and their records, with spare capacity, shared along
-    a chain of appends.
-
-    Row i of ``data`` belongs to the record at cell ``cells[i]`` (row, col)
-    with level ``fidelities[i]`` and ``counts[i]`` merged samples.  ``used``
-    rows are taken, and a taken row is never rewritten, so snapshots hold
-    views of them.  An append to a snapshot of n rows claims row n in place
-    if it is the next free row; otherwise (another append took it, or the
-    buffer is full) it copies its n rows to a new buffer (``branch``).
-    """
-
-    def __init__(self, capacity: int, width: int, used: int):
-        self.data = np.empty((capacity, width))
-        self.cells = np.empty((capacity, 2), dtype=int)
-        self.fidelities = np.empty(capacity, dtype=int)
-        self.counts = np.empty(capacity, dtype=int)
-        self.used = used
-        self._lock = threading.Lock()
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        """The buffer's arrays, keyed by the PosteriorField fields they back."""
-        return {
-            "w": self.data,
-            "cells": self.cells,
-            "fidelities": self.fidelities,
-            "counts": self.counts,
-        }
-
-    def claim(self, n: int) -> bool:
-        with self._lock:
-            if self.used != n or n == self.data.shape[0]:
-                return False
-            self.used = n + 1
-            return True
-
-    def branch(self, n: int) -> "_RowBuffer":
-        """A new buffer holding this one's first n rows, with row n taken."""
-        new = _RowBuffer(max(2 * n, 16), self.data.shape[1], n + 1)
-        for dst, src in zip(new._arrays().values(), self._arrays().values()):
-            dst[:n] = src[:n]
-        return new
-
-    def views(self, n: int) -> dict[str, np.ndarray]:
-        """Read-only views of the first n rows, keyed by PosteriorField field."""
-        views = {name: a[:n] for name, a in self._arrays().items()}
-        _freeze(*views.values())
-        return views
-
-
 @dataclass(frozen=True)
 class PosteriorField:
     """Posterior mean/variance plus the W rows that appends extend.
@@ -200,8 +150,9 @@ class PosteriorField:
     its replicate count, or one planning append (count 1).  ``columns`` are
     the sorted cells that mu, sigma2 and the columns of W cover: every cell
     for ``posterior``, a subset after ``restrict``.  Snapshots are
-    immutable: their arrays are read-only views, and appending a
-    hypothetical sample produces a new snapshot with one more row of W.
+    immutable: their arrays are read-only and shared with no writer, and
+    appending a hypothetical sample produces a new snapshot with one more
+    row of W.
     Appends maintain only the variance (the mean is carried over
     unchanged), which is all the planner needs: the variance never depends
     on observed values.
@@ -218,7 +169,6 @@ class PosteriorField:
     sigma2: np.ndarray  # (k,)
     w: np.ndarray  # (r, k) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
     jitter: float
-    _rows: _RowBuffer = field(repr=False, compare=False)  # backs w, cells, fidelities, counts
 
     @property
     def n(self) -> int:
@@ -288,111 +238,112 @@ def posterior(
     resid -= mean
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts
-    rows = _RowBuffer(max(2 * r, 16), n_cells, r)
-    data = rows.data
-    data[:r] = _grid_cov(table, cells, levels)
-    rows.cells[:r], rows.fidelities[:r], rows.counts[:r] = cells, levels, counts
+    w = _grid_cov(table, cells, levels)
     a = np.empty(r)
     for i, j in enumerate(flat):
-        row, c, cc = _next_row(data[:i], j, data[i], d[i], 0.0)
+        row, c, cc = _next_row(w[:i], j, w[i], d[i], 0.0)
         if row is None:
             raise NumericalError(f"posterior pivot {d[i] - cc:g} at record {i}", jitter)
-        data[i] = row
+        w[i] = row
         a[i] = (resid[i] - c @ a[:i]) / np.sqrt(d[i] - cc)
-    w = data[:r]
     mu = model.prior_mean() + w.T @ a
     sigma2 = _clamp_sigma2(model.prior_variance() - np.einsum("ij,ij->j", w, w), jitter)
     columns = np.arange(n_cells)  # every cell, so also each cell's position
-    _freeze(mu, sigma2, columns)
+    _freeze(cells, levels, counts, columns, mu, sigma2, w)
     return PosteriorField(
         domain=domain,
         model=model,
+        cells=cells,
+        fidelities=levels,
+        counts=counts,
         columns=columns,
         _position=columns,
         mu=mu,
         sigma2=sigma2,
+        w=w,
         jitter=jitter,
-        _rows=rows,
-        **rows.views(r),
     )
 
 
-def restrict(state: PosteriorField, columns: np.ndarray, spare: int = 16) -> PosteriorField:
+def restrict(state: PosteriorField, columns: np.ndarray) -> PosteriorField:
     """The snapshot over the cells ``columns`` only: W[:, columns], sigma2[columns].
 
     ``columns`` must be sorted, unique and among the snapshot's own columns.
-    Appends to the result compute the variance at these cells alone; the
-    first ``spare`` of them extend its rows in place.
+    Appends to the result compute the variance at these cells alone.
     """
-    columns = np.asarray(columns)
-    if len(columns) == 0 or np.any(np.diff(columns) <= 0):
-        raise ValueError("columns must be non-empty, sorted and unique")
-    local = state.column_of(columns)
-    r = len(state.fidelities)
-    rows = _RowBuffer(r + spare, len(columns), r)
-    np.take(state.w, local, axis=1, out=rows.data[:r])
-    rows.cells[:r], rows.fidelities[:r] = state.cells, state.fidelities
-    rows.counts[:r] = state.counts
-    position = np.full(state.domain.n_cells, -1)
-    position[columns] = np.arange(len(columns))
-    mu, sigma2, columns = state.mu[local], state.sigma2[local], columns.copy()
-    _freeze(mu, sigma2, columns, position)
-    return replace(
-        state, columns=columns, _position=position, mu=mu, sigma2=sigma2, _rows=rows,
-        **rows.views(r),
-    )
+    return _WorkingSet(state, columns, 0).snapshot()
 
 
 class _WorkingSet:
-    """A snapshot opened for appends in place: its W rows and records (in
-    the snapshot's row buffer) and a writable copy of its variance.
+    """The one writable copy of a snapshot's W rows, records and variance,
+    over the sorted cells ``columns`` (which must be among the snapshot's
+    own), with room for ``spare`` appends.
 
-    ``add`` is the one variance-append step.  ``snapshot`` freezes the set
-    into a PosteriorField of read-only views; the set takes no appends
-    after that.
+    The constructor gathers W[:, columns], sigma2 and mu at those columns
+    and the records once.  ``add`` is the one variance-append step and
+    writes row n in place.  ``snapshot`` freezes views of the set into a
+    PosteriorField; the set takes no appends after that.  Nothing is shared
+    with the snapshot the set was made from or with any other set.
     """
 
-    def __init__(self, state: PosteriorField):
+    def __init__(self, state: PosteriorField, columns: np.ndarray, spare: int):
+        columns = np.asarray(columns)
+        if len(columns) == 0 or np.any(np.diff(columns) <= 0):
+            raise ValueError("columns must be non-empty, sorted and unique")
+        local = state.column_of(columns)
+        n = self.n = len(state.fidelities)
         self.base = state
-        self.rows = state._rows
-        self.n = len(state.fidelities)
-        self.sigma2 = state.sigma2.copy()
-        self._col_rows, self._col_cols = np.divmod(state.columns, state.domain.resolution)
+        self.w = np.empty((n + spare, len(columns)))
+        np.take(state.w, local, axis=1, out=self.w[:n])
+        self.cells = np.empty((n + spare, 2), dtype=int)
+        self.fidelities = np.empty(n + spare, dtype=int)
+        self.counts = np.empty(n + spare, dtype=int)
+        self.cells[:n], self.fidelities[:n], self.counts[:n] = (
+            state.cells, state.fidelities, state.counts,
+        )
+        self.columns, self.mu, self.sigma2 = columns.copy(), state.mu[local], state.sigma2[local]
+        self._position = np.full(state.domain.n_cells, -1)
+        self._position[columns] = np.arange(len(columns))
+        self._col_r, self._col_c = np.divmod(columns, state.domain.resolution)
         self._table = covariance_table(state.domain, state.model)
         _, var, noise = _level_moments(state.model)
         self._diag = var + noise
 
     def add(self, position: int, level: int) -> bool:
-        """Append a sample at column ``position`` (an index into the
-        snapshot's columns) and fidelity ``level``.
+        """Append a sample at column ``position`` (an index into the set's
+        columns) and fidelity ``level``.
 
         The new row of W comes from W alone (see ``_next_row``), in
         O(n * len(columns)).  Returns False, with nothing changed, when the
         new pivot falls below its floor.  Raises NumericalError, leaving the
         set unusable, when a variance falls below -SIGMA2_TOL.
         """
-        n, rows = self.n, self.rows
-        r, c = self._col_rows[position], self._col_cols[position]
-        kappa = self._table[level - 1, np.abs(self._col_rows - r), np.abs(self._col_cols - c)]
+        n = self.n
+        r, c = self._col_r[position], self._col_c[position]
+        kappa = self._table[level - 1, np.abs(self._col_r - r), np.abs(self._col_c - c)]
         d, jitter = self._diag[level], self.base.jitter
-        row, _, _ = _next_row(rows.data[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
+        row, _, _ = _next_row(self.w[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
         if row is None:
             return False
+        self.w[n] = row
+        self.cells[n] = r, c
+        self.fidelities[n] = level
+        self.counts[n] = 1
         self.sigma2 -= np.square(row)
         _clamp_sigma2(self.sigma2, jitter)
-        if not rows.claim(n):
-            rows = self.rows = rows.branch(n)
-        rows.data[n] = row
-        rows.cells[n] = r, c
-        rows.fidelities[n] = level
-        rows.counts[n] = 1
         self.n = n + 1
         return True
 
     def snapshot(self) -> PosteriorField:
         """The PosteriorField of the set so far; freezes the set's variance."""
-        _freeze(self.sigma2)
-        return replace(self.base, sigma2=self.sigma2, _rows=self.rows, **self.rows.views(self.n))
+        n = self.n
+        views = {
+            "w": self.w[:n], "cells": self.cells[:n], "fidelities": self.fidelities[:n],
+            "counts": self.counts[:n], "columns": self.columns, "_position": self._position,
+            "mu": self.mu, "sigma2": self.sigma2,
+        }
+        _freeze(*views.values())
+        return replace(self.base, **views)
 
 
 def append_sample_variance_only(
@@ -402,8 +353,8 @@ def append_sample_variance_only(
 
     ``x_new`` must be the center of one of the snapshot's columns and
     ``m_new`` at least the level of the last record.  Runs the working-set
-    step (``_WorkingSet.add``) on this snapshot, in O(n * len(columns)) and
-    without a factor.  The variance of the result matches a full recompute
+    step (``_WorkingSet.add``) on a copy of this snapshot's rows, in
+    O(n * len(columns)) and without a factor.  The variance of the result matches a full recompute
     with the extended log (observed values are irrelevant to the variance).
     If the new pivot breaks down numerically, falls back to a full
     refactorization with placeholder observations, restricted to the same
@@ -416,7 +367,7 @@ def append_sample_variance_only(
         raise ValueError(
             f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
         )
-    working = _WorkingSet(state)
+    working = _WorkingSet(state, state.columns, 1)
     if not working.add(int(state.column_of(domain.index_of(x_new[0], x_new[1]))), m_new):
         return _refactorized_append(state, x_new, m_new)
     return working.snapshot()

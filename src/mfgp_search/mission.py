@@ -27,7 +27,7 @@ from .field_model import (
     sample_ground_truth,
 )
 from .inference import SampleLog, posterior
-from .planner import FidelityState, PlanLimits, plan_epoch
+from .planner import FidelityState, PlanLimits, _greedy_steps, plan_epoch
 from .router import execute_epoch, plan_tours
 
 BOUNDARY_TOL = 1e-6  # |f - th| below this: cell excluded from error accounting
@@ -339,21 +339,11 @@ class DecayCurves:
 
 
 def _variance_decay(config: MissionConfig, n_samples: int, force_top: bool) -> list[float]:
-    from .inference import append_sample_variance_only
-    from .planner import select_next_point, update_fidelity
-
     domain, model = config.domain, config.model
     state = FidelityState(model, level=model.levels if force_top else 1)
     post = posterior(SampleLog(domain), domain, model)
-    candidates = np.arange(domain.n_cells)
-    curve = [post.max_sigma2()]
-    for _ in range(n_samples):
-        loc = select_next_point(post, candidates)
-        post = append_sample_variance_only(post, loc, state.level)
-        if not force_top:
-            state = update_fidelity(state, post, candidates)
-        curve.append(post.max_sigma2())
-    return curve
+    steps = _greedy_steps(post, state, post.columns, n_samples)
+    return [post.max_sigma2()] + [max_var for _, _, _, max_var, _ in steps]
 
 
 def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field_model import FidelityModel
-from .inference import PosteriorField, _WorkingSet, append_sample_variance_only, restrict
+from .inference import PosteriorField, _WorkingSet, append_sample_variance_only
 
 # Band below the maximum variance within which candidates count as tied,
 # relative to the prior variance k0: the roundoff of k0 - sum(w^2) scales
@@ -145,6 +145,31 @@ class EpochPlan:
         return tuple(sorted({s.fidelity for s in self.samples}))
 
 
+def _greedy_steps(posterior: PosteriorField, state: FidelityState, columns: np.ndarray, steps: int):
+    """The greedy sampler over the sorted cells ``columns``, for up to ``steps`` samples.
+
+    Each step picks the most uncertain cell, assigns the current fidelity,
+    appends it hypothetically and re-checks the fidelity switch rule; it
+    yields (cell, level, variance at the pick, max variance after, state
+    after).  The steps run on one working set restricted to ``columns``
+    that appends in place; a pivot breakdown goes through
+    ``append_sample_variance_only``, which refactorizes.
+    """
+    working = _WorkingSet(posterior, columns, steps)
+    band = TIE_RTOL * posterior.model.prior_variance()
+    max_var = float(working.sigma2.max())
+    for k in range(steps):
+        local = _most_uncertain(working.sigma2, max_var, band)
+        cell, level, picked = int(columns[local]), state.level, float(working.sigma2[local])
+        if not working.add(local, level):
+            loc = posterior.domain.cell_center(cell)
+            snapshot = append_sample_variance_only(working.snapshot(), loc, level)
+            working = _WorkingSet(snapshot, columns, steps - k - 1)
+        max_var = float(working.sigma2.max())
+        state = _advance(state, max_var)
+        yield cell, level, picked, max_var, state
+
+
 def plan_epoch(
     posterior: PosteriorField,
     state: FidelityState,
@@ -154,45 +179,29 @@ def plan_epoch(
 ) -> EpochPlan:
     """Plan one epoch of samples by simulated variance updates.
 
-    Loop: pick the most uncertain candidate, assign the current fidelity,
-    append it hypothetically, re-check the fidelity switch rule; stop once
-    the predicted max std dev over the candidates has fallen to
+    Runs the greedy steps (``_greedy_steps``) over the candidates (sorted
+    cell indices) until the predicted max std dev over them has fallen to
     ``sigma_ratio`` times its starting value, or the cap is reached.
-    Planning reads the variance at the candidates only (sorted cell
-    indices), so the epoch runs on one working set restricted to them and
-    appends in place; a pivot breakdown goes through
-    ``append_sample_variance_only``, which refactorizes.
     Deterministic for a given posterior snapshot and state.
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    working = _WorkingSet(restrict(posterior, candidates, spare=limits.sample_cap))
-    domain, band = posterior.domain, TIE_RTOL * posterior.model.prior_variance()
-    max_var = float(working.sigma2.max())
-    sigma_before = float(np.sqrt(max_var))
+    sigma_before = float(np.sqrt(posterior.max_sigma2(candidates)))
     samples: list[PlannedSample] = []
     trace: list[float] = []
     capped = False
-    while True:
-        local = _most_uncertain(working.sigma2, max_var, band)
-        loc = domain.cell_center(int(candidates[local]))
+    for cell, level, picked, max_var, state in _greedy_steps(
+        posterior, state, candidates, limits.sample_cap
+    ):
+        loc = posterior.domain.cell_center(cell)
         samples.append(
-            PlannedSample(
-                location=loc,
-                fidelity=state.level,
-                sigma_before=float(np.sqrt(working.sigma2[local])),
-            )
+            PlannedSample(location=loc, fidelity=level, sigma_before=float(np.sqrt(picked)))
         )
-        if not working.add(local, state.level):
-            working = _WorkingSet(append_sample_variance_only(working.snapshot(), loc, state.level))
-        max_var = float(working.sigma2.max())
         trace.append(max_var)
-        state = _advance(state, max_var)
         if np.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
             break
-        if len(samples) >= limits.sample_cap:
-            capped = True
-            break
+    else:
+        capped = True
     return EpochPlan(
         epoch=epoch,
         samples=tuple(samples),

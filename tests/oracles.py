@@ -5,11 +5,12 @@ package: joint-Gaussian conditioning, the raw-log posterior and the log
 evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
 exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, and a
-from-scratch planning loop.  The two exceptions drive the package's own
+from-scratch planning loop.  The three exceptions drive the package's own
 appends: ``full_grid_plan``, the epoch-planning loop over all cells of the
 grid, which planning on the candidate cells alone must reproduce, and
-``snapshot_plan``, the loop with one snapshot per planned sample, which the
-in-place pass of ``plan_epoch`` must reproduce exactly.
+``snapshot_plan`` and ``snapshot_decay``, the planning loop and the
+uncertainty-decay loop with one snapshot per sample, which the in-place
+steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly.
 """
 
 import itertools
@@ -17,8 +18,15 @@ import math
 
 import numpy as np
 
-from mfgp_search.inference import append_sample_variance_only, restrict
-from mfgp_search.planner import EpochPlan, PlannedSample, select_next_point, update_fidelity
+from mfgp_search.inference import SampleLog, append_sample_variance_only, posterior, restrict
+from mfgp_search.mission import DecayCurves
+from mfgp_search.planner import (
+    EpochPlan,
+    FidelityState,
+    PlannedSample,
+    select_next_point,
+    update_fidelity,
+)
 
 
 def sq_exp(v, l, A, B):
@@ -304,7 +312,7 @@ def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
     planned sample through ``append_sample_variance_only`` and re-reads the
     pick, the max variance and the fidelity switch from each snapshot.
     """
-    working = restrict(post, candidates, spare=limits.sample_cap)
+    working = restrict(post, candidates)
     start = np.sqrt(working.max_sigma2())
     samples, trace = [], []
     while True:
@@ -326,6 +334,36 @@ def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
                 state_after=state,
                 max_var_trace=tuple(trace),
             )
+
+
+def snapshot_decay(config, n_samples: int) -> DecayCurves:
+    """The uncertainty-decay comparison with one new snapshot per sample.
+
+    Greedy sampling over the whole grid from the prior, through
+    ``append_sample_variance_only``, with the fidelity switch (multi) and
+    at the top level throughout (single); records the max variance before
+    the first sample and after each one.
+    """
+    domain, model = config.domain, config.model
+
+    def curve(level, switch):
+        state = FidelityState(model, level=level)
+        post = posterior(SampleLog(domain), domain, model)
+        candidates = np.arange(domain.n_cells)
+        out = [post.max_sigma2()]
+        for _ in range(n_samples):
+            loc = select_next_point(post, candidates)
+            post = append_sample_variance_only(post, loc, state.level)
+            if switch:
+                state = update_fidelity(state, post, candidates)
+            out.append(post.max_sigma2())
+        return out
+
+    return DecayCurves(
+        n=list(range(n_samples + 1)),
+        multi_fidelity=curve(1, True),
+        single_fidelity=curve(model.levels, False),
+    )
 
 
 def scalar_resample_count(prior_var, noise_var, sigma_ratio):

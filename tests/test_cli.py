@@ -235,6 +235,21 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["5", '["resolved"]', '{"resolved": [1, 2]}'],
+        ids=["number", "list", "resolved-list"],
+    )
+    def test_malformed_manifest_refused(self, tmp_path, capsys, text):
+        manifest = tmp_path / "x.json"
+        manifest.write_text(text)
+        assert main(["validate", "--config", str(manifest)]) == 1
+        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(manifest), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_grid_guard(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(small_cfg_text(**{"domain.resolution": 200}))

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +16,6 @@ from mfgp_search import inference
 from mfgp_search._linalg import jittered_cholesky
 from mfgp_search.field_model import sample_ground_truth
 from mfgp_search.inference import (
-    _RowBuffer,
     _chain_terms,
     _grid_cov,
     _pair_cov,
@@ -396,7 +393,7 @@ def _same_snapshot(a, b):
 
 
 class TestSnapshotBranches:
-    """Appends share a row buffer; branching off a snapshot must copy it."""
+    """Every append copies its parent's rows, so appends to one parent never meet."""
 
     def test_two_appends_to_one_parent(self, small_domain, two_level):
         parent = _appended(_base_posterior(small_domain, two_level), small_domain, [(2, 1)])
@@ -420,29 +417,6 @@ class TestSnapshotBranches:
         _same_snapshot(branch, _appended(fresh, small_domain, [(5, 1), (60, 1), (61, 1)]))
         assert np.array_equal(older.w, w)
         assert np.array_equal(older.sigma2, sigma2)
-
-    def test_claim_is_atomic(self):
-        arrived = threading.Barrier(2)
-
-        class Rows:  # its capacity check waits for a second claimant to get that far
-            @property
-            def shape(self):
-                try:
-                    arrived.wait(timeout=0.2)
-                except threading.BrokenBarrierError:
-                    pass
-                return (4, 1)
-
-        buf = _RowBuffer(4, 1, 0)
-        buf.data = Rows()
-        won = []
-        threads = [threading.Thread(target=lambda: won.append(buf.claim(0))) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert sorted(won) == [False, True]
-        assert buf.used == 1
 
     def test_growth_past_capacity_keeps_rows(self, small_domain, two_level):
         post = posterior(SampleLog(small_domain), small_domain, two_level)

@@ -9,9 +9,11 @@ from mfgp_search import (
     FidelityModel,
     FidelityState,
     GridDomain,
+    MissionConfig,
     PlanLimits,
     PlanningComplete,
     SampleLog,
+    compare_decay,
     plan_epoch,
     posterior,
     select_next_point,
@@ -21,7 +23,13 @@ from mfgp_search import inference, planner
 from mfgp_search.inference import append_sample_variance_only
 from mfgp_search.planner import TIE_RTOL
 
-from oracles import full_grid_plan, greedy_plan_reference, scalar_resample_count, snapshot_plan
+from oracles import (
+    full_grid_plan,
+    greedy_plan_reference,
+    scalar_resample_count,
+    snapshot_decay,
+    snapshot_plan,
+)
 
 
 @pytest.fixture
@@ -280,7 +288,7 @@ class TestPlanEpoch:
         real_add = inference._WorkingSet.add
 
         def counted_add(self, position, level):
-            adds.append((int(self.base.columns[position]), level))
+            adds.append((int(self.columns[position]), level))
             return real_add(self, position, level)
 
         monkeypatch.setattr(inference._WorkingSet, "add", counted_add)
@@ -301,14 +309,12 @@ class TestPlanEpoch:
         post = posterior(log, grid20, m2_model)
         names = ("cells", "fidelities", "counts", "columns", "mu", "sigma2", "w")
         before = {name: getattr(post, name).copy() for name in names}
-        used = post._rows.used
         cands = np.arange(1, grid20.n_cells, 2)
         limits = PlanLimits(sigma_ratio=0.3)
         plans = [plan_epoch(post, FidelityState(m2_model, 1), limits, cands) for _ in range(2)]
         assert plans[0] == plans[1]
         for name in names:
             assert np.array_equal(getattr(post, name), before[name]), name
-        assert post._rows.used == used
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_breakdown_resumes_through_the_fallback(self, grid20, m2_model, monkeypatch, k):
@@ -323,7 +329,7 @@ class TestPlanEpoch:
         real_add = inference._WorkingSet.add
 
         def breaking_add(self, position, level):
-            if self.rows.counts[: self.n].sum() == post.n + k:
+            if self.counts[: self.n].sum() == post.n + k:
                 return False
             return real_add(self, position, level)
 
@@ -383,6 +389,14 @@ def planning_cases(draw):
 def test_in_place_pass_matches_snapshot_loop(case):
     post, state, limits, cands = case
     assert plan_epoch(post, state, limits, cands) == snapshot_plan(post, state, limits, cands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.sampled_from(MODELS), st.integers(0, 40))
+def test_decay_curves_match_snapshot_loop(resolution, model, n_samples):
+    domain = GridDomain(0.0, float(resolution), 0.0, float(resolution), resolution)
+    config = MissionConfig(domain=domain, model=model, delta=0.1, th=0.0)
+    assert compare_decay(config, n_samples) == snapshot_decay(config, n_samples)
 
 
 @settings(max_examples=100, deadline=None)
