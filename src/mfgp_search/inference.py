@@ -150,10 +150,9 @@ class PosteriorField:
     its replicate count, or one planning append (count 1).  ``columns`` are
     the sorted cells that mu, sigma2 and the columns of W cover: every cell
     for ``posterior``, a subset after ``restrict``.  Snapshots are
-    immutable: their arrays are read-only and shared with no writer, and
+    immutable: their arrays are read-only and no writer changes them, and
     appending a hypothetical sample produces a new snapshot with one more
-    row of W.
-    Appends maintain only the variance (the mean is carried over
+    row of W.  Appends maintain only the variance (the mean is carried over
     unchanged), which is all the planner needs: the variance never depends
     on observed values.
     """
@@ -354,11 +353,11 @@ def append_sample_variance_only(
     ``x_new`` must be the center of one of the snapshot's columns and
     ``m_new`` at least the level of the last record.  Runs the working-set
     step (``_WorkingSet.add``) on a copy of this snapshot's rows, in
-    O(n * len(columns)) and without a factor.  The variance of the result matches a full recompute
-    with the extended log (observed values are irrelevant to the variance).
-    If the new pivot breaks down numerically, falls back to a full
-    refactorization with placeholder observations, restricted to the same
-    columns.
+    O(n * len(columns)) and without a factor.  The variance of the result
+    matches a full recompute with the extended log (observed values are
+    irrelevant to the variance).  If the new pivot breaks down numerically,
+    falls back to a full refactorization with placeholder observations,
+    restricted to the same columns.
     """
     model, domain = state.model, state.domain
     model._check_level(m_new)
