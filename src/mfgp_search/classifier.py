@@ -72,17 +72,13 @@ class ClassificationMap:
     """Per-cell tri-state labels with classification bookkeeping.
 
     Labels empty/target are permanent; epoch/time record when a cell left
-    the uncertain set (-1 while uncertain).  lower/upper hold the interval
-    from the cell's classification epoch (or the latest epoch while still
-    uncertain).
+    the uncertain set (-1 while uncertain).
     """
 
     domain: GridDomain
     labels: np.ndarray  # (n_cells,) Label values
     epoch: np.ndarray  # (n_cells,) int, -1 if uncertain
     time: np.ndarray  # (n_cells,) float, -1.0 if uncertain
-    lower: np.ndarray
-    upper: np.ndarray
 
     @classmethod
     def initial(cls, domain: GridDomain) -> "ClassificationMap":
@@ -91,8 +87,6 @@ class ClassificationMap:
             np.full(n, int(Label.UNCERTAIN), dtype=np.int8),
             np.full(n, -1, dtype=int),
             np.full(n, -1.0),
-            np.full(n, -np.inf),
-            np.full(n, np.inf),
         )
         for a in arrays:
             a.setflags(write=False)
@@ -135,19 +129,14 @@ def classify_epoch(
     labels = cmap.labels.copy()
     ep = cmap.epoch.copy()
     tm = cmap.time.copy()
-    lower = cmap.lower.copy()
-    upper = cmap.upper.copy()
     labels[to_target] = Label.TARGET
     labels[to_empty] = Label.EMPTY
     newly = to_target | to_empty
     ep[newly] = epoch
     tm[newly] = clock_time
-    still = uncertain & ~newly
-    lower[newly | still] = low[newly | still]
-    upper[newly | still] = up[newly | still]
-    for a in (labels, ep, tm, lower, upper):
+    for a in (labels, ep, tm):
         a.setflags(write=False)
-    return ClassificationMap(cmap.domain, labels, ep, tm, lower, upper)
+    return ClassificationMap(cmap.domain, labels, ep, tm)
 
 
 def check_termination(cmap: ClassificationMap, fraction: float = 0.99) -> bool:

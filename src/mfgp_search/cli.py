@@ -171,6 +171,20 @@ def apply_overrides(kv: dict[str, str], sets: list[str], seed: int | None) -> di
     return out
 
 
+def _config_of(args) -> tuple[MissionConfig, dict]:
+    """The resolved config and bench settings of a command's --config, --set and --seed."""
+    kv = apply_overrides(load_config(Path(args.config)), args.set or [], args.seed)
+    return resolve_config(kv)
+
+
+def _open_out(args, config: MissionConfig, bench: dict) -> Path:
+    """Create the command's --out directory and write its manifest.json there."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_manifest(out_dir, Path(args.config), config, args.set or [], bench)
+    return out_dir
+
+
 def write_manifest(
     out_dir: Path,
     config_path: Path,
@@ -192,7 +206,8 @@ def write_manifest(
     (out_dir / "manifest.json").write_text(dump_json(manifest))
 
 
-def _write_run_outputs(out_dir: Path, report, config: MissionConfig):
+def _write_run_outputs(out_dir: Path, report):
+    config = report.config
     (out_dir / "report.json").write_text(dump_json(report.to_json_dict()))
     write_csv(
         out_dir / "occupancy.csv",
@@ -224,14 +239,10 @@ def _write_run_outputs(out_dir: Path, report, config: MissionConfig):
 
 
 def cmd_run(args) -> int:
-    config_path = Path(args.config)
-    kv = apply_overrides(load_config(config_path), args.set or [], args.seed)
-    config, bench = resolve_config(kv)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, config_path, config, args.set or [], bench)
+    config, bench = _config_of(args)
+    out_dir = _open_out(args, config, bench)
     report = run_mission(config)
-    _write_run_outputs(out_dir, report, config)
+    _write_run_outputs(out_dir, report)
     done = report.terminated == "classified"
     print(
         f"mission {'done' if done else 'stopped at epoch cap'}: "
@@ -242,9 +253,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config_path = Path(args.config)
-    kv = apply_overrides(load_config(config_path), args.set or [], args.seed)
-    config, bench = resolve_config(kv)
+    config, bench = _config_of(args)
     if config.model.levels < 2:
         print("bench requires model.levels >= 2 to compare samplers", file=sys.stderr)
         return 1
@@ -253,9 +262,7 @@ def cmd_bench(args) -> int:
         return 1
     if bench["seeds"] < 2:
         print("warning: detection-time study with a single seed is noisy", file=sys.stderr)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, config_path, config, args.set or [], bench)
+    out_dir = _open_out(args, config, bench)
     curves = compare_decay(config, n_samples=bench["samples"])
     write_csv(
         out_dir / "decay.csv",
@@ -277,9 +284,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config_path = Path(args.config)
-    kv = apply_overrides(load_config(config_path), args.set or [], args.seed)
-    config, _bench = resolve_config(kv)
+    config, _bench = _config_of(args)
     for key, value in sorted(config.to_flat_dict().items()):
         print(f"{key}={value if isinstance(value, str) else fmt(value)}")
     return 0

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import DEFAULT_JITTER, jittered_cholesky
+from ._linalg import jittered_cholesky
 
 MAX_EXACT_CELLS = 10_000
 
@@ -176,13 +176,11 @@ class Bump:
 class GroundTruth:
     """Synthetic per-level score fields over the grid.
 
-    ``f`` has shape (M, n_cells) with level m stored at row m-1; ``h`` holds
-    the per-level increments, so f[m] - f[m-1] == h[m] exactly.
+    ``f`` has shape (M, n_cells) with level m stored at row m-1.
     """
 
     domain: GridDomain
     f: np.ndarray
-    h: np.ndarray
 
     def level_field(self, m: int) -> np.ndarray:
         return self.f[m - 1]
@@ -219,9 +217,9 @@ def _gaussian_blur(grid: np.ndarray, sigma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int, jitter_scale: float):
+def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
     K = kernel_matrix(m, domain.cell_centers, domain.cell_centers, model)
-    L, _ = jittered_cholesky(K, jitter_scale)
+    L, _ = jittered_cholesky(K)
     return L
 
 
@@ -232,7 +230,6 @@ def sample_ground_truth(
     mode: str = "prior-draw",
     bumps: tuple[Bump, ...] = (),
     background: float = 0.0,
-    jitter_scale: float = DEFAULT_JITTER,
 ) -> GroundTruth:
     """Generate a deterministic synthetic ground truth.
 
@@ -253,7 +250,7 @@ def sample_ground_truth(
         rng = np.random.default_rng(seed)
         acc = np.zeros(n)
         for m in range(1, M + 1):
-            L = _level_cholesky(domain, model, m, jitter_scale)
+            L = _level_cholesky(domain, model, m)
             draw = model.mu[m - 1] + L @ rng.standard_normal(n)
             acc = acc + draw
             f[m - 1] = acc
@@ -271,14 +268,8 @@ def sample_ground_truth(
             f[m - 1] = blurred.ravel()
     else:
         raise ValueError(f"unknown ground-truth mode: {mode!r}")
-    # store increments as exact stored-field differences
-    h = np.empty((M, n))
-    h[0] = f[0]
-    for m in range(2, M + 1):
-        h[m - 1] = f[m - 1] - f[m - 2]
     f.setflags(write=False)
-    h.setflags(write=False)
-    return GroundTruth(domain=domain, f=f, h=h)
+    return GroundTruth(domain=domain, f=f)
 
 
 def measure(truth: GroundTruth, x: float, y: float, m: int, model: FidelityModel, rng) -> float:

@@ -36,12 +36,12 @@ class SampleLog:
     The planner only ever raises the fidelity level, so the record sequence
     must be non-decreasing in fidelity; that contract is asserted on append.
     Every location must be a cell center of the mission grid; the record
-    keeps that cell's (row, col) indices.
+    keeps that cell's (row, col) indices, and ``locations`` reads the
+    centers back from them.
     """
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
-        self._locations: list[tuple[float, float]] = []
         self._cells: list[tuple[int, int]] = []
         self._values: list[float] = []
         self._fidelities: list[int] = []
@@ -55,13 +55,13 @@ class SampleLog:
             raise ValueError(
                 f"fidelity must be non-decreasing: got {fidelity} after {self._fidelities[-1]}"
             )
-        self._locations.append((float(location[0]), float(location[1])))
         self._cells.append(divmod(cell, self.domain.resolution))
         self._values.append(float(value))
         self._fidelities.append(int(fidelity))
 
     def locations(self) -> np.ndarray:
-        return np.array(self._locations, dtype=float).reshape(len(self), 2)
+        rc = self.cells()
+        return self.domain.cell_centers[rc[:, 0] * self.domain.resolution + rc[:, 1]]
 
     def cells(self) -> np.ndarray:
         """(n, 2) integer (row, col) indices of the records' cells."""

@@ -24,6 +24,7 @@ from .field_model import (
     Bump,
     FidelityModel,
     GridDomain,
+    GroundTruth,
     sample_ground_truth,
 )
 from .inference import SampleLog, posterior
@@ -159,30 +160,52 @@ class EpochRecord:
     coverage_outside: int = 0  # cells whose true score escaped [L, U] this epoch
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissionReport:
+    """One mission's record, built once at its end.  The per-cell figures
+    are read from their owners: the final map, the truth and the log."""
+
     config: MissionConfig
-    epochs: list[EpochRecord] = field(default_factory=list)
-    decay: list[tuple[int, float]] = field(default_factory=list)
-    fidelity_trace: list[int] = field(default_factory=list)
-    labels: np.ndarray | None = None
-    truth_labels: np.ndarray | None = None
-    delta_x: np.ndarray | None = None
-    epoch_classified: np.ndarray | None = None
-    time_classified: np.ndarray | None = None
-    truth_field: np.ndarray | None = None
-    posterior_mu: np.ndarray | None = None
-    posterior_sigma2: np.ndarray | None = None
-    plan_rows: list[tuple] = field(default_factory=list)
-    tour_rows: list[tuple] = field(default_factory=list)
-    terminated: str = "epoch-cap"
-    n_total: int = 0
-    clock_total: float = 0.0
-    classified_fraction: float = 0.0
-    label_counts: dict = field(default_factory=dict)
-    final_map: ClassificationMap | None = None
-    log: SampleLog | None = None
-    truth: object = None
+    epochs: list[EpochRecord]
+    decay: list[tuple[int, float]]
+    plan_rows: list[tuple]  # (epoch, order, x, y, fidelity, sigma_before)
+    tour_rows: list[tuple]
+    terminated: str
+    clock_total: float
+    final_map: ClassificationMap
+    log: SampleLog
+    truth: GroundTruth
+    posterior_mu: np.ndarray
+    posterior_sigma2: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.final_map.labels
+
+    @property
+    def time_classified(self) -> np.ndarray:
+        return self.final_map.time
+
+    @property
+    def truth_labels(self) -> np.ndarray:
+        return self.truth.target_mask(self.config.th)
+
+    @property
+    def delta_x(self) -> np.ndarray:
+        """Distance of each cell's true score to the threshold."""
+        return np.abs(self.truth.f[-1] - self.config.th)
+
+    @property
+    def fidelity_trace(self) -> list[int]:
+        return [row[4] for row in self.plan_rows]
+
+    @property
+    def n_total(self) -> int:
+        return len(self.log)
+
+    @property
+    def classified_fraction(self) -> float:
+        return self.final_map.classified_fraction()
 
     def misclassification(self) -> dict:
         """Errors among classified cells, excluding threshold-boundary cells."""
@@ -206,7 +229,7 @@ class MissionReport:
             "n_total": self.n_total,
             "clock_total": self.clock_total,
             "classified_fraction": self.classified_fraction,
-            "label_counts": self.label_counts,
+            "label_counts": self.final_map.counts(),
             "misclassification": mis,
             "fidelity_trace": self.fidelity_trace,
             "epochs": [asdict(e) for e in self.epochs],
@@ -214,9 +237,9 @@ class MissionReport:
             "cells": {
                 "label": [int(v) for v in self.labels],
                 "truth_label": [int(v) for v in self.truth_labels],
-                "truth_value": list(self.truth_field),
+                "truth_value": list(self.truth.f[-1]),
                 "delta": list(self.delta_x),
-                "epoch": [int(v) for v in self.epoch_classified],
+                "epoch": [int(v) for v in self.final_map.epoch],
                 "time": list(self.time_classified),
             },
         }
@@ -249,9 +272,8 @@ def run_mission(config: MissionConfig) -> MissionReport:
     position = config.start_position()
     post = posterior(log, domain, model)
     candidates = cmap.candidate_indices()
-
-    report = MissionReport(config=config)
-    report.decay.append((0, post.max_sigma2(candidates)))
+    epochs, plan_rows, tour_rows = [], [], []
+    decay = [(0, post.max_sigma2(candidates))]
 
     terminated = "epoch-cap"
     for j in range(1, config.max_epochs + 1):
@@ -277,14 +299,11 @@ def run_mission(config: MissionConfig) -> MissionReport:
         outside = int(np.sum((truth.f[-1] < low_j) | (truth.f[-1] > up_j)))
 
         for k, s in enumerate(plan.samples):
-            report.plan_rows.append(
-                (j, k + 1, s.location[0], s.location[1], s.fidelity, s.sigma_before)
-            )
-            report.fidelity_trace.append(s.fidelity)
-        report.tour_rows.extend(trace.waypoint_rows)
+            plan_rows.append((j, k + 1, s.location[0], s.location[1], s.fidelity, s.sigma_before))
+        tour_rows.extend(trace.waypoint_rows)
         for k, mv in enumerate(plan.max_var_trace):
-            report.decay.append((plan.n_before + k + 1, mv))
-        report.epochs.append(
+            decay.append((plan.n_before + k + 1, mv))
+        epochs.append(
             EpochRecord(
                 epoch=j,
                 n_before=plan.n_before,
@@ -306,27 +325,12 @@ def run_mission(config: MissionConfig) -> MissionReport:
         if check_termination(cmap, config.termination_fraction):
             terminated = "classified"
             break
-        if len(candidates) == 0:
-            break
 
-    truth_mask = truth.target_mask(config.th)
-    report.terminated = terminated
-    report.n_total = len(log)
-    report.clock_total = clock
-    report.labels = np.asarray(cmap.labels)
-    report.truth_labels = truth_mask
-    report.truth_field = truth.f[-1]
-    report.delta_x = np.abs(truth.f[-1] - config.th)
-    report.epoch_classified = np.asarray(cmap.epoch)
-    report.time_classified = np.asarray(cmap.time)
-    report.posterior_mu = post.mu
-    report.posterior_sigma2 = post.sigma2
-    report.classified_fraction = cmap.classified_fraction()
-    report.label_counts = cmap.counts()
-    report.final_map = cmap
-    report.log = log
-    report.truth = truth
-    return report
+    return MissionReport(
+        config=config, epochs=epochs, decay=decay, plan_rows=plan_rows, tour_rows=tour_rows,
+        terminated=terminated, clock_total=clock, final_map=cmap, log=log, truth=truth,
+        posterior_mu=post.mu, posterior_sigma2=post.sigma2,
+    )
 
 
 @dataclass

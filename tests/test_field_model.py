@@ -156,7 +156,6 @@ class TestGroundTruth:
         a = sample_ground_truth(self.domain, self.model, seed=11)
         b = sample_ground_truth(self.domain, self.model, seed=11)
         assert np.array_equal(a.f, b.f)
-        assert np.array_equal(a.h, b.h)
 
     def test_planted_empty_field(self):
         truth = sample_ground_truth(
@@ -165,13 +164,21 @@ class TestGroundTruth:
         assert not truth.target_mask(0.1).any()
 
     def test_autoregressive_consistency_exact(self):
-        for mode, bumps in (("prior-draw", ()), ("planted", (Bump(10.5, 10.5, 1.0, 2.0),))):
-            truth = sample_ground_truth(
-                self.domain, self.model, seed=5, mode=mode, bumps=bumps
-            )
-            assert np.array_equal(truth.f[0], truth.h[0])
-            for m in range(1, self.model.levels):
-                assert np.array_equal(truth.f[m] - truth.f[m - 1], truth.h[m])
+        # prior-draw: level m sees layers 1..m only, so the stack of the
+        # first m layers draws the same levels 1..m bit for bit
+        truth = sample_ground_truth(self.domain, self.model, seed=5)
+        for m in range(1, self.model.levels + 1):
+            layers = FidelityModel(*(getattr(self.model, k)[:m] for k in ("mu", "v", "l", "s", "z")))
+            first = sample_ground_truth(self.domain, layers, seed=5)
+            assert np.array_equal(first.f, truth.f[:m])
+        # planted: every lower level is the blur of the planted top level
+        truth = sample_ground_truth(
+            self.domain, self.model, seed=5, mode="planted", bumps=(Bump(10.5, 10.5, 1.0, 2.0),)
+        )
+        top = field_to_grid(self.domain, truth.f[-1])
+        for m in range(1, self.model.levels):
+            blurred = _gaussian_blur(top, self.model.l[m - 1] / self.domain.cell_dx)
+            assert np.array_equal(truth.f[m - 1], blurred.ravel())
 
     def test_prior_draw_matches_prior_variance(self):
         # Monte Carlo: per-cell sample variance of the top field should sit

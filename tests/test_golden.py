@@ -28,6 +28,28 @@ PINS = {
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }
+# The other run artifacts: the sample log chain, the final posterior, the
+# occupancy map, the decay curve and the truth fields.
+OUTPUT_PINS = {
+    "desk": {
+        "decay.csv": "59f2c6e1e587abd09985c9501a28d826e98b2928209d9ffe9fbb624ce1d6de03",
+        "mean.csv": "14bf1b6e7565bc592c0b7ad2f92799256f14aaa430c790b7b2b6728399218c79",
+        "occupancy.csv": "102cce841741e4a56a8721b2c69296374b2446dfe3204fa28c17938125b16e69",
+        "samples.log": "2a86967c09a5ce9ea3280773c70cdb4cae1e8c6d684adaf23db3358b9d47fb44",
+        "truth_f1.csv": "fae425fe71b04d68289721ce20578c094d649cc49037fee442f8ebe5275ec1a1",
+        "truth_f2.csv": "5debad94823982112a78bf93a65c9641dd5637f85f80cb5e986283ccb457a575",
+        "variance.csv": "f990d8621a41e08267a318f287fd833f60eda943d309a1a0470b3d6715aa2ac9",
+    },
+    "planted": {
+        "decay.csv": "5d761e7dcb36b8a98d19563963460e4062b38cdc9b19f999646a6ed005ab93f2",
+        "mean.csv": "8fc17600ae2849a7274b1fe2433601ca80ee49146a8f7de5576211d19545d7c8",
+        "occupancy.csv": "8b8e3f0aab955b7326fef9b30c499850acb4937dc49129a3ccbcc07b3f36c855",
+        "samples.log": "e5a3ff5469eb657ad115ef623188ca42d10c7d441d88521ec91596ea601b09e9",
+        "truth_f1.csv": "a7954c79082e9684b5cbfe94b1d8aae4734b66bc544753893426ceebb9f1ae6e",
+        "truth_f2.csv": "cad19b1f227a4ac3270806222649227801c3da9c9b0d5f4d3c229d05f28cc972",
+        "variance.csv": "73b268bc70d8c7567dd64ed9057060e25c8dcf5d80a8c67c83a77c3faa3039a5",
+    },
+}
 # bench --config configs/desk.cfg --set bench.seeds=6
 BENCH_PINS = {
     "decay.csv": "cf278c6e701eed1c26cf80c1a3bb27aebb5138d70103ffea2432f026ece6d913",
@@ -76,3 +98,10 @@ def test_artifact_pinned(run_out, artifact):
 def test_bench_artifact_pinned(bench_out, artifact):
     digest = hashlib.sha256((bench_out / artifact).read_bytes()).hexdigest()
     assert digest == BENCH_PINS[artifact], f"bench/{artifact} changed"
+
+
+@pytest.mark.parametrize("artifact", sorted(OUTPUT_PINS["desk"]))
+def test_output_pinned(run_out, artifact):
+    name, out = run_out
+    digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+    assert digest == OUTPUT_PINS[name][artifact], f"{name}/{artifact} changed"

@@ -163,7 +163,7 @@ class TestRunMission:
         domain = small_report.config.domain
         eliminated_at = {}
         for cell in np.flatnonzero(small_report.labels == Label.EMPTY):
-            eliminated_at[int(cell)] = int(small_report.epoch_classified[cell])
+            eliminated_at[int(cell)] = int(small_report.final_map.epoch[cell])
         for (epoch, _order, x, y, _fid, _sig) in small_report.plan_rows:
             cell = domain.index_of(x, y)
             if cell in eliminated_at:
