@@ -72,13 +72,17 @@ class ClassificationMap:
     """Per-cell tri-state labels with classification bookkeeping.
 
     Labels empty/target are permanent; epoch/time record when a cell left
-    the uncertain set (-1 while uncertain).
+    the uncertain set (-1 while uncertain).  ``interval`` is the (low, up)
+    confidence interval over every cell that ``classify_epoch`` built this
+    map with, so callers that score the epoch read the same arrays; it is
+    None on a map no epoch has classified.
     """
 
     domain: GridDomain
     labels: np.ndarray  # (n_cells,) Label values
     epoch: np.ndarray  # (n_cells,) int, -1 if uncertain
     time: np.ndarray  # (n_cells,) float, -1.0 if uncertain
+    interval: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def initial(cls, domain: GridDomain) -> "ClassificationMap":
@@ -118,7 +122,8 @@ def classify_epoch(
 ) -> ClassificationMap:
     """Classify still-uncertain cells at tolerance delta/2^epoch.
 
-    Returns a new map snapshot; already-classified cells are untouched.
+    Returns a new map snapshot that carries the interval it was built
+    with; already-classified cells are untouched.
     """
     eps = params.epsilon(epoch)
     low, up = confidence_interval(posterior.mu, np.sqrt(posterior.sigma2), eps)
@@ -134,9 +139,9 @@ def classify_epoch(
     newly = to_target | to_empty
     ep[newly] = epoch
     tm[newly] = clock_time
-    for a in (labels, ep, tm):
+    for a in (labels, ep, tm, low, up):
         a.setflags(write=False)
-    return ClassificationMap(cmap.domain, labels, ep, tm)
+    return ClassificationMap(cmap.domain, labels, ep, tm, (low, up))
 
 
 def check_termination(cmap: ClassificationMap, fraction: float = 0.99) -> bool:

@@ -17,7 +17,6 @@ from .classifier import (
     Label,
     check_termination,
     classify_epoch,
-    confidence_interval,
 )
 from .field_model import (
     MAX_EXACT_CELLS,
@@ -295,7 +294,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
         post = posterior(log, domain, model)
         sigma_after = float(np.sqrt(post.max_sigma2(candidates)))
         cmap = classify_epoch(post, cmap, params, j, clock_time=clock)
-        low_j, up_j = confidence_interval(post.mu, np.sqrt(post.sigma2), params.epsilon(j))
+        low_j, up_j = cmap.interval
         outside = int(np.sum((truth.f[-1] < low_j) | (truth.f[-1] > up_j)))
 
         for k, s in enumerate(plan.samples):

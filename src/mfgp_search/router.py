@@ -16,6 +16,7 @@ from .inference import SampleLog
 from .planner import EpochPlan
 
 _IMPROVE_EPS = 1e-12  # minimum 2-opt gain; guards against float cycling
+_GAIN_ROWS = 16  # 2-opt gain rows evaluated per block
 
 
 def _dist3(a, b) -> float:
@@ -65,41 +66,76 @@ def _distance_matrix(start, pts3) -> np.ndarray:
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list[int]:
-    """Greedy order from row 0; ties go to the lowest point index."""
+    """Greedy order from row 0; ties go to the lowest point index.
+
+    Visited points are masked in place: their columns of one copy of the
+    point columns are set to inf, so each step is one argmin over a row.
+    """
     k = dist.shape[0] - 1
-    free = np.ones(k, dtype=bool)
+    to_point = dist[:, 1:].copy()
     order = []
     cur = 0
     for _ in range(k):
-        row = np.where(free, dist[cur, 1:], np.inf)
-        best = int(np.argmin(row))
+        best = int(np.argmin(to_point[cur]))
         order.append(best)
-        free[best] = False
+        to_point[:, best] = np.inf
         cur = best + 1
     return order
+
+
+def _first_gain_hit(dist, path, entering, upper, rows, cols):
+    """First (i, j) in row-major order over rows × cols whose gain is below
+    ``-_IMPROVE_EPS``, or None.
+
+    The gain of reversing path positions i+1..j+1 (position 0 is the start)
+    is ``(d1 - d2) + (d3 - d4)``: the edges into positions i+1 and j+2 are
+    replaced.  The last column, j = n - 1, ends the path and has no second
+    term.
+    """
+    n = len(path) - 1
+    (a0, a1), (c0, c1) = rows, cols
+    d = dist[path[a0 : a1 + 1, None], path[c0 + 1 : c1 + 2]]  # positions a and c + 1
+    gain = d[:-1, : c1 - c0] - entering[a0:a1, None]
+    m = min(c1, n - 1) - c0  # columns with a successor after position c + 1
+    gain[:, :m] += d[1:, 1 : m + 1] - entering[c0 + 1 : c0 + 1 + m]
+    hits = np.flatnonzero(upper[a0:a1, c0:c1] & (gain < -_IMPROVE_EPS))
+    if hits.size == 0:
+        return None
+    i, j = divmod(int(hits[0]), c1 - c0)
+    return a0 + i, c0 + j
 
 
 def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
     """First-improvement 2-opt on an open path with a fixed start.
 
-    Reversing order[i..j] swaps the edges entering i and leaving j.  Every
-    pass builds the whole (i, j) gain matrix, applies the lexicographically
-    first improving swap and rescans from i = 0, so the result is the same
-    as a scalar scan with i ascending, then j.
+    Reversing order[i..j] swaps the edges entering i and leaving j.  Each
+    pass applies the lexicographically first improving swap in (i, j)
+    order, so the result is the same as a scalar scan that restarts from
+    i = 0 after every swap.  A pass evaluates gains only for the rows it has
+    to scan, in blocks of ``_GAIN_ROWS`` rows, and stops at the first block
+    with a hit.  After swap (i, j), the rows a < i had no hit, and the swap
+    changes their gains only in columns i - 1..j; so the next pass checks
+    rows 0..i - 1 of those columns first and, if none of them improves,
+    resumes the scan at row i.
     """
     n = len(order)
     path = np.array([0, *(i + 1 for i in order)])  # matrix rows, start first
     upper = np.triu(np.ones((n - 1, n), dtype=bool), k=1)  # j > i
+    start, recheck = 0, []
     while True:
-        d = dist[path[:, None], path[None, :]]
-        entering = d.diagonal(1)  # d[i, i + 1]: edge into position i
-        delta = d[: n - 1, 1:] - entering[: n - 1, None]
-        delta[:, : n - 1] += d[1:n, 2:] - entering[None, 1:]
-        hits = np.flatnonzero(upper & (delta < -_IMPROVE_EPS))
-        if hits.size == 0:
+        entering = dist[path[:-1], path[1:]]  # entering[i]: edge into position i + 1
+        scan = [
+            ((a, min(a + _GAIN_ROWS, n - 1)), (a + 1, n)) for a in range(start, n - 1, _GAIN_ROWS)
+        ]
+        for rows, cols in recheck + scan:
+            hit = _first_gain_hit(dist, path, entering, upper, rows, cols)
+            if hit is not None:
+                break
+        else:
             return [int(p) - 1 for p in path[1:]]
-        i, j = divmod(int(hits[0]), n)
+        i, j = hit
         path[i + 1 : j + 2] = path[i + 1 : j + 2][::-1]
+        start, recheck = i, [((0, i), (i - 1, j + 1))] if i else []
 
 
 def build_tour(points, altitude: float, start: tuple[float, float, float]) -> Tour:

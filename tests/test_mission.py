@@ -10,8 +10,11 @@ from mfgp_search import (
     GridDomain,
     Label,
     MissionConfig,
+    classifier,
     compare_decay,
+    confidence_interval,
     detection_time_study,
+    mission,
     run_mission,
     run_missions,
 )
@@ -168,6 +171,31 @@ class TestRunMission:
             cell = domain.index_of(x, y)
             if cell in eliminated_at:
                 assert epoch <= eliminated_at[cell]
+
+    def test_one_confidence_interval_per_epoch(self, small_domain, small_model, monkeypatch):
+        # classification and the coverage count read one interval per epoch
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return confidence_interval(*args)
+
+        for module in (classifier, mission):
+            if hasattr(module, "confidence_interval"):
+                monkeypatch.setattr(module, "confidence_interval", counted)
+        config = MissionConfig(
+            domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=3, max_epochs=8
+        )
+        report = run_mission(config)
+        assert len(report.epochs) > 1
+        assert len(calls) == len(report.epochs)
+        last = report.epochs[-1]
+        eps = config.params().epsilon(last.epoch)
+        low, up = confidence_interval(report.posterior_mu, np.sqrt(report.posterior_sigma2), eps)
+        assert report.final_map.interval[0].tolist() == low.tolist()
+        assert report.final_map.interval[1].tolist() == up.tolist()
+        f = report.truth.f[-1]
+        assert last.coverage_outside == int(np.sum((f < low) | (f > up)))
 
     def test_config_validation(self, small_domain, small_model):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from mfgp_search import (
     posterior,
     sample_ground_truth,
 )
-from mfgp_search.router import _distance_matrix, _nearest_neighbor, _two_opt
+from mfgp_search.router import _GAIN_ROWS, _distance_matrix, _nearest_neighbor, _two_opt
 
 from oracles import (
     exhaustive_open_tour,
@@ -127,6 +127,17 @@ def repeated_points(n):
     return pool.flatmap(lambda p: st.lists(st.sampled_from(p), min_size=n, max_size=n))
 
 
+@st.composite
+def start_order_case(draw, points_of, sizes):
+    """(points, altitude, start, order) with a free start order, not only NN's."""
+    n = draw(sizes)
+    points = draw(points_of(n))
+    z = draw(altitude)
+    x, y = draw(st.one_of(st.tuples(coord, coord), st.sampled_from(points)))
+    start = (x, y, draw(st.sampled_from([z, z + 4.0])))
+    return points, z, start, draw(st.permutations(range(n)))
+
+
 class TestMatchesScalarOracle:
     """The array router reproduces the scalar router bit for bit."""
 
@@ -181,6 +192,51 @@ class TestMatchesScalarOracle:
         cells = [(i + 0.5, j + 0.5) for i in range(20) for j in range(20)]
         picks = rng.choice(len(cells), size=120, replace=False)
         self.check([cells[k] for k in picks], 8.0, (0.0, 0.0, 8.0))
+
+    # From a free start order, moves with i > 0 make the next pass re-check
+    # the rows above i, and the scans cross gain-row block boundaries.
+    def check_from(self, points, z, start, order):
+        pts3 = [(float(p[0]), float(p[1]), z) for p in points]
+        s = tuple(float(c) for c in start)
+        dist = _distance_matrix(s, pts3)
+        assert _two_opt(dist, list(order)) == scalar_two_opt(s, list(order), pts3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(start_order_case(random_points, st.integers(30, 80)))
+    def test_random_points_from_any_order(self, case):
+        self.check_from(*case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(start_order_case(grid_points, st.integers(30, 80)))
+    def test_grid_centres_from_any_order(self, case):
+        self.check_from(*case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(start_order_case(repeated_points, st.integers(30, 80)))
+    def test_repeated_points_from_any_order(self, case):
+        self.check_from(*case)
+
+    @pytest.mark.parametrize(
+        "n", [_GAIN_ROWS - 1, _GAIN_ROWS, _GAIN_ROWS + 1, _GAIN_ROWS + 2, 2 * _GAIN_ROWS + 1]
+    )
+    @pytest.mark.parametrize("points_of", [grid_points, repeated_points], ids=["grid", "repeated"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_block_edges(self, n, points_of, data):
+        points, z, start, order = data.draw(start_order_case(points_of, st.just(n)))
+        self.check_from(points, z, start, order)
+        self.check(points, z, start)
+
+    def test_nearest_neighbor_on_desk_grid_with_duplicates(self):
+        rng = np.random.default_rng(6)
+        cells = [(i + 0.5, j + 0.5) for i in range(20) for j in range(20)]
+        picks = rng.choice(len(cells), size=200, replace=True)
+        assert len(set(picks.tolist())) < 200  # duplicates present
+        pts3 = [(*cells[k], 8.0) for k in picks]
+        start = (0.5, 0.5, 8.0)
+        assert _nearest_neighbor(_distance_matrix(start, pts3)) == scalar_nearest_neighbor(
+            start, pts3
+        )
 
 
 @pytest.fixture
@@ -273,8 +329,8 @@ class TestExecuteEpoch:
         )
         start = (0.0, 0.0, model.z[0])
         wrong = [build_tour([domain.cell_center(5)], model.z[0], start)]
-        if len(plan.samples) == 1 and plan.samples[0].location == domain.cell_center(5):
-            pytest.skip("degenerate pick")
+        # the wrong tour must really miss the plan, or the test checks nothing
+        assert [s.location for s in plan.samples] != [domain.cell_center(5)]
         with pytest.raises(ValueError):
             execute_epoch(
                 plan, wrong, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0), start
