@@ -76,15 +76,18 @@ class GridDomain:
 
     def index_of(self, x: float, y: float) -> int:
         """Cell index of a point that must lie on a cell center."""
-        col = int(round((x - self.x_min) / self.cell_dx - 0.5))
-        row = int(round((y - self.y_min) / self.cell_dy - 0.5))
-        if not (0 <= col < self.resolution and 0 <= row < self.resolution):
+        dx, dy, R = self.cell_dx, self.cell_dy, self.resolution
+        col = int(round((x - self.x_min) / dx - 0.5))
+        row = int(round((y - self.y_min) / dy - 0.5))
+        if not (0 <= col < R and 0 <= row < R):
             raise ValueError(f"point ({x}, {y}) outside the domain grid")
-        cx, cy = self.cell_center(row * self.resolution + col)
+        # cell_center's expression, without its range check.
+        cx = self.x_min + (col + 0.5) * dx
+        cy = self.y_min + (row + 0.5) * dy
         tol = 1e-9 * max(self.side, 1.0)
         if abs(cx - x) > tol or abs(cy - y) > tol:
             raise ValueError(f"point ({x}, {y}) is not a cell center")
-        return row * self.resolution + col
+        return row * R + col
 
 
 @dataclass(frozen=True)

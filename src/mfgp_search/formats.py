@@ -1,6 +1,15 @@
-"""Diff-stable artifact writers: fixed 17-significant-digit numbers everywhere."""
+"""Diff-stable artifact writers: fixed 17-significant-digit numbers everywhere.
+
+Each artifact is written with one %-template: every CSV column, and every
+flat number list of a JSON document, takes one conversion from the types of
+its values (``%.17g`` for floats, ``%d`` for integers, ``%s`` for text), and
+the template is applied once to all of the file's values.  The text is the
+text ``fmt`` gives each number; ``fmt`` itself prints the scalars and
+booleans of JSON and the values ``validate`` lists.
+"""
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +26,18 @@ def fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     raise TypeError(f"not a number: {value!r}")
+
+
+def _spec(values) -> str | None:
+    """The %-conversion that prints every one of values as ``fmt`` does:
+    ``%.17g`` if all are floats, ``%d`` if all are integers (not booleans),
+    otherwise None."""
+    kinds = set(map(type, values))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return "%.17g"
+    if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        return "%d"
+    return None
 
 
 def dump_json(obj) -> str:
@@ -44,27 +65,57 @@ def _json_value(obj, indent: int) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        spec = _spec(seq)
+        if spec is not None:
+            return ("[" + ", ".join([spec] * len(seq)) + "]") % tuple(seq)
         flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if flat:
             return "[" + ", ".join(_json_value(v, indent + 1) for v in seq) + "]"
+        if all(isinstance(v, (list, tuple, np.ndarray)) for v in seq) and len(set(map(len, seq))) == 1:
+            specs = [_spec(column) for column in zip(*seq)]
+            if None not in specs:
+                row = inner + "[" + ", ".join(specs) + "]"
+                body = ",\n".join([row] * len(seq)) % tuple(chain.from_iterable(seq))
+                return "[\n" + body + "\n" + pad + "]"
         items = [f"{inner}{_json_value(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def write_csv(path, header: list[str], rows):
-    """CSV with canonical numeric formatting; strings pass through."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """CSV with canonical numeric formatting; strings pass through.
+
+    Every row has one value per header column.  A column holds floats,
+    integers, booleans or strings, one kind per column; a column that mixes
+    kinds or holds anything else raises TypeError.
+    """
+    rows = list(rows)
+    width = len(header)
+    flat = list(chain.from_iterable(rows))
+    if len(flat) != width * len(rows):
+        raise ValueError(f"every row needs {width} values, one per header column")
+    specs = []
+    for c, name in enumerate(header):
+        column = flat[c::width]
+        spec = _spec(column)
+        if spec is None:
+            if all(isinstance(v, (bool, np.bool_)) for v in column):
+                flat[c::width] = ["true" if v else "false" for v in column]
+            elif not all(isinstance(v, str) for v in column):
+                raise TypeError(f"column {name!r} mixes kinds or holds a non-number")
+            spec = "%s"
+        specs.append(spec)
+    body = (",".join(specs) + "\n") * len(rows) % tuple(flat)
+    Path(path).write_text(",".join(header) + "\n" + body)
 
 
 def write_grid_csv(path, domain: GridDomain, values):
     """Row-major per-cell grid dump with an x,y,value header."""
     centers = domain.cell_centers
     values = np.asarray(values)
-    rows = ((centers[i, 0], centers[i, 1], values[i]) for i in range(domain.n_cells))
+    if values.shape != (domain.n_cells,):
+        raise ValueError(f"need one value per cell: shape ({domain.n_cells},), got {values.shape}")
+    rows = zip(centers[:, 0].tolist(), centers[:, 1].tolist(), values.tolist())
     write_csv(path, ["x", "y", "value"], rows)
 
 

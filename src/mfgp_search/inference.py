@@ -21,6 +21,7 @@ whole epoch; snapshots are made only at the API.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -434,11 +435,13 @@ def diagnostics_lines(log: SampleLog, model: FidelityModel) -> list[str]:
     before sampling and its information-gain increment."""
     terms, var_before = _chain_terms(log, model)
     X = log.locations()
-    mrec = log.fidelities()
-    lines = []
-    for i in range(len(log)):
-        lines.append(
-            f"sample n={i + 1} x={X[i, 0]:.17g} y={X[i, 1]:.17g} "
-            f"m={int(mrec[i])} sigma2_before={var_before[i]:.17g} info_gain={terms[i]:.17g}"
-        )
-    return lines
+    columns = (
+        range(1, len(log) + 1),
+        X[:, 0].tolist(),
+        X[:, 1].tolist(),
+        log.fidelities().tolist(),
+        var_before.tolist(),
+        terms.tolist(),
+    )
+    line = "sample n=%d x=%.17g y=%.17g m=%d sigma2_before=%.17g info_gain=%.17g\n"
+    return ((line * len(log)) % tuple(chain.from_iterable(zip(*columns)))).splitlines()

@@ -4,8 +4,9 @@ Everything here is deliberately brute force and shares no code path with the
 package: joint-Gaussian conditioning, the raw-log posterior and the log
 evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
-exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, and a
-from-scratch planning loop.  The three exceptions drive the package's own
+exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, a
+from-scratch planning loop, and the per-value artifact writers, which print
+each number on its own through ``reference_fmt``.  The three exceptions drive the package's own
 appends: ``full_grid_plan``, the epoch-planning loop over all cells of the
 grid, which planning on the candidate cells alone must reproduce, and
 ``snapshot_plan`` and ``snapshot_decay``, the planning loop and the
@@ -14,6 +15,7 @@ steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -379,3 +381,67 @@ def scalar_resample_count(prior_var, noise_var, sigma_ratio):
         count += 1
         if np.sqrt(var / prior_var) <= sigma_ratio:
             return count
+
+
+def reference_fmt(value) -> str:
+    """Canonical text of one number, as every artifact prints it."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    raise TypeError(f"not a number: {value!r}")
+
+
+def per_value_json(obj, indent: int = 0) -> str:
+    """JSON text of obj, one value at a time (without the final newline)."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return reference_fmt(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {per_value_json(v, indent + 1)}" for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
+            return "[" + ", ".join(per_value_json(v, indent + 1) for v in seq) + "]"
+        items = [f"{inner}{per_value_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def per_value_csv(header, rows) -> str:
+    """CSV text with each number printed on its own; strings pass through."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else reference_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def per_value_grid_csv(domain, values) -> str:
+    """x,y,value CSV text of a per-cell array, one cell at a time."""
+    centers = domain.cell_centers
+    values = np.asarray(values)
+    rows = ((centers[i, 0], centers[i, 1], values[i]) for i in range(domain.n_cells))
+    return per_value_csv(["x", "y", "value"], rows)
+
+
+def sample_log_lines(X, mrec, var_before, terms) -> list[str]:
+    """The samples.log lines, one f-string per record."""
+    return [
+        f"sample n={i + 1} x={X[i, 0]:.17g} y={X[i, 1]:.17g} "
+        f"m={int(mrec[i])} sigma2_before={var_before[i]:.17g} info_gain={terms[i]:.17g}"
+        for i in range(len(mrec))
+    ]
