@@ -68,10 +68,10 @@ def _json_value(obj, indent: int) -> str:
         spec = _spec(seq)
         if spec is not None:
             return ("[" + ", ".join([spec] * len(seq)) + "]") % tuple(seq)
-        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
-        if flat:
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             return "[" + ", ".join(_json_value(v, indent + 1) for v in seq) + "]"
-        if all(isinstance(v, (list, tuple, np.ndarray)) for v in seq) and len(set(map(len, seq))) == 1:
+        rows = all(isinstance(v, (list, tuple, np.ndarray)) for v in seq)
+        if rows and len(set(map(len, seq))) == 1:
             specs = [_spec(column) for column in zip(*seq)]
             if None not in specs:
                 row = inner + "[" + ", ".join(specs) + "]"
