@@ -28,7 +28,9 @@ from oracles import (
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e17, 2.0**53 + 2, 0.1]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
-INTS = st.one_of(st.sampled_from([0, -1, 2**53 + 1, -(2**63), 2**64 + 3]), st.integers(-(2**70), 2**70))
+INTS = st.one_of(
+    st.sampled_from([0, -1, 2**53 + 1, -(2**63), 2**64 + 3]), st.integers(-(2**70), 2**70)
+)
 INT64 = st.integers(-(2**63), 2**63 - 1).map(np.int64)
 # Printable ASCII, '%' and ',' included: CSV strings pass through unquoted.
 TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
@@ -55,7 +57,9 @@ class TestCsv:
     def test_matches_per_value_writer(self, out_dir, data):
         width = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(0, 25))
-        kinds = data.draw(st.lists(st.sampled_from(sorted(CSV_KINDS)), min_size=width, max_size=width))
+        kinds = data.draw(
+            st.lists(st.sampled_from(sorted(CSV_KINDS)), min_size=width, max_size=width)
+        )
         columns = [data.draw(st.lists(CSV_KINDS[k], min_size=n, max_size=n)) for k in kinds]
         header = [f"c{i}%d" for i in range(width)]
         rows = list(zip(*columns))

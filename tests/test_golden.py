@@ -139,4 +139,5 @@ def test_manifest_pinned(run_out):
 
 def test_bench_manifest_pinned(bench_out):
     config = str(REPO / "configs" / "desk.cfg")
-    assert _manifest_digest(bench_out, config) == MANIFEST_PINS["study"], "bench/manifest.json changed"
+    digest = _manifest_digest(bench_out, config)
+    assert digest == MANIFEST_PINS["study"], "bench/manifest.json changed"
