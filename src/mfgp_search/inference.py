@@ -12,11 +12,12 @@ level see the full field's covariance with every earlier record, so the
 solve of a new record's covariance against L is a column of W, and W grows
 one row at a time.  The same step builds the epoch posterior over the log's
 distinct (cell, level) records, the within-epoch planning appends and the
-samples.log information chain.  A snapshot may carry W and the variance over
-a sorted subset of the cells only (``restrict``); appends to it then cost
-O(n * len(columns)).  Appends run in place on a ``_WorkingSet``, the one
-writable copy of a snapshot's rows, which the planner keeps open for a
-whole epoch; snapshots are made only at the API.
+samples.log information chain; the chain keeps only W^T W and takes the
+step within blocks of records (see ``_chain_terms``).  A snapshot may carry
+W and the variance over a sorted subset of the cells only (``restrict``);
+appends to it then cost O(n * len(columns)).  Appends run in place on a
+``_WorkingSet``, the one writable copy of a snapshot's rows, which the
+planner keeps open for a whole epoch; snapshots are made only at the API.
 """
 
 from dataclasses import dataclass, field, replace
@@ -29,6 +30,7 @@ from ._linalg import DEFAULT_JITTER, NumericalError
 from .field_model import FidelityModel, GridDomain, kernel_eval
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
+_CHAIN_BLOCK = 64  # information-chain records per Gram update
 
 
 class SampleLog:
@@ -390,9 +392,15 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
 
     Term i is 0.5*log(1 + s_{m_i}^-2 * var_{i-1}(x_i)) where var_{i-1} is the
     posterior variance of the full field given the first i-1 records.  W is
-    solved against the log's distinct cells only (no jitter), one row per
-    record by the planning-append step, so var_{i-1}(x_i) = k0 - c.c.
-    Returns (terms, variances-before-sampling).
+    solved against the log's U distinct cells only (no jitter), so
+    var_{i-1}(x_i) = k0 - c.c with c the column of W at the record's cell.
+    Only G = W^T W over the rows of earlier blocks is kept, never W itself:
+    a record at cell j takes the append step (``_next_row``) on its block's
+    own rows with G[j] and G[j, j] taken off its covariances, and each
+    block of _CHAIN_BLOCK rows is summed into G by one matrix product
+    (blocked left-looking Cholesky, Golub & Van Loan 4.2).  The work is
+    O(n * U^2 + n * _CHAIN_BLOCK * U).  Returns (terms,
+    variances-before-sampling).
     """
     n = len(log)
     R = log.domain.resolution
@@ -401,22 +409,26 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     mrec = log.fidelities()
     flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
     distinct = np.column_stack(np.divmod(flat, R))
-    kxu = _pair_cov(table, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
     _, var, noise = _level_moments(model)
     s2 = noise[mrec]
     d = var[mrec] + s2
-    w = np.empty((n, len(flat)))
-    terms = np.zeros(n)
-    var_before = np.zeros(n)
-    k0 = model.prior_variance()
-    for i in range(n):
-        row, _, cc = _next_row(w[:i], col[i], kxu[i], d[i], 0.0)
-        if row is None:
-            raise NumericalError("information-chain pivot broke down", 0.0)
-        w[i] = row
-        var_before[i] = max(k0 - cc, 0.0)
-        terms[i] = 0.5 * np.log1p(var_before[i] / s2[i])
-    return terms, var_before
+    gram = np.zeros((len(flat), len(flat)))
+    wb = np.empty((_CHAIN_BLOCK, len(flat)))
+    cc = np.empty(n)
+    for start in range(0, n, _CHAIN_BLOCK):
+        stop = min(start + _CHAIN_BLOCK, n)
+        kxu = _pair_cov(table, rc[start:stop, None], mrec[start:stop, None], distinct, model.levels)
+        for k, i in enumerate(range(start, stop)):
+            j = col[i]
+            row, _, cc_in = _next_row(wb[:k], j, kxu[k] - gram[j], d[i] - gram[j, j], 0.0)
+            if row is None:
+                pivot = d[i] - gram[j, j] - cc_in
+                raise NumericalError(f"information-chain pivot {pivot:g} at record {i}", 0.0)
+            wb[k] = row
+            cc[i] = gram[j, j] + cc_in
+        gram += wb[: stop - start].T @ wb[: stop - start]
+    var_before = np.maximum(model.prior_variance() - cc, 0.0)
+    return 0.5 * np.log1p(var_before / s2), var_before
 
 
 def greedy_info_gain(log: SampleLog, model: FidelityModel) -> float:

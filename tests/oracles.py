@@ -6,12 +6,14 @@ evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
 exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, a
 from-scratch planning loop, and the per-value artifact writers, which print
-each number on its own through ``reference_fmt``.  The three exceptions drive the package's own
+each number on its own through ``reference_fmt``.  The four exceptions drive the package's own
 appends: ``full_grid_plan``, the epoch-planning loop over all cells of the
-grid, which planning on the candidate cells alone must reproduce, and
+grid, which planning on the candidate cells alone must reproduce,
 ``snapshot_plan`` and ``snapshot_decay``, the planning loop and the
 uncertainty-decay loop with one snapshot per sample, which the in-place
-steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly.
+steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly, and
+``record_chain``, the information chain with one append step per record on
+all of W, which the blocked Gram form of ``_chain_terms`` must reproduce.
 """
 
 import itertools
@@ -20,7 +22,17 @@ import math
 
 import numpy as np
 
-from mfgp_search.inference import SampleLog, append_sample_variance_only, posterior, restrict
+from mfgp_search._linalg import NumericalError
+from mfgp_search.inference import (
+    SampleLog,
+    _level_moments,
+    _next_row,
+    _pair_cov,
+    append_sample_variance_only,
+    covariance_table,
+    posterior,
+    restrict,
+)
 from mfgp_search.mission import DecayCurves
 from mfgp_search.planner import (
     EpochPlan,
@@ -170,6 +182,38 @@ def log_order_chain(X, mrec, v, l, s):
         terms[i] = 0.5 * np.log1p(var_before[i] / s[m - 1] ** 2)
         b = _layer_sum_cov(X[:i], mrec[:i], new, mrec[i : i + 1], v, l)[:, 0]
         L, _ = _extend_cholesky(L, b, sum(vi * vi for vi in v[:m]) + s[m - 1] ** 2)
+    return terms, var_before
+
+
+def record_chain(log, model):
+    """The information chain with all of W, one append step per record.
+
+    W is solved against the log's distinct cells; record i takes the
+    package's append step on rows 0..i-1 and becomes row i, so
+    var_{i-1}(x_i) = k0 - c.c.  Returns (terms, variances-before-sampling).
+    """
+    n = len(log)
+    R = log.domain.resolution
+    table = covariance_table(log.domain, model)
+    rc = log.cells()
+    mrec = log.fidelities()
+    flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
+    distinct = np.column_stack(np.divmod(flat, R))
+    kxu = _pair_cov(table, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
+    _, var, noise = _level_moments(model)
+    s2 = noise[mrec]
+    d = var[mrec] + s2
+    w = np.empty((n, len(flat)))
+    terms = np.zeros(n)
+    var_before = np.zeros(n)
+    k0 = model.prior_variance()
+    for i in range(n):
+        row, _, cc = _next_row(w[:i], col[i], kxu[i], d[i], 0.0)
+        if row is None:
+            raise NumericalError("information-chain pivot broke down", 0.0)
+        w[i] = row
+        var_before[i] = max(k0 - cc, 0.0)
+        terms[i] = 0.5 * np.log1p(var_before[i] / s2[i])
     return terms, var_before
 
 

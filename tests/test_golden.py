@@ -2,8 +2,9 @@
 for byte.
 
 Each command runs once as a fresh ``mfgp-search`` process with 1-thread BLAS
-(the report bytes depend on the BLAS thread count).  A change to any pin
-needs a CHANGES.md entry that says why the bytes moved.
+(the desk bytes depend on the BLAS thread count).  The planted run is also
+pinned under 2-thread BLAS.  A change to any pin needs a CHANGES.md entry
+that says why the bytes moved.
 """
 
 import hashlib
@@ -37,7 +38,7 @@ OUTPUT_PINS = {
         "mean.csv": "14bf1b6e7565bc592c0b7ad2f92799256f14aaa430c790b7b2b6728399218c79",
         "occupancy.csv": "102cce841741e4a56a8721b2c69296374b2446dfe3204fa28c17938125b16e69",
         "occupancy.pgm": "f77a6ab5de89df85008574ace1ee55a12345cb6ed5dac8cfa0b61fc0c10a0349",
-        "samples.log": "2a86967c09a5ce9ea3280773c70cdb4cae1e8c6d684adaf23db3358b9d47fb44",
+        "samples.log": "ff25235224b1dcd9f8591d2e07a240fdd1cfb24bb29efb0ab89cbdce8bd1e532",
         "truth_f1.csv": "fae425fe71b04d68289721ce20578c094d649cc49037fee442f8ebe5275ec1a1",
         "truth_f2.csv": "5debad94823982112a78bf93a65c9641dd5637f85f80cb5e986283ccb457a575",
         "truth_f1.pgm": "3bd5175e75c372f28f9fb91a7ba8404c4bf60148877f69422e2321dcd6722c39",
@@ -49,7 +50,7 @@ OUTPUT_PINS = {
         "mean.csv": "8fc17600ae2849a7274b1fe2433601ca80ee49146a8f7de5576211d19545d7c8",
         "occupancy.csv": "8b8e3f0aab955b7326fef9b30c499850acb4937dc49129a3ccbcc07b3f36c855",
         "occupancy.pgm": "393b4c9b24922472249fdda897b25005a47926166d4579d54a3f3d6ea0079376",
-        "samples.log": "e5a3ff5469eb657ad115ef623188ca42d10c7d441d88521ec91596ea601b09e9",
+        "samples.log": "42f5e9d260478d089274366e5e16fd20cbeded8dae7f3db489fb25588ffddbe7",
         "truth_f1.csv": "a7954c79082e9684b5cbfe94b1d8aae4734b66bc544753893426ceebb9f1ae6e",
         "truth_f2.csv": "cad19b1f227a4ac3270806222649227801c3da9c9b0d5f4d3c229d05f28cc972",
         "truth_f1.pgm": "858ddf69c42ec56589694050af2688b73d4c08f3305209eabf8eb93d21ebe4e5",
@@ -71,9 +72,12 @@ MANIFEST_PINS = {
 }
 
 
-def _cli(*args) -> subprocess.CompletedProcess:
+def _cli(*args, blas_threads: str = "1") -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.update(
+        OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+        MKL_NUM_THREADS=blas_threads,
+    )
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
@@ -141,3 +145,17 @@ def test_bench_manifest_pinned(bench_out):
     config = str(REPO / "configs" / "desk.cfg")
     digest = _manifest_digest(bench_out, config)
     assert digest == MANIFEST_PINS["study"], "bench/manifest.json changed"
+
+
+def test_planted_pins_hold_on_two_blas_threads(tmp_path):
+    # desk stays out: its prior draw depends on the BLAS thread count
+    config = str(REPO / "configs" / "planted.cfg")
+    proc = _cli("run", "--config", config, "--out", str(tmp_path), blas_threads="2")
+    assert proc.returncode in (0, 2), proc.stderr
+    pins = {**PINS["planted"], **OUTPUT_PINS["planted"]}
+    changed = [
+        name for name, pin in sorted(pins.items())
+        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != pin
+    ]
+    assert changed == [], f"planted artifacts changed on 2 BLAS threads: {changed}"
+    assert _manifest_digest(tmp_path, config) == MANIFEST_PINS["planted"]
