@@ -6,11 +6,11 @@ evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
 exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, a
 from-scratch planning loop, and the per-value artifact writers, which print
-each number on its own through ``reference_fmt``.  The four exceptions drive the package's own
-appends: ``full_grid_plan``, the epoch-planning loop over all cells of the
-grid, which planning on the candidate cells alone must reproduce,
-``snapshot_plan`` and ``snapshot_decay``, the planning loop and the
-uncertainty-decay loop with one snapshot per sample, which the in-place
+each number on its own through ``reference_fmt``.  The four exceptions drive
+the package's own appends: ``full_grid_plan``, the epoch-planning loop over
+all cells of the grid, which planning on the candidate cells alone must
+reproduce, ``snapshot_plan`` and ``snapshot_decay``, the planning loop and
+the uncertainty-decay loop with one snapshot per sample, which the in-place
 steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly, and
 ``record_chain``, the information chain with one append step per record on
 all of W, which the blocked Gram form of ``_chain_terms`` must reproduce.
