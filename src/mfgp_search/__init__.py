@@ -8,93 +8,72 @@ empty regions, and reports detection times — all against a built-in
 synthetic simulator.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from ._linalg import NumericalError
-from .classifier import (
-    ClassificationMap,
-    ConfidenceParams,
-    Label,
-    c_value,
-    check_termination,
-    classify_epoch,
-    confidence_interval,
-)
-from .field_model import (
-    Bump,
-    FidelityModel,
-    GridDomain,
-    GroundTruth,
-    kernel_eval,
-    measure,
-    sample_ground_truth,
-)
-from .inference import (
-    PosteriorField,
-    SampleLog,
-    append_sample_variance_only,
-    greedy_info_gain,
-    posterior,
-)
-from .mission import (
-    DecayCurves,
-    DetectionTimeTable,
-    MissionConfig,
-    MissionReport,
-    compare_decay,
-    detection_time_study,
-    run_mission,
-    run_missions,
-)
-from .planner import (
-    EpochPlan,
-    FidelityState,
-    PlanLimits,
-    PlanningComplete,
-    plan_epoch,
-    select_next_point,
-    update_fidelity,
-)
-from .router import Tour, build_tour, execute_epoch, plan_tours
+# Public names and the submodule of each.  They load on first access (PEP
+# 562), so importing the package loads no numpy: the CLI pins the BLAS
+# thread count before numpy's first import.
+_EXPORTS = {
+    "_linalg": ("NumericalError",),
+    "classifier": (
+        "ClassificationMap",
+        "ConfidenceParams",
+        "Label",
+        "c_value",
+        "check_termination",
+        "classify_epoch",
+        "confidence_interval",
+    ),
+    "field_model": (
+        "Bump",
+        "FidelityModel",
+        "GridDomain",
+        "GroundTruth",
+        "kernel_eval",
+        "measure",
+        "sample_ground_truth",
+    ),
+    "inference": (
+        "PosteriorField",
+        "SampleLog",
+        "append_sample_variance_only",
+        "greedy_info_gain",
+        "posterior",
+    ),
+    "mission": (
+        "DecayCurves",
+        "DetectionTimeTable",
+        "MissionConfig",
+        "MissionReport",
+        "compare_decay",
+        "detection_time_study",
+        "run_mission",
+        "run_missions",
+    ),
+    "planner": (
+        "EpochPlan",
+        "FidelityState",
+        "PlanLimits",
+        "PlanningComplete",
+        "plan_epoch",
+        "select_next_point",
+        "update_fidelity",
+    ),
+    "router": ("Tour", "build_tour", "execute_epoch", "plan_tours"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [
-    "Bump",
-    "ClassificationMap",
-    "ConfidenceParams",
-    "DecayCurves",
-    "DetectionTimeTable",
-    "EpochPlan",
-    "FidelityModel",
-    "FidelityState",
-    "GridDomain",
-    "GroundTruth",
-    "Label",
-    "MissionConfig",
-    "MissionReport",
-    "NumericalError",
-    "PlanLimits",
-    "PlanningComplete",
-    "PosteriorField",
-    "SampleLog",
-    "Tour",
-    "append_sample_variance_only",
-    "build_tour",
-    "c_value",
-    "check_termination",
-    "classify_epoch",
-    "compare_decay",
-    "confidence_interval",
-    "detection_time_study",
-    "execute_epoch",
-    "greedy_info_gain",
-    "kernel_eval",
-    "measure",
-    "plan_epoch",
-    "plan_tours",
-    "posterior",
-    "run_mission",
-    "run_missions",
-    "sample_ground_truth",
-    "select_next_point",
-    "update_fidelity",
-]
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

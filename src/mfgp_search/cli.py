@@ -8,10 +8,17 @@ reproduce that run's outputs byte-for-byte.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import MISSING
 from pathlib import Path
+
+# BLAS splits a product differently on another thread count, which changes
+# its roundoff, so the artifacts are byte-stable only on a fixed count.  The
+# pools read these when numpy first loads, and the package imports none.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 from . import __version__
 from ._linalg import NumericalError

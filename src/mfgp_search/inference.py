@@ -7,17 +7,22 @@ record's level.  Every record sits on a cell center and the layer kernels are
 stationary, so all of these covariances are lookups in one per-level table
 indexed by the row and column offsets between two cells.  The posterior
 serves the whole grid through W = L^-1 K_xn, L the Cholesky factor of the
-observation covariance (GPML Alg. 2.1), but never forms L: records sorted by
-level see the full field's covariance with every earlier record, so the
-solve of a new record's covariance against L is a column of W, and W grows
-one row at a time.  The same step builds the epoch posterior over the log's
-distinct (cell, level) records, the within-epoch planning appends and the
-samples.log information chain; the chain keeps only W^T W and takes the
-step within blocks of records (see ``_chain_terms``).  A snapshot may carry
-W and the variance over a sorted subset of the cells only (``restrict``);
-appends to it then cost O(n * len(columns)).  Appends run in place on a
-``_WorkingSet``, the one writable copy of a snapshot's rows, which the
-planner keeps open for a whole epoch; snapshots are made only at the API.
+observation covariance (GPML Alg. 2.1).  Records sorted by level see the
+full field's covariance with every earlier record, so the solve of a new
+record's covariance against L is a column of W: the rows of L below the
+diagonal need no solve of their own, and L is never kept.  One planning
+append adds one row of W (``_next_row``).  The epoch posterior over the
+log's distinct (cell, level) records and the samples.log information chain
+run in blocks of _CHAIN_BLOCK records instead (blocked left-looking
+Cholesky, Golub & Van Loan 4.2): one matrix product takes the earlier
+blocks off a block's rows, LAPACK factors the block's own Schur
+complement, read off those rows, and inv(L_B) gives the block's rows of W
+(``_block_factor``).  The chain keeps only W^T W of the earlier blocks.
+A snapshot may carry W and the variance over a sorted subset of the cells
+only (``restrict``); appends to it then cost O(n * len(columns)).  Appends
+run in place on a ``_WorkingSet``, the one writable copy of a snapshot's
+rows, which the planner keeps open for a whole epoch; snapshots are made
+only at the API.
 """
 
 from dataclasses import dataclass, field, replace
@@ -30,7 +35,7 @@ from ._linalg import DEFAULT_JITTER, NumericalError
 from .field_model import FidelityModel, GridDomain, kernel_eval
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
-_CHAIN_BLOCK = 64  # information-chain records per Gram update
+_CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
 
 
 class SampleLog:
@@ -96,6 +101,22 @@ def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _grid_windows(domain: GridDomain, model: FidelityModel) -> np.ndarray:
+    """(M, R, R, R, R) read-only view: [t, r, c] is the level-(t+1) table row
+    of a record at cell (r, c) against every cell, as an R x R grid.
+
+    The view holds R x R windows of covariance_table reflected about the zero
+    offset on both axes, an (M, 2R-1, 2R-1) table, so gathering a record's
+    grid copies R rows of R contiguous entries and computes nothing.
+    """
+    R = domain.resolution
+    offset = np.abs(np.arange(1 - R, R))
+    reflected = covariance_table(domain, model)[:, offset[:, None], offset]
+    windows = np.lib.stride_tricks.sliding_window_view(reflected, (R, R), axis=(1, 2))
+    return windows[:, ::-1, ::-1]
+
+
+@lru_cache(maxsize=8)
 def _level_moments(model: FidelityModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prior mean, prior variance and noise variance of level-m observations,
     indexed by m = 1..M (entry 0 unused).
@@ -121,12 +142,9 @@ def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
     return table[level, np.abs(dr, out=dr), np.abs(dc, out=dc)]
 
 
-def _grid_cov(table, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _grid_cov(windows, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(n, n_cells) covariance of each record with the full field at every cell."""
-    axis = np.arange(table.shape[1])
-    dr = np.abs(rc[:, 0, None] - axis)
-    dc = np.abs(rc[:, 1, None] - axis)
-    return table[m[:, None, None] - 1, dr[:, :, None], dc[:, None, :]].reshape(len(m), axis.size**2)
+    return windows[m - 1, rc[:, 0], rc[:, 1]].reshape(len(m), windows.shape[-1] ** 2)
 
 
 def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
@@ -143,6 +161,36 @@ def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
     if gamma2 <= floor:
         return None, c, cc
     return (kappa - c @ w) / np.sqrt(gamma2), c, cc
+
+
+def _block_factor(x, at, d, what: str, first: int, jitter: float):
+    """inv(L) and the pivots diag(L)^2 of one block of records, L L^T = S.
+
+    ``x`` holds the block's covariance rows with every earlier record taken
+    off, and column at[k] is record k's own cell.  So the block's Schur
+    complement S has x[k, at[l]] above its diagonal for k < l (the identity
+    of ``_next_row``) and ``d`` on it, and LAPACK factors it.  A block whose
+    S is not positive definite is rerun one record at a time with
+    ``_next_row``, only to name the record of the first pivot <= 0 (or of
+    the smallest pivot) in a NumericalError; ``first`` is the block's first
+    record.
+    """
+    s = np.triu(x[:, at], 1)
+    s += s.T
+    np.fill_diagonal(s, d)
+    try:
+        factor = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        rows, pivots = np.empty_like(x), np.empty(len(d))
+        for k in range(len(d)):
+            row, _, cc = _next_row(rows[:k], at[k], x[k], d[k], 0.0)
+            pivots[k] = d[k] - cc
+            if row is None:
+                break
+            rows[k] = row
+        k = int(np.argmin(pivots[: k + 1]))
+        raise NumericalError(f"{what} pivot {pivots[k]:g} at record {first + k}", jitter) from None
+    return np.linalg.inv(factor), np.square(np.diagonal(factor))
 
 
 @dataclass(frozen=True)
@@ -221,11 +269,12 @@ def posterior(
     records, sorted by level then cell.  Every raw sample carries the
     diagonal jitter, jitter_scale times the largest raw k0_m + s_m^2, so a
     record's diagonal is k0_m + (s_m^2 + jitter) / k.  W and
-    a = L^-1 (ybar - nu) are built one record at a time (see ``_next_row``);
-    a pivot <= 0 raises NumericalError.
+    a = L^-1 (ybar - nu) are built in blocks of _CHAIN_BLOCK records, each
+    block with one product for the earlier blocks and one LAPACK factor of
+    its own (``_block_factor``); a block that is not positive definite
+    raises NumericalError naming the record and its pivot.
     """
     n_cells = domain.n_cells
-    table = covariance_table(domain, model)
     rc = log.cells()
     keys, group, counts = np.unique(
         log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
@@ -236,18 +285,21 @@ def posterior(
     levels, flat = np.divmod(keys, n_cells)
     cells = np.column_stack(np.divmod(flat, domain.resolution))
     mean, var, noise = (a[levels] for a in _level_moments(model))
-    resid = np.bincount(group, weights=log.values(), minlength=r) / counts
-    resid -= mean
+    a = np.bincount(group, weights=log.values(), minlength=r) / counts
+    a -= mean  # ybar - nu, made L^-1 (ybar - nu) block by block below
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts
-    w = _grid_cov(table, cells, levels)
-    a = np.empty(r)
-    for i, j in enumerate(flat):
-        row, c, cc = _next_row(w[:i], j, w[i], d[i], 0.0)
-        if row is None:
-            raise NumericalError(f"posterior pivot {d[i] - cc:g} at record {i}", jitter)
-        w[i] = row
-        a[i] = (resid[i] - c @ a[:i]) / np.sqrt(d[i] - cc)
+    w = _grid_cov(_grid_windows(domain, model), cells, levels)
+    for start in range(0, r, _CHAIN_BLOCK):
+        block = slice(start, start + _CHAIN_BLOCK)
+        at, prev = flat[block], w[:start]
+        cprev = prev[:, at]
+        w[block] -= cprev.T @ prev
+        a[block] -= cprev.T @ a[:start]
+        schur_d = d[block] - np.einsum("ij,ij->j", cprev, cprev)
+        linv, _ = _block_factor(w[block], at, schur_d, "posterior", start, jitter)
+        w[block] = linv @ w[block]
+        a[block] = linv @ a[block]
     mu = model.prior_mean() + w.T @ a
     sigma2 = _clamp_sigma2(model.prior_variance() - np.einsum("ij,ij->j", w, w), jitter)
     columns = np.arange(n_cells)  # every cell, so also each cell's position
@@ -395,12 +447,12 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     solved against the log's U distinct cells only (no jitter), so
     var_{i-1}(x_i) = k0 - c.c with c the column of W at the record's cell.
     Only G = W^T W over the rows of earlier blocks is kept, never W itself:
-    a record at cell j takes the append step (``_next_row``) on its block's
-    own rows with G[j] and G[j, j] taken off its covariances, and each
-    block of _CHAIN_BLOCK rows is summed into G by one matrix product
-    (blocked left-looking Cholesky, Golub & Van Loan 4.2).  The work is
-    O(n * U^2 + n * _CHAIN_BLOCK * U).  Returns (terms,
-    variances-before-sampling).
+    a block of _CHAIN_BLOCK records at cells j takes G[j] off its
+    covariances and G[j, j] off its diagonal d, is factored by
+    ``_block_factor`` and summed into G by one matrix product (blocked
+    left-looking Cholesky, Golub & Van Loan 4.2).  A record's c.c is d less
+    its squared pivot.  The work is O(n * U^2 + n * _CHAIN_BLOCK * U).
+    Returns (terms, variances-before-sampling).
     """
     n = len(log)
     R = log.domain.resolution
@@ -413,20 +465,16 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     s2 = noise[mrec]
     d = var[mrec] + s2
     gram = np.zeros((len(flat), len(flat)))
-    wb = np.empty((_CHAIN_BLOCK, len(flat)))
     cc = np.empty(n)
     for start in range(0, n, _CHAIN_BLOCK):
-        stop = min(start + _CHAIN_BLOCK, n)
-        kxu = _pair_cov(table, rc[start:stop, None], mrec[start:stop, None], distinct, model.levels)
-        for k, i in enumerate(range(start, stop)):
-            j = col[i]
-            row, _, cc_in = _next_row(wb[:k], j, kxu[k] - gram[j], d[i] - gram[j, j], 0.0)
-            if row is None:
-                pivot = d[i] - gram[j, j] - cc_in
-                raise NumericalError(f"information-chain pivot {pivot:g} at record {i}", 0.0)
-            wb[k] = row
-            cc[i] = gram[j, j] + cc_in
-        gram += wb[: stop - start].T @ wb[: stop - start]
+        block = slice(start, start + _CHAIN_BLOCK)
+        at = col[block]
+        x = _pair_cov(table, rc[block, None], mrec[block, None], distinct, model.levels)
+        x -= gram[at]
+        linv, pivots = _block_factor(x, at, d[block] - gram[at, at], "information-chain", start, 0.0)
+        wb = linv @ x
+        cc[block] = d[block] - pivots
+        gram += wb.T @ wb
     var_before = np.maximum(model.prior_variance() - cc, 0.0)
     return 0.5 * np.log1p(var_before / s2), var_before
 

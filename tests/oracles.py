@@ -6,14 +6,15 @@ evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
 exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, a
 from-scratch planning loop, and the per-value artifact writers, which print
-each number on its own through ``reference_fmt``.  The four exceptions drive
+each number on its own through ``reference_fmt``.  The five exceptions drive
 the package's own appends: ``full_grid_plan``, the epoch-planning loop over
 all cells of the grid, which planning on the candidate cells alone must
 reproduce, ``snapshot_plan`` and ``snapshot_decay``, the planning loop and
 the uncertainty-decay loop with one snapshot per sample, which the in-place
 steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly, and
-``record_chain``, the information chain with one append step per record on
-all of W, which the blocked Gram form of ``_chain_terms`` must reproduce.
+``record_chain`` and ``record_posterior``, the information chain and the
+epoch posterior with one append step per record on all of W, which the
+blocked forms of ``_chain_terms`` and ``posterior`` must reproduce.
 """
 
 import itertools
@@ -215,6 +216,42 @@ def record_chain(log, model):
         var_before[i] = max(k0 - cc, 0.0)
         terms[i] = 0.5 * np.log1p(var_before[i] / s2[i])
     return terms, var_before
+
+
+def record_posterior(log, domain, model, jitter_scale=1e-10):
+    """The epoch posterior with all of W, one append step per record.
+
+    The log's distinct (cell, level) records, sorted by level then cell,
+    each take the package's append step on rows 0..i-1 of W = L^-1 K_xn and
+    of a = L^-1 (ybar - nu), with the replicate-aggregated diagonal of
+    ``posterior``.  Returns (mean, variance, W) over every cell.
+    """
+    n_cells = domain.n_cells
+    table = covariance_table(domain, model)
+    rc = log.cells()
+    keys, group, counts = np.unique(
+        log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
+        return_inverse=True,
+        return_counts=True,
+    )
+    r = len(keys)
+    levels, flat = np.divmod(keys, n_cells)
+    cells = np.column_stack(np.divmod(flat, domain.resolution))
+    mean, var, noise = (a[levels] for a in _level_moments(model))
+    resid = np.bincount(group, weights=log.values(), minlength=r) / counts - mean
+    jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
+    d = var + (noise + jitter) / counts
+    grid = np.column_stack(np.divmod(np.arange(n_cells), domain.resolution))
+    w = _pair_cov(table, cells[:, None], levels[:, None], grid[None], model.levels)
+    a = np.empty(r)
+    for i, j in enumerate(flat):
+        row, c, cc = _next_row(w[:i], j, w[i], d[i], 0.0)
+        if row is None:
+            raise NumericalError(f"posterior pivot {d[i] - cc:g} at record {i}", jitter)
+        w[i] = row
+        a[i] = (resid[i] - c @ a[:i]) / np.sqrt(d[i] - cc)
+    sigma2 = np.maximum(model.prior_variance() - np.einsum("ij,ij->j", w, w), 0.0)
+    return model.prior_mean() + w.T @ a, sigma2, w
 
 
 def textbook_gp_posterior(X, y, cells, mu0, v, l, s):

@@ -491,3 +491,41 @@ def test_validate_and_run_need_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "truth_f1.csv").exists()
+
+
+BLAS_PIN = """
+import os
+import sys
+
+import mfgp_search
+
+assert "numpy" not in sys.modules, "importing the package loaded numpy"
+import mfgp_search.cli
+
+assert "numpy" in sys.modules
+print(*(os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+"""
+
+
+def test_cli_pins_one_blas_thread_before_numpy_loads():
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PIN], cwd=repo, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]
+
+
+def test_package_exports_resolve_to_their_modules():
+    import importlib
+
+    import mfgp_search
+
+    for name in mfgp_search.__all__:
+        module = importlib.import_module(f"mfgp_search.{mfgp_search._MODULE_OF[name]}")
+        assert getattr(mfgp_search, name) is getattr(module, name)
+        assert name in dir(mfgp_search)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mfgp_search.no_such_name

@@ -1,10 +1,11 @@
 """Golden artifact pins: the desk and planted runs and the desk study, byte
 for byte.
 
-Each command runs once as a fresh ``mfgp-search`` process with 1-thread BLAS
-(the desk bytes depend on the BLAS thread count).  The planted run is also
-pinned under 2-thread BLAS.  A change to any pin needs a CHANGES.md entry
-that says why the bytes moved.
+Each command runs once as a fresh ``mfgp-search`` process.  The bytes depend
+on the BLAS thread count, so the CLI pins 1-thread BLAS before numpy loads;
+the desk and planted pins also hold, and a resolution-30 planted run is
+byte-identical, when the environment asks for 2 threads.  A change to any
+pin needs a CHANGES.md entry that says why the bytes moved.
 """
 
 import hashlib
@@ -20,13 +21,13 @@ REPO = Path(__file__).resolve().parent.parent
 
 PINS = {
     "desk": {
-        "report.json": "d542b6224dd5169cddf43cf41078b31952dc7068708c24b71f0a12ab82239533",
-        "plans.csv": "db7f2e32bfe456a6b1f0cdd02fc16beb5103c5beba1bc5c3ffe697800df37488",
+        "report.json": "4a5c0ad95ab922593188c0265c83f17eec76724a202cbec4afb6830ce6355af7",
+        "plans.csv": "9db4f254ff88ce463c1d9206d8b5d628f1a660e6eb34acb03ed4ebf7bf7c9eba",
         "tours.csv": "34263a204420651f79781ada93e19f0d498af3311f93868ebf6291a584c484fc",
     },
     "planted": {
-        "report.json": "26fdf06b8aab8b611b6e1fa9e86599b08ce5a2cd2d0c639ccda0c802b85ca90e",
-        "plans.csv": "015e7e3195521cfc3e2ff8d7b4fda7f1a981a28cdfc5e4cb0fd9a6ff4b0c95b9",
+        "report.json": "407f1f0337d70c293672cd96c41a03b58600a81d8d519a92f8cd8f172308923d",
+        "plans.csv": "42ae44845ed2370ae99b9f14592b41e006c36b30afdb652f5a9e7f758c695078",
         "tours.csv": "fb070cbfc1c543a3696b98979667290a9cb51606c252a55d9f02028b6010fb23",
     },
 }
@@ -34,28 +35,28 @@ PINS = {
 # occupancy map, the decay curve and the truth fields.
 OUTPUT_PINS = {
     "desk": {
-        "decay.csv": "59f2c6e1e587abd09985c9501a28d826e98b2928209d9ffe9fbb624ce1d6de03",
-        "mean.csv": "14bf1b6e7565bc592c0b7ad2f92799256f14aaa430c790b7b2b6728399218c79",
+        "decay.csv": "f20c524dabfcc20d883646368743ca113a76d117db2699dc534cd194ac6cc941",
+        "mean.csv": "a2a2d227c852b29ed3e067cbac650a5a177de0106c20e7c8a8185a873bd3a2bb",
         "occupancy.csv": "102cce841741e4a56a8721b2c69296374b2446dfe3204fa28c17938125b16e69",
         "occupancy.pgm": "f77a6ab5de89df85008574ace1ee55a12345cb6ed5dac8cfa0b61fc0c10a0349",
-        "samples.log": "ff25235224b1dcd9f8591d2e07a240fdd1cfb24bb29efb0ab89cbdce8bd1e532",
+        "samples.log": "41d01c8c1344c12a151108e4536e36b592a6df4ad57e4585a5ef39d5ac61713f",
         "truth_f1.csv": "fae425fe71b04d68289721ce20578c094d649cc49037fee442f8ebe5275ec1a1",
         "truth_f2.csv": "5debad94823982112a78bf93a65c9641dd5637f85f80cb5e986283ccb457a575",
         "truth_f1.pgm": "3bd5175e75c372f28f9fb91a7ba8404c4bf60148877f69422e2321dcd6722c39",
         "truth_f2.pgm": "b402d7b47c4f139eeeb57375c64f6f2622f9d2a90249cb7a050002152b6e6fe9",
-        "variance.csv": "f990d8621a41e08267a318f287fd833f60eda943d309a1a0470b3d6715aa2ac9",
+        "variance.csv": "18d55c0c95e65dfce5227cb173d6d0ea3f13fdbbb9f779e7c97554457a440340",
     },
     "planted": {
-        "decay.csv": "5d761e7dcb36b8a98d19563963460e4062b38cdc9b19f999646a6ed005ab93f2",
-        "mean.csv": "8fc17600ae2849a7274b1fe2433601ca80ee49146a8f7de5576211d19545d7c8",
+        "decay.csv": "f36f01bb11390592f7be9de3ee6b92e4b7a38d9ae2e81317612183d27ceda112",
+        "mean.csv": "11a2a8141fc223477a41523385de4746d3b5cf41252e483b942f429d11e155ba",
         "occupancy.csv": "8b8e3f0aab955b7326fef9b30c499850acb4937dc49129a3ccbcc07b3f36c855",
         "occupancy.pgm": "393b4c9b24922472249fdda897b25005a47926166d4579d54a3f3d6ea0079376",
-        "samples.log": "42f5e9d260478d089274366e5e16fd20cbeded8dae7f3db489fb25588ffddbe7",
+        "samples.log": "e2fd0ea0d6f0e358a1c3c74555df920a45128fc2f17123ee682de426d504cbba",
         "truth_f1.csv": "a7954c79082e9684b5cbfe94b1d8aae4734b66bc544753893426ceebb9f1ae6e",
         "truth_f2.csv": "cad19b1f227a4ac3270806222649227801c3da9c9b0d5f4d3c229d05f28cc972",
         "truth_f1.pgm": "858ddf69c42ec56589694050af2688b73d4c08f3305209eabf8eb93d21ebe4e5",
         "truth_f2.pgm": "268d873e2640513f60c74d5533f0ef70019a51d065cdd0e2eefadc75617c4e26",
-        "variance.csv": "73b268bc70d8c7567dd64ed9057060e25c8dcf5d80a8c67c83a77c3faa3039a5",
+        "variance.csv": "690a4b66c960344cf64d18d8ed3684cfc0d754f7c4d048ffd2631018722a39a2",
     },
 }
 # bench --config configs/desk.cfg --set bench.seeds=6
@@ -147,15 +148,41 @@ def test_bench_manifest_pinned(bench_out):
     assert digest == MANIFEST_PINS["study"], "bench/manifest.json changed"
 
 
-def test_planted_pins_hold_on_two_blas_threads(tmp_path):
-    # desk stays out: its prior draw depends on the BLAS thread count
-    config = str(REPO / "configs" / "planted.cfg")
-    proc = _cli("run", "--config", config, "--out", str(tmp_path), blas_threads="2")
+def _check_pins_on_two_blas_threads(out: Path, name: str):
+    config = str(REPO / "configs" / f"{name}.cfg")
+    proc = _cli("run", "--config", config, "--out", str(out), blas_threads="2")
     assert proc.returncode in (0, 2), proc.stderr
-    pins = {**PINS["planted"], **OUTPUT_PINS["planted"]}
+    pins = {**PINS[name], **OUTPUT_PINS[name]}
     changed = [
-        name for name, pin in sorted(pins.items())
-        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != pin
+        artifact for artifact, pin in sorted(pins.items())
+        if hashlib.sha256((out / artifact).read_bytes()).hexdigest() != pin
     ]
-    assert changed == [], f"planted artifacts changed on 2 BLAS threads: {changed}"
-    assert _manifest_digest(tmp_path, config) == MANIFEST_PINS["planted"]
+    assert changed == [], f"{name} artifacts changed on 2 BLAS threads: {changed}"
+    assert _manifest_digest(out, config) == MANIFEST_PINS[name]
+
+
+def test_planted_pins_hold_on_two_blas_threads(tmp_path):
+    _check_pins_on_two_blas_threads(tmp_path, "planted")
+
+
+def test_desk_pins_hold_on_two_blas_threads(tmp_path):
+    # the dense prior draw rounds differently on 2 threads unless the CLI pins 1
+    _check_pins_on_two_blas_threads(tmp_path, "desk")
+
+
+def test_planted_r30_same_on_one_and_two_blas_threads(tmp_path):
+    # at resolution 30 the blocked posterior's products round differently on
+    # 2 threads unless the CLI pins 1; compares every artifact but the manifest
+    config = str(REPO / "configs" / "planted.cfg")
+    sets = ("--set", "domain.resolution=30", "--set", "mission.max_epochs=10")
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        proc = _cli("run", "--config", config, *sets, "--out", out, blas_threads=threads)
+        assert proc.returncode in (0, 2), proc.stderr
+    names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
+    assert len(names) == 13
+    changed = [
+        name for name in names
+        if (tmp_path / "1" / name).read_bytes() != (tmp_path / "2" / name).read_bytes()
+    ]
+    assert changed == [], f"resolution-30 artifacts changed on 2 BLAS threads: {changed}"
