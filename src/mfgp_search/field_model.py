@@ -4,7 +4,9 @@ The sensing field over a 2D floor is modeled as a stack of ``M`` independent
 GP layers, one per sensing altitude.  Level ``m`` accumulates the layers
 ``1..m``; the top level ``M`` is the full-fidelity score field used as ground
 truth by the simulator.  Lower levels (higher altitudes) see a smoother,
-lower-amplitude version of the field.
+lower-amplitude version of the field.  Every covariance between two cell
+centers, in the prior draw and in inference, is read through the window
+view (``offset_windows``) of one cached per-layer offset table.
 """
 
 from dataclasses import dataclass
@@ -160,9 +162,31 @@ def kernel_eval(m: int, x, xp, model: FidelityModel):
     return vm * vm * np.exp(-d2 / (2.0 * lm * lm))
 
 
-def kernel_matrix(m: int, X: np.ndarray, Xp: np.ndarray, model: FidelityModel) -> np.ndarray:
-    """Layer-m kernel matrix between point sets X (n,2) and Xp (p,2)."""
-    return kernel_eval(m, X[:, None, :], Xp[None, :, :], model)
+@lru_cache(maxsize=8)
+def offset_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
+    """(M, R, R) read-only table: [i, dr, dc] is layer i+1's kernel between
+    two cell centers dr rows and dc columns apart."""
+    R = domain.resolution
+    gx, gy = np.meshgrid(np.arange(R) * domain.cell_dx, np.arange(R) * domain.cell_dy)
+    offsets = np.stack([gx, gy], axis=-1)  # [dr, dc] -> (dc * dx, dr * dy)
+    table = np.array([kernel_eval(m, offsets, 0.0, model) for m in range(1, model.levels + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def offset_windows(table: np.ndarray) -> np.ndarray:
+    """(M, R, R, R, R) read-only view of an (M, R, R) offset table: [t, r, c]
+    is table t between the cell (r, c) and every cell, as an R x R grid.
+
+    The view holds R x R windows of the table reflected about the zero
+    offset on both axes, an (M, 2R-1, 2R-1) array, so gathering a cell's
+    grid copies R rows of R contiguous entries and computes nothing.
+    """
+    R = table.shape[-1]
+    offset = np.abs(np.arange(1 - R, R))
+    reflected = table[:, offset[:, None], offset]
+    windows = np.lib.stride_tricks.sliding_window_view(reflected, (R, R), axis=(1, 2))
+    return windows[:, ::-1, ::-1]
 
 
 @dataclass(frozen=True)
@@ -221,8 +245,9 @@ def _gaussian_blur(grid: np.ndarray, sigma: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
-    K = kernel_matrix(m, domain.cell_centers, domain.cell_centers, model)
-    L, _ = jittered_cholesky(K)
+    # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
+    K = np.array(offset_windows(offset_table(domain, model)[m - 1 : m])[0], order="C")
+    L, _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
     return L
 
 
@@ -277,6 +302,7 @@ def sample_ground_truth(
 
 def measure(truth: GroundTruth, x: float, y: float, m: int, model: FidelityModel, rng) -> float:
     """One noisy observation of the level-m field at a cell center."""
+    model._check_level(m)
     value = truth.value_at(x, y, m)
     return value + rng.normal(0.0, model.s[m - 1])
 

@@ -4,8 +4,9 @@ Observations at level m only see the layers 1..m, so the covariance between
 two records truncates the layer sum at the lower of their two levels, and the
 cross-covariance of a record with the full-fidelity field truncates at the
 record's level.  Every record sits on a cell center and the layer kernels are
-stationary, so all of these covariances are lookups in one per-level table
-indexed by the row and column offsets between two cells.  The posterior
+stationary, so all of these covariances are reads of one window view
+(``_grid_windows``) of the layer sums of ``field_model.offset_table``
+(``covariance_table``), indexed by a level and two cells.  The posterior
 serves the whole grid through W = L^-1 K_xn, L the Cholesky factor of the
 observation covariance (GPML Alg. 2.1).  Records sorted by level see the
 full field's covariance with every earlier record, so the solve of a new
@@ -32,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from ._linalg import DEFAULT_JITTER, NumericalError
-from .field_model import FidelityModel, GridDomain, kernel_eval
+from .field_model import FidelityModel, GridDomain, offset_table, offset_windows
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
@@ -42,7 +43,8 @@ class SampleLog:
     """Ordered (location, value, fidelity) records collected by the vehicle.
 
     The planner only ever raises the fidelity level, so the record sequence
-    must be non-decreasing in fidelity; that contract is asserted on append.
+    must be non-decreasing in fidelity, from level 1 up; that contract is
+    asserted on append (the model's top level is checked by its readers).
     Every location must be a cell center of the mission grid; the record
     keeps that cell's (row, col) indices, and ``locations`` reads the
     centers back from them.
@@ -59,6 +61,8 @@ class SampleLog:
 
     def append(self, location: tuple[float, float], value: float, fidelity: int):
         cell = self.domain.index_of(*location)  # raises if not a cell center
+        if fidelity < 1:
+            raise ValueError(f"fidelity level {fidelity} out of range: levels start at 1")
         if self._fidelities and fidelity < self._fidelities[-1]:
             raise ValueError(
                 f"fidelity must be non-decreasing: got {fidelity} after {self._fidelities[-1]}"
@@ -87,33 +91,20 @@ def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     """(M, R, R) table of truncated layer sums over cell offsets.
 
     Entry [t, dr, dc] is the sum of the layer kernels 1..t+1 between two cell
-    centers dr rows and dc columns apart, accumulated from zero in layer
-    order.  The covariance of records at levels ma and mb is the entry at
-    t = min(ma, mb) - 1; level M gives the full field.
+    centers dr rows and dc columns apart: the cumulative sum of
+    ``offset_table`` in layer order, from zero.  The covariance of records
+    at levels ma and mb is the entry at t = min(ma, mb) - 1; level M gives
+    the full field.
     """
-    R = domain.resolution
-    gx, gy = np.meshgrid(np.arange(R) * domain.cell_dx, np.arange(R) * domain.cell_dy)
-    offsets = np.stack([gx, gy], axis=-1)  # [dr, dc] -> (dc * dx, dr * dy)
-    layers = [kernel_eval(i, offsets, np.zeros(2), model) for i in range(1, model.levels + 1)]
-    table = np.cumsum(layers, axis=0)
+    table = np.cumsum(offset_table(domain, model), axis=0)
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=8)
 def _grid_windows(domain: GridDomain, model: FidelityModel) -> np.ndarray:
-    """(M, R, R, R, R) read-only view: [t, r, c] is the level-(t+1) table row
-    of a record at cell (r, c) against every cell, as an R x R grid.
-
-    The view holds R x R windows of covariance_table reflected about the zero
-    offset on both axes, an (M, 2R-1, 2R-1) table, so gathering a record's
-    grid copies R rows of R contiguous entries and computes nothing.
-    """
-    R = domain.resolution
-    offset = np.abs(np.arange(1 - R, R))
-    reflected = covariance_table(domain, model)[:, offset[:, None], offset]
-    windows = np.lib.stride_tricks.sliding_window_view(reflected, (R, R), axis=(1, 2))
-    return windows[:, ::-1, ::-1]
+    """``offset_windows`` of covariance_table: [t, r, c] is the level-(t+1) row of cell (r, c)."""
+    return offset_windows(covariance_table(domain, model))
 
 
 @lru_cache(maxsize=8)
@@ -132,14 +123,6 @@ def _level_moments(model: FidelityModel) -> tuple[np.ndarray, np.ndarray, np.nda
     )
     _freeze(*moments)
     return moments
-
-
-def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
-    """Covariance of records at cells rc_a (levels m_a) and rc_b (m_b); broadcasts."""
-    dr = rc_a[..., 0] - rc_b[..., 0]
-    dc = rc_a[..., 1] - rc_b[..., 1]
-    level = np.minimum(m_a, m_b) - 1
-    return table[level, np.abs(dr, out=dr), np.abs(dc, out=dc)]
 
 
 def _grid_cov(windows, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -246,6 +229,12 @@ def _freeze(*arrays: np.ndarray):
         a.setflags(write=False)
 
 
+def _check_top_level(log: SampleLog, model: FidelityModel):
+    """ValueError naming the log's last (highest) level if the model lacks it."""
+    if len(log):
+        model._check_level(log._fidelities[-1])
+
+
 def _clamp_sigma2(sigma2: np.ndarray, jitter: float) -> np.ndarray:
     """Clamp negative variances to zero in place; NumericalError below -SIGMA2_TOL."""
     worst = float(sigma2.min()) if sigma2.size else 0.0
@@ -272,9 +261,11 @@ def posterior(
     a = L^-1 (ybar - nu) are built in blocks of _CHAIN_BLOCK records, each
     block with one product for the earlier blocks and one LAPACK factor of
     its own (``_block_factor``); a block that is not positive definite
-    raises NumericalError naming the record and its pivot.
+    raises NumericalError naming the record and its pivot.  A log above
+    the model's top level raises ValueError naming the level.
     """
     n_cells = domain.n_cells
+    _check_top_level(log, model)
     rc = log.cells()
     keys, group, counts = np.unique(
         log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
@@ -358,8 +349,7 @@ class _WorkingSet:
         self.columns, self.mu, self.sigma2 = columns.copy(), state.mu[local], state.sigma2[local]
         self._position = np.full(state.domain.n_cells, -1)
         self._position[columns] = np.arange(len(columns))
-        self._col_r, self._col_c = np.divmod(columns, state.domain.resolution)
-        self._table = covariance_table(state.domain, state.model)
+        self._windows = _grid_windows(state.domain, state.model)
         _, var, noise = _level_moments(state.model)
         self._diag = var + noise
 
@@ -373,8 +363,8 @@ class _WorkingSet:
         set unusable, when a variance falls below -SIGMA2_TOL.
         """
         n = self.n
-        r, c = self._col_r[position], self._col_c[position]
-        kappa = self._table[level - 1, np.abs(self._col_r - r), np.abs(self._col_c - c)]
+        r, c = divmod(int(self.columns[position]), self._windows.shape[-1])
+        kappa = self._windows[level - 1, r, c].reshape(-1)[self.columns]
         d, jitter = self._diag[level], self.base.jitter
         row, _, _ = _next_row(self.w[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
         if row is None:
@@ -455,12 +445,12 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     Returns (terms, variances-before-sampling).
     """
     n = len(log)
-    R = log.domain.resolution
-    table = covariance_table(log.domain, model)
+    _check_top_level(log, model)
+    windows = _grid_windows(log.domain, model)
     rc = log.cells()
     mrec = log.fidelities()
-    flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
-    distinct = np.column_stack(np.divmod(flat, R))
+    flat, col = np.unique(rc[:, 0] * log.domain.resolution + rc[:, 1], return_inverse=True)
+    rows, cols = np.divmod(flat, log.domain.resolution)  # the distinct cells
     _, var, noise = _level_moments(model)
     s2 = noise[mrec]
     d = var[mrec] + s2
@@ -469,7 +459,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     for start in range(0, n, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at = col[block]
-        x = _pair_cov(table, rc[block, None], mrec[block, None], distinct, model.levels)
+        x = windows[mrec[block, None] - 1, rc[block, 0, None], rc[block, 1, None], rows, cols]
         x -= gram[at]
         linv, pivots = _block_factor(x, at, d[block] - gram[at, at], "information-chain", start, 0.0)
         wb = linv @ x

@@ -3,10 +3,11 @@
 Each epoch's sampling points are grouped by fidelity level and visited along
 one open tour per level (nearest-neighbor construction, then 2-opt).  The
 vehicle moves at unit speed in 3D, changes altitude vertically between
-fidelity groups, and spends a fixed sampling time at each waypoint.
+fidelity groups, and spends a fixed sampling time at each waypoint.  Every
+tour distance is read from one distance matrix per tour
+(``_distance_matrix``): the tour keeps its legs, and the clock charges them.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,30 +20,18 @@ _IMPROVE_EPS = 1e-12  # minimum 2-opt gain; guards against float cycling
 _GAIN_ROWS = 16  # 2-opt gain rows evaluated per block
 
 
-def _dist3(a, b) -> float:
-    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
-
-
 @dataclass(frozen=True)
 class Tour:
     """Open tour from the vehicle position through every planned point once."""
 
     start: tuple[float, float, float]
     waypoints: tuple[tuple[float, float, float], ...]
-    length: float
+    legs: tuple[float, ...]  # legs[k]: the distance flown into waypoints[k]
+    length: float  # the legs' running sum
 
     @property
     def end(self) -> tuple[float, float, float]:
         return self.waypoints[-1] if self.waypoints else self.start
-
-
-def _path_length(start, order, pts3) -> float:
-    total = 0.0
-    prev = start
-    for i in order:
-        total += _dist3(prev, pts3[i])
-        prev = pts3[i]
-    return total
 
 
 def _axis_squares(coords: np.ndarray) -> np.ndarray:
@@ -50,7 +39,8 @@ def _axis_squares(coords: np.ndarray) -> np.ndarray:
 
     Python's ``**`` goes through libm ``pow``, which differs from ``d * d`` in
     the last bit for a fraction of inputs; squaring the few distinct
-    differences with ``**`` keeps the matrix on the same bits as ``_dist3``.
+    differences with ``**`` keeps the tours and the mission clock on the
+    bits they are pinned to.
     """
     uniq, inv = np.unique(coords, return_inverse=True)
     diffs = (uniq[:, None] - uniq[None, :]).tolist()
@@ -150,11 +140,12 @@ def build_tour(points, altitude: float, start: tuple[float, float, float]) -> To
     start = (float(start[0]), float(start[1]), float(start[2]))
     dist = _distance_matrix(start, pts3)
     order = _two_opt(dist, _nearest_neighbor(dist))
-    return Tour(
-        start=start,
-        waypoints=tuple(pts3[i] for i in order),
-        length=_path_length(start, order, pts3),
-    )
+    path = [0, *(i + 1 for i in order)]  # matrix rows, start first
+    legs = dist[path[:-1], path[1:]].tolist()
+    length = 0.0
+    for leg in legs:  # left to right: sum() compensates on Python >= 3.12
+        length += leg
+    return Tour(start, tuple(pts3[i] for i in order), tuple(legs), length)
 
 
 def plan_tours(
@@ -202,16 +193,21 @@ def execute_epoch(
 
     Fidelity groups run lowest level first; between groups the vehicle first
     climbs or descends vertically (|dz| at unit speed), then follows the
-    tour.  The clock adds each move and each dwell as it happens, so every
-    waypoint time is the running sum in visit order.  Observations are
-    appended to the log in visit order.
+    tour.  Each tour must start above the vehicle's position at that point,
+    since its legs are what the clock charges.  The clock adds each move and
+    each dwell as it happens, so every waypoint time is the running sum in
+    visit order.  Observations are appended to the log in visit order.
     """
     groups = plan.by_fidelity()
     if len(tours) != len(groups):
         raise ValueError("tours do not match the plan's fidelity groups")
+    at = (float(position[0]), float(position[1]))
     for tour, (level, group) in zip(tours, groups.items()):
         if sorted(w[:2] for w in tour.waypoints) != sorted(s.location for s in group):
             raise ValueError(f"tour waypoints do not cover the level-{level} plan points")
+        if tour.start[:2] != at:
+            raise ValueError(f"the level-{level} tour starts at {tour.start[:2]}, not at {at}")
+        at = tour.end[:2]
 
     trace = ExecutionTrace()
     clock = start_time
@@ -224,8 +220,7 @@ def execute_epoch(
             trace.travel += dz
             trace.altitude_changes += 1
             pos = (pos[0], pos[1], tour.start[2])
-        for wp in tour.waypoints:
-            seg = _dist3(pos, wp)
+        for wp, seg in zip(tour.waypoints, tour.legs):
             clock += seg
             trace.travel += seg
             pos = wp

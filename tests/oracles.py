@@ -14,7 +14,9 @@ the uncertainty-decay loop with one snapshot per sample, which the in-place
 steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly, and
 ``record_chain`` and ``record_posterior``, the information chain and the
 epoch posterior with one append step per record on all of W, which the
-blocked forms of ``_chain_terms`` and ``posterior`` must reproduce.
+blocked forms of ``_chain_terms`` and ``posterior`` must reproduce.  Those
+two read the covariance table by offset arithmetic (``_pair_cov``), which
+the package's window gathers must reproduce bit for bit.
 """
 
 import itertools
@@ -28,7 +30,6 @@ from mfgp_search.inference import (
     SampleLog,
     _level_moments,
     _next_row,
-    _pair_cov,
     append_sample_variance_only,
     covariance_table,
     posterior,
@@ -48,6 +49,15 @@ def sq_exp(v, l, A, B):
     """Squared-exponential kernel matrix between point sets A (n,2), B (p,2)."""
     d2 = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
     return v * v * np.exp(-d2 / (2.0 * l * l))
+
+
+def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
+    """Covariance of records at cells rc_a (levels m_a) and rc_b (m_b) by
+    offset arithmetic on the covariance table; broadcasts."""
+    dr = rc_a[..., 0] - rc_b[..., 0]
+    dc = rc_a[..., 1] - rc_b[..., 1]
+    level = np.minimum(m_a, m_b) - 1
+    return table[level, np.abs(dr, out=dr), np.abs(dc, out=dc)]
 
 
 def _layer_sum_cov(A, ma, B, mb, v, l):

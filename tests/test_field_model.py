@@ -12,8 +12,16 @@ from mfgp_search import (
     sample_ground_truth,
 )
 from mfgp_search.formats import write_grid_csv, write_pgm
-from mfgp_search.field_model import _gaussian_blur, field_to_grid
+from mfgp_search.field_model import (
+    _gaussian_blur,
+    _level_cholesky,
+    field_to_grid,
+    offset_table,
+    offset_windows,
+)
 from mfgp_search.inference import covariance_table
+
+from oracles import sq_exp
 
 
 class TestGridDomain:
@@ -216,6 +224,38 @@ class TestGroundTruth:
         assert roughness(0) < roughness(1)
 
 
+class TestPriorDrawCovariance:
+    """The prior draw's K is the per-layer offset table's window view."""
+
+    def test_windows_equal_kernel_on_centre_differences(self, desk_domain, desk_model):
+        # desk centres are binary fractions: offsets and centre differences agree
+        centers, n = desk_domain.cell_centers, desk_domain.n_cells
+        windows = offset_windows(offset_table(desk_domain, desk_model))
+        for m in (1, 2):
+            K = kernel_eval(m, centers[:, None], centers[None], desk_model)
+            assert np.array_equal(windows[m - 1].reshape(n, n), K)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [GridDomain(0.0, 20.0, 0.0, 20.0, 20), GridDomain(0.0, 13.7, 0.0, 13.7, 17)],
+        ids=["desk", "inexact-centres"],
+    )
+    def test_factor_reproduces_kernel_plus_jitter(self, domain, desk_model):
+        centers, n = domain.cell_centers, domain.n_cells
+        for m in (1, 2):
+            v, l = desk_model.v[m - 1], desk_model.l[m - 1]
+            L = _level_cholesky(domain, desk_model, m)
+            expected = sq_exp(v, l, centers, centers) + 1e-10 * v * v * np.eye(n)
+            np.testing.assert_allclose(L @ L.T, expected, rtol=0.0, atol=1e-14 * v * v)
+
+    def test_resolution_one_draw(self, desk_model):
+        # the one-cell K must be a fresh array: the jitter is added in place
+        domain = GridDomain(0.0, 1.0, 0.0, 1.0, 1)
+        truth = sample_ground_truth(domain, desk_model, seed=3)
+        assert truth.f.shape == (2, 1) and np.all(np.isfinite(truth.f))
+        assert offset_table(domain, desk_model)[:, 0, 0].tolist() == [0.25, 0.09]
+
+
 class TestGaussianBlur:
     @pytest.mark.parametrize("size", [3, 7, 20, 30])
     @pytest.mark.parametrize("sigma", [0.7, 1.6, 2.5, 6.25, 12.0])
@@ -261,6 +301,12 @@ class TestMeasure:
     def test_non_center_rejected(self):
         with pytest.raises(ValueError):
             measure(self.truth, 0.1234, 0.5, 1, self.model, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [0, -1, 3])
+    def test_level_out_of_range_rejected(self, m):
+        x, y = self.domain.cell_center(5)
+        with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
+            measure(self.truth, x, y, m, self.model, np.random.default_rng(0))
 
 
 class TestExports:

@@ -19,7 +19,6 @@ from mfgp_search.inference import (
     _chain_terms,
     _grid_cov,
     _grid_windows,
-    _pair_cov,
     covariance_table,
     diagnostics_lines,
     restrict,
@@ -28,6 +27,7 @@ from mfgp_search.planner import select_next_point
 
 from conftest import random_mixed_log
 from oracles import (
+    _pair_cov,
     dense_raw_posterior,
     factor_append_variance,
     joint_gaussian_posterior,
@@ -70,6 +70,25 @@ class TestSampleLog:
         log = SampleLog(small_domain)
         with pytest.raises(ValueError):
             log.append((0.123, 0.5), 0.1, 1)
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_level_below_one_refused(self, small_domain, level):
+        log = SampleLog(small_domain)
+        with pytest.raises(ValueError, match=f"fidelity level {level} out of range"):
+            log.append(small_domain.cell_center(3), 0.5, level)
+        assert len(log) == 0
+
+    def test_level_above_model_named(self, small_domain, two_level):
+        log = SampleLog(small_domain)
+        log.append(small_domain.cell_center(3), 0.5, 1)
+        log.append(small_domain.cell_center(4), 0.5, 3)
+        for call in (
+            lambda: posterior(log, small_domain, two_level),
+            lambda: greedy_info_gain(log, two_level),
+            lambda: diagnostics_lines(log, two_level),
+        ):
+            with pytest.raises(ValueError, match=r"fidelity level 3 out of range \[1, 2\]"):
+                call()
 
 
 def _evidence(log, model, **kw):

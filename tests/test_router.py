@@ -336,6 +336,56 @@ class TestExecuteEpoch:
                 plan, wrong, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0), start
             )
 
+    def test_tour_from_elsewhere_rejected(self, epoch_setup):
+        # the clock charges the tour's own legs, so they must start at the vehicle
+        domain, model, truth = epoch_setup
+        post = posterior(SampleLog(domain), domain, model)
+        plan = plan_epoch(
+            post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
+        )
+        tours = plan_tours(plan, model, (0.0, 0.0, model.z[0]))
+        with pytest.raises(ValueError, match="tour starts at"):
+            execute_epoch(
+                plan, tours, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0),
+                (1.0, 0.0, model.z[0]),
+            )
+
+    def test_clock_bits_on_inexact_grid(self, planted_config):
+        # planted at resolution 30: cells 2/3 m apart, centres not binary
+        # fractions; every waypoint time is the running sum of the scalar
+        # legs, |dz| moves and dwells, bit for bit
+        c = planted_config
+        domain = GridDomain(c.domain.x_min, c.domain.x_max, c.domain.y_min, c.domain.y_max, 30)
+        model = c.model
+        truth = sample_ground_truth(
+            domain, model, 0, mode="planted", bumps=c.bumps, background=c.background
+        )
+        post = posterior(SampleLog(domain), domain, model)
+        plan = plan_epoch(
+            post,
+            FidelityState(model, 1),
+            PlanLimits(sigma_ratio=0.25, sample_cap=400),
+            np.arange(domain.n_cells),
+        )
+        assert plan.fidelity_levels() == (1, 2)
+        start = (0.0, 0.0, 10.0)
+        tours = plan_tours(plan, model, start)
+        trace = execute_epoch(
+            plan, tours, truth, model, SampleLog(domain), 3.0, np.random.default_rng(0), start
+        )
+        clock, pos, times = 3.0, start, []
+        for tour in tours:
+            clock += abs(tour.start[2] - pos[2])
+            pos = (pos[0], pos[1], tour.start[2])
+            for wp in tour.waypoints:
+                clock += scalar_dist3(pos, wp)
+                times.append(clock)
+                clock += 1.0
+                pos = wp
+        assert [row[5] for row in trace.waypoint_rows] == times
+        assert trace.end_time == clock
+        assert trace.altitude_changes == 2
+
     def test_custom_sample_time(self, epoch_setup):
         domain, model, truth = epoch_setup
         loc = domain.cell_center(0)
