@@ -129,14 +129,25 @@ class FidelityModel:
     def levels(self) -> int:
         return len(self.v)
 
+    @cached_property
+    def _moments(self) -> np.ndarray:
+        """(3, M+1) read-only table: column m holds level m's prior mean (sum
+        of mu_i for i <= m), prior variance (sum of v_i^2) and noise variance
+        s_m^2; column 0 is unused.  The sums run left to right (``np.cumsum``)
+        on every Python version, and the noise keeps Python's ``s ** 2``."""
+        table = np.zeros((3, self.levels + 1))
+        table[:, 1:] = np.cumsum(self.mu), np.cumsum(np.square(self.v)), [s**2 for s in self.s]
+        table.setflags(write=False)
+        return table
+
     def prior_mean(self) -> float:
-        return float(sum(self.mu))
+        return float(self._moments[0, -1])
 
     def prior_variance(self, level: int | None = None) -> float:
         """Prior variance of the level-m field: sum of v_i^2 for i <= m."""
         m = self.levels if level is None else level
         self._check_level(m)
-        return float(sum(vi * vi for vi in self.v[:m]))
+        return float(self._moments[1, m])
 
     def inaccessible_variance(self, level: int) -> float:
         """Variance contributed by layers above ``level`` (zero at the top)."""
@@ -210,10 +221,12 @@ class GroundTruth:
     f: np.ndarray
 
     def level_field(self, m: int) -> np.ndarray:
+        if not 1 <= m <= len(self.f):
+            raise ValueError(f"fidelity level {m} out of range [1, {len(self.f)}]")
         return self.f[m - 1]
 
     def value_at(self, x: float, y: float, m: int) -> float:
-        return float(self.f[m - 1, self.domain.index_of(x, y)])
+        return float(self.level_field(m)[self.domain.index_of(x, y)])
 
     def target_mask(self, th: float) -> np.ndarray:
         """Cells whose full-fidelity score reaches the detection threshold."""
@@ -251,6 +264,24 @@ def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
     return L
 
 
+def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):
+    """ValueError for a ground truth ``sample_ground_truth`` does not draw:
+    a grid over MAX_EXACT_CELLS, an unknown mode, a bump radius that is not
+    positive, or a bump or background that is not finite."""
+    if domain.n_cells > MAX_EXACT_CELLS:
+        raise ValueError(
+            f"grid has {domain.n_cells} cells; exact joint draws are guarded at {MAX_EXACT_CELLS}"
+        )
+    modes = ("prior-draw", "planted")
+    if mode not in modes:
+        raise ValueError(f"mode must be one of {modes}")
+    if any(not b.radius > 0.0 for b in bumps):
+        raise ValueError("bump radius must be positive")
+    values = [background, *(v for b in bumps for v in (b.x, b.y, b.amplitude, b.radius))]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("bumps and background must be finite")
+
+
 def sample_ground_truth(
     domain: GridDomain,
     model: FidelityModel,
@@ -265,12 +296,10 @@ def sample_ground_truth(
     mu_m, layer kernel), accumulated across levels.  planted: the top-level
     field is a configured sum of radial bumps plus a background; lower levels
     are Gaussian blurs of it with blur radius proportional to their length
-    scale, so coarser levels are smoother.
+    scale, so coarser levels are smoother.  Inputs that
+    ``_check_truth_inputs`` refuses raise ValueError before any work.
     """
-    if domain.n_cells > MAX_EXACT_CELLS:
-        raise ValueError(
-            f"grid has {domain.n_cells} cells; exact joint draws are guarded at {MAX_EXACT_CELLS}"
-        )
+    _check_truth_inputs(domain, mode, bumps, background)
     M = model.levels
     n = domain.n_cells
     f = np.empty((M, n))
@@ -282,7 +311,7 @@ def sample_ground_truth(
             draw = model.mu[m - 1] + L @ rng.standard_normal(n)
             acc = acc + draw
             f[m - 1] = acc
-    elif mode == "planted":
+    else:
         centers = domain.cell_centers
         top = np.full(n, float(background))
         for b in bumps:
@@ -294,8 +323,6 @@ def sample_ground_truth(
             sigma_cells = model.l[m - 1] / domain.cell_dx
             blurred = _gaussian_blur(top.reshape(res, res), sigma_cells)
             f[m - 1] = blurred.ravel()
-    else:
-        raise ValueError(f"unknown ground-truth mode: {mode!r}")
     f.setflags(write=False)
     return GroundTruth(domain=domain, f=f)
 

@@ -107,24 +107,6 @@ def _grid_windows(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     return offset_windows(covariance_table(domain, model))
 
 
-@lru_cache(maxsize=8)
-def _level_moments(model: FidelityModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prior mean, prior variance and noise variance of level-m observations,
-    indexed by m = 1..M (entry 0 unused).
-
-    The sums run in layer order from zero, so entry m equals
-    ``sum(model.mu[:m])`` and ``model.prior_variance(m)`` bit for bit; the
-    noise keeps Python's ``s ** 2``, which can differ from ``s * s`` in the
-    last bit.
-    """
-    moments = tuple(
-        np.concatenate([[0.0], a])
-        for a in (np.cumsum(model.mu), np.cumsum(np.square(model.v)), [s**2 for s in model.s])
-    )
-    _freeze(*moments)
-    return moments
-
-
 def _grid_cov(windows, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(n, n_cells) covariance of each record with the full field at every cell."""
     return windows[m - 1, rc[:, 0], rc[:, 1]].reshape(len(m), windows.shape[-1] ** 2)
@@ -275,7 +257,7 @@ def posterior(
     r = len(keys)
     levels, flat = np.divmod(keys, n_cells)
     cells = np.column_stack(np.divmod(flat, domain.resolution))
-    mean, var, noise = (a[levels] for a in _level_moments(model))
+    mean, var, noise = model._moments[:, levels]
     a = np.bincount(group, weights=log.values(), minlength=r) / counts
     a -= mean  # ybar - nu, made L^-1 (ybar - nu) block by block below
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
@@ -350,7 +332,7 @@ class _WorkingSet:
         self._position = np.full(state.domain.n_cells, -1)
         self._position[columns] = np.arange(len(columns))
         self._windows = _grid_windows(state.domain, state.model)
-        _, var, noise = _level_moments(state.model)
+        _, var, noise = state.model._moments
         self._diag = var + noise
 
     def add(self, position: int, level: int) -> bool:
@@ -451,7 +433,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     mrec = log.fidelities()
     flat, col = np.unique(rc[:, 0] * log.domain.resolution + rc[:, 1], return_inverse=True)
     rows, cols = np.divmod(flat, log.domain.resolution)  # the distinct cells
-    _, var, noise = _level_moments(model)
+    _, var, noise = model._moments
     s2 = noise[mrec]
     d = var[mrec] + s2
     gram = np.zeros((len(flat), len(flat)))

@@ -19,11 +19,11 @@ from .classifier import (
     classify_epoch,
 )
 from .field_model import (
-    MAX_EXACT_CELLS,
     Bump,
     FidelityModel,
     GridDomain,
     GroundTruth,
+    _check_truth_inputs,
     sample_ground_truth,
 )
 from .inference import SampleLog, posterior
@@ -33,7 +33,6 @@ from .router import execute_epoch, plan_tours
 BOUNDARY_TOL = 1e-6  # |f - th| below this: cell excluded from error accounting
 REPORT_SCHEMA_VERSION = 1
 
-MODES = ("prior-draw", "planted")
 BASELINES = ("multi-fidelity", "single-fidelity-only")
 _START_KEYS = ("mission.start_x", "mission.start_y", "mission.start_z")
 
@@ -76,32 +75,22 @@ class MissionConfig:
         self.params()  # delta in (0, 1/2), th finite
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.epoch_sample_cap < 1 or self.max_epochs < 1:
-            raise ValueError("caps must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be positive")
+        _check_truth_inputs(self.domain, self.mode, self.bumps, self.background)
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        self.limits()  # sigma_ratio in (0, 1]
+        self.limits()  # sigma_ratio in (0, 1], sample_cap positive
         if not 0.0 <= self.sample_time < np.inf:
             raise ValueError("sample_time must be non-negative and finite")
         if not 0.0 < self.termination_fraction <= 1.0:
             raise ValueError("termination_fraction must be in (0, 1]")
-        if self.domain.n_cells > MAX_EXACT_CELLS:
-            raise ValueError(
-                f"grid has {self.domain.n_cells} cells; exact joint draws are guarded at "
-                f"{MAX_EXACT_CELLS}"
-            )
         if self.start is not None:
             d = self.domain
             if not (d.x_min <= self.start[0] <= d.x_max and d.y_min <= self.start[1] <= d.y_max):
                 raise ValueError(f"start {self.start[:2]} lies outside the domain")
-        if any(not b.radius > 0.0 for b in self.bumps):
-            raise ValueError("bump radius must be positive")
-        values = [self.background, *(self.start or ())]
-        values += [v for b in self.bumps for v in (b.x, b.y, b.amplitude, b.radius)]
-        if not np.all(np.isfinite(values)):
-            raise ValueError("start, bumps and background must be finite")
+            if not np.all(np.isfinite(self.start)):
+                raise ValueError("start must be finite")
 
     @property
     def initial_level(self) -> int:

@@ -52,12 +52,6 @@ class FidelityState:
         ln = self.model.l[m]
         return (ln * ln) / (lm * lm) * self.model.v[m] ** 2
 
-    def inaccessible(self) -> float:
-        return self.model.inaccessible_variance(self.level)
-
-    def accessible_uncertainty(self, max_sigma2: float) -> float:
-        return max_sigma2 - self.inaccessible()
-
 
 def _most_uncertain(values: np.ndarray, top: float, band: float) -> int:
     """Position of the largest variance ``top`` in ``values``; every value
@@ -97,7 +91,7 @@ def _advance(state: FidelityState, max_var: float) -> FidelityState:
     """The switch rule at maximum variance ``max_var``: raise the level while
     the accessible uncertainty is at or below the switch threshold."""
     while state.level < state.model.levels and (
-        state.accessible_uncertainty(max_var) <= state.switch_threshold()
+        max_var - state.model.inaccessible_variance(state.level) <= state.switch_threshold()
     ):
         state = replace(state, level=state.level + 1)
     return state

@@ -28,7 +28,6 @@ import numpy as np
 from mfgp_search._linalg import NumericalError
 from mfgp_search.inference import (
     SampleLog,
-    _level_moments,
     _next_row,
     append_sample_variance_only,
     covariance_table,
@@ -211,7 +210,7 @@ def record_chain(log, model):
     flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
     distinct = np.column_stack(np.divmod(flat, R))
     kxu = _pair_cov(table, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
-    _, var, noise = _level_moments(model)
+    _, var, noise = model._moments
     s2 = noise[mrec]
     d = var[mrec] + s2
     w = np.empty((n, len(flat)))
@@ -247,7 +246,7 @@ def record_posterior(log, domain, model, jitter_scale=1e-10):
     r = len(keys)
     levels, flat = np.divmod(keys, n_cells)
     cells = np.column_stack(np.divmod(flat, domain.resolution))
-    mean, var, noise = (a[levels] for a in _level_moments(model))
+    mean, var, noise = model._moments[:, levels]
     resid = np.bincount(group, weights=log.values(), minlength=r) / counts - mean
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts

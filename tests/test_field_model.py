@@ -7,6 +7,7 @@ from mfgp_search import (
     Bump,
     FidelityModel,
     GridDomain,
+    MissionConfig,
     kernel_eval,
     measure,
     sample_ground_truth,
@@ -139,6 +140,16 @@ class TestPriorMoments:
         )
         assert model.prior_mean() == pytest.approx(0.15)
 
+    def test_moments_sum_in_layer_order(self):
+        # left to right from zero on every Python: sum() of floats is
+        # compensated from 3.12 on and would give 0.6 here
+        model = FidelityModel(
+            mu=(0.1, 0.2, 0.3), v=(0.5, 0.3, 0.2), l=(4.0, 2.0, 1.0), s=(0.1,) * 3, z=(8.0, 4.0, 2.0)
+        )
+        assert model.prior_mean() == (0.1 + 0.2) + 0.3 != 0.6
+        assert model.prior_variance(2) == 0.5 * 0.5 + 0.3 * 0.3
+        assert not model._moments.flags.writeable
+
     def test_variance_is_sum_of_amplitudes(self):
         model = FidelityModel(
             mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
@@ -222,6 +233,36 @@ class TestGroundTruth:
             g = field_to_grid(self.domain, truth.f[level])
             return np.abs(np.diff(g, axis=0)).mean() + np.abs(np.diff(g, axis=1)).mean()
         assert roughness(0) < roughness(1)
+
+    @pytest.mark.parametrize("m", [0, -1, 3])
+    def test_level_out_of_range_rejected(self, m):
+        truth = sample_ground_truth(self.domain, self.model, seed=0, mode="planted")
+        x, y = self.domain.cell_center(5)
+        with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
+            truth.level_field(m)
+        with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
+            truth.value_at(x, y, m)
+
+
+# (sample_ground_truth keywords, text of the refusal) for truths with no finite value
+BAD_TRUTH = [
+    ({"bumps": (Bump(2.0, 2.0, 1.0, 0.0),)}, "radius"),
+    ({"bumps": (Bump(2.0, 2.0, 1.0, -1.0),)}, "radius"),
+    ({"bumps": (Bump(float("nan"), 2.0, 1.0, 1.0),)}, "finite"),
+    ({"background": float("inf")}, "finite"),
+]
+
+
+@pytest.mark.parametrize("inputs, message", BAD_TRUTH, ids=["radius-0", "radius-1", "nan-x", "inf"])
+def test_bad_truth_inputs_refused_as_by_the_config(inputs, message):
+    # the library path refuses what MissionConfig refuses, in the same words
+    domain = GridDomain(0.0, 4.0, 0.0, 4.0, 4)
+    model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(2.0, 1.0), s=(0.1, 0.1), z=(8.0, 4.0))
+    with pytest.raises(ValueError, match=message) as library:
+        sample_ground_truth(domain, model, seed=0, mode="planted", **inputs)
+    with pytest.raises(ValueError) as config:
+        MissionConfig(domain=domain, model=model, delta=0.1, th=0.3, mode="planted", **inputs)
+    assert str(config.value) == str(library.value)
 
 
 class TestPriorDrawCovariance:
