@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import MISSING
 from pathlib import Path
@@ -62,12 +61,13 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _get(kv: dict, key: str, cast, default=MISSING):
+    """Cast and remove ``kv[key]``, so the keys ``resolve_config`` leaves are the unread ones."""
     if key not in kv:
         if default is not MISSING:
             return default
         raise ConfigError(f"missing required config key {key!r}")
     try:
-        return cast(kv[key])
+        return cast(kv.pop(key))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
@@ -98,24 +98,9 @@ def _read(kv: dict, cls, section: str, level: int | None = None) -> dict:
     }
 
 
-def _check_known(kv: dict):
-    """Refuse a key that names no config field, so that a misspelt key is not dropped."""
-    sections = ((GridDomain, "domain"), (MissionConfig, "mission"), (MissionConfig, "planted"))
-    fixed = {key for cls, section in sections for key, _, _ in _config_fields(cls, section)}
-    fixed.update(("model.levels", "planted.bumps", *_START_KEYS), (f"bench.{n}" for n in _BENCH_KEYS))
-    per_level = {f.name for _, f, _ in _config_fields(FidelityModel, "model", 1)}
-    per_bump = {f.name for _, f, _ in _config_fields(Bump, "bump")}
-    for key in kv:
-        level = re.fullmatch(r"model\.(\w+)_\d+", key)
-        bump = re.fullmatch(r"planted\.bump_\d+\.(\w+)", key)
-        if not (key in fixed or (level and level[1] in per_level) or (bump and bump[1] in per_bump)):
-            raise ConfigError(f"unknown config key {key!r}")
-
-
 def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
-    """Build a MissionConfig (and bench settings) from flat key-values."""
+    """Build a MissionConfig (and bench settings) from flat key-values; refuse a key left unread."""
     kv = {str(k): str(v) for k, v in kv.items()}
-    _check_known(kv)
     domain = GridDomain(**_read(kv, GridDomain, "domain"))
     levels = _at_least("model.levels", _get(kv, "model.levels", _as_int), 1)
     rows = [_read(kv, FidelityModel, "model", m) for m in range(1, levels + 1)]
@@ -143,6 +128,8 @@ def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
         name: _at_least(f"bench.{name}", _get(kv, f"bench.{name}", _as_int, default), low)
         for name, (default, low) in _BENCH_KEYS.items()
     }
+    if kv:
+        raise ConfigError(f"unknown config key {next(iter(kv))!r}")
     return config, bench
 
 

@@ -38,7 +38,7 @@ class GridDomain:
             raise ValueError("domain extents must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("domain extents must satisfy x_max > x_min and y_max > y_min")
-        if self.resolution < 1:
+        if not (isinstance(self.resolution, (int, np.integer)) and self.resolution >= 1):
             raise ValueError("resolution must be a positive integer")
 
     @property

@@ -86,6 +86,8 @@ class MissionConfig:
         if not 0.0 < self.termination_fraction <= 1.0:
             raise ValueError("termination_fraction must be in (0, 1]")
         if self.start is not None:
+            if len(self.start) != 3:
+                raise ValueError("start must be (x, y, z)")
             d = self.domain
             if not (d.x_min <= self.start[0] <= d.x_max and d.y_min <= self.start[1] <= d.y_max):
                 raise ValueError(f"start {self.start[:2]} lies outside the domain")

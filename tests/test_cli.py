@@ -52,7 +52,7 @@ def small_cfg_text(**over) -> str:
         "bench.seeds": 3,
     }
     kv.update(over)
-    return "\n".join(f"{k} = {v}" for k, v in kv.items()) + "\n"
+    return "\n".join(f"{k} = {v}" for k, v in kv.items() if v is not None) + "\n"
 
 
 def _bump(radius) -> dict:
@@ -85,6 +85,9 @@ REJECTED = [
     ({"model.sigma_1": 0.1}, "unknown config key 'model.sigma_1'"),
     ({"planted.bump_1.r": 1.0}, "unknown config key 'planted.bump_1.r'"),
     ({"bench.seed": 3}, "unknown config key 'bench.seed'"),
+    ({"model.v_3": 0.1}, "unknown config key 'model.v_3'"),
+    ({"model.v_01": 0.1}, "unknown config key 'model.v_01'"),
+    ({**_bump(1.0), "planted.bump_2.x": 1.0}, "unknown config key 'planted.bump_2.x'"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse
 BENCH_REJECTED = [
@@ -396,6 +399,8 @@ ODD = {
     "planted.bump_1.radius": [-1.0, "nan", 1e-6, 1e3],
     "planted.background": ["nan", "inf"],
 }
+LEVEL_2 = [f"model.{name}_2" for name in ("mu", "v", "l", "s", "z")]
+BUMP_1 = [f"planted.bump_1.{name}" for name in ("x", "y", "amplitude", "radius")]
 
 
 @st.composite
@@ -405,6 +410,11 @@ def tiny_overrides(draw) -> dict:
     over["mission.max_epochs"] = 1
     for key in draw(st.lists(st.sampled_from(sorted(ODD)), max_size=3, unique=True)):
         over[key] = draw(st.sampled_from(ODD[key]))
+    # resolve_config refuses the keys of a level or bump it does not read
+    if over.get("model.levels") == 1:
+        over.update(dict.fromkeys(LEVEL_2, None))
+    if over["planted.bumps"] == 0:
+        over.update(dict.fromkeys(BUMP_1, None))
     return over
 
 
@@ -449,6 +459,9 @@ def valid_configs(draw) -> dict:
     kv = parse_config_text(small_cfg_text(**over))
     for key in draw(st.lists(st.sampled_from(OPTIONAL), unique=True)):
         del kv[key]
+    if kv.get("planted.bumps", "0") == "0":
+        for key in BUMP_1:
+            del kv[key]
     return kv
 
 

@@ -227,6 +227,17 @@ class TestRunMission:
             with pytest.raises(ValueError):
                 MissionConfig(**{**base, **bad})
 
+    def test_shapes_the_config_reader_cannot_produce_refused(self, small_model):
+        with pytest.raises(ValueError, match="resolution"):
+            GridDomain(0, 4, 0, 4, 2.5)  # 6.25 cells
+        domain = GridDomain(0, 4, 0, np.int64(4), np.int64(4))
+        assert domain.cell_centers.shape == (domain.n_cells, 2) == (16, 2)
+        base = dict(domain=domain, model=small_model, delta=0.1, th=0.3)
+        for start in ((1.0, 1.0), (1, 1, 8, 3)):
+            with pytest.raises(ValueError, match="start"):
+                MissionConfig(**base, start=start)
+        assert MissionConfig(**base, start=(1, np.int64(1), 8)).start_position() == (1, 1, 8)
+
 
 class TestCompareDecay:
     def test_curves_start_at_prior_variance(self, small_domain, small_model):
