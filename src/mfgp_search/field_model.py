@@ -185,18 +185,29 @@ def offset_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     return table
 
 
+def reflect_offsets(table: np.ndarray) -> np.ndarray:
+    """(M, 2R-1, 2R-1) copy of an (M, R, R) offset table reflected about the
+    zero offset on both axes: [t, R-1+dr, R-1+dc] is table t at (|dr|, |dc|).
+
+    Cell (r, c)'s grid is the R x R block from [t, R-1-r, R-1-c], so one
+    of its entries lies (R-1-r)(2R-1) + R-1-c places after the block
+    [t, 0, 0] of the flat table, plus r'(2R-1) + c' for the cell (r', c').
+    """
+    R = table.shape[-1]
+    offset = np.abs(np.arange(1 - R, R))
+    return table[:, offset[:, None], offset]
+
+
 def offset_windows(table: np.ndarray) -> np.ndarray:
     """(M, R, R, R, R) read-only view of an (M, R, R) offset table: [t, r, c]
     is table t between the cell (r, c) and every cell, as an R x R grid.
 
-    The view holds R x R windows of the table reflected about the zero
-    offset on both axes, an (M, 2R-1, 2R-1) array, so gathering a cell's
-    grid copies R rows of R contiguous entries and computes nothing.
+    The view holds R x R windows of the reflected table
+    (``reflect_offsets``), so gathering a cell's grid copies R rows of R
+    contiguous entries and computes nothing.
     """
     R = table.shape[-1]
-    offset = np.abs(np.arange(1 - R, R))
-    reflected = table[:, offset[:, None], offset]
-    windows = np.lib.stride_tricks.sliding_window_view(reflected, (R, R), axis=(1, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(reflect_offsets(table), (R, R), axis=(1, 2))
     return windows[:, ::-1, ::-1]
 
 
@@ -267,7 +278,8 @@ def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
 def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):
     """ValueError for a ground truth ``sample_ground_truth`` does not draw:
     a grid over MAX_EXACT_CELLS, an unknown mode, a bump radius that is not
-    positive, or a bump or background that is not finite."""
+    positive, a bump or background that is not finite, or a bump or a
+    non-zero background outside planted mode, which would go unused."""
     if domain.n_cells > MAX_EXACT_CELLS:
         raise ValueError(
             f"grid has {domain.n_cells} cells; exact joint draws are guarded at {MAX_EXACT_CELLS}"
@@ -280,6 +292,8 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
     values = [background, *(v for b in bumps for v in (b.x, b.y, b.amplitude, b.radius))]
     if not np.all(np.isfinite(values)):
         raise ValueError("bumps and background must be finite")
+    if mode != "planted" and (bumps or background != 0.0):
+        raise ValueError(f"bumps and background apply in planted mode only, not in {mode}")
 
 
 def sample_ground_truth(
@@ -327,11 +341,17 @@ def sample_ground_truth(
     return GroundTruth(domain=domain, f=f)
 
 
+def measure_cells(truth: GroundTruth, cells, m: int, model: FidelityModel, rng) -> np.ndarray:
+    """Noisy observations of the level-m field at the flat cell indices
+    ``cells``: the truth there plus one noise draw per cell, in order, from
+    one ``rng.normal`` call (the stream of one scalar draw per cell)."""
+    model._check_level(m)
+    return truth.level_field(m)[cells] + rng.normal(0.0, model.s[m - 1], size=len(cells))
+
+
 def measure(truth: GroundTruth, x: float, y: float, m: int, model: FidelityModel, rng) -> float:
     """One noisy observation of the level-m field at a cell center."""
-    model._check_level(m)
-    value = truth.value_at(x, y, m)
-    return value + rng.normal(0.0, model.s[m - 1])
+    return float(measure_cells(truth, [truth.domain.index_of(x, y)], m, model, rng)[0])
 
 
 def field_to_grid(domain: GridDomain, values: np.ndarray) -> np.ndarray:

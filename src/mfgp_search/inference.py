@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from ._linalg import DEFAULT_JITTER, NumericalError
-from .field_model import FidelityModel, GridDomain, offset_table, offset_windows
+from .field_model import FidelityModel, GridDomain, offset_table, offset_windows, reflect_offsets
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
@@ -46,13 +46,13 @@ class SampleLog:
     must be non-decreasing in fidelity, from level 1 up; that contract is
     asserted on append (the model's top level is checked by its readers).
     Every location must be a cell center of the mission grid; the record
-    keeps that cell's (row, col) indices, and ``locations`` reads the
-    centers back from them.
+    keeps that cell's flat index, and ``cells`` and ``locations`` read the
+    (row, col) indices and the centers back from it.
     """
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
-        self._cells: list[tuple[int, int]] = []
+        self._cells: list[int] = []
         self._values: list[float] = []
         self._fidelities: list[int] = []
 
@@ -60,24 +60,36 @@ class SampleLog:
         return len(self._values)
 
     def append(self, location: tuple[float, float], value: float, fidelity: int):
-        cell = self.domain.index_of(*location)  # raises if not a cell center
+        self.extend([self.domain.index_of(*location)], [value], fidelity)
+
+    def extend(self, cells, values, fidelity: int):
+        """Append one record per flat cell index in ``cells``, with the
+        matching entry of ``values``, all at level ``fidelity``."""
+        cells = [int(c) for c in cells]
+        if len(cells) != len(values):
+            raise ValueError(f"{len(cells)} cells but {len(values)} values")
+        if cells and not (0 <= min(cells) and max(cells) < self.domain.n_cells):
+            raise ValueError(f"cell index out of range [0, {self.domain.n_cells})")
         if fidelity < 1:
             raise ValueError(f"fidelity level {fidelity} out of range: levels start at 1")
         if self._fidelities and fidelity < self._fidelities[-1]:
             raise ValueError(
                 f"fidelity must be non-decreasing: got {fidelity} after {self._fidelities[-1]}"
             )
-        self._cells.append(divmod(cell, self.domain.resolution))
-        self._values.append(float(value))
-        self._fidelities.append(int(fidelity))
+        self._cells += cells
+        self._values += np.asarray(values, dtype=float).tolist()
+        self._fidelities += [int(fidelity)] * len(cells)
 
     def locations(self) -> np.ndarray:
-        rc = self.cells()
-        return self.domain.cell_centers[rc[:, 0] * self.domain.resolution + rc[:, 1]]
+        return self.domain.cell_centers[self.cell_indices()]
+
+    def cell_indices(self) -> np.ndarray:
+        """(n,) flat indices of the records' cells."""
+        return np.array(self._cells, dtype=int)
 
     def cells(self) -> np.ndarray:
         """(n, 2) integer (row, col) indices of the records' cells."""
-        return np.array(self._cells, dtype=int).reshape(len(self), 2)
+        return np.column_stack(np.divmod(self.cell_indices(), self.domain.resolution))
 
     def values(self) -> np.ndarray:
         return np.array(self._values, dtype=float)
@@ -219,10 +231,12 @@ def _check_top_level(log: SampleLog, model: FidelityModel):
 
 def _clamp_sigma2(sigma2: np.ndarray, jitter: float) -> np.ndarray:
     """Clamp negative variances to zero in place; NumericalError below -SIGMA2_TOL."""
-    worst = float(sigma2.min()) if sigma2.size else 0.0
+    worst = float(np.minimum.reduce(sigma2)) if sigma2.size else 0.0
     if worst < -SIGMA2_TOL:
         raise NumericalError(f"posterior variance fell to {worst:g}", jitter)
-    return np.maximum(sigma2, 0.0, out=sigma2)
+    if worst < 0.0:
+        np.maximum(sigma2, 0.0, out=sigma2)
+    return sigma2
 
 
 def posterior(
@@ -248,11 +262,8 @@ def posterior(
     """
     n_cells = domain.n_cells
     _check_top_level(log, model)
-    rc = log.cells()
     keys, group, counts = np.unique(
-        log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
-        return_inverse=True,
-        return_counts=True,
+        log.fidelities() * n_cells + log.cell_indices(), return_inverse=True, return_counts=True
     )
     r = len(keys)
     levels, flat = np.divmod(keys, n_cells)
@@ -331,7 +342,17 @@ class _WorkingSet:
         self.columns, self.mu, self.sigma2 = columns.copy(), state.mu[local], state.sigma2[local]
         self._position = np.full(state.domain.n_cells, -1)
         self._position[columns] = np.arange(len(columns))
-        self._windows = _grid_windows(state.domain, state.model)
+        # kappa of the cell at column k is one slice and gather of the flat
+        # reflected covariance table (``reflect_offsets``): the slice starts
+        # at the level's block plus _start[k], and the columns sit _offsets
+        # after it.
+        R = state.domain.resolution
+        rows, cols = np.divmod(columns, R)
+        self._rc = list(zip(rows.tolist(), cols.tolist()))
+        self._offsets = rows * (2 * R - 1) + cols
+        self._start = ((R - 1 - rows) * (2 * R - 1) + (R - 1 - cols)).tolist()
+        self._block = (2 * R - 1) ** 2
+        self._reflected = reflect_offsets(covariance_table(state.domain, state.model)).ravel()
         _, var, noise = state.model._moments
         self._diag = var + noise
 
@@ -345,14 +366,14 @@ class _WorkingSet:
         set unusable, when a variance falls below -SIGMA2_TOL.
         """
         n = self.n
-        r, c = divmod(int(self.columns[position]), self._windows.shape[-1])
-        kappa = self._windows[level - 1, r, c].reshape(-1)[self.columns]
+        start = (level - 1) * self._block + self._start[position]
+        kappa = self._reflected[start:][self._offsets]
         d, jitter = self._diag[level], self.base.jitter
         row, _, _ = _next_row(self.w[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
         if row is None:
             return False
         self.w[n] = row
-        self.cells[n] = r, c
+        self.cells[n] = self._rc[position]
         self.fidelities[n] = level
         self.counts[n] = 1
         self.sigma2 -= np.square(row)
@@ -403,8 +424,7 @@ def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorF
     domain = state.domain
     log = SampleLog(domain)
     for (row, col), m, k in zip(state.cells, state.fidelities, state.counts):
-        for _ in range(k):
-            log.append(domain.cell_center(int(row) * domain.resolution + int(col)), 0.0, int(m))
+        log.extend([row * domain.resolution + col] * k, [0.0] * k, int(m))
     log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
@@ -431,7 +451,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     windows = _grid_windows(log.domain, model)
     rc = log.cells()
     mrec = log.fidelities()
-    flat, col = np.unique(rc[:, 0] * log.domain.resolution + rc[:, 1], return_inverse=True)
+    flat, col = np.unique(log.cell_indices(), return_inverse=True)
     rows, cols = np.divmod(flat, log.domain.resolution)  # the distinct cells
     _, var, noise = model._moments
     s2 = noise[mrec]

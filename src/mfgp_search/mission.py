@@ -88,11 +88,13 @@ class MissionConfig:
         if self.start is not None:
             if len(self.start) != 3:
                 raise ValueError("start must be (x, y, z)")
+            if not np.all(np.isfinite(self.start)):
+                raise ValueError("start must be finite")
             d = self.domain
             if not (d.x_min <= self.start[0] <= d.x_max and d.y_min <= self.start[1] <= d.y_max):
                 raise ValueError(f"start {self.start[:2]} lies outside the domain")
-            if not np.all(np.isfinite(self.start)):
-                raise ValueError("start must be finite")
+            if self.start[2] < 0.0:
+                raise ValueError(f"start altitude {self.start[2]} lies below the floor (z = 0)")
 
     @property
     def initial_level(self) -> int:
@@ -125,7 +127,7 @@ class MissionConfig:
         put(self, "mission")
         if self.start is not None:
             d.update(zip(_START_KEYS, self.start))
-        if self.mode == "planted" or self.bumps or self.background:
+        if self.mode == "planted":
             put(self, "planted")
             d["planted.bumps"] = len(self.bumps)
             for k, b in enumerate(self.bumps, start=1):

@@ -7,6 +7,7 @@ candidate cell) until the predicted maximum standard deviation drops to the
 configured fraction of its value at the epoch start, or a sample cap is hit.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,7 @@ def _most_uncertain(values: np.ndarray, top: float, band: float) -> int:
     """Position of the largest variance ``top`` in ``values``; every value
     within ``band`` (``TIE_RTOL`` times the prior variance) of it ties, and
     ties go to the lowest position."""
-    return int(np.argmax(values >= top - band))
+    return int((values >= top - band).argmax())
 
 
 def select_next_point(
@@ -151,15 +152,16 @@ def _greedy_steps(posterior: PosteriorField, state: FidelityState, columns: np.n
     """
     working = _WorkingSet(posterior, columns, steps)
     band = TIE_RTOL * posterior.model.prior_variance()
-    max_var = float(working.sigma2.max())
+    cells = working.columns.tolist()
+    max_var = float(np.maximum.reduce(working.sigma2))
     for k in range(steps):
         local = _most_uncertain(working.sigma2, max_var, band)
-        cell, level, picked = int(columns[local]), state.level, float(working.sigma2[local])
+        cell, level, picked = cells[local], state.level, float(working.sigma2[local])
         if not working.add(local, level):
             loc = posterior.domain.cell_center(cell)
             snapshot = append_sample_variance_only(working.snapshot(), loc, level)
             working = _WorkingSet(snapshot, columns, steps - k - 1)
-        max_var = float(working.sigma2.max())
+        max_var = float(np.maximum.reduce(working.sigma2))
         state = _advance(state, max_var)
         yield cell, level, picked, max_var, state
 
@@ -180,19 +182,18 @@ def plan_epoch(
     """
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
-    sigma_before = float(np.sqrt(posterior.max_sigma2(candidates)))
+    sigma_before = math.sqrt(posterior.max_sigma2(candidates))
+    centers = posterior.domain.cell_centers.tolist()
     samples: list[PlannedSample] = []
     trace: list[float] = []
     capped = False
     for cell, level, picked, max_var, state in _greedy_steps(
         posterior, state, candidates, limits.sample_cap
     ):
-        loc = posterior.domain.cell_center(cell)
-        samples.append(
-            PlannedSample(location=loc, fidelity=level, sigma_before=float(np.sqrt(picked)))
-        )
+        x, y = centers[cell]
+        samples.append(PlannedSample((x, y), level, sigma_before=math.sqrt(picked)))
         trace.append(max_var)
-        if np.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
+        if math.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
             break
     else:
         capped = True
@@ -201,7 +202,7 @@ def plan_epoch(
         samples=tuple(samples),
         n_before=posterior.n,
         sigma_max_before=sigma_before,
-        sigma_max_after=float(np.sqrt(trace[-1])),
+        sigma_max_after=math.sqrt(trace[-1]),
         capped=capped,
         state_after=state,
         max_var_trace=tuple(trace),

@@ -1,18 +1,19 @@
 """Measurement tours and mission time accounting.
 
 Each epoch's sampling points are grouped by fidelity level and visited along
-one open tour per level (nearest-neighbor construction, then 2-opt).  The
-vehicle moves at unit speed in 3D, changes altitude vertically between
-fidelity groups, and spends a fixed sampling time at each waypoint.  Every
-tour distance is read from one distance matrix per tour
-(``_distance_matrix``): the tour keeps its legs, and the clock charges them.
+one open tour per level (nearest-neighbor construction, then 2-opt, over
+the distinct points; repeated samples are flown in a row).  The vehicle
+moves at unit speed in 3D, changes altitude vertically between fidelity
+groups, and spends a fixed sampling time at each waypoint.  Every tour
+distance is read from one distance matrix per tour (``_distance_matrix``):
+the tour keeps its legs, and the clock charges them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_model import FidelityModel, GroundTruth, measure
+from .field_model import FidelityModel, GroundTruth, measure_cells
 from .inference import SampleLog
 from .planner import EpochPlan
 
@@ -133,19 +134,38 @@ def build_tour(points, altitude: float, start: tuple[float, float, float]) -> To
 
     Nearest-neighbor from the start position, then 2-opt until no improving
     swap remains.  The 2-opt result is never longer than the NN tour.
+
+    Both steps run over the distinct points (stops, in first-occurrence
+    order); each stop is then flown once per copy, the first copy with the
+    stop's leg and the others with legs of 0.0.  That is the tour of both
+    steps over every point: nearest-neighbor reaches a copy at distance 0
+    before anything else, and a 2-opt move that cuts between two copies
+    gains nothing (triangle inequality), so it never passes the threshold.
+    When two distinct points are 0.0 apart (coordinates within about
+    1e-154), each point is its own stop instead.
     """
     if len(points) == 0:
         raise ValueError("build_tour needs at least one point")
     pts3 = [(float(p[0]), float(p[1]), float(altitude)) for p in points]
     start = (float(start[0]), float(start[1]), float(start[2]))
-    dist = _distance_matrix(start, pts3)
+    copies: dict[tuple, list[int]] = {}
+    for i, p in enumerate(pts3):
+        copies.setdefault(p, []).append(i)
+    stops = list(copies.values())  # each stop's point indices
+    dist = _distance_matrix(start, list(copies))
+    if np.count_nonzero(dist[1:, 1:]) < len(stops) * (len(stops) - 1):
+        stops = [[i] for i in range(len(pts3))]
+        dist = _distance_matrix(start, pts3)
     order = _two_opt(dist, _nearest_neighbor(dist))
     path = [0, *(i + 1 for i in order)]  # matrix rows, start first
-    legs = dist[path[:-1], path[1:]].tolist()
+    waypoints, legs = [], []
+    for s, leg in zip(order, dist[path[:-1], path[1:]].tolist()):
+        waypoints += [pts3[i] for i in stops[s]]
+        legs += [leg] + [0.0] * (len(stops[s]) - 1)
     length = 0.0
     for leg in legs:  # left to right: sum() compensates on Python >= 3.12
         length += leg
-    return Tour(start, tuple(pts3[i] for i in order), tuple(legs), length)
+    return Tour(start, tuple(waypoints), tuple(legs), length)
 
 
 def plan_tours(
@@ -196,11 +216,15 @@ def execute_epoch(
     tour.  Each tour must start above the vehicle's position at that point,
     since its legs are what the clock charges.  The clock adds each move and
     each dwell as it happens, so every waypoint time is the running sum in
-    visit order.  Observations are appended to the log in visit order.
+    visit order.  Each tour is measured in one pass (``measure_cells``: one
+    noise draw per waypoint, in visit order) and appended to the log in
+    visit order; the log and the truth must share one grid.
     """
     groups = plan.by_fidelity()
     if len(tours) != len(groups):
         raise ValueError("tours do not match the plan's fidelity groups")
+    if log.domain != truth.domain:
+        raise ValueError("the log and the truth are on different grids")
     at = (float(position[0]), float(position[1]))
     for tour, (level, group) in zip(tours, groups.items()):
         if sorted(w[:2] for w in tour.waypoints) != sorted(s.location for s in group):
@@ -226,9 +250,10 @@ def execute_epoch(
             pos = wp
             order += 1
             trace.waypoint_rows.append((plan.epoch, order, wp[0], wp[1], wp[2], clock))
-            value = measure(truth, wp[0], wp[1], level, model, rng)
-            log.append((wp[0], wp[1]), value, level)
             clock += sample_time
+        cell_of = {wp: truth.domain.index_of(wp[0], wp[1]) for wp in set(tour.waypoints)}
+        cells = [cell_of[wp] for wp in tour.waypoints]
+        log.extend(cells, measure_cells(truth, cells, level, model, rng), level)
     trace.end_time = clock
     trace.end_position = pos
     return trace

@@ -4,8 +4,8 @@ Everything here is deliberately brute force and shares no code path with the
 package: joint-Gaussian conditioning, the raw-log posterior and the log
 evidence via dense solves, textbook GP formulas, log-determinant
 information, the factor-based variance append and information chain,
-exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, a
-from-scratch planning loop, and the per-value artifact writers, which print
+exhaustive TSP, the scalar nearest-neighbour plus 2-opt router, the
+per-sample measurement of a flown tour, a from-scratch planning loop, and the per-value artifact writers, which print
 each number on its own through ``reference_fmt``.  The five exceptions drive
 the package's own appends: ``full_grid_plan``, the epoch-planning loop over
 all cells of the grid, which planning on the candidate cells alone must
@@ -350,6 +350,19 @@ def scalar_two_opt(start, order, pts3) -> list[int]:
             if improved:
                 break
     return order
+
+
+def scalar_measurements(tours, levels, truth, model, rng) -> list[tuple]:
+    """(x, y, value, level) of every waypoint in visit order: the truth at
+    the waypoint's cell (found by a search of the cell centres) plus one
+    scalar ``rng.normal(0.0, s_m)`` draw per sample."""
+    centers = truth.domain.cell_centers.tolist()
+    rows = []
+    for tour, m in zip(tours, levels):
+        for x, y, _ in tour.waypoints:
+            value = float(truth.f[m - 1, centers.index([x, y])])
+            rows.append((x, y, value + rng.normal(0.0, model.s[m - 1]), m))
+    return rows
 
 
 def greedy_plan_reference(cells, candidates, v, l, s, sigma_ratio, cap):

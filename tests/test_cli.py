@@ -88,6 +88,10 @@ REJECTED = [
     ({"model.v_3": 0.1}, "unknown config key 'model.v_3'"),
     ({"model.v_01": 0.1}, "unknown config key 'model.v_01'"),
     ({**_bump(1.0), "planted.bump_2.x": 1.0}, "unknown config key 'planted.bump_2.x'"),
+    ({**_bump(1.0), "mission.mode": "prior-draw"}, "planted mode only"),
+    ({"planted.background": -0.1}, "planted mode only"),
+    ({"mission.start_x": 1, "mission.start_y": 1, "mission.start_z": -3}, "below the floor"),
+    ({"mission.start_x": "nan", "mission.start_y": 1, "mission.start_z": 8}, "start must be finite"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse
 BENCH_REJECTED = [
@@ -459,6 +463,9 @@ def valid_configs(draw) -> dict:
     kv = parse_config_text(small_cfg_text(**over))
     for key in draw(st.lists(st.sampled_from(OPTIONAL), unique=True)):
         del kv[key]
+    if kv.get("mission.mode") != "planted":  # bumps and a background are planted-mode keys
+        kv.pop("planted.bumps", None)
+        kv.pop("planted.background", None)
     if kv.get("planted.bumps", "0") == "0":
         for key in BUMP_1:
             del kv[key]

@@ -221,6 +221,12 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             sample_ground_truth(self.domain, self.model, seed=0, mode="nope")
 
+    def test_bumps_need_planted_mode(self):
+        # prior-draw ignores them, so a config carrying them is refused
+        for extra in ({"bumps": (Bump(10.5, 10.5, 1.0, 2.0),)}, {"background": 0.5}):
+            with pytest.raises(ValueError, match="planted mode only"):
+                sample_ground_truth(self.domain, self.model, seed=0, **extra)
+
     def test_planted_lower_levels_are_smoother(self):
         truth = sample_ground_truth(
             self.domain,

@@ -78,6 +78,27 @@ class TestSampleLog:
             log.append(small_domain.cell_center(3), 0.5, level)
         assert len(log) == 0
 
+    def test_extend_matches_appends(self, small_domain):
+        # one record per cell index, all at one level, as appends would give
+        a, b = SampleLog(small_domain), SampleLog(small_domain)
+        cells, values = [7, 3, 7, 99], np.array([0.5, -1.25, 2.0, 0.1])
+        for c, y in zip(cells, values):
+            a.append(small_domain.cell_center(c), float(y), 2)
+        b.extend(cells, values, 2)
+        for read in ("cells", "cell_indices", "locations", "values", "fidelities"):
+            assert getattr(a, read)().tolist() == getattr(b, read)().tolist()
+        assert b.cells().tolist() == [[0, 7], [0, 3], [0, 7], [9, 9]]
+
+    @pytest.mark.parametrize(
+        "cells, values, message",
+        [([100], [0.0], "out of range"), ([-1], [0.0], "out of range"), ([1, 2], [0.0], "2 cells")],
+    )
+    def test_extend_refuses_bad_records(self, small_domain, cells, values, message):
+        log = SampleLog(small_domain)
+        with pytest.raises(ValueError, match=message):
+            log.extend(cells, values, 1)
+        assert len(log) == 0
+
     def test_level_above_model_named(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(3), 0.5, 1)

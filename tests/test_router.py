@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgp_search import (
+    EpochPlan,
     FidelityModel,
     FidelityState,
     GridDomain,
@@ -16,12 +17,14 @@ from mfgp_search import (
     posterior,
     sample_ground_truth,
 )
+from mfgp_search.planner import PlannedSample
 from mfgp_search.router import _GAIN_ROWS, _distance_matrix, _nearest_neighbor, _two_opt
 
 from oracles import (
     exhaustive_open_tour,
     scalar_dist3,
     scalar_nearest_neighbor,
+    scalar_measurements,
     scalar_path_length,
     scalar_two_opt,
 )
@@ -187,6 +190,28 @@ class TestMatchesScalarOracle:
             self.check(pts, 4.0, (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)), 4.0))
             self.check(pts, 4.0, (pts[0][0], pts[0][1], 8.0))
 
+    @pytest.mark.parametrize(
+        "start", [None, (-1.5, 21.25, 12.0)], ids=["on-a-waypoint", "off-the-grid"]
+    )
+    def test_capped_epoch_with_repeats(self, start):
+        # a capped epoch's shape: 200 samples with replacement on the desk
+        # grid, on far fewer distinct cells, all flown over every point
+        rng = np.random.default_rng(8)
+        cells = [(i + 0.5, j + 0.5) for i in range(20) for j in range(20)]
+        pool = rng.choice(len(cells), size=100, replace=False)
+        points = [cells[k] for k in rng.choice(pool, size=200)]
+        assert len(set(points)) < 100
+        start = start or (*points[57], 8.0)
+        self.check(points, 8.0, start)
+        tour = build_tour(points, 8.0, start)
+        path = [start, *tour.waypoints]
+        assert tour.legs == tuple(scalar_dist3(a, b) for a, b in zip(path, path[1:]))
+
+    def test_distinct_points_zero_apart(self):
+        # offsets below about 1e-154 square to 0.0, so these two points tie
+        # with each other's copies: each point must be its own stop
+        self.check([(0.0, 0.0), (5e-324, 0.0), (0.0, 0.0)], 4.0, (1.0, 1.0, 4.0))
+
     def test_large_grid_epoch(self):
         rng = np.random.default_rng(4)
         cells = [(i + 0.5, j + 0.5) for i in range(20) for j in range(20)]
@@ -336,6 +361,20 @@ class TestExecuteEpoch:
                 plan, wrong, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0), start
             )
 
+    def test_log_on_another_grid_rejected(self, epoch_setup):
+        # one cell index per waypoint serves the truth and the log
+        domain, model, truth = epoch_setup
+        post = posterior(SampleLog(domain), domain, model)
+        plan = plan_epoch(
+            post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
+        )
+        start = (0.0, 0.0, model.z[0])
+        tours = plan_tours(plan, model, start)
+        other = SampleLog(GridDomain(0.0, 20.0, 0.0, 20.0, 10))
+        with pytest.raises(ValueError, match="different grids"):
+            execute_epoch(plan, tours, truth, model, other, 0.0, np.random.default_rng(0), start)
+        assert len(other) == 0
+
     def test_tour_from_elsewhere_rejected(self, epoch_setup):
         # the clock charges the tour's own legs, so they must start at the vehicle
         domain, model, truth = epoch_setup
@@ -385,6 +424,32 @@ class TestExecuteEpoch:
         assert [row[5] for row in trace.waypoint_rows] == times
         assert trace.end_time == clock
         assert trace.altitude_changes == 2
+
+    def test_log_matches_scalar_measurements(self, epoch_setup):
+        # one noise vector per tour gives the values of one scalar draw per
+        # waypoint in visit order, repeated cells and both levels included
+        domain, model, truth = epoch_setup
+        rng = np.random.default_rng(9)
+        cells = [domain.cell_center(int(k)) for k in rng.choice(domain.n_cells, size=12)]
+        picks = [(cells[int(k)], m) for m in (1, 2) for k in rng.integers(0, 12, size=40)]
+        plan = EpochPlan(
+            epoch=1,
+            samples=tuple(PlannedSample(loc, m, 1.0) for loc, m in picks),
+            n_before=0,
+            sigma_max_before=1.0,
+            sigma_max_after=0.5,
+            capped=True,
+            state_after=FidelityState(model, 2),
+            max_var_trace=(0.25,) * len(picks),
+        )
+        start = (3.0, 3.0, model.z[0])
+        tours = plan_tours(plan, model, start)
+        log = SampleLog(domain)
+        execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(4), start)
+        expected = scalar_measurements(tours, (1, 2), truth, model, np.random.default_rng(4))
+        got = zip(*log.locations().T.tolist(), log.values().tolist(), log.fidelities().tolist())
+        assert list(got) == expected
+        assert len(expected) == 80 and len(set(log.cell_indices().tolist())) <= 12
 
     def test_custom_sample_time(self, epoch_setup):
         domain, model, truth = epoch_setup
