@@ -32,7 +32,6 @@ _EXPORTS = {
         "GridDomain",
         "GroundTruth",
         "kernel_eval",
-        "measure",
         "sample_ground_truth",
     ),
     "inference": (

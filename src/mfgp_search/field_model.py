@@ -152,7 +152,10 @@ class FidelityModel:
     def inaccessible_variance(self, level: int) -> float:
         """Variance contributed by layers above ``level`` (zero at the top)."""
         self._check_level(level)
-        return float(sum(vi * vi for vi in self.v[level:]))
+        total = 0.0  # left to right: builtin sum() is compensated from Python 3.12 on
+        for vi in self.v[level:]:
+            total += vi * vi
+        return total
 
     def _check_level(self, m: int):
         if not 1 <= m <= self.levels:
@@ -235,9 +238,6 @@ class GroundTruth:
         if not 1 <= m <= len(self.f):
             raise ValueError(f"fidelity level {m} out of range [1, {len(self.f)}]")
         return self.f[m - 1]
-
-    def value_at(self, x: float, y: float, m: int) -> float:
-        return float(self.level_field(m)[self.domain.index_of(x, y)])
 
     def target_mask(self, th: float) -> np.ndarray:
         """Cells whose full-fidelity score reaches the detection threshold."""
@@ -347,11 +347,6 @@ def measure_cells(truth: GroundTruth, cells, m: int, model: FidelityModel, rng) 
     one ``rng.normal`` call (the stream of one scalar draw per cell)."""
     model._check_level(m)
     return truth.level_field(m)[cells] + rng.normal(0.0, model.s[m - 1], size=len(cells))
-
-
-def measure(truth: GroundTruth, x: float, y: float, m: int, model: FidelityModel, rng) -> float:
-    """One noisy observation of the level-m field at a cell center."""
-    return float(measure_cells(truth, [truth.domain.index_of(x, y)], m, model, rng)[0])
 
 
 def field_to_grid(domain: GridDomain, values: np.ndarray) -> np.ndarray:

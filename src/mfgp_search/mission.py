@@ -363,10 +363,6 @@ class DetectionTimeTable:
     """Mean classification time per bin of distance-to-threshold."""
 
     rows: list[dict]
-    seeds: list[int]
-
-    def mean_times(self) -> list[float]:
-        return [r["mean_time"] for r in self.rows]
 
 
 def detection_time_study(
@@ -380,7 +376,6 @@ def detection_time_study(
     """
     if config.mode != "prior-draw":
         raise ValueError("detection-time study requires prior-draw mode")
-    seeds = [int(s) for s in seeds]
     reports = run_missions(config, seeds)
     deltas = np.concatenate([r.delta_x for r in reports])
     times = np.concatenate([r.time_classified for r in reports])
@@ -404,4 +399,4 @@ def detection_time_study(
                 "censored": int(np.sum(sel & ~classified)),
             }
         )
-    return DetectionTimeTable(rows=rows, seeds=seeds)
+    return DetectionTimeTable(rows=rows)

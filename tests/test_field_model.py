@@ -9,7 +9,6 @@ from mfgp_search import (
     GridDomain,
     MissionConfig,
     kernel_eval,
-    measure,
     sample_ground_truth,
 )
 from mfgp_search.formats import write_grid_csv, write_pgm
@@ -17,6 +16,7 @@ from mfgp_search.field_model import (
     _gaussian_blur,
     _level_cholesky,
     field_to_grid,
+    measure_cells,
     offset_table,
     offset_windows,
 )
@@ -150,6 +150,24 @@ class TestPriorMoments:
         assert model.prior_variance(2) == 0.5 * 0.5 + 0.3 * 0.3
         assert not model._moments.flags.writeable
 
+    @given(
+        v=st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=6, unique=True).map(
+            lambda v: sorted(v, reverse=True)
+        )
+    )
+    @settings(max_examples=200)
+    def test_inaccessible_variance_sums_left_to_right(self, v):
+        # 2 and 3 levels sum the same in every order; from 4 on a
+        # compensated sum() (Python 3.12 and later) can move the last bit
+        M = len(v)
+        ladder = tuple(float(M - i) for i in range(M))
+        model = FidelityModel(mu=(0.0,) * M, v=tuple(v), l=ladder, s=(0.1,) * M, z=ladder)
+        for m in range(1, M + 1):
+            expected = 0.0
+            for vi in v[m:]:
+                expected += vi * vi
+            assert model.inaccessible_variance(m) == expected
+
     def test_variance_is_sum_of_amplitudes(self):
         model = FidelityModel(
             mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
@@ -243,11 +261,8 @@ class TestGroundTruth:
     @pytest.mark.parametrize("m", [0, -1, 3])
     def test_level_out_of_range_rejected(self, m):
         truth = sample_ground_truth(self.domain, self.model, seed=0, mode="planted")
-        x, y = self.domain.cell_center(5)
         with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
             truth.level_field(m)
-        with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
-            truth.value_at(x, y, m)
 
 
 # (sample_ground_truth keywords, text of the refusal) for truths with no finite value
@@ -323,37 +338,33 @@ class TestMeasure:
         )
         self.truth = sample_ground_truth(self.domain, self.model, seed=1)
 
+    def cell(self, i):
+        return self.domain.index_of(*self.domain.cell_center(i))
+
     def test_vanishing_noise_returns_field_exactly(self):
         quiet = FidelityModel(
             mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(1e-300, 1e-300), z=(8.0, 4.0)
         )
-        x, y = self.domain.cell_center(37)
         rng = np.random.default_rng(0)
-        assert measure(self.truth, x, y, 2, quiet, rng) == self.truth.f[1, 37]
+        assert measure_cells(self.truth, [self.cell(37)], 2, quiet, rng)[0] == self.truth.f[1, 37]
 
     def test_rng_replay_identical(self):
-        x, y = self.domain.cell_center(5)
-        a = measure(self.truth, x, y, 1, self.model, np.random.default_rng(42))
-        b = measure(self.truth, x, y, 1, self.model, np.random.default_rng(42))
-        assert a == b
+        cells = [self.cell(5), self.cell(5), self.cell(61)]
+        a = measure_cells(self.truth, cells, 1, self.model, np.random.default_rng(42))
+        b = measure_cells(self.truth, cells, 1, self.model, np.random.default_rng(42))
+        assert np.array_equal(a, b)
 
     def test_sample_mean_concentrates(self):
         # CLT check: 1e4 draws put the sample mean within 3*s/100 of f^m(x).
-        x, y = self.domain.cell_center(44)
         rng = np.random.default_rng(7)
-        vals = [measure(self.truth, x, y, 2, self.model, rng) for _ in range(10_000)]
+        vals = measure_cells(self.truth, [self.cell(44)] * 10_000, 2, self.model, rng)
         s = self.model.s[1]
         assert abs(np.mean(vals) - self.truth.f[1, 44]) <= 3 * s / 100
 
-    def test_non_center_rejected(self):
-        with pytest.raises(ValueError):
-            measure(self.truth, 0.1234, 0.5, 1, self.model, np.random.default_rng(0))
-
     @pytest.mark.parametrize("m", [0, -1, 3])
     def test_level_out_of_range_rejected(self, m):
-        x, y = self.domain.cell_center(5)
         with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
-            measure(self.truth, x, y, m, self.model, np.random.default_rng(0))
+            measure_cells(self.truth, [self.cell(5)], m, self.model, np.random.default_rng(0))
 
 
 class TestExports:

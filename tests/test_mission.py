@@ -301,7 +301,7 @@ class TestDetectionTimeStudy:
 
     def test_larger_margin_classifies_faster(self, study_config):
         table = detection_time_study(study_config, seeds=range(12))
-        times = table.mean_times()
+        times = [r["mean_time"] for r in table.rows]
         assert times[0] > times[-1]
 
     def test_tighter_delta_takes_longer(self, small_domain, small_model):

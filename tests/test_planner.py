@@ -399,6 +399,23 @@ def test_decay_curves_match_snapshot_loop(resolution, model, n_samples):
     assert compare_decay(config, n_samples) == snapshot_decay(config, n_samples)
 
 
+def test_decay_breakdown_refactorizes_through_the_planner(monkeypatch):
+    # near-noiseless samples on a coarse grid: the greedy step meets a pivot
+    # that breaks down, with no patched append, and goes on from a
+    # refactorized snapshot
+    domain = GridDomain(0.0, 20.0, 0.0, 20.0, 5)
+    model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(5.0, 2.5), s=(1e-7, 1e-7), z=(8.0, 4.0))
+    config = MissionConfig(domain=domain, model=model, delta=0.1, th=0.3)
+    expected = snapshot_decay(config, 80)
+    refactorized = []
+    real_posterior = inference.posterior
+    monkeypatch.setattr(
+        inference, "posterior", lambda *a: refactorized.append(a) or real_posterior(*a)
+    )
+    assert compare_decay(config, 80) == expected
+    assert len(refactorized) == 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(planning_cases())
 def test_candidate_planning_matches_full_grid_loop(case):
