@@ -189,8 +189,9 @@ def offset_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
 
 
 def reflect_offsets(table: np.ndarray) -> np.ndarray:
-    """(M, 2R-1, 2R-1) copy of an (M, R, R) offset table reflected about the
-    zero offset on both axes: [t, R-1+dr, R-1+dc] is table t at (|dr|, |dc|).
+    """(M, 2R-1, 2R-1) C-ordered copy of an (M, R, R) offset table reflected
+    about the zero offset on both axes: [t, R-1+dr, R-1+dc] is table t at
+    (|dr|, |dc|).
 
     Cell (r, c)'s grid is the R x R block from [t, R-1-r, R-1-c], so one
     of its entries lies (R-1-r)(2R-1) + R-1-c places after the block
@@ -198,7 +199,7 @@ def reflect_offsets(table: np.ndarray) -> np.ndarray:
     """
     R = table.shape[-1]
     offset = np.abs(np.arange(1 - R, R))
-    return table[:, offset[:, None], offset]
+    return np.ascontiguousarray(table[:, offset[:, None], offset])
 
 
 def offset_windows(table: np.ndarray) -> np.ndarray:
@@ -209,8 +210,13 @@ def offset_windows(table: np.ndarray) -> np.ndarray:
     (``reflect_offsets``), so gathering a cell's grid copies R rows of R
     contiguous entries and computes nothing.
     """
-    R = table.shape[-1]
-    windows = np.lib.stride_tricks.sliding_window_view(reflect_offsets(table), (R, R), axis=(1, 2))
+    return _reflected_windows(reflect_offsets(table))
+
+
+def _reflected_windows(reflected: np.ndarray) -> np.ndarray:
+    """``offset_windows`` as a view of a table that ``reflect_offsets`` made."""
+    R = (reflected.shape[-1] + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(reflected, (R, R), axis=(1, 2))
     return windows[:, ::-1, ::-1]
 
 
@@ -267,12 +273,24 @@ def _gaussian_blur(grid: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
+def _level_factors(domain: GridDomain, model: FidelityModel) -> list:
+    """The prior-draw factors of the current (domain, model), filled in by
+    ``_level_cholesky`` level by level.  Another pair evicts the list as it
+    is made, before any of its factors, so at most one model's M n x n
+    factors are held."""
+    return [None] * model.levels
+
+
 def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
-    # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
-    K = np.array(offset_windows(offset_table(domain, model)[m - 1 : m])[0], order="C")
-    L, _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
-    return L
+    """Cholesky factor of layer m's kernel over the grid, jittered, cached
+    in ``_level_factors``."""
+    factors = _level_factors(domain, model)
+    if factors[m - 1] is None:
+        # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
+        K = np.array(offset_windows(offset_table(domain, model)[m - 1 : m])[0], order="C")
+        factors[m - 1], _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
+    return factors[m - 1]
 
 
 def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):

@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from ._linalg import DEFAULT_JITTER, NumericalError
-from .field_model import FidelityModel, GridDomain, offset_table, offset_windows, reflect_offsets
+from .field_model import FidelityModel, GridDomain, _reflected_windows, offset_table, reflect_offsets
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
@@ -114,9 +114,18 @@ def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _reflected_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
+    """``reflect_offsets`` of covariance_table, read-only: the one reflected
+    copy that ``_grid_windows`` views and ``_WorkingSet`` reads flat."""
+    table = reflect_offsets(covariance_table(domain, model))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=8)
 def _grid_windows(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     """``offset_windows`` of covariance_table: [t, r, c] is the level-(t+1) row of cell (r, c)."""
-    return offset_windows(covariance_table(domain, model))
+    return _reflected_windows(_reflected_table(domain, model))
 
 
 def _grid_cov(windows, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -343,7 +352,7 @@ class _WorkingSet:
         self._position = np.full(state.domain.n_cells, -1)
         self._position[columns] = np.arange(len(columns))
         # kappa of the cell at column k is one slice and gather of the flat
-        # reflected covariance table (``reflect_offsets``): the slice starts
+        # reflected covariance table (``_reflected_table``): the slice starts
         # at the level's block plus _start[k], and the columns sit _offsets
         # after it.
         R = state.domain.resolution
@@ -352,7 +361,7 @@ class _WorkingSet:
         self._offsets = rows * (2 * R - 1) + cols
         self._start = ((R - 1 - rows) * (2 * R - 1) + (R - 1 - cols)).tolist()
         self._block = (2 * R - 1) ** 2
-        self._reflected = reflect_offsets(covariance_table(state.domain, state.model)).ravel()
+        self._reflected = _reflected_table(state.domain, state.model).ravel()  # a view
         _, var, noise = state.model._moments
         self._diag = var + noise
 

@@ -6,6 +6,7 @@ eliminate empty regions, and stop once enough of the floor is classified.
 Everything is deterministic given the mission seed.
 """
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args
 
@@ -270,6 +271,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
     terminated = "epoch-cap"
     for j in range(1, config.max_epochs + 1):
         plan = plan_epoch(post, state, limits, candidates, epoch=j)
+        del post  # the next posterior builds its W with no earlier W alive
         state = plan.state_after
         tours = plan_tours(plan, model, position)
         trace = execute_epoch(
@@ -353,9 +355,31 @@ def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
     return DecayCurves(n=list(range(n_samples + 1)), multi_fidelity=multi, single_fidelity=single)
 
 
-def run_missions(config: MissionConfig, seeds) -> list[MissionReport]:
-    """Run one mission per seed, one after another, results in seed order."""
-    return [run_mission(replace(config, seed=int(s))) for s in seeds]
+def run_missions(config: MissionConfig, seeds) -> Iterator[MissionReport]:
+    """Run one mission per seed, one after another, and yield each report in
+    seed order; a caller that drops each report holds one at a time."""
+    for s in seeds:
+        yield run_mission(replace(config, seed=int(s)))
+
+
+def _linear_quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, q)`` (method "linear") bit for bit, for values
+    that are finite and not -0.0, without the ``numpy.ma`` import that
+    ``np.quantile`` makes on first use.
+
+    The virtual index (n - 1) q into the sorted values is floored, and the
+    index above it clipped to the last value; the result is
+    below + diff * gamma, or above - diff * (1 - gamma) where gamma >= 0.5,
+    as numpy's ``_lerp`` computes it.
+    """
+    x = np.sort(values)
+    index = (len(x) - 1) * q
+    below = np.floor(index)
+    gamma = index - below
+    lo = below.astype(np.intp)
+    lower, upper = x[lo], x[np.minimum(lo + 1, len(x) - 1)]
+    diff = upper - lower
+    return np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
 
 
 @dataclass
@@ -376,14 +400,17 @@ def detection_time_study(
     """
     if config.mode != "prior-draw":
         raise ValueError("detection-time study requires prior-draw mode")
-    reports = run_missions(config, seeds)
-    deltas = np.concatenate([r.delta_x for r in reports])
-    times = np.concatenate([r.time_classified for r in reports])
-    classified = np.concatenate([r.labels != Label.UNCERTAIN for r in reports])
+    deltas, times, classified = [], [], []
+    for report in run_missions(config, seeds):
+        deltas.append(report.delta_x)
+        times.append(report.time_classified)
+        classified.append(report.labels != Label.UNCERTAIN)
+        del report  # one report alive at a time: drop it before the next mission
+    deltas, times, classified = map(np.concatenate, (deltas, times, classified))
     keep = deltas > BOUNDARY_TOL
     deltas, times, classified = deltas[keep], times[keep], classified[keep]
 
-    qs = np.quantile(deltas, np.linspace(0.0, 1.0, delta_bins + 1))
+    qs = _linear_quantiles(deltas, np.linspace(0.0, 1.0, delta_bins + 1))
     qs[0], qs[-1] = 0.0, np.inf
     rows = []
     for b in range(delta_bins):

@@ -79,7 +79,7 @@ PLANTED_CONFIG = MissionConfig(
 def mission_batch():
     """50 prior-draw desk missions at delta = 0.1, shared by criteria 6 and 7."""
     t0 = time.monotonic()
-    reports = run_missions(DESK_CONFIG, seeds=range(50))
+    reports = list(run_missions(DESK_CONFIG, seeds=range(50)))
     return reports, time.monotonic() - t0
 
 

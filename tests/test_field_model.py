@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,6 +319,17 @@ class TestPriorDrawCovariance:
         truth = sample_ground_truth(domain, desk_model, seed=3)
         assert truth.f.shape == (2, 1) and np.all(np.isfinite(truth.f))
         assert offset_table(domain, desk_model)[:, 0, 0].tolist() == [0.25, 0.09]
+
+    def test_only_the_current_models_factors_stay_cached(self, desk_model):
+        domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
+        other = FidelityModel(mu=(0.0, 0.0), v=(0.4, 0.2), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0))
+        sample_ground_truth(domain, other, seed=1)
+        earlier = [weakref.ref(_level_cholesky(domain, other, m)) for m in (1, 2)]
+        sample_ground_truth(domain, desk_model, seed=1)
+        gc.collect()
+        assert [ref() for ref in earlier] == [None, None]
+        current = [_level_cholesky(domain, desk_model, m) for m in (1, 2)]
+        assert all(_level_cholesky(domain, desk_model, m) is L for m, L in zip((1, 2), current))
 
 
 class TestGaussianBlur:

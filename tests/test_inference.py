@@ -19,6 +19,8 @@ from mfgp_search.inference import (
     _chain_terms,
     _grid_cov,
     _grid_windows,
+    _reflected_table,
+    _WorkingSet,
     covariance_table,
     diagnostics_lines,
     restrict,
@@ -201,6 +203,16 @@ class TestCrossCovariance:
         assert np.array_equal(_grid_cov(windows, rc, m), expected)
         assert not windows.flags.writeable
         assert _grid_windows(domain, desk_model) is windows
+
+    def test_one_reflected_table_per_domain_and_model(self, small_domain, two_level):
+        # the windows and every working set read the one cached copy
+        table = _reflected_table(small_domain, two_level)
+        assert table.shape == (2, 19, 19) and not table.flags.writeable
+        assert _reflected_table(small_domain, two_level) is table
+        assert np.shares_memory(_grid_windows(small_domain, two_level), table)
+        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        for _ in range(2):
+            assert _WorkingSet(post, post.columns, 1)._reflected.base is table
 
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)

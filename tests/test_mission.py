@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mfgp_search import (
     Bump,
@@ -342,3 +350,79 @@ def _pooled_mean_time(config, seeds) -> float:
         done = rep.labels != Label.UNCERTAIN
         times.extend(rep.time_classified[done].tolist())
     return float(np.mean(times))
+
+
+class TestOneAliveAtATime:
+    """A mission holds one posterior snapshot and a study one report."""
+
+    def test_previous_posterior_released_before_the_next(self, small_domain, small_model, monkeypatch):
+        snapshots = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in snapshots), "an earlier posterior is still alive"
+            post = real(*args, **kwargs)
+            snapshots.append(weakref.ref(post))
+            return post
+
+        real = mission.posterior
+        monkeypatch.setattr(mission, "posterior", tracked)
+        config = MissionConfig(
+            domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=3, max_epochs=4
+        )
+        report = run_mission(config)
+        assert len(snapshots) == len(report.epochs) + 1 > 2
+
+    def test_study_holds_one_report(self, study_config, monkeypatch):
+        reports = []
+
+        def tracked(config):
+            assert all(ref() is None for ref in reports), "an earlier report is still alive"
+            report = real(config)
+            reports.append(weakref.ref(report))
+            return report
+
+        real = mission.run_mission
+        monkeypatch.setattr(mission, "run_mission", tracked)
+        detection_time_study(study_config, seeds=range(3))
+        assert len(reports) == 3
+
+    def test_run_missions_yields(self, study_config):
+        batch = run_missions(study_config, seeds=range(2))
+        assert next(batch).config.seed == 0
+        assert [r.config.seed for r in batch] == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.integers(1, 3000),
+        elements=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+    ),
+    bins=st.integers(1, 12),
+)
+def test_linear_quantiles_match_numpy_bit_for_bit(values, bins):
+    q = np.linspace(0.0, 1.0, bins + 1)
+    assert mission._linear_quantiles(values, q).tobytes() == np.quantile(values, q).tobytes()
+
+
+NO_NUMPY_MA = """
+import sys
+from mfgp_search.cli import main
+
+assert main(["bench", "--config", "configs/desk.cfg", "--out", sys.argv[1],
+             "--set", "bench.seeds=2"]) == 0
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_bench_never_imports_numpy_ma(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA, str(tmp_path / "out")],
+        cwd=repo, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "detection_time.csv").exists()
