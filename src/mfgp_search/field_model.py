@@ -5,8 +5,10 @@ GP layers, one per sensing altitude.  Level ``m`` accumulates the layers
 ``1..m``; the top level ``M`` is the full-fidelity score field used as ground
 truth by the simulator.  Lower levels (higher altitudes) see a smoother,
 lower-amplitude version of the field.  Every covariance between two cell
-centers, in the prior draw and in inference, is read through the window
-view (``offset_windows``) of one cached per-layer offset table.
+centers, in the prior draw and in inference, is read from one cached table
+over cell offsets per (domain, model), ``covariance_tables``: the layer
+kernels, which the prior draw reads, and their running sum over the layers,
+which inference reads.  ``windows`` views either half as one grid per cell.
 """
 
 from dataclasses import dataclass
@@ -97,8 +99,10 @@ class FidelityModel:
     """Per-level hyperparameters of the autoregressive GP stack.
 
     Level arrays are indexed 1..M in the API (level 1 = highest altitude =
-    lowest fidelity).  Amplitudes, length scales, and altitudes must be
-    strictly decreasing with the level index; noise must be positive.
+    lowest fidelity) and are stored as tuples, so a model built from lists
+    hashes and compares like one built from tuples.  Amplitudes, length
+    scales, and altitudes must be strictly decreasing with the level index;
+    noise must be positive.
     """
 
     mu: tuple[float, ...]
@@ -108,6 +112,8 @@ class FidelityModel:
     z: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("mu", "v", "l", "s", "z"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         M = len(self.v)
         if M < 1:
             raise ValueError("need at least one fidelity level")
@@ -177,47 +183,36 @@ def kernel_eval(m: int, x, xp, model: FidelityModel):
 
 
 @lru_cache(maxsize=8)
-def offset_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
-    """(M, R, R) read-only table: [i, dr, dc] is layer i+1's kernel between
-    two cell centers dr rows and dc columns apart."""
+def covariance_tables(domain: GridDomain, model: FidelityModel) -> np.ndarray:
+    """(2, M, 2R-1, 2R-1) read-only table of covariances over cell offsets.
+
+    [0, t, R-1+dr, R-1+dc] is layer t+1's kernel between two cell centers
+    dr rows and dc columns apart (either sign), and [1] is the running sum
+    of [0] over the layers: [1, t] is the covariance of records at levels
+    ma and mb with t = min(ma, mb) - 1, and t = M-1 gives the full field.
+
+    Flat, cell (r, c)'s R x R grid in table [i, t] starts (R-1-r)(2R-1) +
+    R-1-c places after [i, t, 0, 0], and the cell (r', c') lies r'(2R-1) + c'
+    places after that start.
+    """
     R = domain.resolution
-    gx, gy = np.meshgrid(np.arange(R) * domain.cell_dx, np.arange(R) * domain.cell_dy)
-    offsets = np.stack([gx, gy], axis=-1)  # [dr, dc] -> (dc * dx, dr * dy)
-    table = np.array([kernel_eval(m, offsets, 0.0, model) for m in range(1, model.levels + 1)])
+    offset = np.abs(np.arange(1 - R, R))
+    gx, gy = np.meshgrid(offset * domain.cell_dx, offset * domain.cell_dy)
+    offsets = np.stack([gx, gy], axis=-1)  # [R-1+dr, R-1+dc] -> (|dc| dx, |dr| dy)
+    layers = np.array([kernel_eval(m, offsets, 0.0, model) for m in range(1, model.levels + 1)])
+    table = np.array([layers, np.cumsum(layers, axis=0)])
     table.setflags(write=False)
     return table
 
 
-def reflect_offsets(table: np.ndarray) -> np.ndarray:
-    """(M, 2R-1, 2R-1) C-ordered copy of an (M, R, R) offset table reflected
-    about the zero offset on both axes: [t, R-1+dr, R-1+dc] is table t at
-    (|dr|, |dc|).
-
-    Cell (r, c)'s grid is the R x R block from [t, R-1-r, R-1-c], so one
-    of its entries lies (R-1-r)(2R-1) + R-1-c places after the block
-    [t, 0, 0] of the flat table, plus r'(2R-1) + c' for the cell (r', c').
-    """
-    R = table.shape[-1]
-    offset = np.abs(np.arange(1 - R, R))
-    return np.ascontiguousarray(table[:, offset[:, None], offset])
-
-
-def offset_windows(table: np.ndarray) -> np.ndarray:
-    """(M, R, R, R, R) read-only view of an (M, R, R) offset table: [t, r, c]
-    is table t between the cell (r, c) and every cell, as an R x R grid.
-
-    The view holds R x R windows of the reflected table
-    (``reflect_offsets``), so gathering a cell's grid copies R rows of R
-    contiguous entries and computes nothing.
-    """
-    return _reflected_windows(reflect_offsets(table))
-
-
-def _reflected_windows(reflected: np.ndarray) -> np.ndarray:
-    """``offset_windows`` as a view of a table that ``reflect_offsets`` made."""
-    R = (reflected.shape[-1] + 1) // 2
-    windows = np.lib.stride_tricks.sliding_window_view(reflected, (R, R), axis=(1, 2))
-    return windows[:, ::-1, ::-1]
+def windows(table: np.ndarray) -> np.ndarray:
+    """(M, R, R, R, R) read-only view of one (M, 2R-1, 2R-1) half of
+    ``covariance_tables``: [t, r, c] is table t between the cell (r, c)
+    and every cell, as an R x R grid.  Gathering a cell's grid copies R rows
+    of R contiguous entries and computes nothing."""
+    R = (table.shape[-1] + 1) // 2
+    view = np.lib.stride_tricks.sliding_window_view(table, (R, R), axis=(1, 2))
+    return view[:, ::-1, ::-1]
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,7 @@ def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
     factors = _level_factors(domain, model)
     if factors[m - 1] is None:
         # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
-        K = np.array(offset_windows(offset_table(domain, model)[m - 1 : m])[0], order="C")
+        K = np.array(windows(covariance_tables(domain, model)[0])[m - 1], order="C")
         factors[m - 1], _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
     return factors[m - 1]
 

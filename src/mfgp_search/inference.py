@@ -4,9 +4,9 @@ Observations at level m only see the layers 1..m, so the covariance between
 two records truncates the layer sum at the lower of their two levels, and the
 cross-covariance of a record with the full-fidelity field truncates at the
 record's level.  Every record sits on a cell center and the layer kernels are
-stationary, so all of these covariances are reads of one window view
-(``_grid_windows``) of the layer sums of ``field_model.offset_table``
-(``covariance_table``), indexed by a level and two cells.  The posterior
+stationary, so all of these covariances are reads of the layer sums half
+of ``field_model.covariance_tables``, through its window view
+(``field_model.windows``), indexed by a level and two cells.  The posterior
 serves the whole grid through W = L^-1 K_xn, L the Cholesky factor of the
 observation covariance (GPML Alg. 2.1).  Records sorted by level see the
 full field's covariance with every earlier record, so the solve of a new
@@ -27,13 +27,12 @@ only at the API.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from ._linalg import DEFAULT_JITTER, NumericalError
-from .field_model import FidelityModel, GridDomain, _reflected_windows, offset_table, reflect_offsets
+from .field_model import FidelityModel, GridDomain, covariance_tables, windows
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
@@ -64,11 +63,22 @@ class SampleLog:
 
     def extend(self, cells, values, fidelity: int):
         """Append one record per flat cell index in ``cells``, with the
-        matching entry of ``values``, all at level ``fidelity``."""
-        cells = [int(c) for c in cells]
-        if len(cells) != len(values):
-            raise ValueError(f"{len(cells)} cells but {len(values)} values")
-        if cells and not (0 <= min(cells) and max(cells) < self.domain.n_cells):
+        matching entry of ``values``, all at level ``fidelity``.  A cell
+        index that is not a whole number or a value that is not finite is
+        refused, naming its entry."""
+        index = []
+        for k, c in enumerate(cells):
+            if not float(c).is_integer():
+                raise ValueError(f"cell index {c} at entry {k} is not a whole number")
+            index.append(int(c))
+        values = np.asarray(values, dtype=float)
+        if len(index) != len(values):
+            raise ValueError(f"{len(index)} cells but {len(values)} values")
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"value {values[k]} at entry {k} is not finite")
+        if index and not (0 <= min(index) and max(index) < self.domain.n_cells):
             raise ValueError(f"cell index out of range [0, {self.domain.n_cells})")
         if fidelity < 1:
             raise ValueError(f"fidelity level {fidelity} out of range: levels start at 1")
@@ -76,9 +86,9 @@ class SampleLog:
             raise ValueError(
                 f"fidelity must be non-decreasing: got {fidelity} after {self._fidelities[-1]}"
             )
-        self._cells += cells
-        self._values += np.asarray(values, dtype=float).tolist()
-        self._fidelities += [int(fidelity)] * len(cells)
+        self._cells += index
+        self._values += values.tolist()
+        self._fidelities += [int(fidelity)] * len(index)
 
     def locations(self) -> np.ndarray:
         return self.domain.cell_centers[self.cell_indices()]
@@ -98,39 +108,10 @@ class SampleLog:
         return np.array(self._fidelities, dtype=int)
 
 
-@lru_cache(maxsize=8)
-def covariance_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
-    """(M, R, R) table of truncated layer sums over cell offsets.
-
-    Entry [t, dr, dc] is the sum of the layer kernels 1..t+1 between two cell
-    centers dr rows and dc columns apart: the cumulative sum of
-    ``offset_table`` in layer order, from zero.  The covariance of records
-    at levels ma and mb is the entry at t = min(ma, mb) - 1; level M gives
-    the full field.
-    """
-    table = np.cumsum(offset_table(domain, model), axis=0)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _reflected_table(domain: GridDomain, model: FidelityModel) -> np.ndarray:
-    """``reflect_offsets`` of covariance_table, read-only: the one reflected
-    copy that ``_grid_windows`` views and ``_WorkingSet`` reads flat."""
-    table = reflect_offsets(covariance_table(domain, model))
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _grid_windows(domain: GridDomain, model: FidelityModel) -> np.ndarray:
-    """``offset_windows`` of covariance_table: [t, r, c] is the level-(t+1) row of cell (r, c)."""
-    return _reflected_windows(_reflected_table(domain, model))
-
-
-def _grid_cov(windows, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(n, n_cells) covariance of each record with the full field at every cell."""
-    return windows[m - 1, rc[:, 0], rc[:, 1]].reshape(len(m), windows.shape[-1] ** 2)
+def _grid_cov(cov, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(n, n_cells) covariance of each record with the full field at every
+    cell, from the ``windows`` view ``cov`` of the layer sums."""
+    return cov[m - 1, rc[:, 0], rc[:, 1]].reshape(len(m), cov.shape[-1] ** 2)
 
 
 def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
@@ -282,7 +263,7 @@ def posterior(
     a -= mean  # ybar - nu, made L^-1 (ybar - nu) block by block below
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts
-    w = _grid_cov(_grid_windows(domain, model), cells, levels)
+    w = _grid_cov(windows(covariance_tables(domain, model)[1]), cells, levels)
     for start in range(0, r, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at, prev = flat[block], w[:start]
@@ -352,16 +333,16 @@ class _WorkingSet:
         self._position = np.full(state.domain.n_cells, -1)
         self._position[columns] = np.arange(len(columns))
         # kappa of the cell at column k is one slice and gather of the flat
-        # reflected covariance table (``_reflected_table``): the slice starts
-        # at the level's block plus _start[k], and the columns sit _offsets
-        # after it.
+        # layer sums (the layout ``covariance_tables`` documents): the slice
+        # starts at the level's block plus _start[k], and the columns sit
+        # _offsets after it.
         R = state.domain.resolution
         rows, cols = np.divmod(columns, R)
         self._rc = list(zip(rows.tolist(), cols.tolist()))
         self._offsets = rows * (2 * R - 1) + cols
         self._start = ((R - 1 - rows) * (2 * R - 1) + (R - 1 - cols)).tolist()
         self._block = (2 * R - 1) ** 2
-        self._reflected = _reflected_table(state.domain, state.model).ravel()  # a view
+        self._reflected = covariance_tables(state.domain, state.model)[1].ravel()  # a view
         _, var, noise = state.model._moments
         self._diag = var + noise
 
@@ -457,7 +438,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     """
     n = len(log)
     _check_top_level(log, model)
-    windows = _grid_windows(log.domain, model)
+    cov = windows(covariance_tables(log.domain, model)[1])
     rc = log.cells()
     mrec = log.fidelities()
     flat, col = np.unique(log.cell_indices(), return_inverse=True)
@@ -470,7 +451,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     for start in range(0, n, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at = col[block]
-        x = windows[mrec[block, None] - 1, rc[block, 0, None], rc[block, 1, None], rows, cols]
+        x = cov[mrec[block, None] - 1, rc[block, 0, None], rc[block, 1, None], rows, cols]
         x -= gram[at]
         linv, pivots = _block_factor(x, at, d[block] - gram[at, at], "information-chain", start, 0.0)
         wb = linv @ x

@@ -15,8 +15,9 @@ steps of ``plan_epoch`` and ``compare_decay`` must reproduce exactly, and
 ``record_chain`` and ``record_posterior``, the information chain and the
 epoch posterior with one append step per record on all of W, which the
 blocked forms of ``_chain_terms`` and ``posterior`` must reproduce.  Those
-two read the covariance table by offset arithmetic (``_pair_cov``), which
-the package's window gathers must reproduce bit for bit.
+two read the layer sums of ``covariance_tables`` by offset arithmetic
+(``_pair_cov``), which the package's window gathers must reproduce bit for
+bit.
 """
 
 import itertools
@@ -26,11 +27,11 @@ import math
 import numpy as np
 
 from mfgp_search._linalg import NumericalError
+from mfgp_search.field_model import covariance_tables
 from mfgp_search.inference import (
     SampleLog,
     _next_row,
     append_sample_variance_only,
-    covariance_table,
     posterior,
     restrict,
 )
@@ -50,9 +51,12 @@ def sq_exp(v, l, A, B):
     return v * v * np.exp(-d2 / (2.0 * l * l))
 
 
-def _pair_cov(table, rc_a, m_a, rc_b, m_b) -> np.ndarray:
+def _pair_cov(tables, rc_a, m_a, rc_b, m_b) -> np.ndarray:
     """Covariance of records at cells rc_a (levels m_a) and rc_b (m_b) by
-    offset arithmetic on the covariance table; broadcasts."""
+    offset arithmetic on the layer sums of ``covariance_tables``, read at
+    non-negative offsets only; broadcasts."""
+    R = (tables.shape[-1] + 1) // 2
+    table = tables[1, :, R - 1 :, R - 1 :]
     dr = rc_a[..., 0] - rc_b[..., 0]
     dc = rc_a[..., 1] - rc_b[..., 1]
     level = np.minimum(m_a, m_b) - 1
@@ -204,12 +208,12 @@ def record_chain(log, model):
     """
     n = len(log)
     R = log.domain.resolution
-    table = covariance_table(log.domain, model)
+    tables = covariance_tables(log.domain, model)
     rc = log.cells()
     mrec = log.fidelities()
     flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
     distinct = np.column_stack(np.divmod(flat, R))
-    kxu = _pair_cov(table, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
+    kxu = _pair_cov(tables, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
     _, var, noise = model._moments
     s2 = noise[mrec]
     d = var[mrec] + s2
@@ -236,7 +240,7 @@ def record_posterior(log, domain, model, jitter_scale=1e-10):
     ``posterior``.  Returns (mean, variance, W) over every cell.
     """
     n_cells = domain.n_cells
-    table = covariance_table(domain, model)
+    tables = covariance_tables(domain, model)
     rc = log.cells()
     keys, group, counts = np.unique(
         log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
@@ -251,7 +255,7 @@ def record_posterior(log, domain, model, jitter_scale=1e-10):
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts
     grid = np.column_stack(np.divmod(np.arange(n_cells), domain.resolution))
-    w = _pair_cov(table, cells[:, None], levels[:, None], grid[None], model.levels)
+    w = _pair_cov(tables, cells[:, None], levels[:, None], grid[None], model.levels)
     a = np.empty(r)
     for i, j in enumerate(flat):
         row, c, cc = _next_row(w[:i], j, w[i], d[i], 0.0)

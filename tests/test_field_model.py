@@ -18,12 +18,11 @@ from mfgp_search.formats import write_grid_csv, write_pgm
 from mfgp_search.field_model import (
     _gaussian_blur,
     _level_cholesky,
+    covariance_tables,
     field_to_grid,
     measure_cells,
-    offset_table,
-    offset_windows,
+    windows,
 )
-from mfgp_search.inference import covariance_table
 
 from oracles import sq_exp
 
@@ -126,15 +125,15 @@ class TestKernel:
         domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
         rng = np.random.default_rng(3)
         rows, cols = np.divmod(rng.choice(domain.n_cells, size=50, replace=False), 10)
-        full = covariance_table(domain, self.model)[-1]
-        gram = full[np.abs(rows[:, None] - rows), np.abs(cols[:, None] - cols)]
+        full = covariance_tables(domain, self.model)[1, -1]
+        gram = full[9 + rows[:, None] - rows, 9 + cols[:, None] - cols]
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-8
 
 
 class TestPriorMoments:
     # the full-field prior: mean from FidelityModel, covariance from the
-    # top level of the inference layer's covariance table
+    # top level of the layer sums in covariance_tables (zero offset at 9, 9)
     domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
 
     def test_mean_is_sum_of_level_means(self):
@@ -175,13 +174,13 @@ class TestPriorMoments:
         model = FidelityModel(
             mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
         )
-        assert covariance_table(self.domain, model)[-1, 0, 0] == pytest.approx(0.34)
+        assert covariance_tables(self.domain, model)[1, -1, 9, 9] == pytest.approx(0.34)
 
     def test_single_level_reduces_to_kernel(self):
         model = FidelityModel(mu=(0.2,), v=(0.7,), l=(3.0,), s=(0.1,), z=(5.0,))
         # centres of cells (row 0, col 0) and (row 1, col 2) on 1 m cells
         a, b = np.array([0.5, 0.5]), np.array([2.5, 1.5])
-        cov = covariance_table(self.domain, model)[0, 1, 2]
+        cov = covariance_tables(self.domain, model)[1, 0, 9 + 1, 9 + 2]
         assert cov == pytest.approx(kernel_eval(1, a, b, model))
 
 
@@ -290,15 +289,15 @@ def test_bad_truth_inputs_refused_as_by_the_config(inputs, message):
 
 
 class TestPriorDrawCovariance:
-    """The prior draw's K is the per-layer offset table's window view."""
+    """The prior draw's K is the window view of the layer kernels in covariance_tables."""
 
     def test_windows_equal_kernel_on_centre_differences(self, desk_domain, desk_model):
         # desk centres are binary fractions: offsets and centre differences agree
         centers, n = desk_domain.cell_centers, desk_domain.n_cells
-        windows = offset_windows(offset_table(desk_domain, desk_model))
+        layers = windows(covariance_tables(desk_domain, desk_model)[0])
         for m in (1, 2):
             K = kernel_eval(m, centers[:, None], centers[None], desk_model)
-            assert np.array_equal(windows[m - 1].reshape(n, n), K)
+            assert np.array_equal(layers[m - 1].reshape(n, n), K)
 
     @pytest.mark.parametrize(
         "domain",
@@ -318,7 +317,7 @@ class TestPriorDrawCovariance:
         domain = GridDomain(0.0, 1.0, 0.0, 1.0, 1)
         truth = sample_ground_truth(domain, desk_model, seed=3)
         assert truth.f.shape == (2, 1) and np.all(np.isfinite(truth.f))
-        assert offset_table(domain, desk_model)[:, 0, 0].tolist() == [0.25, 0.09]
+        assert covariance_tables(domain, desk_model)[0, :, 0, 0].tolist() == [0.25, 0.09]
 
     def test_only_the_current_models_factors_stay_cached(self, desk_model):
         domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)

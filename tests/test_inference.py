@@ -14,14 +14,11 @@ from mfgp_search import (
 )
 from mfgp_search import inference
 from mfgp_search._linalg import jittered_cholesky
-from mfgp_search.field_model import sample_ground_truth
+from mfgp_search.field_model import covariance_tables, sample_ground_truth, windows
 from mfgp_search.inference import (
     _chain_terms,
     _grid_cov,
-    _grid_windows,
-    _reflected_table,
     _WorkingSet,
-    covariance_table,
     diagnostics_lines,
     restrict,
 )
@@ -93,7 +90,17 @@ class TestSampleLog:
 
     @pytest.mark.parametrize(
         "cells, values, message",
-        [([100], [0.0], "out of range"), ([-1], [0.0], "out of range"), ([1, 2], [0.0], "2 cells")],
+        [
+            ([100], [0.0], "out of range"),
+            ([-1], [0.0], "out of range"),
+            ([1, 2], [0.0], "2 cells"),
+            # int() would store 2.7 as cell 2, and one NaN value makes every posterior mean NaN
+            ([1, 2.7], [0.0, 0.0], "cell index 2.7 at entry 1 is not a whole number"),
+            ([np.float64(-0.5)], [0.0], "cell index -0.5 at entry 0 is not a whole number"),
+            ([1, float("nan")], [0.0, 0.0], "cell index nan at entry 1 is not a whole number"),
+            ([3, 4], [0.5, float("nan")], "value nan at entry 1 is not finite"),
+            ([3, 4], [-np.inf, 0.5], "value -inf at entry 0 is not finite"),
+        ],
     )
     def test_extend_refuses_bad_records(self, small_domain, cells, values, message):
         log = SampleLog(small_domain)
@@ -124,8 +131,8 @@ def _gathered_gram(domain, model, mrec):
     """Table covariance of every cell pair, records at levels mrec[cell]."""
     rows, cols = np.divmod(np.arange(domain.n_cells), domain.resolution)
     rc = np.column_stack([rows, cols])
-    table = covariance_table(domain, model)
-    return _pair_cov(table, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
+    tables = covariance_tables(domain, model)
+    return _pair_cov(tables, rc[:, None, :], mrec[:, None], rc[None, :, :], mrec[None, :])
 
 
 def _brute_layer_sums(domain, model):
@@ -170,23 +177,31 @@ class TestCovarianceTable:
             assert np.array_equal(gathered[top == t], brute[t - 1][top == t])
 
     def test_read_only_and_cached(self, small_domain, two_level):
-        table = covariance_table(small_domain, two_level)
-        assert table.shape == (2, 10, 10)
+        table = covariance_tables(small_domain, two_level)
+        assert table.shape == (2, 2, 19, 19)
         assert not table.flags.writeable
-        assert covariance_table(small_domain, two_level) is table
+        assert covariance_tables(small_domain, two_level) is table
+
+    def test_layer_sums_are_the_running_sum_of_the_layers(self, desk_model):
+        for domain in (GridDomain(0.0, 20.0, 0.0, 13.0, 30), GridDomain(0.0, 13.7, 0.0, 13.7, 17)):
+            # both halves reflected about the zero offset, [1] summed layer by layer
+            table = covariance_tables(domain, desk_model)
+            assert np.array_equal(table, table[..., ::-1, :])
+            assert np.array_equal(table, table[..., ::-1])
+            assert np.array_equal(table[1], np.cumsum(table[0], axis=0))
 
 
 class TestCrossCovariance:
     def test_empty_log(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        windows = _grid_windows(small_domain, two_level)
-        assert _grid_cov(windows, log.cells(), log.fidelities()).size == 0
+        cov = windows(covariance_tables(small_domain, two_level)[1])
+        assert _grid_cov(cov, log.cells(), log.fidelities()).size == 0
 
     def test_top_fidelity_self_covariance_is_prior_variance(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(7), 0.0, 2)
-        windows = _grid_windows(small_domain, two_level)
-        vec = _grid_cov(windows, log.cells(), log.fidelities())[:, 7]
+        cov = windows(covariance_tables(small_domain, two_level)[1])
+        vec = _grid_cov(cov, log.cells(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.34)
 
     def test_windows_match_offset_gather(self, desk_model):
@@ -197,19 +212,16 @@ class TestCrossCovariance:
         rc = rng.integers(0, 30, size=(50, 2))
         m = rng.integers(1, 3, size=50)
         grid = np.column_stack(np.divmod(np.arange(domain.n_cells), 30))
-        table = covariance_table(domain, desk_model)
+        table = covariance_tables(domain, desk_model)
         expected = _pair_cov(table, rc[:, None], m[:, None], grid[None], desk_model.levels)
-        windows = _grid_windows(domain, desk_model)
-        assert np.array_equal(_grid_cov(windows, rc, m), expected)
-        assert not windows.flags.writeable
-        assert _grid_windows(domain, desk_model) is windows
+        cov = windows(table[1])
+        assert np.array_equal(_grid_cov(cov, rc, m), expected)
+        assert not cov.flags.writeable
 
     def test_one_reflected_table_per_domain_and_model(self, small_domain, two_level):
-        # the windows and every working set read the one cached copy
-        table = _reflected_table(small_domain, two_level)
-        assert table.shape == (2, 19, 19) and not table.flags.writeable
-        assert _reflected_table(small_domain, two_level) is table
-        assert np.shares_memory(_grid_windows(small_domain, two_level), table)
+        # the windows and every working set read the one cached table
+        table = covariance_tables(small_domain, two_level)
+        assert np.shares_memory(windows(table[1]), table)
         post = posterior(SampleLog(small_domain), small_domain, two_level)
         for _ in range(2):
             assert _WorkingSet(post, post.columns, 1)._reflected.base is table
@@ -217,8 +229,8 @@ class TestCrossCovariance:
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(7), 0.0, 1)
-        windows = _grid_windows(small_domain, two_level)
-        vec = _grid_cov(windows, log.cells(), log.fidelities())[:, 7]
+        cov = windows(covariance_tables(small_domain, two_level)[1])
+        vec = _grid_cov(cov, log.cells(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.25)
 
 
@@ -226,8 +238,8 @@ class TestJointCovariance:
     def test_symmetry_and_nu(self, small_domain, two_level):
         log = random_mixed_log(small_domain, two_level, np.random.default_rng(0), 8)
         rc, m = log.cells(), log.fidelities()
-        table = covariance_table(small_domain, two_level)
-        K = _pair_cov(table, rc[:, None, :], m[:, None], rc[None, :, :], m[None, :])
+        tables = covariance_tables(small_domain, two_level)
+        K = _pair_cov(tables, rc[:, None, :], m[:, None], rc[None, :, :], m[None, :])
         assert np.array_equal(K, K.T)
         # one record at level m: the posterior at its own cell shrinks
         # y - nu_m by K_fm / (K_mm + s_m^2), with nu_m and s_m^2 level sums

@@ -81,6 +81,23 @@ class TestRunMission:
         b = dump_json(run_mission(config).to_json_dict()).encode()
         assert a == b
 
+    def test_model_built_from_lists_runs(self, small_model):
+        # the level sequences are stored as tuples: the model equals and
+        # hashes as the tuple-built one, so the prior draw's factor cache
+        # takes it
+        levels = {name: list(getattr(small_model, name)) for name in ("mu", "v", "l", "s", "z")}
+        listed = FidelityModel(**levels)
+        assert listed == small_model and hash(listed) == hash(small_model)
+        domain = GridDomain(0.0, 6.0, 0.0, 6.0, 6)
+        reports = [
+            run_mission(
+                MissionConfig(domain=domain, model=m, delta=0.1, th=0.3, seed=5, max_epochs=3)
+            )
+            for m in (listed, small_model)
+        ]
+        a, b = (dump_json(r.to_json_dict()) for r in reports)
+        assert a == b
+
     def test_epoch_ratio_contract(self, small_report):
         for er in small_report.epochs:
             if not er.capped:
