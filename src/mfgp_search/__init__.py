@@ -33,6 +33,7 @@ _EXPORTS = {
         "GroundTruth",
         "kernel_eval",
         "sample_ground_truth",
+        "sample_ground_truths",
     ),
     "inference": (
         "PosteriorField",

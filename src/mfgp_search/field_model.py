@@ -11,6 +11,7 @@ kernels, which the prior draw reads, and their running sum over the layers,
 which inference reads.  ``windows`` views either half as one grid per cell.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -19,6 +20,9 @@ import numpy as np
 from ._linalg import jittered_cholesky
 
 MAX_EXACT_CELLS = 10_000
+# The prior draw peaks while it factors one level: K, LAPACK's working copy of
+# it and the factor L, 3 n^2 doubles.  A grid whose draw needs more is refused.
+PRIOR_DRAW_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -268,29 +272,19 @@ def _gaussian_blur(grid: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _level_factors(domain: GridDomain, model: FidelityModel) -> list:
-    """The prior-draw factors of the current (domain, model), filled in by
-    ``_level_cholesky`` level by level.  Another pair evicts the list as it
-    is made, before any of its factors, so at most one model's M n x n
-    factors are held."""
-    return [None] * model.levels
-
-
 def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
-    """Cholesky factor of layer m's kernel over the grid, jittered, cached
-    in ``_level_factors``."""
-    factors = _level_factors(domain, model)
-    if factors[m - 1] is None:
-        # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
-        K = np.array(windows(covariance_tables(domain, model)[0])[m - 1], order="C")
-        factors[m - 1], _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
-    return factors[m - 1]
+    """Cholesky factor of layer m's kernel over the grid, jittered: a fresh
+    n x n array that only the caller holds."""
+    # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
+    K = np.array(windows(covariance_tables(domain, model)[0])[m - 1], order="C")
+    L, _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
+    return L
 
 
 def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):
-    """ValueError for a ground truth ``sample_ground_truth`` does not draw:
-    a grid over MAX_EXACT_CELLS, an unknown mode, a bump radius that is not
+    """ValueError for a ground truth ``sample_ground_truths`` does not draw:
+    a grid over MAX_EXACT_CELLS, an unknown mode, a prior draw over
+    PRIOR_DRAW_BUDGET_BYTES, a bump radius that is not
     positive, a bump or background that is not finite, or a bump or a
     non-zero background outside planted mode, which would go unused."""
     if domain.n_cells > MAX_EXACT_CELLS:
@@ -300,6 +294,14 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
     modes = ("prior-draw", "planted")
     if mode not in modes:
         raise ValueError(f"mode must be one of {modes}")
+    need = 3 * domain.n_cells**2 * 8
+    if mode == "prior-draw" and need > PRIOR_DRAW_BUDGET_BYTES:
+        raise ValueError(
+            f"a prior draw on {domain.n_cells} cells needs {need / 2**30:.2f} GiB "
+            f"(3 n^2 doubles) to factor a level; the prior-draw budget is "
+            f"{PRIOR_DRAW_BUDGET_BYTES / 2**30:g} GiB, at most "
+            f"{math.isqrt(PRIOR_DRAW_BUDGET_BYTES // 24)} cells"
+        )
     if any(not b.radius > 0.0 for b in bumps):
         raise ValueError("bump radius must be positive")
     values = [background, *(v for b in bumps for v in (b.x, b.y, b.amplitude, b.radius))]
@@ -309,36 +311,32 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
         raise ValueError(f"bumps and background apply in planted mode only, not in {mode}")
 
 
-def sample_ground_truth(
+def sample_ground_truths(
     domain: GridDomain,
     model: FidelityModel,
-    seed: int,
+    seeds,
     mode: str = "prior-draw",
     bumps: tuple[Bump, ...] = (),
     background: float = 0.0,
-) -> GroundTruth:
-    """Generate a deterministic synthetic ground truth.
+) -> list[GroundTruth]:
+    """Generate one deterministic synthetic ground truth per seed, in seed order.
 
     prior-draw: every layer is an exact joint GP draw over the grid (mean
-    mu_m, layer kernel), accumulated across levels.  planted: the top-level
-    field is a configured sum of radial bumps plus a background; lower levels
-    are Gaussian blurs of it with blur radius proportional to their length
-    scale, so coarser levels are smoother.  Inputs that
-    ``_check_truth_inputs`` refuses raise ValueError before any work.
+    mu_m, layer kernel), accumulated across levels.  Each level is factored
+    once and drawn for every seed, and its factor is dropped before the next
+    level is factored; each seed's generator yields its level-1 normals,
+    then its level-2 normals, and so on, so a truth does not depend on the
+    other seeds.  planted: the top-level field is a configured sum of radial
+    bumps plus a background; lower levels are Gaussian blurs of it with blur
+    radius proportional to their length scale, so coarser levels are
+    smoother.  The seed is unused and every truth shares one field.  Inputs
+    that ``_check_truth_inputs`` refuses raise ValueError before any work.
     """
     _check_truth_inputs(domain, mode, bumps, background)
     M = model.levels
     n = domain.n_cells
-    f = np.empty((M, n))
-    if mode == "prior-draw":
-        rng = np.random.default_rng(seed)
-        acc = np.zeros(n)
-        for m in range(1, M + 1):
-            L = _level_cholesky(domain, model, m)
-            draw = model.mu[m - 1] + L @ rng.standard_normal(n)
-            acc = acc + draw
-            f[m - 1] = acc
-    else:
+    if mode == "planted":
+        f = np.empty((M, n))
         centers = domain.cell_centers
         top = np.full(n, float(background))
         for b in bumps:
@@ -350,8 +348,31 @@ def sample_ground_truth(
             sigma_cells = model.l[m - 1] / domain.cell_dx
             blurred = _gaussian_blur(top.reshape(res, res), sigma_cells)
             f[m - 1] = blurred.ravel()
-    f.setflags(write=False)
-    return GroundTruth(domain=domain, f=f)
+        f.setflags(write=False)
+        return [GroundTruth(domain=domain, f=f) for _ in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    fields = [np.empty((M, n)) for _ in rngs]
+    for m in range(1, M + 1):
+        L = _level_cholesky(domain, model, m)
+        for f, rng in zip(fields, rngs):
+            below = f[m - 2] if m > 1 else 0.0
+            f[m - 1] = below + (model.mu[m - 1] + L @ rng.standard_normal(n))
+        del L  # the next level's K, its copy and its factor take this one's place
+    for f in fields:
+        f.setflags(write=False)
+    return [GroundTruth(domain=domain, f=f) for f in fields]
+
+
+def sample_ground_truth(
+    domain: GridDomain,
+    model: FidelityModel,
+    seed: int,
+    mode: str = "prior-draw",
+    bumps: tuple[Bump, ...] = (),
+    background: float = 0.0,
+) -> GroundTruth:
+    """The ground truth of one seed: ``sample_ground_truths`` of one."""
+    return sample_ground_truths(domain, model, [seed], mode, bumps, background)[0]
 
 
 def measure_cells(truth: GroundTruth, cells, m: int, model: FidelityModel, rng) -> np.ndarray:

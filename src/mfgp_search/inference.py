@@ -65,7 +65,8 @@ class SampleLog:
         """Append one record per flat cell index in ``cells``, with the
         matching entry of ``values``, all at level ``fidelity``.  A cell
         index that is not a whole number or a value that is not finite is
-        refused, naming its entry."""
+        refused, naming its entry, and so is a fidelity that is not a whole
+        number."""
         index = []
         for k, c in enumerate(cells):
             if not float(c).is_integer():
@@ -80,6 +81,8 @@ class SampleLog:
             raise ValueError(f"value {values[k]} at entry {k} is not finite")
         if index and not (0 <= min(index) and max(index) < self.domain.n_cells):
             raise ValueError(f"cell index out of range [0, {self.domain.n_cells})")
+        if not float(fidelity).is_integer():
+            raise ValueError(f"fidelity level {fidelity} is not a whole number")
         if fidelity < 1:
             raise ValueError(f"fidelity level {fidelity} out of range: levels start at 1")
         if self._fidelities and fidelity < self._fidelities[-1]:

@@ -26,6 +26,7 @@ from .field_model import (
     GroundTruth,
     _check_truth_inputs,
     sample_ground_truth,
+    sample_ground_truths,
 )
 from .inference import SampleLog, posterior
 from .planner import FidelityState, PlanLimits, _greedy_steps, plan_epoch
@@ -73,6 +74,10 @@ class MissionConfig:
     start: tuple[float, float, float] | None = None
 
     def __post_init__(self):
+        # stored as tuples, so a config built from lists hashes and compares like one built from tuples
+        object.__setattr__(self, "bumps", tuple(self.bumps))
+        if self.start is not None:
+            object.__setattr__(self, "start", tuple(float(x) for x in self.start))
         self.params()  # delta in (0, 1/2), th finite
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -238,23 +243,35 @@ class MissionReport:
         }
 
 
-def _mission_rngs(seed: int):
+def _mission_seeds(seed: int) -> tuple[int, int]:
+    """The (truth, measurement) seeds of the mission with seed ``seed``."""
     truth_seed, meas_seed = np.random.SeedSequence(seed).generate_state(2)
-    return int(truth_seed), np.random.default_rng(int(meas_seed))
+    return int(truth_seed), int(meas_seed)
 
 
-def run_mission(config: MissionConfig) -> MissionReport:
-    """Execute the full epoch loop; deterministic given config.seed."""
+def run_mission(config: MissionConfig, truth: GroundTruth | None = None) -> MissionReport:
+    """Execute the full epoch loop; deterministic given config.seed.
+
+    ``truth`` is the floor to search, drawn as ``sample_ground_truth`` draws
+    it for this config's seed; by default the mission draws it.  A truth on
+    another grid or with another level count is refused."""
     domain, model = config.domain, config.model
-    truth_seed, rng = _mission_rngs(config.seed)
-    truth = sample_ground_truth(
-        domain,
-        model,
-        seed=truth_seed,
-        mode=config.mode,
-        bumps=config.bumps,
-        background=config.background,
-    )
+    truth_seed, meas_seed = _mission_seeds(config.seed)
+    if truth is None:
+        truth = sample_ground_truth(
+            domain,
+            model,
+            seed=truth_seed,
+            mode=config.mode,
+            bumps=config.bumps,
+            background=config.background,
+        )
+    elif truth.domain != domain or len(truth.f) != model.levels:
+        raise ValueError(
+            f"truth has {len(truth.f)} levels on {truth.domain}; "
+            f"the mission needs {model.levels} on {domain}"
+        )
+    rng = np.random.default_rng(meas_seed)
     params = config.params()
     limits = config.limits()
 
@@ -357,9 +374,21 @@ def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
 
 def run_missions(config: MissionConfig, seeds) -> Iterator[MissionReport]:
     """Run one mission per seed, one after another, and yield each report in
-    seed order; a caller that drops each report holds one at a time."""
-    for s in seeds:
-        yield run_mission(replace(config, seed=int(s)))
+    seed order; a caller that drops each report holds one at a time.
+
+    Every floor is drawn in one ``sample_ground_truths`` pass before the
+    first mission, so each prior-draw level is factored once per study."""
+    configs = [replace(config, seed=int(s)) for s in seeds]
+    truths = sample_ground_truths(
+        config.domain,
+        config.model,
+        [_mission_seeds(c.seed)[0] for c in configs],
+        mode=config.mode,
+        bumps=config.bumps,
+        background=config.background,
+    )
+    for c, truth in zip(configs, truths):
+        yield run_mission(c, truth)
 
 
 def _linear_quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:

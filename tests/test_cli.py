@@ -68,6 +68,7 @@ REJECTED = [
     ({"mission.sample_time": -1}, "sample_time"),
     ({"mission.termination_fraction": 1.5}, "termination_fraction"),
     ({"domain.resolution": 200}, "cells"),
+    ({"domain.resolution": 82}, "the prior-draw budget is 1 GiB"),
     ({"mission.start_x": 50, "mission.start_y": 50, "mission.start_z": 8}, "outside"),
     (_bump(-1), "radius"),
     (_bump(0), "radius"),
@@ -337,6 +338,15 @@ class TestBench:
 def test_desk_config_is_valid():
     assert DESK.exists()
     assert main(["validate", "--config", str(DESK)]) == 0
+
+
+def test_prior_draw_budget_leaves_planted_grids_alone(capsys):
+    # the budget bounds the prior draw's factor step; a planted floor draws no factor
+    over = ["--set", "domain.resolution=82"]
+    assert main(["validate", "--config", str(REPO / "configs" / "planted.cfg"), *over]) == 0
+    assert main(["validate", "--config", str(DESK), *over]) == 1
+    assert "the prior-draw budget is 1 GiB, at most 6688 cells" in capsys.readouterr().err
+    assert main(["validate", "--config", str(DESK), "--set", "domain.resolution=81"]) == 0
 
 
 def test_normalized_echo_round_trips(small_cfg, capsys, tmp_path):

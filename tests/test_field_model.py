@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,9 @@ from mfgp_search import (
     MissionConfig,
     kernel_eval,
     sample_ground_truth,
+    sample_ground_truths,
 )
+from mfgp_search import field_model
 from mfgp_search.formats import write_grid_csv, write_pgm
 from mfgp_search.field_model import (
     _gaussian_blur,
@@ -319,16 +322,61 @@ class TestPriorDrawCovariance:
         assert truth.f.shape == (2, 1) and np.all(np.isfinite(truth.f))
         assert covariance_tables(domain, desk_model)[0, :, 0, 0].tolist() == [0.25, 0.09]
 
-    def test_only_the_current_models_factors_stay_cached(self, desk_model):
-        domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
-        other = FidelityModel(mu=(0.0, 0.0), v=(0.4, 0.2), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0))
-        sample_ground_truth(domain, other, seed=1)
-        earlier = [weakref.ref(_level_cholesky(domain, other, m)) for m in (1, 2)]
-        sample_ground_truth(domain, desk_model, seed=1)
+
+
+class TestPriorDrawMemory:
+    """A draw holds each level's factor only while it draws that level."""
+
+    def test_draw_peak_is_bounded_by_two_factors(self):
+        # a (domain, model) no other test draws, so the draw builds its table
+        # and every factor under the trace
+        domain = GridDomain(0.0, 30.0, 0.0, 30.0, 30)
+        model = FidelityModel(mu=(0.1, 0.0), v=(0.45, 0.25), l=(4.5, 2.25), s=(0.1, 0.1), z=(8.0, 4.0))
+        n = domain.n_cells
+        tracemalloc.start()
+        try:
+            sample_ground_truth(domain, model, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # K and its factor L; a held factor of the level before would be a third n^2
+        assert peak <= 2.25 * n * n * 8, peak / (n * n * 8)
+
+    def test_factor_dies_when_the_draw_returns(self, desk_model, monkeypatch):
+        factors = []
+
+        def tracked(*args):
+            L = real(*args)
+            factors.append(weakref.ref(L))
+            return L
+
+        real = field_model._level_cholesky
+        monkeypatch.setattr(field_model, "_level_cholesky", tracked)
+        sample_ground_truth(GridDomain(0.0, 10.0, 0.0, 10.0, 10), desk_model, seed=1)
         gc.collect()
-        assert [ref() for ref in earlier] == [None, None]
-        current = [_level_cholesky(domain, desk_model, m) for m in (1, 2)]
-        assert all(_level_cholesky(domain, desk_model, m) is L for m, L in zip((1, 2), current))
+        assert len(factors) == desk_model.levels
+        assert [ref() for ref in factors] == [None] * desk_model.levels
+
+    @pytest.mark.parametrize("mode", ["prior-draw", "planted"])
+    def test_batch_is_the_per_seed_draw(self, desk_domain, desk_model, mode):
+        planted = {"bumps": (Bump(4.5, 4.5, 1.2, 2.2),), "background": -0.1} if mode == "planted" else {}
+        seeds = [5, 0, 5, 11]
+        batch = sample_ground_truths(desk_domain, desk_model, seeds, mode=mode, **planted)
+        for seed, truth in zip(seeds, batch, strict=True):
+            alone = sample_ground_truth(desk_domain, desk_model, seed, mode=mode, **planted)
+            assert truth.domain == desk_domain and truth.f.tobytes() == alone.f.tobytes()
+            assert not truth.f.flags.writeable
+
+    def test_prior_draw_over_the_budget_refused(self, desk_model):
+        # 3 n^2 doubles within 1 GiB: 81 x 81 = 6561 cells fit, 82 x 82 = 6724 do not
+        big, fits = (GridDomain(0.0, 20.0, 0.0, 20.0, r) for r in (82, 81))
+        with pytest.raises(ValueError, match="prior-draw budget is 1 GiB, at most 6688 cells"):
+            sample_ground_truth(big, desk_model, seed=0)
+        base = dict(model=desk_model, delta=0.1, th=0.3)
+        with pytest.raises(ValueError, match="prior-draw budget"):
+            MissionConfig(domain=big, **base)
+        MissionConfig(domain=fits, **base)
+        MissionConfig(domain=big, mode="planted", bumps=(Bump(4.5, 4.5, 1.2, 2.2),), **base)
 
 
 class TestGaussianBlur:

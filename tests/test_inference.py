@@ -108,6 +108,16 @@ class TestSampleLog:
             log.extend(cells, values, 1)
         assert len(log) == 0
 
+    @pytest.mark.parametrize("fidelity", [1.5, np.float64(2.25), float("nan")])
+    def test_extend_refuses_a_fractional_fidelity(self, small_domain, fidelity):
+        # int() would store 1.5 as level 1
+        log = SampleLog(small_domain)
+        with pytest.raises(ValueError, match=f"fidelity level {fidelity} is not a whole number"):
+            log.extend([3], [0.5], fidelity)
+        assert len(log) == 0
+        log.extend([3], [0.5], 2.0)
+        assert log.fidelities().tolist() == [2]
+
     def test_level_above_model_named(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(3), 0.5, 1)

@@ -16,15 +16,18 @@ from mfgp_search import (
     Bump,
     FidelityModel,
     GridDomain,
+    GroundTruth,
     Label,
     MissionConfig,
     classifier,
     compare_decay,
     confidence_interval,
     detection_time_study,
+    field_model,
     mission,
     run_mission,
     run_missions,
+    sample_ground_truth,
 )
 from mfgp_search.formats import dump_json
 
@@ -83,7 +86,7 @@ class TestRunMission:
 
     def test_model_built_from_lists_runs(self, small_model):
         # the level sequences are stored as tuples: the model equals and
-        # hashes as the tuple-built one, so the prior draw's factor cache
+        # hashes as the tuple-built one, so the covariance table cache
         # takes it
         levels = {name: list(getattr(small_model, name)) for name in ("mu", "v", "l", "s", "z")}
         listed = FidelityModel(**levels)
@@ -221,6 +224,27 @@ class TestRunMission:
         assert report.final_map.interval[1].tolist() == up.tolist()
         f = report.truth.f[-1]
         assert last.coverage_outside == int(np.sum((f < low) | (f > up)))
+
+    def test_config_built_from_lists_equals_and_hashes(self):
+        domain = GridDomain(0.0, 6.0, 0.0, 6.0, 6)
+        model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0))
+        base = dict(domain=domain, model=model, delta=0.1, th=0.3, mode="planted")
+        bump = Bump(3.0, 3.0, 1.0, 1.5)
+        listed = MissionConfig(**base, start=[1.5, 1.5, 8], bumps=[bump])
+        tupled = MissionConfig(**base, start=(1.5, 1.5, 8.0), bumps=(bump,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.start == (1.5, 1.5, 8.0) and type(listed.start[2]) is float
+        assert listed.bumps == (bump,)
+
+    def test_truth_on_another_grid_or_level_count_refused(self, small_model):
+        domain = GridDomain(0.0, 6.0, 0.0, 6.0, 6)
+        config = MissionConfig(domain=domain, model=small_model, delta=0.1, th=0.3, max_epochs=1)
+        other_grid = sample_ground_truth(GridDomain(0.0, 6.0, 0.0, 6.0, 5), small_model, seed=0)
+        truth = sample_ground_truth(domain, small_model, seed=0)
+        one_level = GroundTruth(domain=domain, f=truth.f[1:])
+        for bad in (other_grid, one_level):
+            with pytest.raises(ValueError, match="truth has"):
+                run_mission(config, bad)
 
     def test_config_validation(self, small_domain, small_model):
         with pytest.raises(ValueError):
@@ -392,9 +416,9 @@ class TestOneAliveAtATime:
     def test_study_holds_one_report(self, study_config, monkeypatch):
         reports = []
 
-        def tracked(config):
+        def tracked(config, *args):
             assert all(ref() is None for ref in reports), "an earlier report is still alive"
-            report = real(config)
+            report = real(config, *args)
             reports.append(weakref.ref(report))
             return report
 
@@ -402,6 +426,18 @@ class TestOneAliveAtATime:
         monkeypatch.setattr(mission, "run_mission", tracked)
         detection_time_study(study_config, seeds=range(3))
         assert len(reports) == 3
+
+    def test_study_factors_each_level_once(self, study_config, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        real = field_model.jittered_cholesky
+        monkeypatch.setattr(field_model, "jittered_cholesky", counted)
+        reports = list(run_missions(study_config, seeds=range(3)))
+        assert len(reports) == 3 and len(calls) == study_config.model.levels
 
     def test_run_missions_yields(self, study_config):
         batch = run_missions(study_config, seeds=range(2))
