@@ -76,11 +76,7 @@ class GridDomain:
     def cell_center(self, i: int) -> tuple[float, float]:
         if not 0 <= i < self.n_cells:
             raise ValueError(f"cell index {i} out of range [0, {self.n_cells})")
-        row, col = divmod(i, self.resolution)
-        return (
-            self.x_min + (col + 0.5) * self.cell_dx,
-            self.y_min + (row + 0.5) * self.cell_dy,
-        )
+        return tuple(self.cell_centers[i].tolist())
 
     def index_of(self, x: float, y: float) -> int:
         """Cell index of a point that must lie on a cell center."""
@@ -89,13 +85,12 @@ class GridDomain:
         row = int(round((y - self.y_min) / dy - 0.5))
         if not (0 <= col < R and 0 <= row < R):
             raise ValueError(f"point ({x}, {y}) outside the domain grid")
-        # cell_center's expression, without its range check.
-        cx = self.x_min + (col + 0.5) * dx
-        cy = self.y_min + (row + 0.5) * dy
+        i = row * R + col
+        cx, cy = self.cell_centers[i].tolist()
         tol = 1e-9 * max(self.side, 1.0)
         if abs(cx - x) > tol or abs(cy - y) > tol:
             raise ValueError(f"point ({x}, {y}) is not a cell center")
-        return row * R + col
+        return i
 
 
 @dataclass(frozen=True)
@@ -249,20 +244,21 @@ class GroundTruth:
         return self.f[-1] >= th
 
 
-def _gaussian_blur(grid: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a 2D grid with mirrored edges.
+def _gaussian_blur(grid: np.ndarray, sigmas: tuple[float, float]) -> np.ndarray:
+    """Separable Gaussian blur of a 2D grid with mirrored edges, by sigmas[a]
+    cells along axis a.
 
-    The kernel is exp(-x^2 / (2 sigma^2)) on x = -r..r, r = int(4 sigma + 0.5),
-    normalised to sum 1.  Each axis (0, then 1) is padded by reflection
-    (edge cells repeated) and summed as the center term, then each symmetric
-    pair of taps, farthest pair first.  That order reproduces
-    scipy.ndimage.gaussian_filter(grid, sigma) bit for bit.
+    Along an axis the kernel is exp(-x^2 / (2 sigma^2)) on x = -r..r,
+    r = int(4 sigma + 0.5), normalised to sum 1.  Each axis (0, then 1) is
+    padded by reflection (edge cells repeated) and summed as the center term,
+    then each symmetric pair of taps, farthest pair first.  That order
+    reproduces scipy.ndimage.gaussian_filter(grid, sigmas) bit for bit.
     """
-    r = int(4.0 * sigma + 0.5)
-    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
-    w = (phi / phi.sum())[r:]
     out = np.asarray(grid, dtype=float)
-    for axis in (0, 1):
+    for axis, sigma in enumerate(sigmas):
+        r = int(4.0 * sigma + 0.5)
+        phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+        w = (phi / phi.sum())[r:]
         p = np.pad(np.moveaxis(out, axis, 0), [(r, r), (0, 0)], mode="symmetric")
         size = p.shape[0] - 2 * r
         acc = p[r : r + size] * w[0]
@@ -328,9 +324,10 @@ def sample_ground_truths(
     then its level-2 normals, and so on, so a truth does not depend on the
     other seeds.  planted: the top-level field is a configured sum of radial
     bumps plus a background; lower levels are Gaussian blurs of it with blur
-    radius proportional to their length scale, so coarser levels are
-    smoother.  The seed is unused and every truth shares one field.  Inputs
-    that ``_check_truth_inputs`` refuses raise ValueError before any work.
+    radius proportional to their length scale, the same in metres along
+    both axes, so coarser levels are smoother.  The seed is unused and every
+    truth shares one field.  Inputs that ``_check_truth_inputs`` refuses
+    raise ValueError before any work.
     """
     _check_truth_inputs(domain, mode, bumps, background)
     M = model.levels
@@ -345,9 +342,8 @@ def sample_ground_truths(
         f[M - 1] = top
         res = domain.resolution
         for m in range(M - 1, 0, -1):
-            sigma_cells = model.l[m - 1] / domain.cell_dx
-            blurred = _gaussian_blur(top.reshape(res, res), sigma_cells)
-            f[m - 1] = blurred.ravel()
+            sigmas = (model.l[m - 1] / domain.cell_dy, model.l[m - 1] / domain.cell_dx)
+            f[m - 1] = _gaussian_blur(top.reshape(res, res), sigmas).ravel()
         f.setflags(write=False)
         return [GroundTruth(domain=domain, f=f) for _ in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]

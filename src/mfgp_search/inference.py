@@ -26,7 +26,7 @@ rows, which the planner keeps open for a whole epoch; snapshots are made
 only at the API.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -45,8 +45,8 @@ class SampleLog:
     must be non-decreasing in fidelity, from level 1 up; that contract is
     asserted on append (the model's top level is checked by its readers).
     Every location must be a cell center of the mission grid; the record
-    keeps that cell's flat index, and ``cells`` and ``locations`` read the
-    (row, col) indices and the centers back from it.
+    keeps that cell's flat index, and ``locations`` reads the center back
+    from it.
     """
 
     def __init__(self, domain: GridDomain):
@@ -100,10 +100,6 @@ class SampleLog:
         """(n,) flat indices of the records' cells."""
         return np.array(self._cells, dtype=int)
 
-    def cells(self) -> np.ndarray:
-        """(n, 2) integer (row, col) indices of the records' cells."""
-        return np.column_stack(np.divmod(self.cell_indices(), self.domain.resolution))
-
     def values(self) -> np.ndarray:
         return np.array(self._values, dtype=float)
 
@@ -111,10 +107,12 @@ class SampleLog:
         return np.array(self._fidelities, dtype=int)
 
 
-def _grid_cov(cov, rc: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(n, n_cells) covariance of each record with the full field at every
-    cell, from the ``windows`` view ``cov`` of the layer sums."""
-    return cov[m - 1, rc[:, 0], rc[:, 1]].reshape(len(m), cov.shape[-1] ** 2)
+def _grid_cov(cov, cells: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(n, n_cells) covariance of each record, at the flat cell index
+    ``cells`` and level ``m``, with the full field at every cell, from the
+    ``windows`` view ``cov`` of the layer sums."""
+    rows, cols = np.divmod(cells, cov.shape[-1])
+    return cov[m - 1, rows, cols].reshape(len(m), cov.shape[-1] ** 2)
 
 
 def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
@@ -180,11 +178,10 @@ class PosteriorField:
 
     domain: GridDomain
     model: FidelityModel
-    cells: np.ndarray  # (r, 2) record (row, col) indices
+    cells: np.ndarray  # (r,) record flat cell indices
     fidelities: np.ndarray  # (r,)
     counts: np.ndarray  # (r,) samples merged into each record
     columns: np.ndarray  # (k,) sorted cell indices of the entries below
-    _position: np.ndarray = field(repr=False)  # (n_cells,) each cell's index in columns, or -1
     mu: np.ndarray  # (k,)
     sigma2: np.ndarray  # (k,)
     w: np.ndarray  # (r, k) = L^-1 @ cross-covariances; L L^T = K + Theta + jitter*I
@@ -204,9 +201,10 @@ class PosteriorField:
         return float(np.max(self.sigma2[self.column_of(candidates)]))
 
     def column_of(self, cells):
-        """Positions of cell indices in ``columns``; ValueError for a cell outside them."""
-        pos = self._position[cells]
-        if (pos < 0).any():
+        """Positions of cell indices in the sorted ``columns``; ValueError
+        for a cell outside them."""
+        pos = np.searchsorted(self.columns, cells)
+        if np.any(self.columns.take(pos, mode="clip") != cells):
             raise ValueError(f"cell outside the snapshot's {len(self.columns)} columns")
         return pos
 
@@ -259,8 +257,7 @@ def posterior(
         log.fidelities() * n_cells + log.cell_indices(), return_inverse=True, return_counts=True
     )
     r = len(keys)
-    levels, flat = np.divmod(keys, n_cells)
-    cells = np.column_stack(np.divmod(flat, domain.resolution))
+    levels, cells = np.divmod(keys, n_cells)
     mean, var, noise = model._moments[:, levels]
     a = np.bincount(group, weights=log.values(), minlength=r) / counts
     a -= mean  # ybar - nu, made L^-1 (ybar - nu) block by block below
@@ -269,7 +266,7 @@ def posterior(
     w = _grid_cov(windows(covariance_tables(domain, model)[1]), cells, levels)
     for start in range(0, r, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
-        at, prev = flat[block], w[:start]
+        at, prev = cells[block], w[:start]
         cprev = prev[:, at]
         w[block] -= cprev.T @ prev
         a[block] -= cprev.T @ a[:start]
@@ -279,7 +276,7 @@ def posterior(
         a[block] = linv @ a[block]
     mu = model.prior_mean() + w.T @ a
     sigma2 = _clamp_sigma2(model.prior_variance() - np.einsum("ij,ij->j", w, w), jitter)
-    columns = np.arange(n_cells)  # every cell, so also each cell's position
+    columns = np.arange(n_cells)
     _freeze(cells, levels, counts, columns, mu, sigma2, w)
     return PosteriorField(
         domain=domain,
@@ -288,7 +285,6 @@ def posterior(
         fidelities=levels,
         counts=counts,
         columns=columns,
-        _position=columns,
         mu=mu,
         sigma2=sigma2,
         w=w,
@@ -326,22 +322,19 @@ class _WorkingSet:
         self.base = state
         self.w = np.empty((n + spare, len(columns)))
         np.take(state.w, local, axis=1, out=self.w[:n])
-        self.cells = np.empty((n + spare, 2), dtype=int)
+        self.cells = np.empty(n + spare, dtype=int)
         self.fidelities = np.empty(n + spare, dtype=int)
         self.counts = np.empty(n + spare, dtype=int)
         self.cells[:n], self.fidelities[:n], self.counts[:n] = (
             state.cells, state.fidelities, state.counts,
         )
         self.columns, self.mu, self.sigma2 = columns.copy(), state.mu[local], state.sigma2[local]
-        self._position = np.full(state.domain.n_cells, -1)
-        self._position[columns] = np.arange(len(columns))
         # kappa of the cell at column k is one slice and gather of the flat
         # layer sums (the layout ``covariance_tables`` documents): the slice
         # starts at the level's block plus _start[k], and the columns sit
         # _offsets after it.
         R = state.domain.resolution
         rows, cols = np.divmod(columns, R)
-        self._rc = list(zip(rows.tolist(), cols.tolist()))
         self._offsets = rows * (2 * R - 1) + cols
         self._start = ((R - 1 - rows) * (2 * R - 1) + (R - 1 - cols)).tolist()
         self._block = (2 * R - 1) ** 2
@@ -366,7 +359,7 @@ class _WorkingSet:
         if row is None:
             return False
         self.w[n] = row
-        self.cells[n] = self._rc[position]
+        self.cells[n] = self.columns[position]
         self.fidelities[n] = level
         self.counts[n] = 1
         self.sigma2 -= np.square(row)
@@ -379,7 +372,7 @@ class _WorkingSet:
         n = self.n
         views = {
             "w": self.w[:n], "cells": self.cells[:n], "fidelities": self.fidelities[:n],
-            "counts": self.counts[:n], "columns": self.columns, "_position": self._position,
+            "counts": self.counts[:n], "columns": self.columns,
             "mu": self.mu, "sigma2": self.sigma2,
         }
         _freeze(*views.values())
@@ -416,8 +409,8 @@ def append_sample_variance_only(
 def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorField:
     domain = state.domain
     log = SampleLog(domain)
-    for (row, col), m, k in zip(state.cells, state.fidelities, state.counts):
-        log.extend([row * domain.resolution + col] * k, [0.0] * k, int(m))
+    for c, m, k in zip(state.cells, state.fidelities, state.counts):
+        log.extend([c] * k, [0.0] * k, int(m))
     log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
@@ -442,7 +435,6 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     n = len(log)
     _check_top_level(log, model)
     cov = windows(covariance_tables(log.domain, model)[1])
-    rc = log.cells()
     mrec = log.fidelities()
     flat, col = np.unique(log.cell_indices(), return_inverse=True)
     rows, cols = np.divmod(flat, log.domain.resolution)  # the distinct cells
@@ -454,7 +446,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     for start in range(0, n, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at = col[block]
-        x = cov[mrec[block, None] - 1, rc[block, 0, None], rc[block, 1, None], rows, cols]
+        x = cov[mrec[block, None] - 1, rows[at, None], cols[at, None], rows, cols]
         x -= gram[at]
         linv, pivots = _block_factor(x, at, d[block] - gram[at, at], "information-chain", start, 0.0)
         wb = linv @ x

@@ -64,9 +64,9 @@ class MissionConfig:
     seed: int = 0
     mode: str = "prior-draw"
     baseline: str = "multi-fidelity"
-    epoch_sample_cap: int = 200
+    epoch_sample_cap: int = PlanLimits.sample_cap
     max_epochs: int = 30
-    sigma_ratio: float = 0.75
+    sigma_ratio: float = PlanLimits.sigma_ratio
     sample_time: float = 1.0
     termination_fraction: float = 0.99
     bumps: tuple[Bump, ...] = ()

@@ -209,9 +209,10 @@ def record_chain(log, model):
     n = len(log)
     R = log.domain.resolution
     tables = covariance_tables(log.domain, model)
-    rc = log.cells()
+    index = log.cell_indices()
+    rc = np.column_stack(np.divmod(index, R))
     mrec = log.fidelities()
-    flat, col = np.unique(rc[:, 0] * R + rc[:, 1], return_inverse=True)
+    flat, col = np.unique(index, return_inverse=True)
     distinct = np.column_stack(np.divmod(flat, R))
     kxu = _pair_cov(tables, rc[:, None, :], mrec[:, None], distinct[None, :, :], model.levels)
     _, var, noise = model._moments
@@ -241,9 +242,8 @@ def record_posterior(log, domain, model, jitter_scale=1e-10):
     """
     n_cells = domain.n_cells
     tables = covariance_tables(domain, model)
-    rc = log.cells()
     keys, group, counts = np.unique(
-        log.fidelities() * n_cells + rc[:, 0] * domain.resolution + rc[:, 1],
+        log.fidelities() * n_cells + log.cell_indices(),
         return_inverse=True,
         return_counts=True,
     )

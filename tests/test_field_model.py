@@ -40,10 +40,17 @@ class TestGridDomain:
             GridDomain(0, float("inf"), 0, 1, 4)
 
     def test_cell_index_bijection(self):
-        d = GridDomain(-2.0, 3.0, 1.0, 7.0, 7)
-        for i in range(d.n_cells):
-            x, y = d.cell_center(i)
-            assert d.index_of(x, y) == i
+        # one centre formula: every centre is the row of cell_centers, also
+        # on rectangular cells and on cell sizes inexact in binary
+        for d in (
+            GridDomain(-2.0, 3.0, 1.0, 7.0, 7),
+            GridDomain(0.0, 40.0, 0.0, 20.0, 20),
+            GridDomain(0.0, 20.0, 0.0, 13.0, 30),
+        ):
+            for i in range(d.n_cells):
+                x, y = d.cell_center(i)
+                assert (x, y) == tuple(d.cell_centers[i].tolist())
+                assert d.index_of(x, y) == i
 
     def test_centers_evenly_spaced(self):
         d = GridDomain(0.0, 10.0, 0.0, 10.0, 5)
@@ -219,7 +226,8 @@ class TestGroundTruth:
         )
         top = field_to_grid(self.domain, truth.f[-1])
         for m in range(1, self.model.levels):
-            blurred = _gaussian_blur(top, self.model.l[m - 1] / self.domain.cell_dx)
+            l = self.model.l[m - 1]
+            blurred = _gaussian_blur(top, (l / self.domain.cell_dy, l / self.domain.cell_dx))
             assert np.array_equal(truth.f[m - 1], blurred.ravel())
 
     def test_prior_draw_matches_prior_variance(self):
@@ -262,6 +270,22 @@ class TestGroundTruth:
             g = field_to_grid(self.domain, truth.f[level])
             return np.abs(np.diff(g, axis=0)).mean() + np.abs(np.diff(g, axis=1)).mean()
         assert roughness(0) < roughness(1)
+
+    def test_planted_blur_is_round_in_metres_on_rectangular_cells(self):
+        # 2 m x 1 m cells: a round bump of radius 2 m blurred by l_1 = 2 m
+        # has variance r^2 + l_1^2 = 8 m^2 along x and along y alike
+        domain = GridDomain(0.0, 40.0, 0.0, 20.0, 20)
+        model = FidelityModel(
+            mu=(0.0, 0.0), v=(0.5, 0.3), l=(2.0, 1.0), s=(0.1, 0.1), z=(8.0, 4.0)
+        )
+        truth = sample_ground_truth(
+            domain, model, seed=0, mode="planted", bumps=(Bump(21.0, 10.5, 1.0, 2.0),)
+        )
+        weight = truth.f[0] / truth.f[0].sum()
+        offset = domain.cell_centers - (21.0, 10.5)
+        var_x, var_y = weight @ np.square(offset)
+        assert var_x == pytest.approx(8.0, rel=0.01)
+        assert var_y == pytest.approx(8.0, rel=0.01)
 
     @pytest.mark.parametrize("m", [0, -1, 3])
     def test_level_out_of_range_rejected(self, m):
@@ -381,14 +405,19 @@ class TestPriorDrawMemory:
 
 class TestGaussianBlur:
     @pytest.mark.parametrize("size", [3, 7, 20, 30])
-    @pytest.mark.parametrize("sigma", [0.7, 1.6, 2.5, 6.25, 12.0])
+    @pytest.mark.parametrize(
+        "sigma",
+        [0.7, 1.6, 2.5, 6.25, 12.0, (2.5, 1.25), (0.7, 12.0)],
+        ids=["0.7", "1.6", "2.5", "6.25", "12.0", "2.5x1.25", "0.7x12.0"],
+    )
     def test_bit_identical_to_scipy(self, size, sigma):
         # sigma 12 has radius 48, past the grid edge on every size: the
-        # mirrored padding wraps more than once
+        # mirrored padding wraps more than once; a pair is one sigma per axis
         from scipy.ndimage import gaussian_filter  # a test dependency only
 
+        sigmas = sigma if isinstance(sigma, tuple) else (sigma, sigma)
         grid = np.random.default_rng(size).normal(size=(size, size))
-        assert np.array_equal(_gaussian_blur(grid, sigma), gaussian_filter(grid, sigma))
+        assert np.array_equal(_gaussian_blur(grid, sigmas), gaussian_filter(grid, sigma))
 
 
 class TestMeasure:

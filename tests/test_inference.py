@@ -84,9 +84,9 @@ class TestSampleLog:
         for c, y in zip(cells, values):
             a.append(small_domain.cell_center(c), float(y), 2)
         b.extend(cells, values, 2)
-        for read in ("cells", "cell_indices", "locations", "values", "fidelities"):
+        for read in ("cell_indices", "locations", "values", "fidelities"):
             assert getattr(a, read)().tolist() == getattr(b, read)().tolist()
-        assert b.cells().tolist() == [[0, 7], [0, 3], [0, 7], [9, 9]]
+        assert b.cell_indices().tolist() == cells
 
     @pytest.mark.parametrize(
         "cells, values, message",
@@ -205,13 +205,13 @@ class TestCrossCovariance:
     def test_empty_log(self, small_domain, two_level):
         log = SampleLog(small_domain)
         cov = windows(covariance_tables(small_domain, two_level)[1])
-        assert _grid_cov(cov, log.cells(), log.fidelities()).size == 0
+        assert _grid_cov(cov, log.cell_indices(), log.fidelities()).size == 0
 
     def test_top_fidelity_self_covariance_is_prior_variance(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(7), 0.0, 2)
         cov = windows(covariance_tables(small_domain, two_level)[1])
-        vec = _grid_cov(cov, log.cells(), log.fidelities())[:, 7]
+        vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.34)
 
     def test_windows_match_offset_gather(self, desk_model):
@@ -225,7 +225,7 @@ class TestCrossCovariance:
         table = covariance_tables(domain, desk_model)
         expected = _pair_cov(table, rc[:, None], m[:, None], grid[None], desk_model.levels)
         cov = windows(table[1])
-        assert np.array_equal(_grid_cov(cov, rc, m), expected)
+        assert np.array_equal(_grid_cov(cov, rc[:, 0] * 30 + rc[:, 1], m), expected)
         assert not cov.flags.writeable
 
     def test_one_reflected_table_per_domain_and_model(self, small_domain, two_level):
@@ -240,14 +240,15 @@ class TestCrossCovariance:
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(7), 0.0, 1)
         cov = windows(covariance_tables(small_domain, two_level)[1])
-        vec = _grid_cov(cov, log.cells(), log.fidelities())[:, 7]
+        vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.25)
 
 
 class TestJointCovariance:
     def test_symmetry_and_nu(self, small_domain, two_level):
         log = random_mixed_log(small_domain, two_level, np.random.default_rng(0), 8)
-        rc, m = log.cells(), log.fidelities()
+        rc = np.column_stack(np.divmod(log.cell_indices(), small_domain.resolution))
+        m = log.fidelities()
         tables = covariance_tables(small_domain, two_level)
         K = _pair_cov(tables, rc[:, None, :], m[:, None], rc[None, :, :], m[None, :])
         assert np.array_equal(K, K.T)
@@ -444,6 +445,16 @@ class TestAppendVarianceOnly:
                 append_sample_variance_only(part, small_domain.cell_center(cell), 1)
         with pytest.raises(ValueError, match="outside"):
             restrict(part, np.array([1, 6]))
+
+    def test_cell_off_the_grid_is_outside_every_snapshot(self, small_domain, two_level):
+        # -1 names no cell: it must not read the last column
+        full = _base_posterior(small_domain, two_level)
+        for post in (full, restrict(full, np.array([1, 5, 99]))):
+            for cell in (-1, small_domain.n_cells):
+                with pytest.raises(ValueError, match="outside"):
+                    post.column_of(cell)
+                with pytest.raises(ValueError, match="outside"):
+                    post.max_sigma2(np.array([cell]))
 
     @pytest.mark.parametrize("columns", [[], [5, 1], [3, 3]])
     def test_columns_sorted_unique_non_empty(self, small_domain, two_level, columns):

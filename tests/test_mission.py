@@ -19,6 +19,7 @@ from mfgp_search import (
     GroundTruth,
     Label,
     MissionConfig,
+    PlanLimits,
     classifier,
     compare_decay,
     confidence_interval,
@@ -128,7 +129,7 @@ class TestRunMission:
         # the posterior merges replicates into records; n_before still
         # counts samples, so each epoch starts where the previous one ended
         log = small_report.log
-        assert len(set(zip(map(tuple, log.cells()), log.fidelities()))) < len(log)
+        assert len(set(zip(log.cell_indices().tolist(), log.fidelities().tolist()))) < len(log)
         epochs = small_report.epochs
         assert epochs[0].n_before == 0
         for prev, cur in zip(epochs, epochs[1:]):
@@ -235,6 +236,11 @@ class TestRunMission:
         assert listed == tupled and hash(listed) == hash(tupled)
         assert listed.start == (1.5, 1.5, 8.0) and type(listed.start[2]) is float
         assert listed.bumps == (bump,)
+
+    def test_default_limits_are_the_planners(self, small_domain, small_model):
+        # the 3/4 rule and the epoch cap are written once, in PlanLimits
+        config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
+        assert config.limits() == PlanLimits()
 
     def test_truth_on_another_grid_or_level_count_refused(self, small_model):
         domain = GridDomain(0.0, 6.0, 0.0, 6.0, 6)

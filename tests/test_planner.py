@@ -281,6 +281,12 @@ class TestPlanEpoch:
         with pytest.raises(PlanningComplete):
             plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([], dtype=int))
 
+    def test_candidate_off_the_grid_refused(self, grid20, m1_model):
+        # -1 names no cell: it must not plan the last cell
+        post = posterior(SampleLog(grid20), grid20, m1_model)
+        with pytest.raises(ValueError, match="outside"):
+            plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([-1]))
+
     def test_one_append_per_planned_sample(self, grid20, m2_model, monkeypatch):
         # one in-place step per planned sample; the snapshot API only runs
         # after a breakdown, and there is none here
