@@ -23,11 +23,13 @@ bit.
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from mfgp_search._linalg import NumericalError
-from mfgp_search.field_model import covariance_tables
+from mfgp_search.classifier import Label
+from mfgp_search.field_model import covariance_tables, sample_ground_truth
 from mfgp_search.inference import (
     SampleLog,
     _next_row,
@@ -35,7 +37,7 @@ from mfgp_search.inference import (
     posterior,
     restrict,
 )
-from mfgp_search.mission import DecayCurves
+from mfgp_search.mission import DecayCurves, EpochRecord
 from mfgp_search.planner import (
     EpochPlan,
     FidelityState,
@@ -473,6 +475,117 @@ def snapshot_decay(config, n_samples: int) -> DecayCurves:
         multi_fidelity=curve(1, True),
         single_fidelity=curve(model.levels, False),
     )
+
+
+def reference_mission(config) -> dict:
+    """The mission epoch loop, written plainly from the references.
+
+    Each epoch plans with ``snapshot_plan``, tours each fidelity group over
+    every planned sample (``scalar_nearest_neighbor``, then
+    ``scalar_two_opt``; legs from ``scalar_dist3``), flies it with one
+    clocked move per leg and altitude change and one clocked dwell per
+    sample, measures it with ``scalar_measurements``, and classifies every
+    cell on its own.  The posterior is the production ``posterior``, because
+    ``record_posterior`` agrees with it only to 1e-11.  Returns what a
+    ``MissionReport`` records, plus each tour's waypoints and length.
+    """
+    domain, model = config.domain, config.model
+    truth_seed, meas_seed = (int(k) for k in np.random.SeedSequence(config.seed).generate_state(2))
+    truth = sample_ground_truth(
+        domain, model, truth_seed, config.mode, config.bumps, config.background
+    )
+    rng = np.random.default_rng(meas_seed)
+    n_cells = domain.n_cells
+    centers = domain.cell_centers.tolist()
+    top = truth.f[-1].tolist()
+    level = model.levels if config.baseline == "single-fidelity-only" else 1
+    state = FidelityState(model, level=level)
+    position = config.start or (domain.x_min, domain.y_min, model.z[level - 1])
+    limits = config.limits()
+    labels, epoch_of, time_of = [int(Label.UNCERTAIN)] * n_cells, [-1] * n_cells, [-1.0] * n_cells
+    log = SampleLog(domain)
+    clock = 0.0
+    post = posterior(log, domain, model)
+    candidates = np.arange(n_cells)
+    out = {"epochs": [], "plan_rows": [], "tour_rows": [], "tours": []}
+    out["decay"] = [(0, float(np.max(post.sigma2[candidates])))]
+    out["terminated"] = "epoch-cap"
+    for j in range(1, config.max_epochs + 1):
+        plan = snapshot_plan(post, state, limits, candidates, epoch=j)
+        state = plan.state_after
+        n_before = len(log)
+        altitude_changes = 0
+        order = 0
+        for m in sorted({s.fidelity for s in plan.samples}):
+            z = float(model.z[m - 1])
+            pts3 = [(*s.location, z) for s in plan.samples if s.fidelity == m]
+            start = (float(position[0]), float(position[1]), z)
+            visit = scalar_two_opt(start, scalar_nearest_neighbor(start, pts3), pts3)
+            waypoints = [pts3[i] for i in visit]
+            out["tours"].append((waypoints, scalar_path_length(start, visit, pts3)))
+            if position[2] != z:
+                clock += abs(z - position[2])
+                altitude_changes += 1
+            position = start
+            for wp in waypoints:
+                clock += scalar_dist3(position, wp)
+                position = wp
+                order += 1
+                out["tour_rows"].append((j, order, *wp, clock))
+                clock += config.sample_time
+            tour = SimpleNamespace(waypoints=waypoints)
+            for x, y, value, _ in scalar_measurements([tour], [m], truth, model, rng):
+                log.append((x, y), value, m)
+        post = posterior(log, domain, model)
+        sigma_after = math.sqrt(float(np.max(post.sigma2[candidates])))
+
+        c = math.sqrt(2.0 * math.log(1.0 / (2.0 * (config.delta / 2.0**j))))
+        outside = 0
+        for i in range(n_cells):
+            low = post.mu[i] - c * math.sqrt(post.sigma2[i])
+            up = post.mu[i] + c * math.sqrt(post.sigma2[i])
+            outside += top[i] < low or top[i] > up
+            if labels[i] == Label.UNCERTAIN and (low >= config.th or up < config.th):
+                labels[i] = int(Label.TARGET if low >= config.th else Label.EMPTY)
+                epoch_of[i], time_of[i] = j, clock
+        classified = sum(lab != Label.UNCERTAIN for lab in labels) / n_cells
+
+        for k, s in enumerate(plan.samples):
+            out["plan_rows"].append((j, k + 1, *s.location, s.fidelity, s.sigma_before))
+        for k, mv in enumerate(plan.max_var_trace):
+            out["decay"].append((n_before + k + 1, mv))
+        before = plan.sigma_max_before
+        out["epochs"].append(
+            EpochRecord(
+                epoch=j,
+                n_before=n_before,
+                n_after=len(log),
+                sigma_max_before=before,
+                sigma_max_after_pred=plan.sigma_max_after,
+                sigma_max_after=sigma_after,
+                ratio=sigma_after / before if before > 0 else 0.0,
+                capped=plan.capped,
+                fidelity_levels=tuple(sorted({s.fidelity for s in plan.samples})),
+                altitude_changes=altitude_changes,
+                classified_fraction=classified,
+                clock=clock,
+                coverage_outside=outside,
+            )
+        )
+        candidates = np.array([i for i in range(n_cells) if labels[i] != Label.EMPTY], dtype=int)
+        if classified >= config.termination_fraction:
+            out["terminated"] = "classified"
+            break
+    out.update(
+        clock_total=clock,
+        log=(log.cell_indices(), log.values(), log.fidelities()),
+        labels=labels,
+        epoch=epoch_of,
+        time=time_of,
+        posterior_mu=post.mu,
+        posterior_sigma2=post.sigma2,
+    )
+    return out
 
 
 def scalar_resample_count(prior_var, noise_var, sigma_ratio):

@@ -3,8 +3,9 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from mfgp_search import (
     sample_ground_truth,
 )
 from mfgp_search.formats import dump_json
+
+from oracles import reference_mission
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +295,99 @@ class TestRunMission:
             with pytest.raises(ValueError, match="start"):
                 MissionConfig(**base, start=start)
         assert MissionConfig(**base, start=(1, np.int64(1), 8)).start_position() == (1, 1, 8)
+
+
+def bits(x):
+    """x with every float as its hex text, so == compares bit for bit."""
+    if is_dataclass(x):
+        return bits(asdict(x))
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        return bits(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return [bits(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    return x
+
+
+@st.composite
+def small_missions(draw):
+    """Small configs of every shape a mission takes: 1 to 3 levels, both
+    modes and baselines, free starts, small caps, and cells that are not square."""
+    x_max, y_max = draw(st.sampled_from([(12.0, 12.0), (40.0, 20.0), (7.5, 10.0)]))
+    domain = GridDomain(0.0, x_max, 0.0, y_max, draw(st.integers(3, 8)))
+    M = draw(st.integers(1, 3))
+    model = FidelityModel(
+        mu=(0.0, 0.05, -0.02)[:M],
+        v=(0.5, 0.3, 0.15)[:M],
+        l=(6.0, 3.0, 1.5)[:M],
+        s=(0.1, 0.08, 0.05)[:M],
+        z=(8.0, 4.0, 2.0)[:M],
+    )
+    mode = draw(st.sampled_from(["prior-draw", "planted"]))
+    bumps, background = (), 0.0
+    if mode == "planted":
+        where = st.tuples(st.floats(0.0, x_max), st.floats(0.0, y_max))
+        bumps = tuple(
+            Bump(x, y, 1.2, draw(st.sampled_from([1.0, 2.5])))
+            for x, y in draw(st.lists(where, min_size=1, max_size=2))
+        )
+        background = -0.1
+    start = draw(
+        st.none() | st.tuples(st.floats(0.0, x_max), st.floats(0.0, y_max), st.floats(0.0, 10.0))
+    )
+    return MissionConfig(
+        domain=domain,
+        model=model,
+        delta=draw(st.sampled_from([0.1, 0.3])),
+        th=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        seed=draw(st.integers(0, 2**16)),
+        mode=mode,
+        baseline=draw(st.sampled_from(mission.BASELINES)),
+        epoch_sample_cap=draw(st.integers(1, 12)),
+        max_epochs=draw(st.integers(1, 5)),
+        sigma_ratio=draw(st.sampled_from([0.5, 0.75, 0.95])),
+        sample_time=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        termination_fraction=draw(st.sampled_from([0.6, 0.99])),
+        bumps=bumps,
+        background=background,
+        start=start,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_missions())
+def test_run_mission_equals_the_reference_mission(config):
+    # differential test of the epoch loop: the reference joins the scalar
+    # layer references in the plainest order, so each epoch's plan, tours,
+    # clock, log, labels and figures must come out bit for bit the same
+    tours = []
+    route = mission.plan_tours
+
+    def recorded(*args):
+        got = route(*args)
+        tours.extend(got)
+        return got
+
+    with patch.object(mission, "plan_tours", recorded):
+        report = run_mission(config)
+    ref = reference_mission(config)
+    assert bits(report.epochs) == bits(ref["epochs"])
+    assert bits(report.plan_rows) == bits(ref["plan_rows"])
+    assert bits(report.tour_rows) == bits(ref["tour_rows"])
+    assert bits([(t.waypoints, t.length) for t in tours]) == bits(ref["tours"])
+    assert bits(report.decay) == bits(ref["decay"])
+    log = report.log
+    assert bits((log.cell_indices(), log.values(), log.fidelities())) == bits(ref["log"])
+    assert bits(report.labels) == bits(ref["labels"])
+    assert bits(report.final_map.epoch) == bits(ref["epoch"])
+    assert bits(report.time_classified) == bits(ref["time"])
+    assert report.terminated == ref["terminated"]
+    assert bits(report.clock_total) == bits(ref["clock_total"])
+    assert bits(report.posterior_mu) == bits(ref["posterior_mu"])
+    assert bits(report.posterior_sigma2) == bits(ref["posterior_sigma2"])
 
 
 class TestCompareDecay:
