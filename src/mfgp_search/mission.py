@@ -290,7 +290,7 @@ def run_mission(config: MissionConfig, truth: GroundTruth | None = None) -> Miss
         plan = plan_epoch(post, state, limits, candidates, epoch=j)
         del post  # the next posterior builds its W with no earlier W alive
         state = plan.state_after
-        tours = plan_tours(plan, model, position)
+        tours = plan_tours(plan, domain, model, position)
         trace = execute_epoch(
             plan,
             tours,
@@ -309,8 +309,9 @@ def run_mission(config: MissionConfig, truth: GroundTruth | None = None) -> Miss
         low_j, up_j = cmap.interval
         outside = int(np.sum((truth.f[-1] < low_j) | (truth.f[-1] > up_j)))
 
-        for k, s in enumerate(plan.samples):
-            plan_rows.append((j, k + 1, s.location[0], s.location[1], s.fidelity, s.sigma_before))
+        xy = domain.cell_centers[[s.cell for s in plan.samples]].tolist()
+        for k, (s, (x, y)) in enumerate(zip(plan.samples, xy)):
+            plan_rows.append((j, k + 1, x, y, s.fidelity, s.sigma_before))
         tour_rows.extend(trace.waypoint_rows)
         for k, mv in enumerate(plan.max_var_trace):
             decay.append((plan.n_before + k + 1, mv))

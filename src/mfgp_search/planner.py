@@ -100,9 +100,9 @@ def _advance(state: FidelityState, max_var: float) -> FidelityState:
 
 @dataclass(frozen=True)
 class PlannedSample:
-    location: tuple[float, float]
+    cell: int  # flat index of the sampled cell
     fidelity: int
-    sigma_before: float  # predicted std dev at the location before this sample
+    sigma_before: float  # predicted std dev at the cell before this sample
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,13 @@ def plan_epoch(
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
     sigma_before = math.sqrt(posterior.max_sigma2(candidates))
-    centers = posterior.domain.cell_centers.tolist()
     samples: list[PlannedSample] = []
     trace: list[float] = []
     capped = False
     for cell, level, picked, max_var, state in _greedy_steps(
         posterior, state, candidates, limits.sample_cap
     ):
-        x, y = centers[cell]
-        samples.append(PlannedSample((x, y), level, sigma_before=math.sqrt(picked)))
+        samples.append(PlannedSample(cell, level, sigma_before=math.sqrt(picked)))
         trace.append(max_var)
         if math.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
             break

@@ -1,19 +1,20 @@
 """Measurement tours and mission time accounting.
 
-Each epoch's sampling points are grouped by fidelity level and visited along
-one open tour per level (nearest-neighbor construction, then 2-opt, over
-the distinct points; repeated samples are flown in a row).  The vehicle
-moves at unit speed in 3D, changes altitude vertically between fidelity
-groups, and spends a fixed sampling time at each waypoint.  Every tour
-distance is read from one distance matrix per tour (``_distance_matrix``):
-the tour keeps its legs, and the clock charges them.
+Each epoch's planned cells are grouped by fidelity level and visited along
+one open tour per level (nearest-neighbor construction, then 2-opt, over the
+distinct cells; repeats are flown in a row) that names each waypoint's cell.
+The vehicle moves at unit speed in 3D, changes altitude vertically between
+fidelity groups, and spends a fixed sampling time at each waypoint.  Every
+tour distance is read from one distance matrix per tour
+(``_distance_matrix``): the tour keeps its legs, and the clock charges them.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_model import FidelityModel, GroundTruth, measure_cells
+from .field_model import FidelityModel, GridDomain, GroundTruth, measure_cells
 from .inference import SampleLog
 from .planner import EpochPlan
 
@@ -29,6 +30,7 @@ class Tour:
     waypoints: tuple[tuple[float, float, float], ...]
     legs: tuple[float, ...]  # legs[k]: the distance flown into waypoints[k]
     length: float  # the legs' running sum
+    cells: tuple[int, ...] = ()  # cells[k]: waypoints[k]'s flat cell index (none for free points)
 
     @property
     def end(self) -> tuple[float, float, float]:
@@ -129,60 +131,58 @@ def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
         start, recheck = i, [((0, i), (i - 1, j + 1))] if i else []
 
 
-def build_tour(points, altitude: float, start: tuple[float, float, float]) -> Tour:
+def build_tour(points, altitude: float, start: tuple[float, float, float], cells=()) -> Tour:
     """Order 2D points into an open tour at the given altitude.
 
     Nearest-neighbor from the start position, then 2-opt until no improving
-    swap remains.  The 2-opt result is never longer than the NN tour.
-
-    Both steps run over the distinct points (stops, in first-occurrence
-    order); each stop is then flown once per copy, the first copy with the
-    stop's leg and the others with legs of 0.0.  That is the tour of both
-    steps over every point: nearest-neighbor reaches a copy at distance 0
-    before anything else, and a 2-opt move that cuts between two copies
-    gains nothing (triangle inequality), so it never passes the threshold.
-    When two distinct points are 0.0 apart (coordinates within about
-    1e-154), each point is its own stop instead.
+    swap remains.  The 2-opt result is never longer than the NN tour.  Every
+    point is its own stop, and repeated points are flown in a row:
+    nearest-neighbor reaches a copy at distance 0 before anything else, and
+    a 2-opt move that cuts between two copies gains nothing (triangle
+    inequality), so it never passes the threshold.  ``cells``, if given,
+    names each point's grid cell, and the tour names each waypoint's.
     """
     if len(points) == 0:
         raise ValueError("build_tour needs at least one point")
+    if len(cells) not in (0, len(points)):
+        raise ValueError(f"{len(cells)} cells for {len(points)} points")
     pts3 = [(float(p[0]), float(p[1]), float(altitude)) for p in points]
     start = (float(start[0]), float(start[1]), float(start[2]))
-    copies: dict[tuple, list[int]] = {}
-    for i, p in enumerate(pts3):
-        copies.setdefault(p, []).append(i)
-    stops = list(copies.values())  # each stop's point indices
-    dist = _distance_matrix(start, list(copies))
-    if np.count_nonzero(dist[1:, 1:]) < len(stops) * (len(stops) - 1):
-        stops = [[i] for i in range(len(pts3))]
-        dist = _distance_matrix(start, pts3)
+    dist = _distance_matrix(start, pts3)
     order = _two_opt(dist, _nearest_neighbor(dist))
     path = [0, *(i + 1 for i in order)]  # matrix rows, start first
-    waypoints, legs = [], []
-    for s, leg in zip(order, dist[path[:-1], path[1:]].tolist()):
-        waypoints += [pts3[i] for i in stops[s]]
-        legs += [leg] + [0.0] * (len(stops[s]) - 1)
+    legs = dist[path[:-1], path[1:]].tolist()
     length = 0.0
     for leg in legs:  # left to right: sum() compensates on Python >= 3.12
         length += leg
-    return Tour(start, tuple(waypoints), tuple(legs), length)
+    named = tuple(cells[i] for i in order) if len(cells) else ()
+    return Tour(start, tuple(pts3[i] for i in order), tuple(legs), length, named)
 
 
 def plan_tours(
-    plan: EpochPlan, model: FidelityModel, position: tuple[float, float, float]
+    plan: EpochPlan, domain: GridDomain, model: FidelityModel, position: tuple[float, float, float]
 ) -> list[Tour]:
     """One tour per fidelity group, chained in ascending fidelity order.
 
-    Each tour starts above the end of the previous one at its own altitude;
-    the vertical altitude move itself is charged at execution time.
+    A group is toured over its distinct cells' centres, and each cell is
+    flown once per sample: the first copy with the cell's leg, the others
+    with legs of 0.0.  Each tour starts above the end of the previous one at
+    its own altitude; the vertical move is charged at execution time.
     """
     tours = []
     pos = position
     for level, group in plan.by_fidelity().items():
         z = model.z[level - 1]
-        tour = build_tour([s.location for s in group], z, (pos[0], pos[1], z))
-        tours.append(tour)
-        pos = tour.end
+        copies = Counter(s.cell for s in group)  # in first-occurrence order
+        stops = list(copies)
+        route = build_tour(domain.cell_centers[stops].tolist(), z, (pos[0], pos[1], z), stops)
+        waypoints, legs, cells = [], [], []
+        for wp, leg, c in zip(route.waypoints, route.legs, route.cells):
+            waypoints += [wp] * copies[c]
+            legs += [leg] + [0.0] * (copies[c] - 1)
+            cells += [c] * copies[c]
+        tours.append(Tour(route.start, tuple(waypoints), tuple(legs), route.length, tuple(cells)))
+        pos = tours[-1].end
     return tours
 
 
@@ -216,9 +216,10 @@ def execute_epoch(
     tour.  Each tour must start above the vehicle's position at that point,
     since its legs are what the clock charges.  The clock adds each move and
     each dwell as it happens, so every waypoint time is the running sum in
-    visit order.  Each tour is measured in one pass (``measure_cells``: one
-    noise draw per waypoint, in visit order) and appended to the log in
-    visit order; the log and the truth must share one grid.
+    visit order.  Each tour must fly its group's planned cells, and its
+    cells are measured in one pass (``measure_cells``: one noise draw per
+    waypoint, in visit order) and logged in visit order; the log and the
+    truth must share one grid.
     """
     groups = plan.by_fidelity()
     if len(tours) != len(groups):
@@ -227,8 +228,8 @@ def execute_epoch(
         raise ValueError("the log and the truth are on different grids")
     at = (float(position[0]), float(position[1]))
     for tour, (level, group) in zip(tours, groups.items()):
-        if sorted(w[:2] for w in tour.waypoints) != sorted(s.location for s in group):
-            raise ValueError(f"tour waypoints do not cover the level-{level} plan points")
+        if sorted(tour.cells) != sorted(s.cell for s in group):
+            raise ValueError(f"tour cells do not cover the level-{level} plan cells")
         if tour.start[:2] != at:
             raise ValueError(f"the level-{level} tour starts at {tour.start[:2]}, not at {at}")
         at = tour.end[:2]
@@ -251,9 +252,7 @@ def execute_epoch(
             order += 1
             trace.waypoint_rows.append((plan.epoch, order, wp[0], wp[1], wp[2], clock))
             clock += sample_time
-        cell_of = {wp: truth.domain.index_of(wp[0], wp[1]) for wp in set(tour.waypoints)}
-        cells = [cell_of[wp] for wp in tour.waypoints]
-        log.extend(cells, measure_cells(truth, cells, level, model, rng), level)
+        log.extend(tour.cells, measure_cells(truth, list(tour.cells), level, model, rng), level)
     trace.end_time = clock
     trace.end_position = pos
     return trace

@@ -17,7 +17,9 @@ epoch posterior with one append step per record on all of W, which the
 blocked forms of ``_chain_terms`` and ``posterior`` must reproduce.  Those
 two read the layer sums of ``covariance_tables`` by offset arithmetic
 (``_pair_cov``), which the package's window gathers must reproduce bit for
-bit.
+bit.  ``reference_mission`` joins these references into the epoch loop
+around the package's truth draw and epoch posterior, which ``run_mission``
+must reproduce bit for bit.
 """
 
 import itertools
@@ -428,8 +430,9 @@ def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
     samples, trace = [], []
     while True:
         loc = select_next_point(working, candidates)
-        sigma = np.sqrt(working.sigma2[working.column_of(post.domain.index_of(*loc))])
-        samples.append(PlannedSample(location=loc, fidelity=state.level, sigma_before=float(sigma)))
+        cell = post.domain.index_of(*loc)
+        sigma = np.sqrt(working.sigma2[working.column_of(cell)])
+        samples.append(PlannedSample(cell=cell, fidelity=state.level, sigma_before=float(sigma)))
         working = append_sample_variance_only(working, loc, state.level)
         trace.append(working.max_sigma2())
         state = update_fidelity(state, working)
@@ -518,7 +521,7 @@ def reference_mission(config) -> dict:
         order = 0
         for m in sorted({s.fidelity for s in plan.samples}):
             z = float(model.z[m - 1])
-            pts3 = [(*s.location, z) for s in plan.samples if s.fidelity == m]
+            pts3 = [(*centers[s.cell], z) for s in plan.samples if s.fidelity == m]
             start = (float(position[0]), float(position[1]), z)
             visit = scalar_two_opt(start, scalar_nearest_neighbor(start, pts3), pts3)
             waypoints = [pts3[i] for i in visit]
@@ -551,7 +554,7 @@ def reference_mission(config) -> dict:
         classified = sum(lab != Label.UNCERTAIN for lab in labels) / n_cells
 
         for k, s in enumerate(plan.samples):
-            out["plan_rows"].append((j, k + 1, *s.location, s.fidelity, s.sigma_before))
+            out["plan_rows"].append((j, k + 1, *centers[s.cell], s.fidelity, s.sigma_before))
         for k, mv in enumerate(plan.max_var_trace):
             out["decay"].append((n_before + k + 1, mv))
         before = plan.sigma_max_before

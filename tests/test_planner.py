@@ -219,7 +219,7 @@ class TestPlanEpoch:
         expected = scalar_resample_count(0.25, (5e-5) ** 2, 0.75)
         assert len(plan.samples) == expected
         assert len(plan.samples) in (1, 2)
-        assert all(s.location == grid20.cell_center(37) for s in plan.samples)
+        assert all(s.cell == 37 for s in plan.samples)
 
     def test_ratio_one_gives_single_point(self, grid20, m1_model):
         post = posterior(SampleLog(grid20), grid20, m1_model)
@@ -305,7 +305,7 @@ class TestPlanEpoch:
         cands = np.arange(0, grid20.n_cells, 3)
         plan = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands)
         assert len(plan.samples) > 1
-        assert adds == [(grid20.index_of(*s.location), s.fidelity) for s in plan.samples]
+        assert adds == [(s.cell, s.fidelity) for s in plan.samples]
         assert snapshot_appends == []
 
     def test_input_posterior_untouched(self, grid20, m2_model):
@@ -427,9 +427,9 @@ def test_decay_breakdown_refactorizes_through_the_planner(monkeypatch):
 def test_candidate_planning_matches_full_grid_loop(case):
     post, state, limits, cands = case
     plan = plan_epoch(post, state, limits, cands)
-    ref, fidelities, variances, trace, capped = full_grid_plan(post, state, limits, cands)
-    got = [s.location for s in plan.samples]
-    cell = post.domain.index_of
+    locations, fidelities, variances, trace, capped = full_grid_plan(post, state, limits, cands)
+    got = [s.cell for s in plan.samples]
+    ref = [post.domain.index_of(*loc) for loc in locations]
     tol = 1e-12 * post.model.prior_variance()
     k = next((k for k, (a, b) in enumerate(zip(got, ref)) if a != b), None)
     if k is None:
@@ -440,8 +440,8 @@ def test_candidate_planning_matches_full_grid_loop(case):
         # gemvs (which sum in different orders) differ by more than the
         # TIE_RTOL * k0 band.  Both picks tie in the reference; the plans
         # part ways here.
-        assert abs(variances[k][cell(*got[k])] - variances[k][cell(*ref[k])]) <= tol
+        assert abs(variances[k][got[k]] - variances[k][ref[k]]) <= tol
     assert [s.fidelity for s in plan.samples[:k]] == fidelities[:k]
-    before = [np.sqrt(v[cell(*loc)]) for v, loc in zip(variances[:k], ref)]
+    before = [np.sqrt(v[c]) for v, c in zip(variances[:k], ref)]
     np.testing.assert_allclose([s.sigma_before for s in plan.samples[:k]], before, rtol=0, atol=tol)
     np.testing.assert_allclose(plan.max_var_trace[:k], trace[:k], rtol=0, atol=tol)

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +95,14 @@ class TestBuildTour:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             build_tour([], 4.0, (0.0, 0.0, 4.0))
+
+    def test_named_points_name_their_waypoints(self):
+        pts = [(6.0, 0.0), (2.0, 0.0), (4.0, 0.0)]
+        tour = build_tour(pts, 5.0, (0.0, 0.0, 5.0), cells=[16, 12, 14])
+        assert tour.cells == (12, 14, 16)
+        assert build_tour(pts, 5.0, (0.0, 0.0, 5.0)).cells == ()
+        with pytest.raises(ValueError, match="2 cells for 3 points"):
+            build_tour(pts, 5.0, (0.0, 0.0, 5.0), cells=[16, 12])
 
 
 coord = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -282,9 +293,9 @@ class TestExecuteEpoch:
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
         )
-        assert len(plan.samples) == 1 and plan.samples[0].location == loc
+        assert len(plan.samples) == 1 and plan.samples[0].cell == 0
         start = (loc[0], loc[1], model.z[0])
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         log = SampleLog(domain)
         trace = execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(0), start)
         assert trace.end_time == pytest.approx(1.0)
@@ -302,7 +313,7 @@ class TestExecuteEpoch:
         )
         assert plan.fidelity_levels() == (1, 2)
         start = (0.0, 0.0, model.z[0])
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         log = SampleLog(domain)
         trace = execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(0), start)
         assert trace.altitude_changes == 1
@@ -316,7 +327,7 @@ class TestExecuteEpoch:
         start = (0.0, 0.0, model.z[0])
 
         def run():
-            tours = plan_tours(plan, model, start)
+            tours = plan_tours(plan, domain, model, start)
             log = SampleLog(domain)
             trace = execute_epoch(
                 plan, tours, truth, model, log, 0.0, np.random.default_rng(7), start
@@ -338,7 +349,7 @@ class TestExecuteEpoch:
             np.arange(domain.n_cells),
         )
         start = (0.0, 0.0, model.z[0])
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         log = SampleLog(domain)
         trace = execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(1), start)
         rows = trace.waypoint_rows
@@ -355,7 +366,7 @@ class TestExecuteEpoch:
         start = (0.0, 0.0, model.z[0])
         wrong = [build_tour([domain.cell_center(5)], model.z[0], start)]
         # the wrong tour must really miss the plan, or the test checks nothing
-        assert [s.location for s in plan.samples] != [domain.cell_center(5)]
+        assert [s.cell for s in plan.samples] != [5]
         with pytest.raises(ValueError):
             execute_epoch(
                 plan, wrong, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0), start
@@ -369,7 +380,7 @@ class TestExecuteEpoch:
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
         start = (0.0, 0.0, model.z[0])
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         other = SampleLog(GridDomain(0.0, 20.0, 0.0, 20.0, 10))
         with pytest.raises(ValueError, match="different grids"):
             execute_epoch(plan, tours, truth, model, other, 0.0, np.random.default_rng(0), start)
@@ -382,7 +393,7 @@ class TestExecuteEpoch:
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
-        tours = plan_tours(plan, model, (0.0, 0.0, model.z[0]))
+        tours = plan_tours(plan, domain, model, (0.0, 0.0, model.z[0]))
         with pytest.raises(ValueError, match="tour starts at"):
             execute_epoch(
                 plan, tours, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0),
@@ -408,7 +419,7 @@ class TestExecuteEpoch:
         )
         assert plan.fidelity_levels() == (1, 2)
         start = (0.0, 0.0, 10.0)
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         trace = execute_epoch(
             plan, tours, truth, model, SampleLog(domain), 3.0, np.random.default_rng(0), start
         )
@@ -430,11 +441,11 @@ class TestExecuteEpoch:
         # waypoint in visit order, repeated cells and both levels included
         domain, model, truth = epoch_setup
         rng = np.random.default_rng(9)
-        cells = [domain.cell_center(int(k)) for k in rng.choice(domain.n_cells, size=12)]
+        cells = [int(k) for k in rng.choice(domain.n_cells, size=12)]
         picks = [(cells[int(k)], m) for m in (1, 2) for k in rng.integers(0, 12, size=40)]
         plan = EpochPlan(
             epoch=1,
-            samples=tuple(PlannedSample(loc, m, 1.0) for loc, m in picks),
+            samples=tuple(PlannedSample(cell, m, 1.0) for cell, m in picks),
             n_before=0,
             sigma_max_before=1.0,
             sigma_max_after=0.5,
@@ -443,7 +454,7 @@ class TestExecuteEpoch:
             max_var_trace=(0.25,) * len(picks),
         )
         start = (3.0, 3.0, model.z[0])
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         log = SampleLog(domain)
         execute_epoch(plan, tours, truth, model, log, 0.0, np.random.default_rng(4), start)
         expected = scalar_measurements(tours, (1, 2), truth, model, np.random.default_rng(4))
@@ -459,9 +470,79 @@ class TestExecuteEpoch:
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
         )
         start = (loc[0], loc[1], model.z[0])
-        tours = plan_tours(plan, model, start)
+        tours = plan_tours(plan, domain, model, start)
         trace = execute_epoch(
             plan, tours, truth, model, SampleLog(domain), 0.0,
             np.random.default_rng(0), start, sample_time=20.0,
         )
         assert trace.end_time == pytest.approx(20.0)
+
+
+class TestTourCells:
+    """Every waypoint of a planned tour names its cell, on a grid whose cells
+    are 3.33 m by 1.67 m, so a row/column swap shows."""
+
+    @pytest.fixture
+    def setup(self):
+        domain = GridDomain(0, 40, 0, 20, 12)
+        model = FidelityModel(
+            mu=(0.0, 0.0), v=(0.5, 0.3), l=(8.0, 4.0), s=(0.1, 0.08), z=(8.0, 4.0)
+        )
+        rng = np.random.default_rng(3)
+        cells = [int(k) for k in rng.choice(domain.n_cells, size=15, replace=False)]
+        picks = [(cells[int(k)], m) for m in (1, 2) for k in rng.integers(0, 15, size=30)]
+        plan = EpochPlan(
+            epoch=1,
+            samples=tuple(PlannedSample(cell, m, 1.0) for cell, m in picks),
+            n_before=0,
+            sigma_max_before=1.0,
+            sigma_max_after=0.5,
+            capped=True,
+            state_after=FidelityState(model, 2),
+            max_var_trace=(0.25,) * len(picks),
+        )
+        start = (3.0, 17.0, 9.0)
+        return domain, model, plan, start, plan_tours(plan, domain, model, start)
+
+    def test_each_cell_flown_once_per_sample_at_its_centre(self, setup):
+        domain, model, plan, _, tours = setup
+        for tour, (level, group) in zip(tours, plan.by_fidelity().items(), strict=True):
+            assert Counter(tour.cells) == Counter(s.cell for s in group)
+            assert len(tour.waypoints) == len(tour.legs) == len(tour.cells) == len(group)
+            for k, cell in enumerate(tour.cells):
+                assert tour.waypoints[k] == (*domain.cell_center(cell), model.z[level - 1])
+                if k and tour.cells[k - 1] == cell:
+                    assert tour.legs[k] == 0.0  # a copy after the first
+                elif k:
+                    assert tour.legs[k] > 0.0  # distinct cells are never 0.0 apart
+            # the copies of a cell are flown in a row
+            runs = [c for k, c in enumerate(tour.cells) if k == 0 or tour.cells[k - 1] != c]
+            assert len(runs) == len(set(runs))
+        assert len(set(tours[0].cells)) < len(tours[0].cells)  # the plan repeats cells
+
+    def test_same_tour_as_over_every_sample(self, setup):
+        domain, model, plan, start, tours = setup
+        pos = start
+        for tour, (level, group) in zip(tours, plan.by_fidelity().items(), strict=True):
+            z = model.z[level - 1]
+            every = build_tour([domain.cell_center(s.cell) for s in group], z, (*pos[:2], z))
+            assert (tour.start, tour.waypoints, tour.legs) == (every.start, every.waypoints, every.legs)
+            assert tour.length == every.length
+            pos = tour.end
+
+    def test_tour_missing_a_planned_cell_refused(self, setup):
+        # the waypoints still cover the plan's centres; only the names miss one
+        domain, model, plan, start, tours = setup
+        truth = sample_ground_truth(domain, model, seed=0)
+        tour = tours[0]
+        other = next(c for c in range(domain.n_cells) if c not in tour.cells)
+        renamed = replace(tour, cells=(other, *tour.cells[1:]))
+        assert sorted(w[:2] for w in renamed.waypoints) == sorted(
+            domain.cell_center(s.cell) for s in plan.samples if s.fidelity == 1
+        )
+        log = SampleLog(domain)
+        with pytest.raises(ValueError, match="do not cover the level-1 plan cells"):
+            execute_epoch(
+                plan, [renamed, tours[1]], truth, model, log, 0.0, np.random.default_rng(0), start
+            )
+        assert len(log) == 0
