@@ -4,14 +4,16 @@ The sensing field over a 2D floor is modeled as a stack of ``M`` independent
 GP layers, one per sensing altitude.  Level ``m`` accumulates the layers
 ``1..m``; the top level ``M`` is the full-fidelity score field used as ground
 truth by the simulator.  Lower levels (higher altitudes) see a smoother,
-lower-amplitude version of the field.  Every covariance between two cell
-centers, in the prior draw and in inference, is read from one cached table
-over cell offsets per (domain, model), ``covariance_tables``: the layer
-kernels, which the prior draw reads, and their running sum over the layers,
-which inference reads.  ``windows`` views either half as one grid per cell.
+lower-amplitude version of the field.  Every covariance that inference reads
+comes from one cached table over cell offsets per (domain, model),
+``covariance_tables``: the running sum of the layer kernels, which
+``windows`` views as one grid per cell.  On the grid a layer's kernel is
+v_m^2 K_y (x) K_x, the Kronecker product of the squared-exponential
+correlations along the rows and along the columns, so the prior draw factors
+the two R x R axis correlations and never the n x n kernel (Saatci 2011,
+ch. 5).
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -20,9 +22,6 @@ import numpy as np
 from ._linalg import jittered_cholesky
 
 MAX_EXACT_CELLS = 10_000
-# The prior draw peaks while it factors one level: K, LAPACK's working copy of
-# it and the factor L, 3 n^2 doubles.  A grid whose draw needs more is refused.
-PRIOR_DRAW_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -183,15 +182,15 @@ def kernel_eval(m: int, x, xp, model: FidelityModel):
 
 @lru_cache(maxsize=8)
 def covariance_tables(domain: GridDomain, model: FidelityModel) -> np.ndarray:
-    """(2, M, 2R-1, 2R-1) read-only table of covariances over cell offsets.
+    """(M, 2R-1, 2R-1) read-only table of covariances over cell offsets.
 
-    [0, t, R-1+dr, R-1+dc] is layer t+1's kernel between two cell centers
-    dr rows and dc columns apart (either sign), and [1] is the running sum
-    of [0] over the layers: [1, t] is the covariance of records at levels
-    ma and mb with t = min(ma, mb) - 1, and t = M-1 gives the full field.
+    [t, R-1+dr, R-1+dc] is the sum of the layers 1..t+1's kernels between
+    two cell centers dr rows and dc columns apart (either sign): the
+    covariance of records at levels ma and mb with t = min(ma, mb) - 1, and
+    t = M-1 gives the full field.
 
-    Flat, cell (r, c)'s R x R grid in table [i, t] starts (R-1-r)(2R-1) +
-    R-1-c places after [i, t, 0, 0], and the cell (r', c') lies r'(2R-1) + c'
+    Flat, cell (r, c)'s R x R grid in table [t] starts (R-1-r)(2R-1) +
+    R-1-c places after [t, 0, 0], and the cell (r', c') lies r'(2R-1) + c'
     places after that start.
     """
     R = domain.resolution
@@ -199,13 +198,13 @@ def covariance_tables(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     gx, gy = np.meshgrid(offset * domain.cell_dx, offset * domain.cell_dy)
     offsets = np.stack([gx, gy], axis=-1)  # [R-1+dr, R-1+dc] -> (|dc| dx, |dr| dy)
     layers = np.array([kernel_eval(m, offsets, 0.0, model) for m in range(1, model.levels + 1)])
-    table = np.array([layers, np.cumsum(layers, axis=0)])
+    table = np.cumsum(layers, axis=0)
     table.setflags(write=False)
     return table
 
 
 def windows(table: np.ndarray) -> np.ndarray:
-    """(M, R, R, R, R) read-only view of one (M, 2R-1, 2R-1) half of
+    """(M, R, R, R, R) read-only view of the (M, 2R-1, 2R-1) table of
     ``covariance_tables``: [t, r, c] is table t between the cell (r, c)
     and every cell, as an R x R grid.  Gathering a cell's grid copies R rows
     of R contiguous entries and computes nothing."""
@@ -268,19 +267,9 @@ def _gaussian_blur(grid: np.ndarray, sigmas: tuple[float, float]) -> np.ndarray:
     return out
 
 
-def _level_cholesky(domain: GridDomain, model: FidelityModel, m: int):
-    """Cholesky factor of layer m's kernel over the grid, jittered: a fresh
-    n x n array that only the caller holds."""
-    # a fresh C-ordered copy, so (n, n) is a view of it that takes the jitter in place
-    K = np.array(windows(covariance_tables(domain, model)[0])[m - 1], order="C")
-    L, _ = jittered_cholesky(K.reshape(domain.n_cells, domain.n_cells))
-    return L
-
-
 def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):
     """ValueError for a ground truth ``sample_ground_truths`` does not draw:
-    a grid over MAX_EXACT_CELLS, an unknown mode, a prior draw over
-    PRIOR_DRAW_BUDGET_BYTES, a bump radius that is not
+    a grid over MAX_EXACT_CELLS, an unknown mode, a bump radius that is not
     positive, a bump or background that is not finite, or a bump or a
     non-zero background outside planted mode, which would go unused."""
     if domain.n_cells > MAX_EXACT_CELLS:
@@ -290,14 +279,6 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
     modes = ("prior-draw", "planted")
     if mode not in modes:
         raise ValueError(f"mode must be one of {modes}")
-    need = 3 * domain.n_cells**2 * 8
-    if mode == "prior-draw" and need > PRIOR_DRAW_BUDGET_BYTES:
-        raise ValueError(
-            f"a prior draw on {domain.n_cells} cells needs {need / 2**30:.2f} GiB "
-            f"(3 n^2 doubles) to factor a level; the prior-draw budget is "
-            f"{PRIOR_DRAW_BUDGET_BYTES / 2**30:g} GiB, at most "
-            f"{math.isqrt(PRIOR_DRAW_BUDGET_BYTES // 24)} cells"
-        )
     if any(not b.radius > 0.0 for b in bumps):
         raise ValueError("bump radius must be positive")
     values = [background, *(v for b in bumps for v in (b.x, b.y, b.amplitude, b.radius))]
@@ -318,14 +299,18 @@ def sample_ground_truths(
     """Generate one deterministic synthetic ground truth per seed, in seed order.
 
     prior-draw: every layer is an exact joint GP draw over the grid (mean
-    mu_m, layer kernel), accumulated across levels.  Each level is factored
-    once and drawn for every seed, and its factor is dropped before the next
-    level is factored; each seed's generator yields its level-1 normals,
-    then its level-2 normals, and so on, so a truth does not depend on the
-    other seeds.  planted: the top-level field is a configured sum of radial
-    bumps plus a background; lower levels are Gaussian blurs of it with blur
-    radius proportional to their length scale, the same in metres along
-    both axes, so coarser levels are smoother.  The seed is unused and every
+    mu_m, layer kernel), accumulated across levels.  Layer m's kernel is
+    v_m^2 K_y (x) K_x, so with L_y and L_x the jittered Cholesky factors of
+    the unit-amplitude R x R correlations along the rows (spacing
+    ``cell_dy``) and the columns (``cell_dx``), the layer is mu_m +
+    v_m L_y Z L_x^T for Z the seed's n normals in row-major order.  Both
+    factors are built once per level for the whole batch; each seed's
+    generator yields its level-1 normals, then its level-2 normals, and so
+    on, so a truth does not depend on the other seeds.  planted: the
+    top-level field is a configured sum of radial bumps plus a background;
+    lower levels are Gaussian blurs of it with blur radius proportional to
+    their length scale, the same in metres along both axes, so coarser
+    levels are smoother.  The seed is unused and every
     truth shares one field.  Inputs that ``_check_truth_inputs`` refuses
     raise ValueError before any work.
     """
@@ -346,14 +331,20 @@ def sample_ground_truths(
             f[m - 1] = _gaussian_blur(top.reshape(res, res), sigmas).ravel()
         f.setflags(write=False)
         return [GroundTruth(domain=domain, f=f) for _ in seeds]
+    R = domain.resolution
+    offset = np.subtract.outer(np.arange(R), np.arange(R))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     fields = [np.empty((M, n)) for _ in rngs]
     for m in range(1, M + 1):
-        L = _level_cholesky(domain, model, m)
+        scale = 2.0 * model.l[m - 1] ** 2
+        L_y, L_x = (
+            jittered_cholesky(np.exp(-np.square(offset * h) / scale))[0]
+            for h in (domain.cell_dy, domain.cell_dx)
+        )
         for f, rng in zip(fields, rngs):
             below = f[m - 2] if m > 1 else 0.0
-            f[m - 1] = below + (model.mu[m - 1] + L @ rng.standard_normal(n))
-        del L  # the next level's K, its copy and its factor take this one's place
+            Z = rng.standard_normal(n).reshape(R, R)
+            f[m - 1] = below + (model.mu[m - 1] + model.v[m - 1] * (L_y @ Z @ L_x.T).ravel())
     for f in fields:
         f.setflags(write=False)
     return [GroundTruth(domain=domain, f=f) for f in fields]

@@ -4,8 +4,8 @@ Observations at level m only see the layers 1..m, so the covariance between
 two records truncates the layer sum at the lower of their two levels, and the
 cross-covariance of a record with the full-fidelity field truncates at the
 record's level.  Every record sits on a cell center and the layer kernels are
-stationary, so all of these covariances are reads of the layer sums half
-of ``field_model.covariance_tables``, through its window view
+stationary, so all of these covariances are reads of the layer sums in
+``field_model.covariance_tables``, through its window view
 (``field_model.windows``), indexed by a level and two cells.  The posterior
 serves the whole grid through W = L^-1 K_xn, L the Cholesky factor of the
 observation covariance (GPML Alg. 2.1).  Records sorted by level see the
@@ -263,7 +263,7 @@ def posterior(
     a -= mean  # ybar - nu, made L^-1 (ybar - nu) block by block below
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts
-    w = _grid_cov(windows(covariance_tables(domain, model)[1]), cells, levels)
+    w = _grid_cov(windows(covariance_tables(domain, model)), cells, levels)
     for start in range(0, r, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at, prev = cells[block], w[:start]
@@ -338,7 +338,7 @@ class _WorkingSet:
         self._offsets = rows * (2 * R - 1) + cols
         self._start = ((R - 1 - rows) * (2 * R - 1) + (R - 1 - cols)).tolist()
         self._block = (2 * R - 1) ** 2
-        self._reflected = covariance_tables(state.domain, state.model)[1].ravel()  # a view
+        self._reflected = covariance_tables(state.domain, state.model).ravel()  # a view
         _, var, noise = state.model._moments
         self._diag = var + noise
 
@@ -434,7 +434,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     """
     n = len(log)
     _check_top_level(log, model)
-    cov = windows(covariance_tables(log.domain, model)[1])
+    cov = windows(covariance_tables(log.domain, model))
     mrec = log.fidelities()
     flat, col = np.unique(log.cell_indices(), return_inverse=True)
     rows, cols = np.divmod(flat, log.domain.resolution)  # the distinct cells

@@ -60,7 +60,7 @@ def _pair_cov(tables, rc_a, m_a, rc_b, m_b) -> np.ndarray:
     offset arithmetic on the layer sums of ``covariance_tables``, read at
     non-negative offsets only; broadcasts."""
     R = (tables.shape[-1] + 1) // 2
-    table = tables[1, :, R - 1 :, R - 1 :]
+    table = tables[:, R - 1 :, R - 1 :]
     dr = rc_a[..., 0] - rc_b[..., 0]
     dc = rc_a[..., 1] - rc_b[..., 1]
     level = np.minimum(m_a, m_b) - 1

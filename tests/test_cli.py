@@ -68,7 +68,6 @@ REJECTED = [
     ({"mission.sample_time": -1}, "sample_time"),
     ({"mission.termination_fraction": 1.5}, "termination_fraction"),
     ({"domain.resolution": 200}, "cells"),
-    ({"domain.resolution": 82}, "the prior-draw budget is 1 GiB"),
     ({"mission.start_x": 50, "mission.start_y": 50, "mission.start_z": 8}, "outside"),
     (_bump(-1), "radius"),
     (_bump(0), "radius"),
@@ -341,12 +340,12 @@ def test_desk_config_is_valid():
 
 
 def test_prior_draw_budget_leaves_planted_grids_alone(capsys):
-    # the budget bounds the prior draw's factor step; a planted floor draws no factor
-    over = ["--set", "domain.resolution=82"]
-    assert main(["validate", "--config", str(REPO / "configs" / "planted.cfg"), *over]) == 0
-    assert main(["validate", "--config", str(DESK), *over]) == 1
-    assert "the prior-draw budget is 1 GiB, at most 6688 cells" in capsys.readouterr().err
-    assert main(["validate", "--config", str(DESK), "--set", "domain.resolution=81"]) == 0
+    # the prior draw factors R x R axis correlations, so it has no budget of
+    # its own: both modes stop only at the cell cap, 100 x 100 cells
+    for cfg in (DESK, REPO / "configs" / "planted.cfg"):
+        assert main(["validate", "--config", str(cfg), "--set", "domain.resolution=82"]) == 0
+        assert main(["validate", "--config", str(cfg), "--set", "domain.resolution=101"]) == 1
+        assert "grid has 10201 cells" in capsys.readouterr().err
 
 
 def test_normalized_echo_round_trips(small_cfg, capsys, tmp_path):

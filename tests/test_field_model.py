@@ -1,6 +1,4 @@
-import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from mfgp_search import field_model
 from mfgp_search.formats import write_grid_csv, write_pgm
 from mfgp_search.field_model import (
     _gaussian_blur,
-    _level_cholesky,
     covariance_tables,
     field_to_grid,
     measure_cells,
@@ -135,7 +132,7 @@ class TestKernel:
         domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
         rng = np.random.default_rng(3)
         rows, cols = np.divmod(rng.choice(domain.n_cells, size=50, replace=False), 10)
-        full = covariance_tables(domain, self.model)[1, -1]
+        full = covariance_tables(domain, self.model)[-1]
         gram = full[9 + rows[:, None] - rows, 9 + cols[:, None] - cols]
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-8
@@ -184,13 +181,13 @@ class TestPriorMoments:
         model = FidelityModel(
             mu=(0.1, 0.05), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
         )
-        assert covariance_tables(self.domain, model)[1, -1, 9, 9] == pytest.approx(0.34)
+        assert covariance_tables(self.domain, model)[-1, 9, 9] == pytest.approx(0.34)
 
     def test_single_level_reduces_to_kernel(self):
         model = FidelityModel(mu=(0.2,), v=(0.7,), l=(3.0,), s=(0.1,), z=(5.0,))
         # centres of cells (row 0, col 0) and (row 1, col 2) on 1 m cells
         a, b = np.array([0.5, 0.5]), np.array([2.5, 1.5])
-        cov = covariance_tables(self.domain, model)[1, 0, 9 + 1, 9 + 2]
+        cov = covariance_tables(self.domain, model)[0, 9 + 1, 9 + 2]
         assert cov == pytest.approx(kernel_eval(1, a, b, model))
 
 
@@ -313,70 +310,75 @@ def test_bad_truth_inputs_refused_as_by_the_config(inputs, message):
 
 
 class TestPriorDrawCovariance:
-    """The prior draw's K is the window view of the layer kernels in covariance_tables."""
+    """The prior draw's layer m is mu_m + v_m (L_y (x) L_x) z, the Kronecker
+    product of the two axis factors applied to the seed's row-major normals."""
 
     def test_windows_equal_kernel_on_centre_differences(self, desk_domain, desk_model):
         # desk centres are binary fractions: offsets and centre differences agree
         centers, n = desk_domain.cell_centers, desk_domain.n_cells
-        layers = windows(covariance_tables(desk_domain, desk_model)[0])
+        sums = windows(covariance_tables(desk_domain, desk_model))
+        K = 0.0
         for m in (1, 2):
-            K = kernel_eval(m, centers[:, None], centers[None], desk_model)
-            assert np.array_equal(layers[m - 1].reshape(n, n), K)
+            K = K + kernel_eval(m, centers[:, None], centers[None], desk_model)
+            assert np.array_equal(sums[m - 1].reshape(n, n), K)
 
     @pytest.mark.parametrize(
         "domain",
-        [GridDomain(0.0, 20.0, 0.0, 20.0, 20), GridDomain(0.0, 13.7, 0.0, 13.7, 17)],
-        ids=["desk", "inexact-centres"],
+        [
+            GridDomain(0.0, 40.0, 0.0, 20.0, 12),
+            GridDomain(0.0, 20.0, 0.0, 20.0, 20),
+            GridDomain(0.0, 13.7, 0.0, 13.7, 17),
+        ],
+        ids=["rectangular-cells", "desk", "inexact-centres"],
     )
-    def test_factor_reproduces_kernel_plus_jitter(self, domain, desk_model):
+    def test_axis_factors_reproduce_kernel_plus_jitter(self, domain, desk_model, monkeypatch):
+        # on 40/12 x 20/12 m cells a row/column swap is off by about 0.46 v^2
+        factors = []
+
+        def kept(cov, *args):
+            L, jitter = real(cov, *args)
+            factors.append(L)
+            return L, jitter
+
+        real = field_model.jittered_cholesky
+        monkeypatch.setattr(field_model, "jittered_cholesky", kept)
+        truth = sample_ground_truth(domain, desk_model, seed=4)
         centers, n = domain.cell_centers, domain.n_cells
+        z = np.random.default_rng(4).standard_normal(n)
+        assert len(factors) == 2 * desk_model.levels
         for m in (1, 2):
-            v, l = desk_model.v[m - 1], desk_model.l[m - 1]
-            L = _level_cholesky(domain, desk_model, m)
-            expected = sq_exp(v, l, centers, centers) + 1e-10 * v * v * np.eye(n)
-            np.testing.assert_allclose(L @ L.T, expected, rtol=0.0, atol=1e-14 * v * v)
+            v, l, mu = desk_model.v[m - 1], desk_model.l[m - 1], desk_model.mu[m - 1]
+            L = np.kron(factors[2 * m - 2], factors[2 * m - 1])  # L_y (x) L_x
+            # the jitter of each axis adds 1e-10 v^2 (I (x) K_x + K_y (x) I)
+            expected = sq_exp(v, l, centers, centers)
+            np.testing.assert_allclose(v * v * (L @ L.T), expected, rtol=0.0, atol=3e-10 * v * v)
+            if m == 1:
+                np.testing.assert_allclose(truth.f[0], mu + v * (L @ z), rtol=0.0, atol=1e-12)
 
     def test_resolution_one_draw(self, desk_model):
-        # the one-cell K must be a fresh array: the jitter is added in place
+        # one cell: each axis factor is 1 x 1, and the table is the variances
         domain = GridDomain(0.0, 1.0, 0.0, 1.0, 1)
         truth = sample_ground_truth(domain, desk_model, seed=3)
         assert truth.f.shape == (2, 1) and np.all(np.isfinite(truth.f))
-        assert covariance_tables(domain, desk_model)[0, :, 0, 0].tolist() == [0.25, 0.09]
-
+        assert covariance_tables(domain, desk_model)[:, 0, 0].tolist() == [0.25, 0.25 + 0.09]
 
 
 class TestPriorDrawMemory:
-    """A draw holds each level's factor only while it draws that level."""
+    """A draw holds two R x R axis factors and the floors, never an n x n array."""
 
-    def test_draw_peak_is_bounded_by_two_factors(self):
-        # a (domain, model) no other test draws, so the draw builds its table
-        # and every factor under the trace
-        domain = GridDomain(0.0, 30.0, 0.0, 30.0, 30)
-        model = FidelityModel(mu=(0.1, 0.0), v=(0.45, 0.25), l=(4.5, 2.25), s=(0.1, 0.1), z=(8.0, 4.0))
+    def test_draw_peak_is_linear_in_cells(self, desk_model):
+        # the largest grid the cell cap admits: an n x n array would be 800 MB
+        domain = GridDomain(0.0, 20.0, 0.0, 20.0, 100)
         n = domain.n_cells
+        # a first draw imports what the draw uses; those modules are not its memory
+        sample_ground_truth(GridDomain(0.0, 1.0, 0.0, 1.0, 1), desk_model, seed=7)
         tracemalloc.start()
         try:
-            sample_ground_truth(domain, model, seed=7)
+            sample_ground_truth(domain, desk_model, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # K and its factor L; a held factor of the level before would be a third n^2
-        assert peak <= 2.25 * n * n * 8, peak / (n * n * 8)
-
-    def test_factor_dies_when_the_draw_returns(self, desk_model, monkeypatch):
-        factors = []
-
-        def tracked(*args):
-            L = real(*args)
-            factors.append(weakref.ref(L))
-            return L
-
-        real = field_model._level_cholesky
-        monkeypatch.setattr(field_model, "_level_cholesky", tracked)
-        sample_ground_truth(GridDomain(0.0, 10.0, 0.0, 10.0, 10), desk_model, seed=1)
-        gc.collect()
-        assert len(factors) == desk_model.levels
-        assert [ref() for ref in factors] == [None] * desk_model.levels
+        assert peak <= 8 * desk_model.levels * n * 8, peak / (n * 8)
 
     @pytest.mark.parametrize("mode", ["prior-draw", "planted"])
     def test_batch_is_the_per_seed_draw(self, desk_domain, desk_model, mode):
@@ -387,17 +389,6 @@ class TestPriorDrawMemory:
             alone = sample_ground_truth(desk_domain, desk_model, seed, mode=mode, **planted)
             assert truth.domain == desk_domain and truth.f.tobytes() == alone.f.tobytes()
             assert not truth.f.flags.writeable
-
-    def test_prior_draw_over_the_budget_refused(self, desk_model):
-        # 3 n^2 doubles within 1 GiB: 81 x 81 = 6561 cells fit, 82 x 82 = 6724 do not
-        big, fits = (GridDomain(0.0, 20.0, 0.0, 20.0, r) for r in (82, 81))
-        with pytest.raises(ValueError, match="prior-draw budget is 1 GiB, at most 6688 cells"):
-            sample_ground_truth(big, desk_model, seed=0)
-        base = dict(model=desk_model, delta=0.1, th=0.3)
-        with pytest.raises(ValueError, match="prior-draw budget"):
-            MissionConfig(domain=big, **base)
-        MissionConfig(domain=fits, **base)
-        MissionConfig(domain=big, mode="planted", bumps=(Bump(4.5, 4.5, 1.2, 2.2),), **base)
 
 
 class TestGaussianBlur:

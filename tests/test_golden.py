@@ -21,9 +21,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 PINS = {
     "desk": {
-        "report.json": "4a5c0ad95ab922593188c0265c83f17eec76724a202cbec4afb6830ce6355af7",
-        "plans.csv": "9db4f254ff88ce463c1d9206d8b5d628f1a660e6eb34acb03ed4ebf7bf7c9eba",
-        "tours.csv": "34263a204420651f79781ada93e19f0d498af3311f93868ebf6291a584c484fc",
+        "report.json": "58cddd098e7e33b12c3bdbaf4269950be6f11fe9678effef825c1ceac80c8d2f",
+        "plans.csv": "ef906a782f04d0be240fbcc59f2e62267579a410908fe0947add2106a038df5f",
+        "tours.csv": "573eb42b149813004e9c3d5cb593a8ae64f47a7d0512db7e433594fd47713f75",
     },
     "planted": {
         "report.json": "407f1f0337d70c293672cd96c41a03b58600a81d8d519a92f8cd8f172308923d",
@@ -35,16 +35,16 @@ PINS = {
 # occupancy map, the decay curve and the truth fields.
 OUTPUT_PINS = {
     "desk": {
-        "decay.csv": "f20c524dabfcc20d883646368743ca113a76d117db2699dc534cd194ac6cc941",
-        "mean.csv": "a2a2d227c852b29ed3e067cbac650a5a177de0106c20e7c8a8185a873bd3a2bb",
-        "occupancy.csv": "102cce841741e4a56a8721b2c69296374b2446dfe3204fa28c17938125b16e69",
-        "occupancy.pgm": "f77a6ab5de89df85008574ace1ee55a12345cb6ed5dac8cfa0b61fc0c10a0349",
-        "samples.log": "41d01c8c1344c12a151108e4536e36b592a6df4ad57e4585a5ef39d5ac61713f",
-        "truth_f1.csv": "fae425fe71b04d68289721ce20578c094d649cc49037fee442f8ebe5275ec1a1",
-        "truth_f2.csv": "5debad94823982112a78bf93a65c9641dd5637f85f80cb5e986283ccb457a575",
-        "truth_f1.pgm": "3bd5175e75c372f28f9fb91a7ba8404c4bf60148877f69422e2321dcd6722c39",
-        "truth_f2.pgm": "b402d7b47c4f139eeeb57375c64f6f2622f9d2a90249cb7a050002152b6e6fe9",
-        "variance.csv": "18d55c0c95e65dfce5227cb173d6d0ea3f13fdbbb9f779e7c97554457a440340",
+        "decay.csv": "e815367091065acdf0128f999effd36494c6eb033b4122e14942f8d98b4bebea",
+        "mean.csv": "155e058a923a2a6af877a7782a5d37c4b56c063c94fe210df15bc603e2e47b1c",
+        "occupancy.csv": "52058c6699473f22605a486f1acdda8f03f8843dfa5718ad3b1e8b3dbf8d069d",
+        "occupancy.pgm": "9a5319e4a9053a9346ade93c7a77bf650b218a0e3872bb5057c157b7fff17b45",
+        "samples.log": "a00a0dce9bec727205e20ef3e3f2c11da190710558900d5f3cedb362d65a1735",
+        "truth_f1.csv": "ae7cec413913b485be7c0ffed899a294932291ea220704f82f49fda66b6c44bf",
+        "truth_f2.csv": "b8206de3f15249e437757983be4cc8d6b39b808152ea17dc3b86b6c7f0e70490",
+        "truth_f1.pgm": "60d42aa0b891204975db509573e1d9f7a5f0e5be3de99eb04836953b318c3af1",
+        "truth_f2.pgm": "507fae6c1633b7e07b57f2672d45b8311b95e4250a5a33eac36a8eba86380862",
+        "variance.csv": "067a251dbca13e95a402370e49e9b3d2b6590a3422c69e31bfc4b97e826d6b7d",
     },
     "planted": {
         "decay.csv": "f36f01bb11390592f7be9de3ee6b92e4b7a38d9ae2e81317612183d27ceda112",
@@ -62,7 +62,7 @@ OUTPUT_PINS = {
 # bench --config configs/desk.cfg --set bench.seeds=6
 BENCH_PINS = {
     "decay.csv": "cf278c6e701eed1c26cf80c1a3bb27aebb5138d70103ffea2432f026ece6d913",
-    "detection_time.csv": "63af1512deca0f5f631fcee9d830c54da50f5b4dc470b679a780ed252296735b",
+    "detection_time.csv": "418f93ea048f1425b3dc23037abcd9c2770fddfa075c57aeb455324a4acf57c0",
 }
 # manifest.json with its "config_path" and "out_dir" values replaced by
 # "<config_path>" and "<out_dir>"; "study" is the bench command above.

@@ -188,29 +188,35 @@ class TestCovarianceTable:
 
     def test_read_only_and_cached(self, small_domain, two_level):
         table = covariance_tables(small_domain, two_level)
-        assert table.shape == (2, 2, 19, 19)
+        assert table.shape == (2, 19, 19)
         assert not table.flags.writeable
         assert covariance_tables(small_domain, two_level) is table
 
     def test_layer_sums_are_the_running_sum_of_the_layers(self, desk_model):
+        # one-layer models each give one layer's kernel table
+        layers = [
+            FidelityModel(mu=(mu,), v=(v,), l=(l,), s=(s,), z=(z,))
+            for mu, v, l, s, z in zip(*(getattr(desk_model, k) for k in ("mu", "v", "l", "s", "z")))
+        ]
         for domain in (GridDomain(0.0, 20.0, 0.0, 13.0, 30), GridDomain(0.0, 13.7, 0.0, 13.7, 17)):
-            # both halves reflected about the zero offset, [1] summed layer by layer
+            # reflected about the zero offset and summed layer by layer
             table = covariance_tables(domain, desk_model)
-            assert np.array_equal(table, table[..., ::-1, :])
-            assert np.array_equal(table, table[..., ::-1])
-            assert np.array_equal(table[1], np.cumsum(table[0], axis=0))
+            assert np.array_equal(table, table[:, ::-1, :])
+            assert np.array_equal(table, table[:, :, ::-1])
+            one = np.concatenate([covariance_tables(domain, layer) for layer in layers])
+            assert np.array_equal(table, np.cumsum(one, axis=0))
 
 
 class TestCrossCovariance:
     def test_empty_log(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        cov = windows(covariance_tables(small_domain, two_level)[1])
+        cov = windows(covariance_tables(small_domain, two_level))
         assert _grid_cov(cov, log.cell_indices(), log.fidelities()).size == 0
 
     def test_top_fidelity_self_covariance_is_prior_variance(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(7), 0.0, 2)
-        cov = windows(covariance_tables(small_domain, two_level)[1])
+        cov = windows(covariance_tables(small_domain, two_level))
         vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.34)
 
@@ -224,14 +230,14 @@ class TestCrossCovariance:
         grid = np.column_stack(np.divmod(np.arange(domain.n_cells), 30))
         table = covariance_tables(domain, desk_model)
         expected = _pair_cov(table, rc[:, None], m[:, None], grid[None], desk_model.levels)
-        cov = windows(table[1])
+        cov = windows(table)
         assert np.array_equal(_grid_cov(cov, rc[:, 0] * 30 + rc[:, 1], m), expected)
         assert not cov.flags.writeable
 
     def test_one_reflected_table_per_domain_and_model(self, small_domain, two_level):
         # the windows and every working set read the one cached table
         table = covariance_tables(small_domain, two_level)
-        assert np.shares_memory(windows(table[1]), table)
+        assert np.shares_memory(windows(table), table)
         post = posterior(SampleLog(small_domain), small_domain, two_level)
         for _ in range(2):
             assert _WorkingSet(post, post.columns, 1)._reflected.base is table
@@ -239,7 +245,7 @@ class TestCrossCovariance:
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(small_domain.cell_center(7), 0.0, 1)
-        cov = windows(covariance_tables(small_domain, two_level)[1])
+        cov = windows(covariance_tables(small_domain, two_level))
         vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.25)
 

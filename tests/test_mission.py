@@ -539,7 +539,8 @@ class TestOneAliveAtATime:
         real = field_model.jittered_cholesky
         monkeypatch.setattr(field_model, "jittered_cholesky", counted)
         reports = list(run_missions(study_config, seeds=range(3)))
-        assert len(reports) == 3 and len(calls) == study_config.model.levels
+        # one row factor and one column factor per level, for all three seeds
+        assert len(reports) == 3 and len(calls) == 2 * study_config.model.levels
 
     def test_run_missions_yields(self, study_config):
         batch = run_missions(study_config, seeds=range(2))
