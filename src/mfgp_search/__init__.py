@@ -33,7 +33,6 @@ _EXPORTS = {
         "GroundTruth",
         "kernel_eval",
         "sample_ground_truth",
-        "sample_ground_truths",
     ),
     "inference": (
         "PosteriorField",

@@ -72,8 +72,12 @@ def _get(kv: dict, key: str, cast, default=MISSING):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _as_int(v) -> int:
-    f = float(v)
+def _as_int(v: str) -> int:
+    """An integer literal exactly, or a whole float literal such as "3.0"."""
+    try:
+        return int(v)
+    except ValueError:
+        f = float(v)
     if not (math.isfinite(f) and f == int(f)):
         raise ValueError(f"expected an integer, got {v!r}")
     return int(f)

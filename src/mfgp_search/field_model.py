@@ -268,7 +268,7 @@ def _gaussian_blur(grid: np.ndarray, sigmas: tuple[float, float]) -> np.ndarray:
 
 
 def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):
-    """ValueError for a ground truth ``sample_ground_truths`` does not draw:
+    """ValueError for a ground truth ``sample_ground_truth`` does not draw:
     a grid over MAX_EXACT_CELLS, an unknown mode, a bump radius that is not
     positive, a bump or background that is not finite, or a bump or a
     non-zero background outside planted mode, which would go unused."""
@@ -288,68 +288,6 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
         raise ValueError(f"bumps and background apply in planted mode only, not in {mode}")
 
 
-def sample_ground_truths(
-    domain: GridDomain,
-    model: FidelityModel,
-    seeds,
-    mode: str = "prior-draw",
-    bumps: tuple[Bump, ...] = (),
-    background: float = 0.0,
-) -> list[GroundTruth]:
-    """Generate one deterministic synthetic ground truth per seed, in seed order.
-
-    prior-draw: every layer is an exact joint GP draw over the grid (mean
-    mu_m, layer kernel), accumulated across levels.  Layer m's kernel is
-    v_m^2 K_y (x) K_x, so with L_y and L_x the jittered Cholesky factors of
-    the unit-amplitude R x R correlations along the rows (spacing
-    ``cell_dy``) and the columns (``cell_dx``), the layer is mu_m +
-    v_m L_y Z L_x^T for Z the seed's n normals in row-major order.  Both
-    factors are built once per level for the whole batch; each seed's
-    generator yields its level-1 normals, then its level-2 normals, and so
-    on, so a truth does not depend on the other seeds.  planted: the
-    top-level field is a configured sum of radial bumps plus a background;
-    lower levels are Gaussian blurs of it with blur radius proportional to
-    their length scale, the same in metres along both axes, so coarser
-    levels are smoother.  The seed is unused and every
-    truth shares one field.  Inputs that ``_check_truth_inputs`` refuses
-    raise ValueError before any work.
-    """
-    _check_truth_inputs(domain, mode, bumps, background)
-    M = model.levels
-    n = domain.n_cells
-    if mode == "planted":
-        f = np.empty((M, n))
-        centers = domain.cell_centers
-        top = np.full(n, float(background))
-        for b in bumps:
-            d2 = (centers[:, 0] - b.x) ** 2 + (centers[:, 1] - b.y) ** 2
-            top += b.amplitude * np.exp(-d2 / (2.0 * b.radius * b.radius))
-        f[M - 1] = top
-        res = domain.resolution
-        for m in range(M - 1, 0, -1):
-            sigmas = (model.l[m - 1] / domain.cell_dy, model.l[m - 1] / domain.cell_dx)
-            f[m - 1] = _gaussian_blur(top.reshape(res, res), sigmas).ravel()
-        f.setflags(write=False)
-        return [GroundTruth(domain=domain, f=f) for _ in seeds]
-    R = domain.resolution
-    offset = np.subtract.outer(np.arange(R), np.arange(R))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    fields = [np.empty((M, n)) for _ in rngs]
-    for m in range(1, M + 1):
-        scale = 2.0 * model.l[m - 1] ** 2
-        L_y, L_x = (
-            jittered_cholesky(np.exp(-np.square(offset * h) / scale))[0]
-            for h in (domain.cell_dy, domain.cell_dx)
-        )
-        for f, rng in zip(fields, rngs):
-            below = f[m - 2] if m > 1 else 0.0
-            Z = rng.standard_normal(n).reshape(R, R)
-            f[m - 1] = below + (model.mu[m - 1] + model.v[m - 1] * (L_y @ Z @ L_x.T).ravel())
-    for f in fields:
-        f.setflags(write=False)
-    return [GroundTruth(domain=domain, f=f) for f in fields]
-
-
 def sample_ground_truth(
     domain: GridDomain,
     model: FidelityModel,
@@ -358,8 +296,50 @@ def sample_ground_truth(
     bumps: tuple[Bump, ...] = (),
     background: float = 0.0,
 ) -> GroundTruth:
-    """The ground truth of one seed: ``sample_ground_truths`` of one."""
-    return sample_ground_truths(domain, model, [seed], mode, bumps, background)[0]
+    """Generate the deterministic synthetic ground truth of one seed.
+
+    prior-draw: every layer is an exact joint GP draw over the grid (mean
+    mu_m, layer kernel), accumulated across levels.  Layer m's kernel is
+    v_m^2 K_y (x) K_x, so with L_y and L_x the jittered Cholesky factors of
+    the unit-amplitude R x R correlations along the rows (spacing
+    ``cell_dy``) and the columns (``cell_dx``), the layer is mu_m +
+    v_m L_y Z L_x^T for Z the seed's n normals in row-major order: the
+    seed's generator yields its level-1 normals, then its level-2 normals,
+    and so on.  planted: the top-level field is a configured sum of radial
+    bumps plus a background; lower levels are Gaussian blurs of it with blur
+    radius proportional to their length scale, the same in metres along
+    both axes, so coarser levels are smoother.  The seed is unused.  Inputs
+    that ``_check_truth_inputs`` refuses raise ValueError before any work.
+    """
+    _check_truth_inputs(domain, mode, bumps, background)
+    M = model.levels
+    n = domain.n_cells
+    R = domain.resolution
+    f = np.empty((M, n))
+    if mode == "planted":
+        centers = domain.cell_centers
+        top = np.full(n, float(background))
+        for b in bumps:
+            d2 = (centers[:, 0] - b.x) ** 2 + (centers[:, 1] - b.y) ** 2
+            top += b.amplitude * np.exp(-d2 / (2.0 * b.radius * b.radius))
+        f[M - 1] = top
+        for m in range(M - 1, 0, -1):
+            sigmas = (model.l[m - 1] / domain.cell_dy, model.l[m - 1] / domain.cell_dx)
+            f[m - 1] = _gaussian_blur(top.reshape(R, R), sigmas).ravel()
+    else:
+        offset = np.subtract.outer(np.arange(R), np.arange(R))
+        rng = np.random.default_rng(seed)
+        for m in range(1, M + 1):
+            scale = 2.0 * model.l[m - 1] ** 2
+            L_y, L_x = (
+                jittered_cholesky(np.exp(-np.square(offset * h) / scale))[0]
+                for h in (domain.cell_dy, domain.cell_dx)
+            )
+            below = f[m - 2] if m > 1 else 0.0
+            Z = rng.standard_normal(n).reshape(R, R)
+            f[m - 1] = below + (model.mu[m - 1] + model.v[m - 1] * (L_y @ Z @ L_x.T).ravel())
+    f.setflags(write=False)
+    return GroundTruth(domain=domain, f=f)
 
 
 def measure_cells(truth: GroundTruth, cells, m: int, model: FidelityModel, rng) -> np.ndarray:

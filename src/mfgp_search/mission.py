@@ -26,7 +26,6 @@ from .field_model import (
     GroundTruth,
     _check_truth_inputs,
     sample_ground_truth,
-    sample_ground_truths,
 )
 from .inference import SampleLog, posterior
 from .planner import FidelityState, PlanLimits, _greedy_steps, plan_epoch
@@ -249,28 +248,19 @@ def _mission_seeds(seed: int) -> tuple[int, int]:
     return int(truth_seed), int(meas_seed)
 
 
-def run_mission(config: MissionConfig, truth: GroundTruth | None = None) -> MissionReport:
-    """Execute the full epoch loop; deterministic given config.seed.
-
-    ``truth`` is the floor to search, drawn as ``sample_ground_truth`` draws
-    it for this config's seed; by default the mission draws it.  A truth on
-    another grid or with another level count is refused."""
+def run_mission(config: MissionConfig) -> MissionReport:
+    """Draw the mission's floor and execute the full epoch loop;
+    deterministic given config.seed."""
     domain, model = config.domain, config.model
     truth_seed, meas_seed = _mission_seeds(config.seed)
-    if truth is None:
-        truth = sample_ground_truth(
-            domain,
-            model,
-            seed=truth_seed,
-            mode=config.mode,
-            bumps=config.bumps,
-            background=config.background,
-        )
-    elif truth.domain != domain or len(truth.f) != model.levels:
-        raise ValueError(
-            f"truth has {len(truth.f)} levels on {truth.domain}; "
-            f"the mission needs {model.levels} on {domain}"
-        )
+    truth = sample_ground_truth(
+        domain,
+        model,
+        seed=truth_seed,
+        mode=config.mode,
+        bumps=config.bumps,
+        background=config.background,
+    )
     rng = np.random.default_rng(meas_seed)
     params = config.params()
     limits = config.limits()
@@ -375,21 +365,10 @@ def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
 
 def run_missions(config: MissionConfig, seeds) -> Iterator[MissionReport]:
     """Run one mission per seed, one after another, and yield each report in
-    seed order; a caller that drops each report holds one at a time.
-
-    Every floor is drawn in one ``sample_ground_truths`` pass before the
-    first mission, so each prior-draw level is factored once per study."""
-    configs = [replace(config, seed=int(s)) for s in seeds]
-    truths = sample_ground_truths(
-        config.domain,
-        config.model,
-        [_mission_seeds(c.seed)[0] for c in configs],
-        mode=config.mode,
-        bumps=config.bumps,
-        background=config.background,
-    )
-    for c, truth in zip(configs, truths):
-        yield run_mission(c, truth)
+    seed order; each mission draws its own floor, and a caller that drops
+    each report holds one floor and one report at a time."""
+    for s in seeds:
+        yield run_mission(replace(config, seed=int(s)))
 
 
 def _linear_quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -141,6 +141,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="domain.resolution"):
             resolve_config(kv)
 
+    # "2.5" and "inf" are refused in test_bad_value_named and REJECTED
+    @pytest.mark.parametrize("value, seed", [("3.0", 3), ("nan", None)])
+    def test_integer_keys_take_whole_numbers_only(self, value, seed):
+        kv = parse_config_text(small_cfg_text(**{"mission.seed": value}))
+        if seed is None:
+            with pytest.raises(ConfigError, match="expected an integer"):
+                resolve_config(kv)
+        else:
+            assert resolve_config(kv)[0].seed == seed
+
 
 class TestRun:
     def test_missing_config_exits_1_with_path(self, tmp_path, capsys):
@@ -355,6 +365,18 @@ def test_normalized_echo_round_trips(small_cfg, capsys, tmp_path):
     normalized.write_text(echo)
     assert main(["validate", "--config", str(normalized)]) == 0
     assert capsys.readouterr().out == echo
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 + 1])
+def test_large_integer_seed_kept_exactly(small_cfg, capsys, tmp_path, seed):
+    # a float parse rounds 2^53 + 1 to 2^53: two seeds would run one mission
+    for flags in (["--seed", str(seed)], ["--set", f"mission.seed={seed}"]):
+        assert main(["validate", "--config", str(small_cfg), *flags]) == 0
+        assert f"mission.seed={seed}\n" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(small_cfg), "--out", str(out), "--seed", str(seed)]) in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["resolved"]["mission.seed"] == seed
 
 
 # A valid tiny-grid config (one value per key drawn from VALID), then up to

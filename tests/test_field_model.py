@@ -12,7 +12,6 @@ from mfgp_search import (
     MissionConfig,
     kernel_eval,
     sample_ground_truth,
-    sample_ground_truths,
 )
 from mfgp_search import field_model
 from mfgp_search.formats import write_grid_csv, write_pgm
@@ -202,12 +201,14 @@ class TestGroundTruth:
         a = sample_ground_truth(self.domain, self.model, seed=11)
         b = sample_ground_truth(self.domain, self.model, seed=11)
         assert np.array_equal(a.f, b.f)
+        assert not a.f.flags.writeable
 
     def test_planted_empty_field(self):
         truth = sample_ground_truth(
             self.domain, self.model, seed=0, mode="planted", bumps=(), background=0.0
         )
         assert not truth.target_mask(0.1).any()
+        assert not truth.f.flags.writeable
 
     def test_autoregressive_consistency_exact(self):
         # prior-draw: level m sees layers 1..m only, so the stack of the
@@ -229,9 +230,8 @@ class TestGroundTruth:
 
     def test_prior_draw_matches_prior_variance(self):
         # Monte Carlo: per-cell sample variance of the top field should sit
-        # within 15% of the prior variance sum(v_m^2) = 0.34.  The batch draw
-        # gives each seed's floor bit for bit and factors each level once.
-        truths = sample_ground_truths(self.domain, self.model, range(2000))
+        # within 15% of the prior variance sum(v_m^2) = 0.34.
+        truths = [sample_ground_truth(self.domain, self.model, seed) for seed in range(2000)]
         draws = np.stack([t.f[-1] for t in truths])
         cell_var = draws.var(axis=0, ddof=1)
         expected = self.model.prior_variance()
@@ -379,16 +379,6 @@ class TestPriorDrawMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * desk_model.levels * n * 8, peak / (n * 8)
-
-    @pytest.mark.parametrize("mode", ["prior-draw", "planted"])
-    def test_batch_is_the_per_seed_draw(self, desk_domain, desk_model, mode):
-        planted = {"bumps": (Bump(4.5, 4.5, 1.2, 2.2),), "background": -0.1} if mode == "planted" else {}
-        seeds = [5, 0, 5, 11]
-        batch = sample_ground_truths(desk_domain, desk_model, seeds, mode=mode, **planted)
-        for seed, truth in zip(seeds, batch, strict=True):
-            alone = sample_ground_truth(desk_domain, desk_model, seed, mode=mode, **planted)
-            assert truth.domain == desk_domain and truth.f.tobytes() == alone.f.tobytes()
-            assert not truth.f.flags.writeable
 
 
 class TestGaussianBlur:

@@ -17,7 +17,6 @@ from mfgp_search import (
     Bump,
     FidelityModel,
     GridDomain,
-    GroundTruth,
     Label,
     MissionConfig,
     PlanLimits,
@@ -25,11 +24,9 @@ from mfgp_search import (
     compare_decay,
     confidence_interval,
     detection_time_study,
-    field_model,
     mission,
     run_mission,
     run_missions,
-    sample_ground_truth,
 )
 from mfgp_search.formats import dump_json
 
@@ -244,16 +241,6 @@ class TestRunMission:
         # the 3/4 rule and the epoch cap are written once, in PlanLimits
         config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
         assert config.limits() == PlanLimits()
-
-    def test_truth_on_another_grid_or_level_count_refused(self, small_model):
-        domain = GridDomain(0.0, 6.0, 0.0, 6.0, 6)
-        config = MissionConfig(domain=domain, model=small_model, delta=0.1, th=0.3, max_epochs=1)
-        other_grid = sample_ground_truth(GridDomain(0.0, 6.0, 0.0, 6.0, 5), small_model, seed=0)
-        truth = sample_ground_truth(domain, small_model, seed=0)
-        one_level = GroundTruth(domain=domain, f=truth.f[1:])
-        for bad in (other_grid, one_level):
-            with pytest.raises(ValueError, match="truth has"):
-                run_mission(config, bad)
 
     def test_config_validation(self, small_domain, small_model):
         with pytest.raises(ValueError):
@@ -529,18 +516,18 @@ class TestOneAliveAtATime:
         detection_time_study(study_config, seeds=range(3))
         assert len(reports) == 3
 
-    def test_study_factors_each_level_once(self, study_config, monkeypatch):
+    def test_study_draws_one_floor_per_mission(self, study_config, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(domain, model, seed, **kwargs):
+            calls.append(seed)
+            return real(domain, model, seed, **kwargs)
 
-        real = field_model.jittered_cholesky
-        monkeypatch.setattr(field_model, "jittered_cholesky", counted)
-        reports = list(run_missions(study_config, seeds=range(3)))
-        # one row factor and one column factor per level, for all three seeds
-        assert len(reports) == 3 and len(calls) == 2 * study_config.model.levels
+        real = mission.sample_ground_truth
+        monkeypatch.setattr(mission, "sample_ground_truth", counted)
+        seeds = [3, 0, 2]
+        reports = list(run_missions(study_config, seeds=seeds))
+        assert len(reports) == 3 and calls == [mission._mission_seeds(s)[0] for s in seeds]
 
     def test_run_missions_yields(self, study_config):
         batch = run_missions(study_config, seeds=range(2))
