@@ -123,8 +123,13 @@ def classify_epoch(
     """Classify still-uncertain cells at tolerance delta/2^epoch.
 
     Returns a new map snapshot that carries the interval it was built
-    with; already-classified cells are untouched.
+    with; already-classified cells are untouched.  A posterior and a map on
+    different grids raise ValueError naming both.
     """
+    if posterior.domain != cmap.domain:
+        raise ValueError(
+            f"the posterior's grid {posterior.domain} and the map's grid {cmap.domain} differ"
+        )
     eps = params.epsilon(epoch)
     low, up = confidence_interval(posterior.mu, np.sqrt(posterior.sigma2), eps)
     uncertain = cmap.uncertain_mask()

@@ -72,11 +72,6 @@ class GridDomain:
         centers.setflags(write=False)
         return centers
 
-    def cell_center(self, i: int) -> tuple[float, float]:
-        if not 0 <= i < self.n_cells:
-            raise ValueError(f"cell index {i} out of range [0, {self.n_cells})")
-        return tuple(self.cell_centers[i].tolist())
-
     def index_of(self, x: float, y: float) -> int:
         """Cell index of a point that must lie on a cell center."""
         dx, dy, R = self.cell_dx, self.cell_dy, self.resolution
@@ -274,7 +269,8 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
     non-zero background outside planted mode, which would go unused."""
     if domain.n_cells > MAX_EXACT_CELLS:
         raise ValueError(
-            f"grid has {domain.n_cells} cells; exact joint draws are guarded at {MAX_EXACT_CELLS}"
+            f"grid has {domain.n_cells} cells; the posterior is exact over every cell, "
+            f"so a grid is capped at {MAX_EXACT_CELLS}"
         )
     modes = ("prior-draw", "planted")
     if mode not in modes:

@@ -39,14 +39,13 @@ _CHAIN_BLOCK = 64  # records per block of the posterior and the information chai
 
 
 class SampleLog:
-    """Ordered (location, value, fidelity) records collected by the vehicle.
+    """Ordered (cell, value, fidelity) records collected by the vehicle.
 
     The planner only ever raises the fidelity level, so the record sequence
     must be non-decreasing in fidelity, from level 1 up; that contract is
     asserted on append (the model's top level is checked by its readers).
-    Every location must be a cell center of the mission grid; the record
-    keeps that cell's flat index, and ``locations`` reads the center back
-    from it.
+    A record names its cell of the log's ``domain`` by flat index, and
+    ``locations`` reads the cell centers from ``domain.cell_centers``.
     """
 
     def __init__(self, domain: GridDomain):
@@ -58,8 +57,8 @@ class SampleLog:
     def __len__(self) -> int:
         return len(self._values)
 
-    def append(self, location: tuple[float, float], value: float, fidelity: int):
-        self.extend([self.domain.index_of(*location)], [value], fidelity)
+    def append(self, cell: int, value: float, fidelity: int):
+        self.extend([cell], [value], fidelity)
 
     def extend(self, cells, values, fidelity: int):
         """Append one record per flat cell index in ``cells``, with the
@@ -231,12 +230,9 @@ def _clamp_sigma2(sigma2: np.ndarray, jitter: float) -> np.ndarray:
 
 
 def posterior(
-    log: SampleLog,
-    domain: GridDomain,
-    model: FidelityModel,
-    jitter_scale: float = DEFAULT_JITTER,
+    log: SampleLog, model: FidelityModel, jitter_scale: float = DEFAULT_JITTER
 ) -> PosteriorField:
-    """Exact posterior over all grid cells from the log's distinct records.
+    """Exact posterior over all cells of the log's grid from its distinct records.
 
     mean(x) = mu0 + k(x)^T (K+Theta)^-1 (y - nu) and
     var(x) = k0(x,x) - k(x)^T (K+Theta)^-1 k(x).  The k samples at one
@@ -251,6 +247,7 @@ def posterior(
     raises NumericalError naming the record and its pivot.  A log above
     the model's top level raises ValueError naming the level.
     """
+    domain = log.domain
     n_cells = domain.n_cells
     _check_top_level(log, model)
     keys, group, counts = np.unique(
@@ -379,42 +376,39 @@ class _WorkingSet:
         return replace(self.base, **views)
 
 
-def append_sample_variance_only(
-    state: PosteriorField, x_new, m_new: int
-) -> PosteriorField:
-    """Add a hypothetical sample at (x_new, m_new) to the variance.
+def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) -> PosteriorField:
+    """Add a hypothetical sample at the flat cell index ``cell`` and level
+    ``m_new`` to the variance.
 
-    ``x_new`` must be the center of one of the snapshot's columns and
-    ``m_new`` at least the level of the last record.  Runs the working-set
-    step (``_WorkingSet.add``) on a copy of this snapshot's rows, in
+    ``cell`` must be one of the snapshot's columns and ``m_new`` at least
+    the level of the last record.  Runs the working-set step
+    (``_WorkingSet.add``) on a copy of this snapshot's rows, in
     O(n * len(columns)) and without a factor.  The variance of the result
     matches a full recompute with the extended log (observed values are
     irrelevant to the variance).  If the new pivot breaks down numerically,
     falls back to a full refactorization with placeholder observations,
     restricted to the same columns.
     """
-    model, domain = state.model, state.domain
-    model._check_level(m_new)
+    state.model._check_level(m_new)
     n = len(state.fidelities)
     if n and m_new < state.fidelities[-1]:
         raise ValueError(
             f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
         )
     working = _WorkingSet(state, state.columns, 1)
-    if not working.add(int(state.column_of(domain.index_of(x_new[0], x_new[1]))), m_new):
-        return _refactorized_append(state, x_new, m_new)
+    if not working.add(int(state.column_of(cell)), m_new):
+        return _refactorized_append(state, cell, m_new)
     return working.snapshot()
 
 
-def _refactorized_append(state: PosteriorField, x_new, m_new: int) -> PosteriorField:
-    domain = state.domain
-    log = SampleLog(domain)
+def _refactorized_append(state: PosteriorField, cell: int, m_new: int) -> PosteriorField:
+    log = SampleLog(state.domain)
     for c, m, k in zip(state.cells, state.fidelities, state.counts):
         log.extend([c] * k, [0.0] * k, int(m))
-    log.append((float(x_new[0]), float(x_new[1])), 0.0, m_new)
+    log.extend([cell], [0.0], m_new)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.
-    return replace(restrict(posterior(log, domain, state.model), state.columns), mu=state.mu)
+    return replace(restrict(posterior(log, state.model), state.columns), mu=state.mu)
 
 
 def _chain_terms(log: SampleLog, model: FidelityModel):

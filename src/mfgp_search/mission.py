@@ -270,7 +270,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
     cmap = ClassificationMap.initial(domain)
     state = FidelityState(model, level=config.initial_level)
     position = config.start_position()
-    post = posterior(log, domain, model)
+    post = posterior(log, model)
     candidates = cmap.candidate_indices()
     epochs, plan_rows, tour_rows = [], [], []
     decay = [(0, post.max_sigma2(candidates))]
@@ -293,7 +293,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
             sample_time=config.sample_time,
         )
         position, clock = trace.end_position, trace.end_time
-        post = posterior(log, domain, model)
+        post = posterior(log, model)
         sigma_after = float(np.sqrt(post.max_sigma2(candidates)))
         cmap = classify_epoch(post, cmap, params, j, clock_time=clock)
         low_j, up_j = cmap.interval
@@ -347,7 +347,7 @@ class DecayCurves:
 def _variance_decay(config: MissionConfig, n_samples: int, force_top: bool) -> list[float]:
     domain, model = config.domain, config.model
     state = FidelityState(model, level=model.levels if force_top else 1)
-    post = posterior(SampleLog(domain), domain, model)
+    post = posterior(SampleLog(domain), model)
     steps = _greedy_steps(post, state, post.columns, n_samples)
     return [post.max_sigma2()] + [max_var for _, _, _, max_var, _ in steps]
 

@@ -61,10 +61,9 @@ def _most_uncertain(values: np.ndarray, top: float, band: float) -> int:
     return int((values >= top - band).argmax())
 
 
-def select_next_point(
-    posterior: PosteriorField, candidates: np.ndarray
-) -> tuple[float, float]:
-    """Most uncertain candidate cell center; ties go to the lowest cell index.
+def select_next_point(posterior: PosteriorField, candidates: np.ndarray) -> int:
+    """Flat index of the most uncertain candidate cell; ties go to the lowest
+    cell index.
 
     ``candidates`` is a sorted array of uneliminated cell indices.  Every
     candidate within ``TIE_RTOL`` times the prior variance of the maximum
@@ -75,7 +74,7 @@ def select_next_point(
         raise PlanningComplete("no candidate cells remain")
     sigma2 = posterior.sigma2[posterior.column_of(candidates)]
     local = _most_uncertain(sigma2, sigma2.max(), TIE_RTOL * posterior.model.prior_variance())
-    return posterior.domain.cell_center(int(candidates[local]))
+    return int(candidates[local])
 
 
 def update_fidelity(
@@ -158,8 +157,7 @@ def _greedy_steps(posterior: PosteriorField, state: FidelityState, columns: np.n
         local = _most_uncertain(working.sigma2, max_var, band)
         cell, level, picked = cells[local], state.level, float(working.sigma2[local])
         if not working.add(local, level):
-            loc = posterior.domain.cell_center(cell)
-            snapshot = append_sample_variance_only(working.snapshot(), loc, level)
+            snapshot = append_sample_variance_only(working.snapshot(), cell, level)
             working = _WorkingSet(snapshot, columns, steps - k - 1)
         max_var = float(np.maximum.reduce(working.sigma2))
         state = _advance(state, max_var)

@@ -50,11 +50,10 @@ def random_mixed_log(domain, model, rng, n):
     """Random cell picks and values with a sorted (hence valid) fidelity order."""
     from mfgp_search import SampleLog
 
-    cells = domain.cell_centers
     idx = rng.integers(0, domain.n_cells, size=n)
     fids = np.sort(rng.integers(1, model.levels + 1, size=n))
     values = rng.normal(0.0, 1.0, size=n)
     log = SampleLog(domain)
     for c, m, y in zip(idx, fids, values):
-        log.append(tuple(cells[int(c)]), float(y), int(m))
+        log.append(int(c), float(y), int(m))
     return log

@@ -399,23 +399,23 @@ def full_grid_plan(post, state, limits, candidates):
     """The epoch-planning loop with every append over all cells of the grid.
 
     Picks, the max-variance trace and the fidelity switch read the candidate
-    cells of each full-grid snapshot.  Returns (locations, fidelities,
+    cells of each full-grid snapshot.  Returns (cells, fidelities,
     variances, trace, capped), where variances[k] is the variance at every
     cell before sample k.
     """
     start = np.sqrt(post.max_sigma2(candidates))
-    locations, fidelities, variances, trace = [], [], [], []
+    cells, fidelities, variances, trace = [], [], [], []
     while True:
-        loc = select_next_point(post, candidates)
-        locations.append(loc)
+        cell = select_next_point(post, candidates)
+        cells.append(cell)
         fidelities.append(state.level)
         variances.append(post.sigma2)
-        post = append_sample_variance_only(post, loc, state.level)
+        post = append_sample_variance_only(post, cell, state.level)
         trace.append(post.max_sigma2(candidates))
         state = update_fidelity(state, post, candidates)
         done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
-        if done or len(locations) >= limits.sample_cap:
-            return locations, fidelities, variances, trace, not done
+        if done or len(cells) >= limits.sample_cap:
+            return cells, fidelities, variances, trace, not done
 
 
 def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
@@ -429,11 +429,10 @@ def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
     start = np.sqrt(working.max_sigma2())
     samples, trace = [], []
     while True:
-        loc = select_next_point(working, candidates)
-        cell = post.domain.index_of(*loc)
+        cell = select_next_point(working, candidates)
         sigma = np.sqrt(working.sigma2[working.column_of(cell)])
         samples.append(PlannedSample(cell=cell, fidelity=state.level, sigma_before=float(sigma)))
-        working = append_sample_variance_only(working, loc, state.level)
+        working = append_sample_variance_only(working, cell, state.level)
         trace.append(working.max_sigma2())
         state = update_fidelity(state, working)
         done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
@@ -462,12 +461,12 @@ def snapshot_decay(config, n_samples: int) -> DecayCurves:
 
     def curve(level, switch):
         state = FidelityState(model, level=level)
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         candidates = np.arange(domain.n_cells)
         out = [post.max_sigma2()]
         for _ in range(n_samples):
-            loc = select_next_point(post, candidates)
-            post = append_sample_variance_only(post, loc, state.level)
+            cell = select_next_point(post, candidates)
+            post = append_sample_variance_only(post, cell, state.level)
             if switch:
                 state = update_fidelity(state, post, candidates)
             out.append(post.max_sigma2())
@@ -508,7 +507,7 @@ def reference_mission(config) -> dict:
     labels, epoch_of, time_of = [int(Label.UNCERTAIN)] * n_cells, [-1] * n_cells, [-1.0] * n_cells
     log = SampleLog(domain)
     clock = 0.0
-    post = posterior(log, domain, model)
+    post = posterior(log, model)
     candidates = np.arange(n_cells)
     out = {"epochs": [], "plan_rows": [], "tour_rows": [], "tours": []}
     out["decay"] = [(0, float(np.max(post.sigma2[candidates])))]
@@ -538,8 +537,8 @@ def reference_mission(config) -> dict:
                 clock += config.sample_time
             tour = SimpleNamespace(waypoints=waypoints)
             for x, y, value, _ in scalar_measurements([tour], [m], truth, model, rng):
-                log.append((x, y), value, m)
-        post = posterior(log, domain, model)
+                log.append(log.domain.index_of(x, y), value, m)
+        post = posterior(log, model)
         sigma_after = math.sqrt(float(np.max(post.sigma2[candidates])))
 
         c = math.sqrt(2.0 * math.log(1.0 / (2.0 * (config.delta / 2.0**j))))

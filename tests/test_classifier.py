@@ -90,21 +90,19 @@ class TestClassifyEpoch:
     def test_confident_cell_becomes_target(self, setup):
         domain, model = setup
         log = SampleLog(domain)
-        loc = domain.cell_center(44)
         for _ in range(30):
-            log.append(loc, 2.0, 1)
-        post = posterior(log, domain, model)
+            log.append(44, 2.0, 1)
+        post = posterior(log, model)
         cmap = classify_epoch(
             post, ClassificationMap.initial(domain), ConfidenceParams(0.1, 0.5), 1, 10.0
         )
-        cell = domain.index_of(*loc)
-        assert cmap.labels[cell] == Label.TARGET
-        assert cmap.epoch[cell] == 1
-        assert cmap.time[cell] == 10.0
+        assert cmap.labels[44] == Label.TARGET
+        assert cmap.epoch[44] == 1
+        assert cmap.time[44] == 10.0
 
     def test_prior_only_wide_interval_stays_uncertain(self, setup):
         domain, model = setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         # c(0.05) * 0.5 ~ 1.07 spans th=0.5 on both sides of mu=0... use th inside band
         cmap = classify_epoch(
             post, ClassificationMap.initial(domain), ConfidenceParams(0.1, 0.5), 1
@@ -114,30 +112,28 @@ class TestClassifyEpoch:
     def test_labels_permanent(self, setup):
         domain, model = setup
         log = SampleLog(domain)
-        loc = domain.cell_center(44)
         for _ in range(30):
-            log.append(loc, 2.0, 1)
-        post = posterior(log, domain, model)
+            log.append(44, 2.0, 1)
+        post = posterior(log, model)
         params = ConfidenceParams(0.1, 0.5)
         cmap = classify_epoch(post, ClassificationMap.initial(domain), params, 1)
         # contradictory posterior later must not flip the frozen label
         log2 = SampleLog(domain)
         for _ in range(60):
-            log2.append(loc, -2.0, 1)
-        post2 = posterior(log2, domain, model)
+            log2.append(44, -2.0, 1)
+        post2 = posterior(log2, model)
         cmap2 = classify_epoch(post2, cmap, params, 2)
-        cell = domain.index_of(*loc)
-        assert cmap2.labels[cell] == Label.TARGET
-        assert cmap2.epoch[cell] == 1
+        assert cmap2.labels[44] == Label.TARGET
+        assert cmap2.epoch[44] == 1
 
     def test_empty_cells_leave_candidates(self, setup):
         domain, model = setup
         log = SampleLog(domain)
         for _ in range(30):
-            log.append(domain.cell_center(7), -2.0, 1)
+            log.append(7, -2.0, 1)
         for _ in range(30):
-            log.append(domain.cell_center(90), 2.0, 1)
-        post = posterior(log, domain, model)
+            log.append(90, 2.0, 1)
+        post = posterior(log, model)
         cmap = classify_epoch(
             post, ClassificationMap.initial(domain), ConfidenceParams(0.1, 0.5), 1
         )
@@ -147,9 +143,23 @@ class TestClassifyEpoch:
         assert cmap.labels[90] == Label.TARGET
         assert 90 in cmap.candidate_indices()
 
+    def test_map_on_another_grid_refused(self, setup):
+        # same 10 x 10 cells, but a 20 m floor against a 40 m one: cell k of
+        # the posterior is not cell k of the map
+        _, model = setup
+        near, far = GridDomain(0.0, 20.0, 0.0, 20.0, 10), GridDomain(0.0, 40.0, 0.0, 40.0, 10)
+        log = SampleLog(near)
+        for _ in range(30):
+            log.append(44, 2.0, 1)
+        post = posterior(log, model)
+        cmap = ClassificationMap.initial(far)
+        with pytest.raises(ValueError) as err:
+            classify_epoch(post, cmap, ConfidenceParams(0.1, 0.5), 1)
+        assert repr(near) in str(err.value) and repr(far) in str(err.value)
+
     def test_snapshot_isolation(self, setup):
         domain, model = setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         base = ClassificationMap.initial(domain)
         classify_epoch(post, base, ConfidenceParams(0.1, 0.5), 1)
         assert base.classified_fraction() == 0.0
@@ -213,10 +223,9 @@ class TestExports:
     def test_occupancy_rows_and_pgm(self, setup):
         domain, model = setup
         log = SampleLog(domain)
-        loc = domain.cell_center(44)
         for _ in range(30):
-            log.append(loc, 2.0, 1)
-        post = posterior(log, domain, model)
+            log.append(44, 2.0, 1)
+        post = posterior(log, model)
         cmap = classify_epoch(
             post, ClassificationMap.initial(domain), ConfidenceParams(0.1, 0.5), 1, 3.5
         )

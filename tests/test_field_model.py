@@ -36,16 +36,15 @@ class TestGridDomain:
             GridDomain(0, float("inf"), 0, 1, 4)
 
     def test_cell_index_bijection(self):
-        # one centre formula: every centre is the row of cell_centers, also
-        # on rectangular cells and on cell sizes inexact in binary
+        # every row of cell_centers maps back to its cell, also on
+        # rectangular cells and on cell sizes inexact in binary
         for d in (
             GridDomain(-2.0, 3.0, 1.0, 7.0, 7),
             GridDomain(0.0, 40.0, 0.0, 20.0, 20),
             GridDomain(0.0, 20.0, 0.0, 13.0, 30),
         ):
             for i in range(d.n_cells):
-                x, y = d.cell_center(i)
-                assert (x, y) == tuple(d.cell_centers[i].tolist())
+                x, y = d.cell_centers[i].tolist()
                 assert d.index_of(x, y) == i
 
     def test_centers_evenly_spaced(self):
@@ -407,7 +406,7 @@ class TestMeasure:
         self.truth = sample_ground_truth(self.domain, self.model, seed=1)
 
     def cell(self, i):
-        return self.domain.index_of(*self.domain.cell_center(i))
+        return self.domain.index_of(*self.domain.cell_centers[i])
 
     def test_vanishing_noise_returns_field_exactly(self):
         quiet = FidelityModel(

@@ -174,7 +174,7 @@ class TestSampleLog:
         levels = sorted(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
         log = SampleLog(desk_domain)
         for c, m in zip(cells, levels):
-            log.append(desk_domain.cell_center(c), 0.0, m)
+            log.append(c, 0.0, m)
         terms = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
         var_before = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
         with mock.patch.object(inference, "_chain_terms", return_value=(terms, var_before)):

@@ -60,21 +60,22 @@ def one_level():
 class TestSampleLog:
     def test_fidelity_must_not_decrease(self, small_domain):
         log = SampleLog(small_domain)
-        log.append(small_domain.cell_center(0), 0.1, 1)
-        log.append(small_domain.cell_center(1), 0.1, 2)
+        log.append(0, 0.1, 1)
+        log.append(1, 0.1, 2)
         with pytest.raises(ValueError):
-            log.append(small_domain.cell_center(2), 0.1, 1)
+            log.append(2, 0.1, 1)
 
-    def test_locations_must_be_cell_centers(self, small_domain):
+    def test_append_refuses_a_fractional_cell(self, small_domain):
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError):
-            log.append((0.123, 0.5), 0.1, 1)
+        with pytest.raises(ValueError, match="cell index 0.5 at entry 0 is not a whole number"):
+            log.append(0.5, 0.1, 1)
+        assert len(log) == 0
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_level_below_one_refused(self, small_domain, level):
         log = SampleLog(small_domain)
         with pytest.raises(ValueError, match=f"fidelity level {level} out of range"):
-            log.append(small_domain.cell_center(3), 0.5, level)
+            log.append(3, 0.5, level)
         assert len(log) == 0
 
     def test_extend_matches_appends(self, small_domain):
@@ -82,7 +83,7 @@ class TestSampleLog:
         a, b = SampleLog(small_domain), SampleLog(small_domain)
         cells, values = [7, 3, 7, 99], np.array([0.5, -1.25, 2.0, 0.1])
         for c, y in zip(cells, values):
-            a.append(small_domain.cell_center(c), float(y), 2)
+            a.append(c, float(y), 2)
         b.extend(cells, values, 2)
         for read in ("cell_indices", "locations", "values", "fidelities"):
             assert getattr(a, read)().tolist() == getattr(b, read)().tolist()
@@ -120,10 +121,10 @@ class TestSampleLog:
 
     def test_level_above_model_named(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        log.append(small_domain.cell_center(3), 0.5, 1)
-        log.append(small_domain.cell_center(4), 0.5, 3)
+        log.append(3, 0.5, 1)
+        log.append(4, 0.5, 3)
         for call in (
-            lambda: posterior(log, small_domain, two_level),
+            lambda: posterior(log, two_level),
             lambda: greedy_info_gain(log, two_level),
             lambda: diagnostics_lines(log, two_level),
         ):
@@ -215,7 +216,7 @@ class TestCrossCovariance:
 
     def test_top_fidelity_self_covariance_is_prior_variance(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        log.append(small_domain.cell_center(7), 0.0, 2)
+        log.append(7, 0.0, 2)
         cov = windows(covariance_tables(small_domain, two_level))
         vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.34)
@@ -238,13 +239,13 @@ class TestCrossCovariance:
         # the windows and every working set read the one cached table
         table = covariance_tables(small_domain, two_level)
         assert np.shares_memory(windows(table), table)
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         for _ in range(2):
             assert _WorkingSet(post, post.columns, 1)._reflected.base is table
 
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        log.append(small_domain.cell_center(7), 0.0, 1)
+        log.append(7, 0.0, 1)
         cov = windows(covariance_tables(small_domain, two_level))
         vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.25)
@@ -262,8 +263,8 @@ class TestJointCovariance:
         # y - nu_m by K_fm / (K_mm + s_m^2), with nu_m and s_m^2 level sums
         for m in (1, 2):
             single = SampleLog(small_domain)
-            single.append(small_domain.cell_center(7), 0.9, m)
-            post = posterior(single, small_domain, two_level, jitter_scale=0.0)
+            single.append(7, 0.9, m)
+            post = posterior(single, two_level, jitter_scale=0.0)
             k = two_level.prior_variance(m)
             nu = sum(two_level.mu[:m])
             noise = two_level.s[m - 1] ** 2
@@ -273,16 +274,15 @@ class TestJointCovariance:
 
 class TestPosterior:
     def test_empty_log_gives_prior(self, small_domain, two_level):
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         assert np.all(post.mu == pytest.approx(0.15))
         assert np.all(post.sigma2 == pytest.approx(0.34))
 
     def test_single_sample_scalar_update(self, small_domain, one_level):
         log = SampleLog(small_domain)
-        loc = small_domain.cell_center(55)
         y = 0.9
-        log.append(loc, y, 1)
-        post = posterior(log, small_domain, one_level)
+        log.append(55, y, 1)
+        post = posterior(log, one_level)
         var0 = one_level.v[0] ** 2
         s2 = one_level.s[0] ** 2
         expected = one_level.mu[0] + var0 / (var0 + s2) * (y - one_level.mu[0])
@@ -292,7 +292,7 @@ class TestPosterior:
         rng = np.random.default_rng(1)
         for _ in range(10):
             log = random_mixed_log(small_domain, two_level, rng, 5)
-            post = posterior(log, small_domain, two_level)
+            post = posterior(log, two_level)
             mu_ref, var_ref = joint_gaussian_posterior(
                 log.locations(),
                 log.fidelities(),
@@ -310,7 +310,7 @@ class TestPosterior:
 
     def test_variance_bounded_by_prior(self, small_domain, two_level):
         log = random_mixed_log(small_domain, two_level, np.random.default_rng(2), 12)
-        post = posterior(log, small_domain, two_level)
+        post = posterior(log, two_level)
         assert np.all(post.sigma2 <= two_level.prior_variance() + 1e-12)
         assert np.all(post.sigma2 >= 0.0)
 
@@ -318,10 +318,10 @@ class TestPosterior:
         rng = np.random.default_rng(3)
         log_a = random_mixed_log(small_domain, two_level, rng, 9)
         log_b = SampleLog(small_domain)
-        for loc, m in zip(log_a.locations(), log_a.fidelities()):
-            log_b.append(tuple(loc), 123.456, int(m))
-        pa = posterior(log_a, small_domain, two_level)
-        pb = posterior(log_b, small_domain, two_level)
+        for c, m in zip(log_a.cell_indices(), log_a.fidelities()):
+            log_b.append(int(c), 123.456, int(m))
+        pa = posterior(log_a, two_level)
+        pb = posterior(log_b, two_level)
         np.testing.assert_allclose(pa.sigma2, pb.sigma2, atol=1e-12)
 
     def test_factorization_failure_reports_jitter(self, small_domain):
@@ -331,9 +331,9 @@ class TestPosterior:
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(50.0,), s=(1e-12,), z=(5.0,))
         log = SampleLog(small_domain)
         for cell in range(0, small_domain.n_cells, 3):
-            log.append(small_domain.cell_center(cell), 0.1, 1)
+            log.append(cell, 0.1, 1)
         with pytest.raises(NumericalError) as err:
-            posterior(log, small_domain, model, jitter_scale=0.0)
+            posterior(log, model, jitter_scale=0.0)
         assert err.value.jitter == 0.0
 
 
@@ -341,23 +341,22 @@ class TestAppendVarianceOnly:
     def test_duplicate_of_resolved_cell_changes_nothing(self, small_domain):
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-6,), z=(5.0,))
         log = SampleLog(small_domain)
-        loc = small_domain.cell_center(42)
-        log.append(loc, 0.2, 1)
-        post = posterior(log, small_domain, model)
-        cell = small_domain.index_of(*loc)
+        cell = 42
+        log.append(cell, 0.2, 1)
+        post = posterior(log, model)
         assert post.sigma2[cell] <= 1e-10
-        appended = append_sample_variance_only(post, loc, 1)
+        appended = append_sample_variance_only(post, cell, 1)
         assert appended.sigma2[cell] == pytest.approx(post.sigma2[cell], abs=1e-10)
 
     def test_max_variance_never_increases(self, small_domain, two_level):
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         rng = np.random.default_rng(4)
         fidelity = 1
         for k in range(15):
             if k == 7:
                 fidelity = 2
-            loc = small_domain.cell_center(int(rng.integers(0, small_domain.n_cells)))
-            nxt = append_sample_variance_only(post, loc, fidelity)
+            cell = int(rng.integers(0, small_domain.n_cells))
+            nxt = append_sample_variance_only(post, cell, fidelity)
             assert nxt.sigma2.max() <= post.sigma2.max() + 1e-12
             assert np.all(nxt.sigma2 <= post.sigma2 + 1e-12)
             post = nxt
@@ -367,16 +366,16 @@ class TestAppendVarianceOnly:
         base = random_mixed_log(small_domain, two_level, rng, 4)
         # keep extension fidelities valid: start at the base log's last level
         start_level = int(base.fidelities()[-1])
-        post = posterior(base, small_domain, two_level)
+        post = posterior(base, two_level)
         extended = SampleLog(small_domain)
-        for loc, m, y in zip(base.locations(), base.fidelities(), base.values()):
-            extended.append(tuple(loc), float(y), int(m))
+        for c, m, y in zip(base.cell_indices(), base.fidelities(), base.values()):
+            extended.append(int(c), float(y), int(m))
         for k in range(10):
             level = min(2, start_level + (1 if k >= 5 else 0))
-            loc = small_domain.cell_center(int(rng.integers(0, small_domain.n_cells)))
-            post = append_sample_variance_only(post, loc, level)
-            extended.append(loc, float(rng.normal()), level)
-        batch = posterior(extended, small_domain, two_level)
+            cell = int(rng.integers(0, small_domain.n_cells))
+            post = append_sample_variance_only(post, cell, level)
+            extended.append(cell, float(rng.normal()), level)
+        batch = posterior(extended, two_level)
         np.testing.assert_allclose(post.sigma2, batch.sigma2, atol=1e-8)
 
     def test_refactorized_fallback_matches_fresh_posterior(self, small_domain, monkeypatch):
@@ -386,8 +385,8 @@ class TestAppendVarianceOnly:
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-7,), z=(5.0,))
         log = SampleLog(small_domain)
         for cell, y in ((3, 0.1), (40, 0.2), (3, 0.3), (40, 0.4), (3, 0.5)):
-            log.append(small_domain.cell_center(cell), y, 1)
-        base = posterior(log, small_domain, model, jitter_scale=0.0)
+            log.append(cell, y, 1)
+        base = posterior(log, model, jitter_scale=0.0)
         assert base.n == 5 and list(base.counts) == [3, 2]
         calls = []
         fresh_posterior = inference.posterior
@@ -397,10 +396,10 @@ class TestAppendVarianceOnly:
             return fresh_posterior(*args)
 
         monkeypatch.setattr(inference, "posterior", counted)
-        appended = append_sample_variance_only(base, small_domain.cell_center(3), 1)
+        appended = append_sample_variance_only(base, 3, 1)
         assert len(calls) == 1
-        log.append(small_domain.cell_center(3), 0.0, 1)
-        fresh = fresh_posterior(log, small_domain, model)
+        log.append(3, 0.0, 1)
+        fresh = fresh_posterior(log, model)
         assert appended.n == fresh.n == 6
         for name in ("cells", "fidelities", "counts", "sigma2", "w"):
             assert np.array_equal(getattr(appended, name), getattr(fresh, name)), name
@@ -412,9 +411,9 @@ class TestAppendVarianceOnly:
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-7,), z=(5.0,))
         log = SampleLog(small_domain)
         for cell, y in ((3, 0.1), (40, 0.2), (3, 0.3), (40, 0.4), (3, 0.5)):
-            log.append(small_domain.cell_center(cell), y, 1)
+            log.append(cell, y, 1)
         columns = np.array([0, 3, 17, 40, 99])
-        base = restrict(posterior(log, small_domain, model, jitter_scale=0.0), columns)
+        base = restrict(posterior(log, model, jitter_scale=0.0), columns)
         calls = []
         fresh_posterior = inference.posterior
 
@@ -423,10 +422,10 @@ class TestAppendVarianceOnly:
             return fresh_posterior(*args)
 
         monkeypatch.setattr(inference, "posterior", counted)
-        appended = append_sample_variance_only(base, small_domain.cell_center(3), 1)
+        appended = append_sample_variance_only(base, 3, 1)
         assert len(calls) == 1
-        log.append(small_domain.cell_center(3), 0.0, 1)
-        fresh = restrict(fresh_posterior(log, small_domain, model), columns)
+        log.append(3, 0.0, 1)
+        fresh = restrict(fresh_posterior(log, model), columns)
         assert np.array_equal(appended.columns, columns)
         assert appended.w.shape == (2, len(columns))
         for name in ("cells", "counts", "sigma2", "w"):
@@ -438,8 +437,8 @@ class TestAppendVarianceOnly:
         columns = np.array([1, 2, 17, 40, 41, 64, 99])
         part = restrict(full, columns)
         for c, m in ((40, 1), (2, 1), (40, 2), (99, 2)):
-            full = append_sample_variance_only(full, small_domain.cell_center(c), m)
-            part = append_sample_variance_only(part, small_domain.cell_center(c), m)
+            full = append_sample_variance_only(full, c, m)
+            part = append_sample_variance_only(part, c, m)
         np.testing.assert_allclose(part.sigma2, full.sigma2[columns], rtol=0, atol=1e-14)
         np.testing.assert_allclose(part.w, full.w[:, columns], rtol=0, atol=1e-14)
         assert part.max_sigma2(columns[2:]) == part.sigma2[2:].max()
@@ -448,7 +447,7 @@ class TestAppendVarianceOnly:
         part = restrict(_base_posterior(small_domain, two_level), np.array([1, 5, 7]))
         for cell in (0, 2, 99):
             with pytest.raises(ValueError, match="outside"):
-                append_sample_variance_only(part, small_domain.cell_center(cell), 1)
+                append_sample_variance_only(part, cell, 1)
         with pytest.raises(ValueError, match="outside"):
             restrict(part, np.array([1, 6]))
 
@@ -468,31 +467,31 @@ class TestAppendVarianceOnly:
             restrict(_base_posterior(small_domain, two_level), np.array(columns, dtype=int))
 
     def test_snapshots_are_independent(self, small_domain, two_level):
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         before = post.sigma2.copy()
-        append_sample_variance_only(post, small_domain.cell_center(3), 1)
+        append_sample_variance_only(post, 3, 1)
         assert np.array_equal(post.sigma2, before)
 
     def test_lower_level_than_last_record_rejected(self, small_domain, two_level):
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
-        post = append_sample_variance_only(post, small_domain.cell_center(0), 2)
+        post = posterior(SampleLog(small_domain), two_level)
+        post = append_sample_variance_only(post, 0, 2)
         # far apart, so the rank-one step itself would not break down
         with pytest.raises(ValueError, match="non-decreasing"):
-            append_sample_variance_only(post, small_domain.cell_center(99), 1)
+            append_sample_variance_only(post, 99, 1)
 
 
 def _base_posterior(domain, model):
     log = random_mixed_log(domain, model, np.random.default_rng(11), 6)
     # keep every later append at a valid level: the base ends at level 1
     ones = SampleLog(domain)
-    for loc, y in zip(log.locations(), log.values()):
-        ones.append(tuple(loc), float(y), 1)
-    return posterior(ones, domain, model)
+    for c, y in zip(log.cell_indices(), log.values()):
+        ones.append(int(c), float(y), 1)
+    return posterior(ones, model)
 
 
-def _appended(post, domain, cells_and_levels):
+def _appended(post, cells_and_levels):
     for c, m in cells_and_levels:
-        post = append_sample_variance_only(post, domain.cell_center(c), m)
+        post = append_sample_variance_only(post, c, m)
     return post
 
 
@@ -505,42 +504,42 @@ class TestSnapshotBranches:
     """Every append copies its parent's rows, so appends to one parent never meet."""
 
     def test_two_appends_to_one_parent(self, small_domain, two_level):
-        parent = _appended(_base_posterior(small_domain, two_level), small_domain, [(2, 1)])
+        parent = _appended(_base_posterior(small_domain, two_level), [(2, 1)])
         w, sigma2 = parent.w.copy(), parent.sigma2.copy()
-        first = _appended(parent, small_domain, [(17, 1)])
-        second = _appended(parent, small_domain, [(71, 2)])
+        first = _appended(parent, [(17, 1)])
+        second = _appended(parent, [(71, 2)])
         fresh = _base_posterior(small_domain, two_level)
-        _same_snapshot(first, _appended(fresh, small_domain, [(2, 1), (17, 1)]))
-        _same_snapshot(second, _appended(fresh, small_domain, [(2, 1), (71, 2)]))
+        _same_snapshot(first, _appended(fresh, [(2, 1), (17, 1)]))
+        _same_snapshot(second, _appended(fresh, [(2, 1), (71, 2)]))
         assert np.array_equal(parent.w, w)
         assert np.array_equal(parent.sigma2, sigma2)
 
     def test_append_to_older_snapshot_after_tip_moved(self, small_domain, two_level):
         parent = _base_posterior(small_domain, two_level)
-        older = _appended(parent, small_domain, [(5, 1)])
+        older = _appended(parent, [(5, 1)])
         w, sigma2 = older.w.copy(), older.sigma2.copy()
-        tip = _appended(older, small_domain, [(40, 1), (41, 2), (99, 2)])
-        branch = _appended(older, small_domain, [(60, 1), (61, 1)])
+        tip = _appended(older, [(40, 1), (41, 2), (99, 2)])
+        branch = _appended(older, [(60, 1), (61, 1)])
         fresh = _base_posterior(small_domain, two_level)
-        _same_snapshot(tip, _appended(fresh, small_domain, [(5, 1), (40, 1), (41, 2), (99, 2)]))
-        _same_snapshot(branch, _appended(fresh, small_domain, [(5, 1), (60, 1), (61, 1)]))
+        _same_snapshot(tip, _appended(fresh, [(5, 1), (40, 1), (41, 2), (99, 2)]))
+        _same_snapshot(branch, _appended(fresh, [(5, 1), (60, 1), (61, 1)]))
         assert np.array_equal(older.w, w)
         assert np.array_equal(older.sigma2, sigma2)
 
     def test_growth_past_capacity_keeps_rows(self, small_domain, two_level):
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         cells = [(int(c), 1) for c in np.random.default_rng(12).integers(0, 100, size=40)]
         steps = [post]
         for c, m in cells:
-            steps.append(_appended(steps[-1], small_domain, [(c, m)]))
+            steps.append(_appended(steps[-1], [(c, m)]))
         for k, snap in enumerate(steps):
             assert snap.w.shape == (k, small_domain.n_cells)
             assert np.array_equal(snap.w, steps[-1].w[:k])
 
     def test_returned_arrays_read_only(self, small_domain, two_level):
         parent = _base_posterior(small_domain, two_level)
-        snaps = [parent, _appended(parent, small_domain, [(3, 1)])]
-        snaps.append(_appended(parent, small_domain, [(8, 2)]))  # a branch
+        snaps = [parent, _appended(parent, [(3, 1)])]
+        snaps.append(_appended(parent, [(8, 2)]))  # a branch
         for snap in snaps:
             for name in ("cells", "fidelities", "mu", "sigma2", "w"):
                 assert not getattr(snap, name).flags.writeable, name
@@ -565,7 +564,7 @@ def nondecreasing_log(draw):
 def _log_of(cells, levels):
     log = SampleLog(SMALL)
     for c, m in zip(cells, levels):
-        log.append(SMALL.cell_center(c), 0.0, m)
+        log.append(c, 0.0, m)
     return log
 
 
@@ -580,8 +579,8 @@ class TestMatchesFactorReference:
     @example(([5, 5, 5, 7], [1, 1, 2, 2], 2))
     def test_appends(self, case):
         cells, levels, n_start = case
-        post = posterior(_log_of(cells[:n_start], levels[:n_start]), SMALL, TWO_LEVEL)
-        post = _appended(post, SMALL, zip(cells[n_start:], levels[n_start:]))
+        post = posterior(_log_of(cells[:n_start], levels[:n_start]), TWO_LEVEL)
+        post = _appended(post, zip(cells[n_start:], levels[n_start:]))
         ref = factor_append_variance(
             SMALL.cell_centers[cells], levels, n_start, SMALL.cell_centers,
             TWO_LEVEL.v, TWO_LEVEL.l, TWO_LEVEL.s,
@@ -685,8 +684,8 @@ class TestBlockedPosterior:
         reps = rng.integers(1, 4, size=distinct)
         log = SampleLog(domain)
         for c, m in zip(np.repeat(cell, reps), np.repeat(level + 1, reps)):
-            log.append(domain.cell_center(int(c)), float(rng.normal()), int(m))
-        post = posterior(log, domain, model, jitter_scale=jitter_scale)
+            log.append(int(c), float(rng.normal()), int(m))
+        post = posterior(log, model, jitter_scale=jitter_scale)
         mu, sigma2, w = record_posterior(log, domain, model, jitter_scale=jitter_scale)
         assert len(post.fidelities) == distinct
         # largest differences seen over 300 random logs: 7.6e-13 in the mean,
@@ -702,7 +701,7 @@ class TestBlockedPosterior:
         # record copies the first, so the second distinct record's pivot is zero
         model = FidelityModel(mu=(0.2,), v=(0.6,), l=(1e10,), s=(1e-12,), z=(5.0,))
         with pytest.raises(NumericalError, match=r"posterior pivot \S+ at record 1 ") as err:
-            posterior(_log_of([3, 12, 12, 40], [1, 1, 1, 1]), SMALL, model, jitter_scale=1e-20)
+            posterior(_log_of([3, 12, 12, 40], [1, 1, 1, 1]), model, jitter_scale=1e-20)
         assert err.value.jitter == pytest.approx(1e-20 * 0.36, rel=1e-12)
 
 
@@ -725,8 +724,8 @@ class TestReplicateAggregation:
         cells, levels, values = case
         log = SampleLog(SMALL)
         for c, m, y in zip(cells, levels, values):
-            log.append(SMALL.cell_center(int(c)), float(y), int(m))
-        post = posterior(log, SMALL, TWO_LEVEL, jitter_scale=jitter_scale)
+            log.append(int(c), float(y), int(m))
+        post = posterior(log, TWO_LEVEL, jitter_scale=jitter_scale)
         mu, var, jitter = dense_raw_posterior(
             log.locations(), levels, values, SMALL.cell_centers,
             TWO_LEVEL.mu, TWO_LEVEL.v, TWO_LEVEL.l, TWO_LEVEL.s, jitter_scale=jitter_scale,
@@ -758,7 +757,7 @@ class TestGreedyInfoGain:
 
     def test_single_sample_closed_form(self, small_domain, one_level):
         log = SampleLog(small_domain)
-        log.append(small_domain.cell_center(12), 0.5, 1)
+        log.append(12, 0.5, 1)
         expected = 0.5 * np.log1p(one_level.v[0] ** 2 / one_level.s[0] ** 2)
         assert greedy_info_gain(log, one_level) == pytest.approx(expected, rel=1e-12)
 
@@ -768,7 +767,7 @@ class TestGreedyInfoGain:
             log = SampleLog(small_domain)
             idx = rng.integers(0, small_domain.n_cells, size=n)
             for c in idx:
-                log.append(small_domain.cell_center(int(c)), float(rng.normal()), 1)
+                log.append(int(c), float(rng.normal()), 1)
             chain = greedy_info_gain(log, one_level)
             ref = logdet_information(
                 log.locations(), one_level.v[0], one_level.l[0], one_level.s[0]
@@ -796,23 +795,23 @@ class TestUncertaintyReductionBound:
         sigma0_sq = two_level.prior_variance()
         s = two_level.s[-1]
         coef = 2.0 * sigma0_sq / np.log1p(sigma0_sq / (s * s))
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         cands = np.arange(small_domain.n_cells)
         log = SampleLog(small_domain)
         for n in range(1, 41):
-            loc = select_next_point(post, cands)
-            post = append_sample_variance_only(post, loc, two_level.levels)
-            log.append(loc, 0.0, two_level.levels)
+            cell = select_next_point(post, cands)
+            post = append_sample_variance_only(post, cell, two_level.levels)
+            log.append(cell, 0.0, two_level.levels)
             bound = coef * greedy_info_gain(log, two_level) / n
             assert post.sigma2.max() <= bound + 1e-12
 
     def test_max_variance_monotone_under_greedy(self, small_domain, two_level):
-        post = posterior(SampleLog(small_domain), small_domain, two_level)
+        post = posterior(SampleLog(small_domain), two_level)
         cands = np.arange(small_domain.n_cells)
         prev = post.sigma2.max()
         for _ in range(25):
-            loc = select_next_point(post, cands)
-            post = append_sample_variance_only(post, loc, 1)
+            cell = select_next_point(post, cands)
+            post = append_sample_variance_only(post, cell, 1)
             cur = post.sigma2.max()
             assert cur <= prev + 1e-12
             prev = cur
@@ -825,8 +824,8 @@ class TestSingleFidelityReduction:
             n = int(rng.integers(1, 12))
             log = SampleLog(small_domain)
             for c in rng.integers(0, small_domain.n_cells, size=n):
-                log.append(small_domain.cell_center(int(c)), float(rng.normal()), 1)
-            post = posterior(log, small_domain, one_level, jitter_scale=0.0)
+                log.append(int(c), float(rng.normal()), 1)
+            post = posterior(log, one_level, jitter_scale=0.0)
             mu_ref, var_ref = textbook_gp_posterior(
                 log.locations(),
                 log.values(),
@@ -844,7 +843,7 @@ class TestLogMarginalLikelihood:
     def test_single_sample_scalar_density(self, small_domain, one_level):
         log = SampleLog(small_domain)
         y = 0.7
-        log.append(small_domain.cell_center(3), y, 1)
+        log.append(3, y, 1)
         var = one_level.v[0] ** 2 + one_level.s[0] ** 2
         expected = -0.5 * np.log(2 * np.pi * var) - 0.5 * (y - one_level.mu[0]) ** 2 / var
         assert _evidence(log, one_level, jitter_scale=0.0) == pytest.approx(expected, rel=1e-12)
@@ -866,9 +865,8 @@ class TestLogMarginalLikelihood:
             cells = rng.choice(small_domain.n_cells, size=40, replace=False)
             fids = np.sort(rng.integers(1, 3, size=40))
             for c, m in zip(cells, fids):
-                x, y = small_domain.cell_center(int(c))
                 noisy = truth.f[m - 1, c] + rng.normal(0.0, two_level.s[m - 1])
-                log.append((x, y), float(noisy), int(m))
+                log.append(int(c), float(noisy), int(m))
             if _evidence(log, two_level) > _evidence(log, wrong):
                 wins += 1
         assert wins >= 45
@@ -876,9 +874,8 @@ class TestLogMarginalLikelihood:
     def test_singular_design_fails_without_jitter(self, small_domain):
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(3.0,), s=(1e-12,), z=(5.0,))
         log = SampleLog(small_domain)
-        loc = small_domain.cell_center(10)
-        log.append(loc, 0.3, 1)
-        log.append(loc, 0.3, 1)
+        log.append(10, 0.3, 1)
+        log.append(10, 0.3, 1)
         with pytest.raises(np.linalg.LinAlgError):
             _evidence(log, model, jitter_scale=0.0)
 

@@ -16,6 +16,7 @@ from mfgp_search import (
     compare_decay,
     plan_epoch,
     posterior,
+    run_mission,
     select_next_point,
     update_fidelity,
 )
@@ -50,28 +51,27 @@ def m2_model():
 
 class TestSelectNextPoint:
     def test_uniform_prior_ties_break_to_first_cell(self, grid20, m1_model):
-        post = posterior(SampleLog(grid20), grid20, m1_model)
-        assert select_next_point(post, np.arange(grid20.n_cells)) == grid20.cell_center(0)
+        post = posterior(SampleLog(grid20), m1_model)
+        assert select_next_point(post, np.arange(grid20.n_cells)) == 0
 
     def test_after_one_sample_far_from_it(self, grid20, m1_model):
         log = SampleLog(grid20)
-        center = grid20.cell_center(210)  # (10.5, 10.5)
-        log.append(center, 0.2, 1)
-        post = posterior(log, grid20, m1_model)
+        log.append(210, 0.2, 1)  # the cell centred at (10.5, 10.5)
+        post = posterior(log, m1_model)
         picked = select_next_point(post, np.arange(grid20.n_cells))
         # brute-force argmax over the variance grid agrees
-        brute = grid20.cell_center(int(np.argmax(post.sigma2)))
-        assert picked == brute
-        dist = np.hypot(picked[0] - center[0], picked[1] - center[1])
-        assert picked != center
+        assert picked == int(np.argmax(post.sigma2))
+        dist = np.hypot(*(grid20.cell_centers[picked] - grid20.cell_centers[210]))
+        assert picked != 210
         assert dist >= m1_model.l[0]
 
     def test_single_candidate(self, grid20, m1_model):
-        post = posterior(SampleLog(grid20), grid20, m1_model)
-        assert select_next_point(post, np.array([123])) == grid20.cell_center(123)
+        post = posterior(SampleLog(grid20), m1_model)
+        picked = select_next_point(post, np.array([123]))
+        assert type(picked) is int and picked == 123
 
     def test_empty_candidates_signal(self, grid20, m1_model):
-        post = posterior(SampleLog(grid20), grid20, m1_model)
+        post = posterior(SampleLog(grid20), m1_model)
         with pytest.raises(PlanningComplete):
             select_next_point(post, np.array([], dtype=int))
 
@@ -86,23 +86,23 @@ class TestUpdateFidelity:
         assert state.switch_threshold() == pytest.approx(0.0225)
 
     def test_fresh_mission_does_not_switch(self, grid20, m2_model):
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         state = FidelityState(m2_model, level=1)
         assert update_fidelity(state, post).level == 1
 
     def test_top_level_absorbing(self, grid20, m2_model):
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         state = FidelityState(m2_model, level=2)
         assert update_fidelity(state, post).level == 2
 
     def test_switch_when_accessible_uncertainty_low(self, grid20, m2_model):
         # drive max variance down by dense sampling at level 1, then check
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(grid20.n_cells)
         state = FidelityState(m2_model, level=1)
         for _ in range(200):
-            loc = select_next_point(post, cands)
-            post = append_sample_variance_only(post, loc, 1)
+            cell = select_next_point(post, cands)
+            post = append_sample_variance_only(post, cell, 1)
             state = update_fidelity(state, post, cands)
             if state.level == 2:
                 break
@@ -111,7 +111,7 @@ class TestUpdateFidelity:
         assert r <= FidelityState(m2_model, level=1).switch_threshold() + 1e-12
 
     def test_never_decrements(self, grid20, m2_model):
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         state = FidelityState(m2_model, level=2)
         assert update_fidelity(state, post).level == 2
 
@@ -126,13 +126,13 @@ class TestUpdateFidelity:
             s=(0.02, 0.02, 0.02),
             z=(9.0, 6.0, 3.0),
         )
-        post = posterior(SampleLog(grid20), grid20, model)
+        post = posterior(SampleLog(grid20), model)
         cands = np.arange(grid20.n_cells)
         state = FidelityState(model, level=1)
         visited = [1]
         for _ in range(500):
-            loc = select_next_point(post, cands)
-            post = append_sample_variance_only(post, loc, state.level)
+            cell = select_next_point(post, cands)
+            post = append_sample_variance_only(post, cell, state.level)
             new_state = update_fidelity(state, post, cands)
             assert new_state.level - state.level <= 1
             if new_state.level != state.level:
@@ -145,7 +145,7 @@ class TestUpdateFidelity:
 
 GRID4 = GridDomain(0.0, 4.0, 0.0, 4.0, 4)
 PRIOR4 = posterior(
-    SampleLog(GRID4), GRID4, FidelityModel(mu=(0.0,), v=(0.5,), l=(1.0,), s=(0.1,), z=(5.0,))
+    SampleLog(GRID4), FidelityModel(mu=(0.0,), v=(0.5,), l=(1.0,), s=(0.1,), z=(5.0,))
 )
 candidate_sets = st.lists(
     st.integers(0, GRID4.n_cells - 1), min_size=1, max_size=GRID4.n_cells, unique=True
@@ -157,7 +157,7 @@ K0 = PRIOR4.model.prior_variance()
 
 def _pick(sigma2, candidates) -> int:
     post = replace(PRIOR4, sigma2=np.asarray(sigma2, dtype=float))
-    return GRID4.index_of(*select_next_point(post, np.array(candidates)))
+    return select_next_point(post, np.array(candidates))
 
 
 class TestTieBreak:
@@ -196,7 +196,7 @@ class TestTieBreak:
 
 class TestPlanEpoch:
     def test_matches_reference_loop_size(self, grid20, m1_model):
-        post = posterior(SampleLog(grid20), grid20, m1_model)
+        post = posterior(SampleLog(grid20), m1_model)
         cands = np.arange(grid20.n_cells)
         plan = plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), cands)
         ref_picks, ref_capped = greedy_plan_reference(
@@ -214,7 +214,7 @@ class TestPlanEpoch:
 
     def test_single_cell_tiny_noise(self, grid20):
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(4.0,), s=(5e-5,), z=(5.0,))
-        post = posterior(SampleLog(grid20), grid20, model)
+        post = posterior(SampleLog(grid20), model)
         plan = plan_epoch(post, FidelityState(model, 1), PlanLimits(), np.array([37]))
         expected = scalar_resample_count(0.25, (5e-5) ** 2, 0.75)
         assert len(plan.samples) == expected
@@ -222,7 +222,7 @@ class TestPlanEpoch:
         assert all(s.cell == 37 for s in plan.samples)
 
     def test_ratio_one_gives_single_point(self, grid20, m1_model):
-        post = posterior(SampleLog(grid20), grid20, m1_model)
+        post = posterior(SampleLog(grid20), m1_model)
         plan = plan_epoch(
             post,
             FidelityState(m1_model, 1),
@@ -233,7 +233,7 @@ class TestPlanEpoch:
 
     def test_cap_flag(self, grid20):
         noisy = FidelityModel(mu=(0.0,), v=(0.5,), l=(4.0,), s=(5.0,), z=(5.0,))
-        post = posterior(SampleLog(grid20), grid20, noisy)
+        post = posterior(SampleLog(grid20), noisy)
         plan = plan_epoch(
             post,
             FidelityState(noisy, 1),
@@ -244,7 +244,7 @@ class TestPlanEpoch:
         assert len(plan.samples) == 5
 
     def test_deterministic(self, grid20, m2_model):
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(grid20.n_cells)
         a = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(), cands)
         b = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(), cands)
@@ -256,16 +256,15 @@ class TestPlanEpoch:
         log_b = SampleLog(grid20)
         rng = np.random.default_rng(0)
         for c in rng.integers(0, grid20.n_cells, size=6):
-            loc = grid20.cell_center(int(c))
-            log_a.append(loc, float(rng.normal()), 1)
-            log_b.append(loc, float(rng.normal() + 5.0), 1)
+            log_a.append(int(c), float(rng.normal()), 1)
+            log_b.append(int(c), float(rng.normal() + 5.0), 1)
         cands = np.arange(grid20.n_cells)
-        plan_a = plan_epoch(posterior(log_a, grid20, m2_model), FidelityState(m2_model, 1), PlanLimits(), cands)
-        plan_b = plan_epoch(posterior(log_b, grid20, m2_model), FidelityState(m2_model, 1), PlanLimits(), cands)
+        plan_a = plan_epoch(posterior(log_a, m2_model), FidelityState(m2_model, 1), PlanLimits(), cands)
+        plan_b = plan_epoch(posterior(log_b, m2_model), FidelityState(m2_model, 1), PlanLimits(), cands)
         assert plan_a.samples == plan_b.samples
 
     def test_fidelities_non_decreasing_within_plan(self, grid20, m2_model):
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         plan = plan_epoch(
             post,
             FidelityState(m2_model, 1),
@@ -277,13 +276,13 @@ class TestPlanEpoch:
         assert plan.state_after.level >= 1
 
     def test_empty_candidates_raise(self, grid20, m1_model):
-        post = posterior(SampleLog(grid20), grid20, m1_model)
+        post = posterior(SampleLog(grid20), m1_model)
         with pytest.raises(PlanningComplete):
             plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([], dtype=int))
 
     def test_candidate_off_the_grid_refused(self, grid20, m1_model):
         # -1 names no cell: it must not plan the last cell
-        post = posterior(SampleLog(grid20), grid20, m1_model)
+        post = posterior(SampleLog(grid20), m1_model)
         with pytest.raises(ValueError, match="outside"):
             plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([-1]))
 
@@ -301,7 +300,7 @@ class TestPlanEpoch:
         monkeypatch.setattr(
             planner, "append_sample_variance_only", lambda *a: snapshot_appends.append(a)
         )
-        post = posterior(SampleLog(grid20), grid20, m2_model)
+        post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(0, grid20.n_cells, 3)
         plan = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands)
         assert len(plan.samples) > 1
@@ -311,8 +310,8 @@ class TestPlanEpoch:
     def test_input_posterior_untouched(self, grid20, m2_model):
         log = SampleLog(grid20)
         for c in (5, 77, 77, 210):
-            log.append(grid20.cell_center(c), 0.1, 1)
-        post = posterior(log, grid20, m2_model)
+            log.append(c, 0.1, 1)
+        post = posterior(log, m2_model)
         names = ("cells", "fidelities", "counts", "columns", "mu", "sigma2", "w")
         before = {name: getattr(post, name).copy() for name in names}
         cands = np.arange(1, grid20.n_cells, 2)
@@ -328,8 +327,8 @@ class TestPlanEpoch:
         # the pass and for the snapshot API alike, so both refactorize there
         log = SampleLog(grid20)
         for c in (40, 41, 300):
-            log.append(grid20.cell_center(c), 0.2, 1)
-        post = posterior(log, grid20, m2_model)
+            log.append(c, 0.2, 1)
+        post = posterior(log, m2_model)
         cands = np.arange(0, grid20.n_cells, 2)
         args = (post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.5, sample_cap=12), cands)
         real_add = inference._WorkingSet.add
@@ -381,12 +380,12 @@ def planning_cases(draw):
     )
     log = SampleLog(domain)
     for m, cell in sorted(records):
-        log.append(domain.cell_center(cell), 0.0, m)
+        log.append(cell, 0.0, m)
     cands = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=n_cells, unique=True))
     limits = PlanLimits(
         sigma_ratio=draw(st.sampled_from([0.4, 0.75, 0.95])), sample_cap=draw(st.integers(1, 30))
     )
-    post = posterior(log, domain, model)
+    post = posterior(log, model)
     return post, FidelityState(model, level), limits, np.array(sorted(cands))
 
 
@@ -422,14 +421,39 @@ def test_decay_breakdown_refactorizes_through_the_planner(monkeypatch):
     assert len(refactorized) == 2
 
 
+def test_no_package_path_converts_a_centre(monkeypatch):
+    # a mission, the decay curves and the decay whose greedy step breaks down
+    # (the setup above) name every cell by its index and never read one back
+    # from a centre
+    def refuse(self, x, y):
+        raise AssertionError(f"index_of({x}, {y}) was called")
+
+    monkeypatch.setattr(GridDomain, "index_of", refuse)
+    model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.08), z=(8.0, 4.0))
+    config = MissionConfig(
+        domain=GridDomain(0.0, 8.0, 0.0, 8.0, 8), model=model, delta=0.1, th=0.3, max_epochs=3
+    )
+    assert len(run_mission(config).log) > 0
+    compare_decay(config, 20)
+    domain = GridDomain(0.0, 20.0, 0.0, 20.0, 5)
+    model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(5.0, 2.5), s=(1e-7, 1e-7), z=(8.0, 4.0))
+    config = MissionConfig(domain=domain, model=model, delta=0.1, th=0.3)
+    refactorized = []
+    real_posterior = inference.posterior
+    monkeypatch.setattr(
+        inference, "posterior", lambda *a: refactorized.append(a) or real_posterior(*a)
+    )
+    compare_decay(config, 80)
+    assert len(refactorized) == 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(planning_cases())
 def test_candidate_planning_matches_full_grid_loop(case):
     post, state, limits, cands = case
     plan = plan_epoch(post, state, limits, cands)
-    locations, fidelities, variances, trace, capped = full_grid_plan(post, state, limits, cands)
+    ref, fidelities, variances, trace, capped = full_grid_plan(post, state, limits, cands)
     got = [s.cell for s in plan.samples]
-    ref = [post.domain.index_of(*loc) for loc in locations]
     tol = 1e-12 * post.model.prior_variance()
     k = next((k for k, (a, b) in enumerate(zip(got, ref)) if a != b), None)
     if k is None:

@@ -288,8 +288,8 @@ def epoch_setup():
 class TestExecuteEpoch:
     def test_single_point_at_current_position_costs_one_sample(self, epoch_setup):
         domain, model, truth = epoch_setup
-        loc = domain.cell_center(0)
-        post = posterior(SampleLog(domain), domain, model)
+        loc = domain.cell_centers[0].tolist()
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
         )
@@ -303,7 +303,7 @@ class TestExecuteEpoch:
 
     def test_two_fidelity_groups_one_altitude_change(self, epoch_setup):
         domain, model, truth = epoch_setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         # force a two-group epoch by driving the ratio deep
         plan = plan_epoch(
             post,
@@ -320,7 +320,7 @@ class TestExecuteEpoch:
 
     def test_replay_is_identical(self, epoch_setup):
         domain, model, truth = epoch_setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(), np.arange(domain.n_cells)
         )
@@ -341,7 +341,7 @@ class TestExecuteEpoch:
 
     def test_time_accounting_exact(self, epoch_setup):
         domain, model, truth = epoch_setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post,
             FidelityState(model, 1),
@@ -359,12 +359,12 @@ class TestExecuteEpoch:
 
     def test_mismatched_tours_rejected(self, epoch_setup):
         domain, model, truth = epoch_setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
         start = (0.0, 0.0, model.z[0])
-        wrong = [build_tour([domain.cell_center(5)], model.z[0], start)]
+        wrong = [build_tour([tuple(domain.cell_centers[5].tolist())], model.z[0], start)]
         # the wrong tour must really miss the plan, or the test checks nothing
         assert [s.cell for s in plan.samples] != [5]
         with pytest.raises(ValueError):
@@ -375,7 +375,7 @@ class TestExecuteEpoch:
     def test_log_on_another_grid_rejected(self, epoch_setup):
         # one cell index per waypoint serves the truth and the log
         domain, model, truth = epoch_setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
@@ -389,7 +389,7 @@ class TestExecuteEpoch:
     def test_tour_from_elsewhere_rejected(self, epoch_setup):
         # the clock charges the tour's own legs, so they must start at the vehicle
         domain, model, truth = epoch_setup
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
@@ -410,7 +410,7 @@ class TestExecuteEpoch:
         truth = sample_ground_truth(
             domain, model, 0, mode="planted", bumps=c.bumps, background=c.background
         )
-        post = posterior(SampleLog(domain), domain, model)
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post,
             FidelityState(model, 1),
@@ -464,8 +464,8 @@ class TestExecuteEpoch:
 
     def test_custom_sample_time(self, epoch_setup):
         domain, model, truth = epoch_setup
-        loc = domain.cell_center(0)
-        post = posterior(SampleLog(domain), domain, model)
+        loc = domain.cell_centers[0].tolist()
+        post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post, FidelityState(model, 1), PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
         )
@@ -510,7 +510,8 @@ class TestTourCells:
             assert Counter(tour.cells) == Counter(s.cell for s in group)
             assert len(tour.waypoints) == len(tour.legs) == len(tour.cells) == len(group)
             for k, cell in enumerate(tour.cells):
-                assert tour.waypoints[k] == (*domain.cell_center(cell), model.z[level - 1])
+                centre = domain.cell_centers[cell].tolist()
+                assert tour.waypoints[k] == (*centre, model.z[level - 1])
                 if k and tour.cells[k - 1] == cell:
                     assert tour.legs[k] == 0.0  # a copy after the first
                 elif k:
@@ -525,7 +526,8 @@ class TestTourCells:
         pos = start
         for tour, (level, group) in zip(tours, plan.by_fidelity().items(), strict=True):
             z = model.z[level - 1]
-            every = build_tour([domain.cell_center(s.cell) for s in group], z, (*pos[:2], z))
+            points = [tuple(domain.cell_centers[s.cell].tolist()) for s in group]
+            every = build_tour(points, z, (*pos[:2], z))
             assert (tour.start, tour.waypoints, tour.legs) == (every.start, every.waypoints, every.legs)
             assert tour.length == every.length
             pos = tour.end
@@ -538,7 +540,7 @@ class TestTourCells:
         other = next(c for c in range(domain.n_cells) if c not in tour.cells)
         renamed = replace(tour, cells=(other, *tour.cells[1:]))
         assert sorted(w[:2] for w in renamed.waypoints) == sorted(
-            domain.cell_center(s.cell) for s in plan.samples if s.fidelity == 1
+            tuple(domain.cell_centers[s.cell].tolist()) for s in plan.samples if s.fidelity == 1
         )
         log = SampleLog(domain)
         with pytest.raises(ValueError, match="do not cover the level-1 plan cells"):
