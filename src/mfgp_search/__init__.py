@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     "planner": (
         "EpochPlan",
-        "FidelityState",
         "PlanLimits",
         "PlanningComplete",
         "plan_epoch",

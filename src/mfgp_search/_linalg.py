@@ -17,20 +17,18 @@ class NumericalError(RuntimeError):
         self.jitter = jitter
 
 
-def jittered_cholesky(cov: np.ndarray, jitter_scale: float = DEFAULT_JITTER):
-    """Lower Cholesky factor of ``cov + jitter*I``; consumes ``cov``.
+def jittered_cholesky(cov: np.ndarray):
+    """Lower Cholesky factor of ``cov + jitter*I`` for a non-empty square
+    ``cov``; consumes ``cov``.
 
-    The jitter is ``jitter_scale`` times the largest diagonal entry, the
+    The jitter is ``DEFAULT_JITTER`` times the largest diagonal entry, the
     standard safeguard for nearly-PSD kernel matrices.  It is added to the
     diagonal of ``cov`` in place, so callers pass a matrix they no longer
     need.  Returns ``(L, jitter)``; raises NumericalError if the
     factorization still fails.
     """
-    n = cov.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), 0.0
-    jitter = jitter_scale * float(np.max(np.diagonal(cov)))
-    cov[np.diag_indices(n)] += jitter
+    jitter = DEFAULT_JITTER * float(np.max(np.diagonal(cov)))
+    cov[np.diag_indices(cov.shape[0])] += jitter
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

@@ -156,6 +156,16 @@ class FidelityModel:
             total += vi * vi
         return total
 
+    def switch_threshold(self, level: int) -> float:
+        """Accessible uncertainty (max posterior variance minus
+        ``inaccessible_variance(level)``) at or below which the fidelity
+        switch advances past ``level``: l_{m+1}^2/l_m^2 * v_{m+1}^2 at m = level."""
+        self._check_level(level)
+        if level >= self.levels:
+            raise ValueError("no switch threshold at the top fidelity level")
+        lm, ln = self.l[level - 1], self.l[level]
+        return (ln * ln) / (lm * lm) * self.v[level] ** 2
+
     def _check_level(self, m: int):
         if not 1 <= m <= self.levels:
             raise ValueError(f"fidelity level {m} out of range [1, {self.levels}]")

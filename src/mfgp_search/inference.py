@@ -201,10 +201,12 @@ class PosteriorField:
 
     def column_of(self, cells):
         """Positions of cell indices in the sorted ``columns``; ValueError
-        for a cell outside them."""
+        naming the first cell outside them."""
         pos = np.searchsorted(self.columns, cells)
-        if np.any(self.columns.take(pos, mode="clip") != cells):
-            raise ValueError(f"cell outside the snapshot's {len(self.columns)} columns")
+        outside = self.columns.take(pos, mode="clip") != cells
+        if np.any(outside):
+            cell = np.asarray(cells)[outside].flat[0]
+            raise ValueError(f"cell {cell} outside the snapshot's {len(self.columns)} columns")
         return pos
 
 
@@ -380,15 +382,18 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
     """Add a hypothetical sample at the flat cell index ``cell`` and level
     ``m_new`` to the variance.
 
-    ``cell`` must be one of the snapshot's columns and ``m_new`` at least
-    the level of the last record.  Runs the working-set step
-    (``_WorkingSet.add``) on a copy of this snapshot's rows, in
-    O(n * len(columns)) and without a factor.  The variance of the result
-    matches a full recompute with the extended log (observed values are
-    irrelevant to the variance).  If the new pivot breaks down numerically,
+    ``cell`` must be one whole number (3.0 passes) among the snapshot's
+    columns, and ``m_new`` at least the level of the last record.  Runs the
+    working-set step (``_WorkingSet.add``) on a copy of this snapshot's
+    rows, in O(n * len(columns)) and without a factor.  The variance of the
+    result matches a full recompute with the extended log (observed values
+    are irrelevant to the variance).  If the new pivot breaks down numerically,
     falls back to a full refactorization with placeholder observations,
     restricted to the same columns.
     """
+    if np.ndim(cell) != 0 or not float(cell).is_integer():
+        raise ValueError(f"cell {cell!r} is not one whole-number cell index")
+    cell = int(cell)
     state.model._check_level(m_new)
     n = len(state.fidelities)
     if n and m_new < state.fidelities[-1]:

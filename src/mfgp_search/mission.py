@@ -28,7 +28,7 @@ from .field_model import (
     sample_ground_truth,
 )
 from .inference import SampleLog, posterior
-from .planner import FidelityState, PlanLimits, _greedy_steps, plan_epoch
+from .planner import PlanLimits, _greedy_steps, plan_epoch
 from .router import execute_epoch, plan_tours
 
 BOUNDARY_TOL = 1e-6  # |f - th| below this: cell excluded from error accounting
@@ -268,7 +268,7 @@ def run_mission(config: MissionConfig) -> MissionReport:
     log = SampleLog(domain)
     clock = 0.0
     cmap = ClassificationMap.initial(domain)
-    state = FidelityState(model, level=config.initial_level)
+    level = config.initial_level
     position = config.start_position()
     post = posterior(log, model)
     candidates = cmap.candidate_indices()
@@ -277,9 +277,9 @@ def run_mission(config: MissionConfig) -> MissionReport:
 
     terminated = "epoch-cap"
     for j in range(1, config.max_epochs + 1):
-        plan = plan_epoch(post, state, limits, candidates, epoch=j)
+        plan = plan_epoch(post, level, limits, candidates, epoch=j)
         del post  # the next posterior builds its W with no earlier W alive
-        state = plan.state_after
+        level = plan.level_after
         tours = plan_tours(plan, domain, model, position)
         trace = execute_epoch(
             plan,
@@ -346,9 +346,8 @@ class DecayCurves:
 
 def _variance_decay(config: MissionConfig, n_samples: int, force_top: bool) -> list[float]:
     domain, model = config.domain, config.model
-    state = FidelityState(model, level=model.levels if force_top else 1)
     post = posterior(SampleLog(domain), model)
-    steps = _greedy_steps(post, state, post.columns, n_samples)
+    steps = _greedy_steps(post, model.levels if force_top else 1, post.columns, n_samples)
     return [post.max_sigma2()] + [max_var for _, _, _, max_var, _ in steps]
 
 
@@ -358,6 +357,8 @@ def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
     No classification or elimination happens here; the curves depend only on
     sampling locations, so they are observation-independent.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     multi = _variance_decay(config, n_samples, force_top=False)
     single = _variance_decay(config, n_samples, force_top=True)
     return DecayCurves(n=list(range(n_samples + 1)), multi_fidelity=multi, single_fidelity=single)
@@ -409,12 +410,16 @@ def detection_time_study(
     """
     if config.mode != "prior-draw":
         raise ValueError("detection-time study requires prior-draw mode")
+    if delta_bins < 1:
+        raise ValueError(f"delta_bins must be >= 1, got {delta_bins}")
     deltas, times, classified = [], [], []
     for report in run_missions(config, seeds):
         deltas.append(report.delta_x)
         times.append(report.time_classified)
         classified.append(report.labels != Label.UNCERTAIN)
         del report  # one report alive at a time: drop it before the next mission
+    if not deltas:
+        raise ValueError("seeds must hold at least one seed")
     deltas, times, classified = map(np.concatenate, (deltas, times, classified))
     keep = deltas > BOUNDARY_TOL
     deltas, times, classified = deltas[keep], times[keep], classified[keep]

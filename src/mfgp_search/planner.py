@@ -8,7 +8,7 @@ configured fraction of its value at the epoch start, or a sample cap is hit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,31 +27,6 @@ TIE_RTOL = 1e-14
 
 class PlanningComplete(Exception):
     """Raised when no candidate cells remain to plan over."""
-
-
-@dataclass(frozen=True)
-class FidelityState:
-    """Current fidelity level plus the switch rule's derived quantities.
-
-    The level only ever increases.  Switching from m to m+1 happens when the
-    accessible uncertainty (max posterior variance minus the variance that
-    level m cannot reduce) falls to l_{m+1}^2/l_m^2 * v_{m+1}^2.
-    """
-
-    model: FidelityModel
-    level: int = 1
-
-    def __post_init__(self):
-        self.model._check_level(self.level)
-
-    def switch_threshold(self) -> float:
-        """Accessible-uncertainty threshold for advancing past the current level."""
-        m = self.level
-        if m >= self.model.levels:
-            raise ValueError("no switch threshold at the top fidelity level")
-        lm = self.model.l[m - 1]
-        ln = self.model.l[m]
-        return (ln * ln) / (lm * lm) * self.model.v[m] ** 2
 
 
 def _most_uncertain(values: np.ndarray, top: float, band: float) -> int:
@@ -78,23 +53,26 @@ def select_next_point(posterior: PosteriorField, candidates: np.ndarray) -> int:
 
 
 def update_fidelity(
-    state: FidelityState, posterior: PosteriorField, candidates: np.ndarray | None = None
-) -> FidelityState:
-    """Advance the fidelity level while the switch rule is satisfied.
+    level: int, posterior: PosteriorField, candidates: np.ndarray | None = None
+) -> int:
+    """The fidelity level after the switch rule of the posterior's model,
+    starting from ``level``.
 
     Multiple levels can be crossed in one call; the level never decreases.
     """
-    return _advance(state, posterior.max_sigma2(candidates))
+    posterior.model._check_level(level)
+    return _advance(posterior.model, level, posterior.max_sigma2(candidates))
 
 
-def _advance(state: FidelityState, max_var: float) -> FidelityState:
+def _advance(model: FidelityModel, level: int, max_var: float) -> int:
     """The switch rule at maximum variance ``max_var``: raise the level while
-    the accessible uncertainty is at or below the switch threshold."""
-    while state.level < state.model.levels and (
-        max_var - state.model.inaccessible_variance(state.level) <= state.switch_threshold()
+    the accessible uncertainty (``max_var`` minus the variance that the
+    level cannot reduce) is at or below the model's switch threshold."""
+    while level < model.levels and (
+        max_var - model.inaccessible_variance(level) <= model.switch_threshold(level)
     ):
-        state = replace(state, level=state.level + 1)
-    return state
+        level += 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -126,7 +104,7 @@ class EpochPlan:
     sigma_max_before: float
     sigma_max_after: float  # predicted, over the epoch's candidate set
     capped: bool
-    state_after: FidelityState
+    level_after: int
     max_var_trace: tuple[float, ...]  # predicted max variance after each sample
 
     def by_fidelity(self) -> dict[int, list[PlannedSample]]:
@@ -139,13 +117,13 @@ class EpochPlan:
         return tuple(sorted({s.fidelity for s in self.samples}))
 
 
-def _greedy_steps(posterior: PosteriorField, state: FidelityState, columns: np.ndarray, steps: int):
+def _greedy_steps(posterior: PosteriorField, level: int, columns: np.ndarray, steps: int):
     """The greedy sampler over the sorted cells ``columns``, for up to ``steps`` samples.
 
-    Each step picks the most uncertain cell, assigns the current fidelity,
-    appends it hypothetically and re-checks the fidelity switch rule; it
-    yields (cell, level, variance at the pick, max variance after, state
-    after).  The steps run on one working set restricted to ``columns``
+    Each step picks the most uncertain cell, assigns the current fidelity
+    ``level``, appends it hypothetically and re-checks the fidelity switch
+    rule; it yields (cell, level, variance at the pick, max variance after,
+    level after).  The steps run on one working set restricted to ``columns``
     that appends in place; a pivot breakdown goes through
     ``append_sample_variance_only``, which refactorizes.
     """
@@ -155,18 +133,18 @@ def _greedy_steps(posterior: PosteriorField, state: FidelityState, columns: np.n
     max_var = float(np.maximum.reduce(working.sigma2))
     for k in range(steps):
         local = _most_uncertain(working.sigma2, max_var, band)
-        cell, level, picked = cells[local], state.level, float(working.sigma2[local])
-        if not working.add(local, level):
-            snapshot = append_sample_variance_only(working.snapshot(), cell, level)
+        cell, fidelity, picked = cells[local], level, float(working.sigma2[local])
+        if not working.add(local, fidelity):
+            snapshot = append_sample_variance_only(working.snapshot(), cell, fidelity)
             working = _WorkingSet(snapshot, columns, steps - k - 1)
         max_var = float(np.maximum.reduce(working.sigma2))
-        state = _advance(state, max_var)
-        yield cell, level, picked, max_var, state
+        level = _advance(posterior.model, level, max_var)
+        yield cell, fidelity, picked, max_var, level
 
 
 def plan_epoch(
     posterior: PosteriorField,
-    state: FidelityState,
+    level: int,
     limits: PlanLimits,
     candidates: np.ndarray,
     epoch: int = 1,
@@ -176,18 +154,21 @@ def plan_epoch(
     Runs the greedy steps (``_greedy_steps``) over the candidates (sorted
     cell indices) until the predicted max std dev over them has fallen to
     ``sigma_ratio`` times its starting value, or the cap is reached.
-    Deterministic for a given posterior snapshot and state.
+    ``level`` is the fidelity level of the first sample, one of the
+    posterior's model's levels.  Deterministic for a given posterior
+    snapshot and level.
     """
+    posterior.model._check_level(level)
     if len(candidates) == 0:
         raise PlanningComplete("no candidate cells remain")
     sigma_before = math.sqrt(posterior.max_sigma2(candidates))
     samples: list[PlannedSample] = []
     trace: list[float] = []
     capped = False
-    for cell, level, picked, max_var, state in _greedy_steps(
-        posterior, state, candidates, limits.sample_cap
+    for cell, fidelity, picked, max_var, level in _greedy_steps(
+        posterior, level, candidates, limits.sample_cap
     ):
-        samples.append(PlannedSample(cell, level, sigma_before=math.sqrt(picked)))
+        samples.append(PlannedSample(cell, fidelity, sigma_before=math.sqrt(picked)))
         trace.append(max_var)
         if math.sqrt(max_var) <= limits.sigma_ratio * sigma_before:
             break
@@ -200,6 +181,6 @@ def plan_epoch(
         sigma_max_before=sigma_before,
         sigma_max_after=math.sqrt(trace[-1]),
         capped=capped,
-        state_after=state,
+        level_after=level,
         max_var_trace=tuple(trace),
     )

@@ -42,7 +42,6 @@ from mfgp_search.inference import (
 from mfgp_search.mission import DecayCurves, EpochRecord
 from mfgp_search.planner import (
     EpochPlan,
-    FidelityState,
     PlannedSample,
     select_next_point,
     update_fidelity,
@@ -395,7 +394,7 @@ def greedy_plan_reference(cells, candidates, v, l, s, sigma_ratio, cap):
             return picks, True
 
 
-def full_grid_plan(post, state, limits, candidates):
+def full_grid_plan(post, level, limits, candidates):
     """The epoch-planning loop with every append over all cells of the grid.
 
     Picks, the max-variance trace and the fidelity switch read the candidate
@@ -408,17 +407,17 @@ def full_grid_plan(post, state, limits, candidates):
     while True:
         cell = select_next_point(post, candidates)
         cells.append(cell)
-        fidelities.append(state.level)
+        fidelities.append(level)
         variances.append(post.sigma2)
-        post = append_sample_variance_only(post, cell, state.level)
+        post = append_sample_variance_only(post, cell, level)
         trace.append(post.max_sigma2(candidates))
-        state = update_fidelity(state, post, candidates)
+        level = update_fidelity(level, post, candidates)
         done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
         if done or len(cells) >= limits.sample_cap:
             return cells, fidelities, variances, trace, not done
 
 
-def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
+def snapshot_plan(post, level, limits, candidates, epoch=1) -> EpochPlan:
     """The epoch-planning loop with one new snapshot per planned sample.
 
     Restricts the posterior to the candidates once, then appends every
@@ -431,10 +430,10 @@ def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
     while True:
         cell = select_next_point(working, candidates)
         sigma = np.sqrt(working.sigma2[working.column_of(cell)])
-        samples.append(PlannedSample(cell=cell, fidelity=state.level, sigma_before=float(sigma)))
-        working = append_sample_variance_only(working, cell, state.level)
+        samples.append(PlannedSample(cell=cell, fidelity=level, sigma_before=float(sigma)))
+        working = append_sample_variance_only(working, cell, level)
         trace.append(working.max_sigma2())
-        state = update_fidelity(state, working)
+        level = update_fidelity(level, working)
         done = np.sqrt(trace[-1]) <= limits.sigma_ratio * start
         if done or len(samples) >= limits.sample_cap:
             return EpochPlan(
@@ -444,7 +443,7 @@ def snapshot_plan(post, state, limits, candidates, epoch=1) -> EpochPlan:
                 sigma_max_before=float(start),
                 sigma_max_after=float(np.sqrt(trace[-1])),
                 capped=not done,
-                state_after=state,
+                level_after=level,
                 max_var_trace=tuple(trace),
             )
 
@@ -460,15 +459,14 @@ def snapshot_decay(config, n_samples: int) -> DecayCurves:
     domain, model = config.domain, config.model
 
     def curve(level, switch):
-        state = FidelityState(model, level=level)
         post = posterior(SampleLog(domain), model)
         candidates = np.arange(domain.n_cells)
         out = [post.max_sigma2()]
         for _ in range(n_samples):
             cell = select_next_point(post, candidates)
-            post = append_sample_variance_only(post, cell, state.level)
+            post = append_sample_variance_only(post, cell, level)
             if switch:
-                state = update_fidelity(state, post, candidates)
+                level = update_fidelity(level, post, candidates)
             out.append(post.max_sigma2())
         return out
 
@@ -501,7 +499,6 @@ def reference_mission(config) -> dict:
     centers = domain.cell_centers.tolist()
     top = truth.f[-1].tolist()
     level = model.levels if config.baseline == "single-fidelity-only" else 1
-    state = FidelityState(model, level=level)
     position = config.start or (domain.x_min, domain.y_min, model.z[level - 1])
     limits = config.limits()
     labels, epoch_of, time_of = [int(Label.UNCERTAIN)] * n_cells, [-1] * n_cells, [-1.0] * n_cells
@@ -513,8 +510,8 @@ def reference_mission(config) -> dict:
     out["decay"] = [(0, float(np.max(post.sigma2[candidates])))]
     out["terminated"] = "epoch-cap"
     for j in range(1, config.max_epochs + 1):
-        plan = snapshot_plan(post, state, limits, candidates, epoch=j)
-        state = plan.state_after
+        plan = snapshot_plan(post, level, limits, candidates, epoch=j)
+        level = plan.level_after
         n_before = len(log)
         altitude_changes = 0
         order = 0

@@ -221,6 +221,16 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_out_of_memory_reported_as_an_error(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # a sample cap too large for the planner's working set fails to allocate
+        def refuse(config):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr("mfgp_search.cli.run_mission", refuse)
+        code = main(["run", "--config", str(small_cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
+
 
 class TestValidate:
     def test_valid_config_normalized_echo(self, small_cfg, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from mfgp_search import (
     posterior,
 )
 from mfgp_search import inference
-from mfgp_search._linalg import jittered_cholesky
+from mfgp_search._linalg import DEFAULT_JITTER, jittered_cholesky
 from mfgp_search.field_model import covariance_tables, sample_ground_truth, windows
 from mfgp_search.inference import (
     _chain_terms,
@@ -446,10 +448,23 @@ class TestAppendVarianceOnly:
     def test_append_outside_the_columns_raises(self, small_domain, two_level):
         part = restrict(_base_posterior(small_domain, two_level), np.array([1, 5, 7]))
         for cell in (0, 2, 99):
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match=f"cell {cell} outside"):
                 append_sample_variance_only(part, cell, 1)
         with pytest.raises(ValueError, match="outside"):
             restrict(part, np.array([1, 6]))
+
+    @pytest.mark.parametrize("cell", [(3.0, 5.0), [3], 2.5])
+    def test_append_refuses_what_is_not_one_whole_cell(self, small_domain, two_level, cell):
+        # a coordinate pair of two columns, a one-cell list and a fraction
+        post = posterior(SampleLog(small_domain), two_level)
+        with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not one whole"):
+            append_sample_variance_only(post, cell, 1)
+
+    def test_append_takes_a_whole_float_cell(self, small_domain, two_level):
+        post = posterior(SampleLog(small_domain), two_level)
+        _same_snapshot(
+            append_sample_variance_only(post, 3.0, 1), append_sample_variance_only(post, 3, 1)
+        )
 
     def test_cell_off_the_grid_is_outside_every_snapshot(self, small_domain, two_level):
         # -1 names no cell: it must not read the last column
@@ -745,8 +760,8 @@ class TestLeanAssembly:
         A = rng.normal(size=(30, 30))
         K = A @ A.T
         kept = K.copy()
-        L, jitter = jittered_cholesky(K, 1e-6)
-        assert jitter == 1e-6 * float(np.max(np.diagonal(kept)))
+        L, jitter = jittered_cholesky(K)
+        assert jitter == DEFAULT_JITTER * float(np.max(np.diagonal(kept)))
         assert np.array_equal(L, np.linalg.cholesky(kept + jitter * np.eye(30)))
         assert np.array_equal(K, kept + jitter * np.eye(30))
 

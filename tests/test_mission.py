@@ -404,6 +404,12 @@ class TestCompareDecay:
         for curve in (curves.multi_fidelity, curves.single_fidelity):
             assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
+    def test_negative_sample_count_refused(self, small_domain, small_model):
+        config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
+        with pytest.raises(ValueError, match="n_samples must be >= 0, got -1"):
+            compare_decay(config, -1)
+        assert compare_decay(config, 0).n == [0]
+
 
 @pytest.fixture(scope="module")
 def study_config(small_domain, small_model):
@@ -425,6 +431,15 @@ class TestDetectionTimeStudy:
         )
         with pytest.raises(ValueError):
             detection_time_study(planted, seeds=range(3))
+
+    def test_no_seed_refused(self, study_config):
+        for seeds in ([], range(0), iter(())):
+            with pytest.raises(ValueError, match="seeds must hold at least one seed"):
+                detection_time_study(study_config, seeds)
+
+    def test_no_bin_refused(self, study_config):
+        with pytest.raises(ValueError, match="delta_bins must be >= 1, got 0"):
+            detection_time_study(study_config, range(1), delta_bins=0)
 
     def test_bins_and_censoring_bookkeeping(self, study_config):
         table = detection_time_study(study_config, seeds=range(8))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mfgp_search import (
     FidelityModel,
-    FidelityState,
     GridDomain,
     MissionConfig,
     PlanLimits,
@@ -81,39 +80,42 @@ class TestUpdateFidelity:
         model = FidelityModel(
             mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0)
         )
-        state = FidelityState(model, level=1)
-        assert state.switch_threshold() == pytest.approx((4.0 / 16.0) * 0.09)
-        assert state.switch_threshold() == pytest.approx(0.0225)
+        assert model.switch_threshold(1) == pytest.approx((4.0 / 16.0) * 0.09)
+        assert model.switch_threshold(1) == pytest.approx(0.0225)
+        with pytest.raises(ValueError, match="no switch threshold at the top fidelity level"):
+            model.switch_threshold(2)
 
     def test_fresh_mission_does_not_switch(self, grid20, m2_model):
         post = posterior(SampleLog(grid20), m2_model)
-        state = FidelityState(m2_model, level=1)
-        assert update_fidelity(state, post).level == 1
+        assert update_fidelity(1, post) == 1
 
     def test_top_level_absorbing(self, grid20, m2_model):
         post = posterior(SampleLog(grid20), m2_model)
-        state = FidelityState(m2_model, level=2)
-        assert update_fidelity(state, post).level == 2
+        assert update_fidelity(2, post) == 2
 
     def test_switch_when_accessible_uncertainty_low(self, grid20, m2_model):
         # drive max variance down by dense sampling at level 1, then check
         post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(grid20.n_cells)
-        state = FidelityState(m2_model, level=1)
+        level = 1
         for _ in range(200):
             cell = select_next_point(post, cands)
             post = append_sample_variance_only(post, cell, 1)
-            state = update_fidelity(state, post, cands)
-            if state.level == 2:
+            level = update_fidelity(level, post, cands)
+            if level == 2:
                 break
-        assert state.level == 2
+        assert level == 2
         r = post.max_sigma2() - m2_model.inaccessible_variance(1)
-        assert r <= FidelityState(m2_model, level=1).switch_threshold() + 1e-12
+        assert r <= m2_model.switch_threshold(1) + 1e-12
 
     def test_never_decrements(self, grid20, m2_model):
         post = posterior(SampleLog(grid20), m2_model)
-        state = FidelityState(m2_model, level=2)
-        assert update_fidelity(state, post).level == 2
+        assert update_fidelity(2, post) == 2
+
+    def test_level_outside_the_posteriors_model_refused(self, grid20, m2_model):
+        post = posterior(SampleLog(grid20), m2_model)
+        with pytest.raises(ValueError, match=r"fidelity level 3 out of range \[1, 2\]"):
+            update_fidelity(3, post)
 
     def test_levels_advance_one_at_a_time(self, grid20):
         # sampling at level m can never push the max variance below the
@@ -128,17 +130,17 @@ class TestUpdateFidelity:
         )
         post = posterior(SampleLog(grid20), model)
         cands = np.arange(grid20.n_cells)
-        state = FidelityState(model, level=1)
+        level = 1
         visited = [1]
         for _ in range(500):
             cell = select_next_point(post, cands)
-            post = append_sample_variance_only(post, cell, state.level)
-            new_state = update_fidelity(state, post, cands)
-            assert new_state.level - state.level <= 1
-            if new_state.level != state.level:
-                visited.append(new_state.level)
-            state = new_state
-            if state.level == 3:
+            post = append_sample_variance_only(post, cell, level)
+            new_level = update_fidelity(level, post, cands)
+            assert new_level - level <= 1
+            if new_level != level:
+                visited.append(new_level)
+            level = new_level
+            if level == 3:
                 break
         assert visited == [1, 2, 3]
 
@@ -198,7 +200,7 @@ class TestPlanEpoch:
     def test_matches_reference_loop_size(self, grid20, m1_model):
         post = posterior(SampleLog(grid20), m1_model)
         cands = np.arange(grid20.n_cells)
-        plan = plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), cands)
+        plan = plan_epoch(post, 1, PlanLimits(), cands)
         ref_picks, ref_capped = greedy_plan_reference(
             grid20.cell_centers,
             cands,
@@ -215,7 +217,7 @@ class TestPlanEpoch:
     def test_single_cell_tiny_noise(self, grid20):
         model = FidelityModel(mu=(0.0,), v=(0.5,), l=(4.0,), s=(5e-5,), z=(5.0,))
         post = posterior(SampleLog(grid20), model)
-        plan = plan_epoch(post, FidelityState(model, 1), PlanLimits(), np.array([37]))
+        plan = plan_epoch(post, 1, PlanLimits(), np.array([37]))
         expected = scalar_resample_count(0.25, (5e-5) ** 2, 0.75)
         assert len(plan.samples) == expected
         assert len(plan.samples) in (1, 2)
@@ -225,7 +227,7 @@ class TestPlanEpoch:
         post = posterior(SampleLog(grid20), m1_model)
         plan = plan_epoch(
             post,
-            FidelityState(m1_model, 1),
+            1,
             PlanLimits(sigma_ratio=1.0),
             np.arange(grid20.n_cells),
         )
@@ -236,7 +238,7 @@ class TestPlanEpoch:
         post = posterior(SampleLog(grid20), noisy)
         plan = plan_epoch(
             post,
-            FidelityState(noisy, 1),
+            1,
             PlanLimits(sample_cap=5),
             np.arange(grid20.n_cells),
         )
@@ -246,8 +248,8 @@ class TestPlanEpoch:
     def test_deterministic(self, grid20, m2_model):
         post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(grid20.n_cells)
-        a = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(), cands)
-        b = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(), cands)
+        a = plan_epoch(post, 1, PlanLimits(), cands)
+        b = plan_epoch(post, 1, PlanLimits(), cands)
         assert a == b
 
     def test_plans_ignore_observed_values(self, grid20, m2_model):
@@ -259,32 +261,40 @@ class TestPlanEpoch:
             log_a.append(int(c), float(rng.normal()), 1)
             log_b.append(int(c), float(rng.normal() + 5.0), 1)
         cands = np.arange(grid20.n_cells)
-        plan_a = plan_epoch(posterior(log_a, m2_model), FidelityState(m2_model, 1), PlanLimits(), cands)
-        plan_b = plan_epoch(posterior(log_b, m2_model), FidelityState(m2_model, 1), PlanLimits(), cands)
+        plan_a = plan_epoch(posterior(log_a, m2_model), 1, PlanLimits(), cands)
+        plan_b = plan_epoch(posterior(log_b, m2_model), 1, PlanLimits(), cands)
         assert plan_a.samples == plan_b.samples
 
     def test_fidelities_non_decreasing_within_plan(self, grid20, m2_model):
         post = posterior(SampleLog(grid20), m2_model)
         plan = plan_epoch(
             post,
-            FidelityState(m2_model, 1),
+            1,
             PlanLimits(sigma_ratio=0.3),
             np.arange(grid20.n_cells),
         )
         fids = [s.fidelity for s in plan.samples]
         assert fids == sorted(fids)
-        assert plan.state_after.level >= 1
+        assert plan.level_after >= 1
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_level_outside_the_posteriors_model_refused(self, grid20, m2_model, level):
+        # the level is checked against the posterior's own two-level model
+        post = posterior(SampleLog(grid20), m2_model)
+        cands = np.arange(grid20.n_cells)
+        with pytest.raises(ValueError, match=rf"fidelity level {level} out of range \[1, 2\]"):
+            plan_epoch(post, level, PlanLimits(sigma_ratio=0.3), cands)
 
     def test_empty_candidates_raise(self, grid20, m1_model):
         post = posterior(SampleLog(grid20), m1_model)
         with pytest.raises(PlanningComplete):
-            plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([], dtype=int))
+            plan_epoch(post, 1, PlanLimits(), np.array([], dtype=int))
 
     def test_candidate_off_the_grid_refused(self, grid20, m1_model):
         # -1 names no cell: it must not plan the last cell
         post = posterior(SampleLog(grid20), m1_model)
         with pytest.raises(ValueError, match="outside"):
-            plan_epoch(post, FidelityState(m1_model, 1), PlanLimits(), np.array([-1]))
+            plan_epoch(post, 1, PlanLimits(), np.array([-1]))
 
     def test_one_append_per_planned_sample(self, grid20, m2_model, monkeypatch):
         # one in-place step per planned sample; the snapshot API only runs
@@ -302,7 +312,7 @@ class TestPlanEpoch:
         )
         post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(0, grid20.n_cells, 3)
-        plan = plan_epoch(post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.3), cands)
+        plan = plan_epoch(post, 1, PlanLimits(sigma_ratio=0.3), cands)
         assert len(plan.samples) > 1
         assert adds == [(s.cell, s.fidelity) for s in plan.samples]
         assert snapshot_appends == []
@@ -316,7 +326,7 @@ class TestPlanEpoch:
         before = {name: getattr(post, name).copy() for name in names}
         cands = np.arange(1, grid20.n_cells, 2)
         limits = PlanLimits(sigma_ratio=0.3)
-        plans = [plan_epoch(post, FidelityState(m2_model, 1), limits, cands) for _ in range(2)]
+        plans = [plan_epoch(post, 1, limits, cands) for _ in range(2)]
         assert plans[0] == plans[1]
         for name in names:
             assert np.array_equal(getattr(post, name), before[name]), name
@@ -330,7 +340,7 @@ class TestPlanEpoch:
             log.append(c, 0.2, 1)
         post = posterior(log, m2_model)
         cands = np.arange(0, grid20.n_cells, 2)
-        args = (post, FidelityState(m2_model, 1), PlanLimits(sigma_ratio=0.5, sample_cap=12), cands)
+        args = (post, 1, PlanLimits(sigma_ratio=0.5, sample_cap=12), cands)
         real_add = inference._WorkingSet.add
 
         def breaking_add(self, position, level):
@@ -386,14 +396,14 @@ def planning_cases(draw):
         sigma_ratio=draw(st.sampled_from([0.4, 0.75, 0.95])), sample_cap=draw(st.integers(1, 30))
     )
     post = posterior(log, model)
-    return post, FidelityState(model, level), limits, np.array(sorted(cands))
+    return post, level, limits, np.array(sorted(cands))
 
 
 @settings(max_examples=100, deadline=None)
 @given(planning_cases())
 def test_in_place_pass_matches_snapshot_loop(case):
-    post, state, limits, cands = case
-    assert plan_epoch(post, state, limits, cands) == snapshot_plan(post, state, limits, cands)
+    post, level, limits, cands = case
+    assert plan_epoch(post, level, limits, cands) == snapshot_plan(post, level, limits, cands)
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,9 +460,9 @@ def test_no_package_path_converts_a_centre(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(planning_cases())
 def test_candidate_planning_matches_full_grid_loop(case):
-    post, state, limits, cands = case
-    plan = plan_epoch(post, state, limits, cands)
-    ref, fidelities, variances, trace, capped = full_grid_plan(post, state, limits, cands)
+    post, level, limits, cands = case
+    plan = plan_epoch(post, level, limits, cands)
+    ref, fidelities, variances, trace, capped = full_grid_plan(post, level, limits, cands)
     got = [s.cell for s in plan.samples]
     tol = 1e-12 * post.model.prior_variance()
     k = next((k for k, (a, b) in enumerate(zip(got, ref)) if a != b), None)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mfgp_search import (
     EpochPlan,
     FidelityModel,
-    FidelityState,
     GridDomain,
     PlanLimits,
     SampleLog,
@@ -291,7 +290,7 @@ class TestExecuteEpoch:
         loc = domain.cell_centers[0].tolist()
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
-            post, FidelityState(model, 1), PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
+            post, 1, PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
         )
         assert len(plan.samples) == 1 and plan.samples[0].cell == 0
         start = (loc[0], loc[1], model.z[0])
@@ -307,7 +306,7 @@ class TestExecuteEpoch:
         # force a two-group epoch by driving the ratio deep
         plan = plan_epoch(
             post,
-            FidelityState(model, 1),
+            1,
             PlanLimits(sigma_ratio=0.25, sample_cap=400),
             np.arange(domain.n_cells),
         )
@@ -322,7 +321,7 @@ class TestExecuteEpoch:
         domain, model, truth = epoch_setup
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
-            post, FidelityState(model, 1), PlanLimits(), np.arange(domain.n_cells)
+            post, 1, PlanLimits(), np.arange(domain.n_cells)
         )
         start = (0.0, 0.0, model.z[0])
 
@@ -344,7 +343,7 @@ class TestExecuteEpoch:
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post,
-            FidelityState(model, 1),
+            1,
             PlanLimits(sigma_ratio=0.5),
             np.arange(domain.n_cells),
         )
@@ -361,7 +360,7 @@ class TestExecuteEpoch:
         domain, model, truth = epoch_setup
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
-            post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
+            post, 1, PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
         start = (0.0, 0.0, model.z[0])
         wrong = [build_tour([tuple(domain.cell_centers[5].tolist())], model.z[0], start)]
@@ -377,7 +376,7 @@ class TestExecuteEpoch:
         domain, model, truth = epoch_setup
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
-            post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
+            post, 1, PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
         start = (0.0, 0.0, model.z[0])
         tours = plan_tours(plan, domain, model, start)
@@ -391,7 +390,7 @@ class TestExecuteEpoch:
         domain, model, truth = epoch_setup
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
-            post, FidelityState(model, 1), PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
+            post, 1, PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells)
         )
         tours = plan_tours(plan, domain, model, (0.0, 0.0, model.z[0]))
         with pytest.raises(ValueError, match="tour starts at"):
@@ -413,7 +412,7 @@ class TestExecuteEpoch:
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
             post,
-            FidelityState(model, 1),
+            1,
             PlanLimits(sigma_ratio=0.25, sample_cap=400),
             np.arange(domain.n_cells),
         )
@@ -450,7 +449,7 @@ class TestExecuteEpoch:
             sigma_max_before=1.0,
             sigma_max_after=0.5,
             capped=True,
-            state_after=FidelityState(model, 2),
+            level_after=2,
             max_var_trace=(0.25,) * len(picks),
         )
         start = (3.0, 3.0, model.z[0])
@@ -467,7 +466,7 @@ class TestExecuteEpoch:
         loc = domain.cell_centers[0].tolist()
         post = posterior(SampleLog(domain), model)
         plan = plan_epoch(
-            post, FidelityState(model, 1), PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
+            post, 1, PlanLimits(sigma_ratio=1.0), np.arange(domain.n_cells)
         )
         start = (loc[0], loc[1], model.z[0])
         tours = plan_tours(plan, domain, model, start)
@@ -498,7 +497,7 @@ class TestTourCells:
             sigma_max_before=1.0,
             sigma_max_after=0.5,
             capped=True,
-            state_after=FidelityState(model, 2),
+            level_after=2,
             max_var_trace=(0.25,) * len(picks),
         )
         start = (3.0, 17.0, 9.0)
