@@ -19,21 +19,21 @@ _EXPORTS = {
     "_linalg": ("NumericalError",),
     "classifier": (
         "ClassificationMap",
-        "ConfidenceParams",
         "Label",
         "c_value",
         "check_termination",
         "classify_epoch",
         "confidence_interval",
     ),
-    "field_model": (
+    "config": (
         "Bump",
+        "ConfidenceParams",
         "FidelityModel",
         "GridDomain",
-        "GroundTruth",
-        "kernel_eval",
-        "sample_ground_truth",
+        "MissionConfig",
+        "PlanLimits",
     ),
+    "field_model": ("GroundTruth", "kernel_eval", "sample_ground_truth"),
     "inference": (
         "PosteriorField",
         "SampleLog",
@@ -44,7 +44,6 @@ _EXPORTS = {
     "mission": (
         "DecayCurves",
         "DetectionTimeTable",
-        "MissionConfig",
         "MissionReport",
         "compare_decay",
         "detection_time_study",
@@ -53,7 +52,6 @@ _EXPORTS = {
     ),
     "planner": (
         "EpochPlan",
-        "PlanLimits",
         "PlanningComplete",
         "plan_epoch",
         "select_next_point",

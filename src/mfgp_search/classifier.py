@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .field_model import GridDomain
+from .config import ConfidenceParams, GridDomain
 from .inference import PosteriorField
 
 
@@ -27,26 +27,6 @@ class Label(IntEnum):
 LABEL_NAMES = {Label.UNCERTAIN: "uncertain", Label.EMPTY: "empty", Label.TARGET: "target"}
 # tri-level occupancy PGM: empty dark, uncertain mid, target bright
 _PGM_LEVELS = {Label.EMPTY: 0, Label.UNCERTAIN: 128, Label.TARGET: 255}
-
-
-@dataclass(frozen=True)
-class ConfidenceParams:
-    """Misclassification tolerance and detection threshold."""
-
-    delta: float
-    th: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
-        if not math.isfinite(self.th):
-            raise ValueError("th must be finite")
-
-    def epsilon(self, epoch: int) -> float:
-        """Per-epoch tolerance delta / 2^j; halves every epoch."""
-        if epoch < 1:
-            raise ValueError("epoch index starts at 1")
-        return self.delta / 2.0**epoch
 
 
 def c_value(epsilon: float) -> float:

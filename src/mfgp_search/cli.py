@@ -6,11 +6,8 @@ reproduce that run's outputs byte-for-byte.
 """
 
 import argparse
-import json
-import math
 import os
 import sys
-from dataclasses import MISSING
 from pathlib import Path
 
 # BLAS splits a product differently on another thread count, which changes
@@ -22,151 +19,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import __version__
 from ._linalg import NumericalError
 from .classifier import occupancy_pgm, occupancy_rows
-from .field_model import Bump, FidelityModel, GridDomain, field_to_grid
+from .config import ConfigError, MissionConfig, apply_overrides, load_config, resolve_config
+from .field_model import field_to_grid
 from .formats import dump_json, fmt, write_csv, write_grid_csv, write_pgm
 from .inference import diagnostics_lines
-from .mission import (
-    _START_KEYS,
-    MissionConfig,
-    _config_fields,
-    compare_decay,
-    detection_time_study,
-    run_mission,
-)
+from .mission import compare_decay, detection_time_study, run_mission
 
 MANIFEST_SCHEMA_VERSION = 1
-
-
-class ConfigError(Exception):
-    pass
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat key=value lines; raises ConfigError with the line number."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def _get(kv: dict, key: str, cast, default=MISSING):
-    """Cast and remove ``kv[key]``, so the keys ``resolve_config`` leaves are the unread ones."""
-    if key not in kv:
-        if default is not MISSING:
-            return default
-        raise ConfigError(f"missing required config key {key!r}")
-    try:
-        return cast(kv.pop(key))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _as_int(v: str) -> int:
-    """An integer literal exactly, or a whole float literal such as "3.0"."""
-    try:
-        return int(v)
-    except ValueError:
-        f = float(v)
-    if not (math.isfinite(f) and f == int(f)):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return int(f)
-
-
-_CASTS = {float: float, int: _as_int, str: str}
-# bench.<name>: (default, smallest allowed value)
-_BENCH_KEYS = {"samples": (80, 0), "seeds": (30, 1), "delta_bins": (3, 1)}
-
-
-def _at_least(key: str, value: int, low: int) -> int:
-    if value < low:
-        raise ConfigError(f"config key {key!r}: must be >= {low}")
-    return value
-
-
-def _read(kv: dict, cls, section: str, level: int | None = None) -> dict:
-    """Field values of a config dataclass from its keys, cast and defaulted by its fields."""
-    return {
-        f.name: _get(kv, key, _CASTS[typ], f.default)
-        for key, f, typ in _config_fields(cls, section, level)
-    }
-
-
-def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
-    """Build a MissionConfig (and bench settings) from flat key-values; refuse a key left unread."""
-    kv = {str(k): str(v) for k, v in kv.items()}
-    domain = GridDomain(**_read(kv, GridDomain, "domain"))
-    levels = _at_least("model.levels", _get(kv, "model.levels", _as_int), 1)
-    rows = [_read(kv, FidelityModel, "model", m) for m in range(1, levels + 1)]
-    try:
-        model = FidelityModel(**{name: tuple(r[name] for r in rows) for name in rows[0]})
-    except ValueError as exc:
-        raise ConfigError(f"model block: {exc}") from exc
-    n_bumps = _at_least("planted.bumps", _get(kv, "planted.bumps", _as_int, default=0), 0)
-    bumps = tuple(Bump(**_read(kv, Bump, f"planted.bump_{k}")) for k in range(1, n_bumps + 1))
-    start = None
-    if any(key in kv for key in _START_KEYS):
-        start = tuple(_get(kv, key, float) for key in _START_KEYS)
-    try:
-        config = MissionConfig(
-            domain=domain,
-            model=model,
-            **_read(kv, MissionConfig, "mission"),
-            **_read(kv, MissionConfig, "planted"),
-            bumps=bumps,
-            start=start,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mission block: {exc}") from exc
-    bench = {
-        name: _at_least(f"bench.{name}", _get(kv, f"bench.{name}", _as_int, default), low)
-        for name, (default, low) in _BENCH_KEYS.items()
-    }
-    if kv:
-        raise ConfigError(f"unknown config key {next(iter(kv))!r}")
-    return config, bench
-
-
-def load_config(path: Path) -> dict[str, str]:
-    """Read a flat config file, or the resolved block of a manifest.json."""
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    if path.suffix == ".json":
-        try:
-            manifest = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise ConfigError(f"{path}: manifest is not a JSON object")
-        if "resolved" not in manifest:
-            raise ConfigError(f"{path}: manifest has no 'resolved' config block")
-        if not isinstance(manifest["resolved"], dict):
-            raise ConfigError(f"{path}: manifest's 'resolved' block is not a JSON object")
-        return {str(k): str(v) for k, v in manifest["resolved"].items()}
-    return parse_config_text(text)
-
-
-def apply_overrides(kv: dict[str, str], sets: list[str], seed: int | None) -> dict[str, str]:
-    out = dict(kv)
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
-    if seed is not None:
-        out["mission.seed"] = str(seed)
-    return out
 
 
 def _config_of(args) -> tuple[MissionConfig, dict]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_model import GridDomain
+from .config import GridDomain
 
 
 def fmt(value) -> str:

@@ -32,7 +32,8 @@ from itertools import chain
 import numpy as np
 
 from ._linalg import DEFAULT_JITTER, NumericalError
-from .field_model import FidelityModel, GridDomain, covariance_tables, windows
+from .config import FidelityModel, GridDomain
+from .field_model import covariance_tables, windows
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
@@ -65,7 +66,10 @@ class SampleLog:
         matching entry of ``values``, all at level ``fidelity``.  A cell
         index that is not a whole number or a value that is not finite is
         refused, naming its entry, and so is a fidelity that is not a whole
-        number."""
+        number.  A whole float (cell 3.0, level 2.0) passes here, where the
+        model's level checks refuse it: records may enter as floats read
+        back from an array, and the log stores each as an int once, so
+        every reader of the log gets integers."""
         index = []
         for k, c in enumerate(cells):
             if not float(c).is_integer():
@@ -297,33 +301,37 @@ def restrict(state: PosteriorField, columns: np.ndarray) -> PosteriorField:
     ``columns`` must be sorted, unique and among the snapshot's own columns.
     Appends to the result compute the variance at these cells alone.
     """
-    return _WorkingSet(state, columns, 0).snapshot()
+    return _WorkingSet(state, columns).snapshot()
 
 
 class _WorkingSet:
     """The one writable copy of a snapshot's W rows, records and variance,
     over the sorted cells ``columns`` (which must be among the snapshot's
-    own), with room for ``spare`` appends.
+    own).
 
     The constructor gathers W[:, columns], sigma2 and mu at those columns
-    and the records once.  ``add`` is the one variance-append step and
-    writes row n in place.  ``snapshot`` freezes views of the set into a
-    PosteriorField; the set takes no appends after that.  Nothing is shared
-    with the snapshot the set was made from or with any other set.
+    and the records once, into buffers with room for max(n, 16) more rows.
+    ``add`` is the one variance-append step and writes row n in place; a
+    full buffer doubles first, copying its filled rows, so the set holds
+    memory for the rows it fills, not for every append it may take.
+    ``snapshot`` freezes views of the set into a PosteriorField; the set
+    takes no appends after that.  Nothing is shared with the snapshot the
+    set was made from or with any other set.
     """
 
-    def __init__(self, state: PosteriorField, columns: np.ndarray, spare: int):
+    def __init__(self, state: PosteriorField, columns: np.ndarray):
         columns = np.asarray(columns)
         if len(columns) == 0 or np.any(np.diff(columns) <= 0):
             raise ValueError("columns must be non-empty, sorted and unique")
         local = state.column_of(columns)
         n = self.n = len(state.fidelities)
         self.base = state
-        self.w = np.empty((n + spare, len(columns)))
+        rows = max(2 * n, n + 16)
+        self.w = np.empty((rows, len(columns)))
         np.take(state.w, local, axis=1, out=self.w[:n])
-        self.cells = np.empty(n + spare, dtype=int)
-        self.fidelities = np.empty(n + spare, dtype=int)
-        self.counts = np.empty(n + spare, dtype=int)
+        self.cells = np.empty(rows, dtype=int)
+        self.fidelities = np.empty(rows, dtype=int)
+        self.counts = np.empty(rows, dtype=int)
         self.cells[:n], self.fidelities[:n], self.counts[:n] = (
             state.cells, state.fidelities, state.counts,
         )
@@ -357,6 +365,12 @@ class _WorkingSet:
         row, _, _ = _next_row(self.w[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
         if row is None:
             return False
+        if n == len(self.cells):  # full: double every buffer, copying the filled rows
+            for name in ("w", "cells", "fidelities", "counts"):
+                filled = getattr(self, name)
+                grown = np.empty((2 * n, *filled.shape[1:]), filled.dtype)
+                grown[:n] = filled
+                setattr(self, name, grown)
         self.w[n] = row
         self.cells[n] = self.columns[position]
         self.fidelities[n] = level
@@ -400,7 +414,7 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
         raise ValueError(
             f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
         )
-    working = _WorkingSet(state, state.columns, 1)
+    working = _WorkingSet(state, state.columns)
     if not working.add(int(state.column_of(cell)), m_new):
         return _refactorized_append(state, cell, m_new)
     return working.snapshot()

@@ -7,137 +7,19 @@ Everything is deterministic given the mission seed.
 """
 
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import get_args
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .classifier import (
-    ClassificationMap,
-    ConfidenceParams,
-    Label,
-    check_termination,
-    classify_epoch,
-)
-from .field_model import (
-    Bump,
-    FidelityModel,
-    GridDomain,
-    GroundTruth,
-    _check_truth_inputs,
-    sample_ground_truth,
-)
+from .classifier import ClassificationMap, Label, check_termination, classify_epoch
+from .config import MissionConfig
+from .field_model import GroundTruth, sample_ground_truth
 from .inference import SampleLog, posterior
-from .planner import PlanLimits, _greedy_steps, plan_epoch
+from .planner import _greedy_steps, plan_epoch
 from .router import execute_epoch, plan_tours
 
 BOUNDARY_TOL = 1e-6  # |f - th| below this: cell excluded from error accounting
 REPORT_SCHEMA_VERSION = 1
-
-BASELINES = ("multi-fidelity", "single-fidelity-only")
-_START_KEYS = ("mission.start_x", "mission.start_y", "mission.start_z")
-
-
-def _config_fields(cls, section: str, level: int | None = None):
-    """Yield (key, field, type) for the float, int and str fields of a config dataclass.
-
-    The key is ``section.<name>``, or ``section.<name>_<level>`` with the element
-    type for the per-level tuples of FidelityModel.  A field whose metadata
-    names a section is walked under that section only, and alone.
-    """
-    marked = [f for f in fields(cls) if f.metadata.get("section") == section]
-    for f in marked or [f for f in fields(cls) if "section" not in f.metadata]:
-        typ = f.type if level is None else get_args(f.type)[0]
-        if typ in (float, int, str):
-            yield f"{section}.{f.name}" + ("" if level is None else f"_{level}"), f, typ
-
-
-@dataclass(frozen=True)
-class MissionConfig:
-    """One mission; its float, int and str fields are config keys (``_config_fields``)."""
-
-    domain: GridDomain
-    model: FidelityModel
-    delta: float
-    th: float
-    seed: int = 0
-    mode: str = "prior-draw"
-    baseline: str = "multi-fidelity"
-    epoch_sample_cap: int = PlanLimits.sample_cap
-    max_epochs: int = 30
-    sigma_ratio: float = PlanLimits.sigma_ratio
-    sample_time: float = 1.0
-    termination_fraction: float = 0.99
-    bumps: tuple[Bump, ...] = ()
-    background: float = field(default=0.0, metadata={"section": "planted"})
-    start: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        # stored as tuples, so a config built from lists hashes and compares like one built from tuples
-        object.__setattr__(self, "bumps", tuple(self.bumps))
-        if self.start is not None:
-            object.__setattr__(self, "start", tuple(float(x) for x in self.start))
-        self.params()  # delta in (0, 1/2), th finite
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        _check_truth_inputs(self.domain, self.mode, self.bumps, self.background)
-        if self.baseline not in BASELINES:
-            raise ValueError(f"baseline must be one of {BASELINES}")
-        self.limits()  # sigma_ratio in (0, 1], sample_cap positive
-        if not 0.0 <= self.sample_time < np.inf:
-            raise ValueError("sample_time must be non-negative and finite")
-        if not 0.0 < self.termination_fraction <= 1.0:
-            raise ValueError("termination_fraction must be in (0, 1]")
-        if self.start is not None:
-            if len(self.start) != 3:
-                raise ValueError("start must be (x, y, z)")
-            if not np.all(np.isfinite(self.start)):
-                raise ValueError("start must be finite")
-            d = self.domain
-            if not (d.x_min <= self.start[0] <= d.x_max and d.y_min <= self.start[1] <= d.y_max):
-                raise ValueError(f"start {self.start[:2]} lies outside the domain")
-            if self.start[2] < 0.0:
-                raise ValueError(f"start altitude {self.start[2]} lies below the floor (z = 0)")
-
-    @property
-    def initial_level(self) -> int:
-        return self.model.levels if self.baseline == "single-fidelity-only" else 1
-
-    def start_position(self) -> tuple[float, float, float]:
-        if self.start is not None:
-            return self.start
-        return (self.domain.x_min, self.domain.y_min, self.model.z[self.initial_level - 1])
-
-    def limits(self) -> PlanLimits:
-        return PlanLimits(sigma_ratio=self.sigma_ratio, sample_cap=self.epoch_sample_cap)
-
-    def params(self) -> ConfidenceParams:
-        return ConfidenceParams(delta=self.delta, th=self.th)
-
-    def to_flat_dict(self) -> dict:
-        """The flat ``section.key`` values that ``resolve_config`` reads back."""
-        d = {}
-
-        def put(obj, section, level=None):
-            for key, f, _ in _config_fields(type(obj), section, level):
-                value = getattr(obj, f.name)
-                d[key] = value if level is None else value[level - 1]
-
-        put(self.domain, "domain")
-        d["model.levels"] = self.model.levels
-        for m in range(1, self.model.levels + 1):
-            put(self.model, "model", m)
-        put(self, "mission")
-        if self.start is not None:
-            d.update(zip(_START_KEYS, self.start))
-        if self.mode == "planted":
-            put(self, "planted")
-            d["planted.bumps"] = len(self.bumps)
-            for k, b in enumerate(self.bumps, start=1):
-                put(b, f"planted.bump_{k}")
-        return d
 
 
 @dataclass

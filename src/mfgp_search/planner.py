@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_model import FidelityModel
+from .config import FidelityModel, PlanLimits
 from .inference import PosteriorField, _WorkingSet, append_sample_variance_only
 
 # Band below the maximum variance within which candidates count as tied,
@@ -83,18 +83,6 @@ class PlannedSample:
 
 
 @dataclass(frozen=True)
-class PlanLimits:
-    sigma_ratio: float = 0.75
-    sample_cap: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma_ratio <= 1.0:
-            raise ValueError("sigma_ratio must be in (0, 1]")
-        if self.sample_cap < 1:
-            raise ValueError("sample_cap must be positive")
-
-
-@dataclass(frozen=True)
 class EpochPlan:
     """One epoch's ordered sampling points with assigned fidelities."""
 
@@ -127,7 +115,7 @@ def _greedy_steps(posterior: PosteriorField, level: int, columns: np.ndarray, st
     that appends in place; a pivot breakdown goes through
     ``append_sample_variance_only``, which refactorizes.
     """
-    working = _WorkingSet(posterior, columns, steps)
+    working = _WorkingSet(posterior, columns)
     band = TIE_RTOL * posterior.model.prior_variance()
     cells = working.columns.tolist()
     max_var = float(np.maximum.reduce(working.sigma2))
@@ -136,7 +124,7 @@ def _greedy_steps(posterior: PosteriorField, level: int, columns: np.ndarray, st
         cell, fidelity, picked = cells[local], level, float(working.sigma2[local])
         if not working.add(local, fidelity):
             snapshot = append_sample_variance_only(working.snapshot(), cell, fidelity)
-            working = _WorkingSet(snapshot, columns, steps - k - 1)
+            working = _WorkingSet(snapshot, columns)
         max_var = float(np.maximum.reduce(working.sigma2))
         level = _advance(posterior.model, level, max_var)
         yield cell, fidelity, picked, max_var, level

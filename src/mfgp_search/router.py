@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_model import FidelityModel, GridDomain, GroundTruth, measure_cells
+from .config import FidelityModel, GridDomain
+from .field_model import GroundTruth, measure_cells
 from .inference import SampleLog
 from .planner import EpochPlan
 

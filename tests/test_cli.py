@@ -17,10 +17,10 @@ from mfgp_search.cli import (
     cmd_run,
     load_config,
     main,
-    parse_config_text,
     resolve_config,
     write_manifest,
 )
+from mfgp_search.config import parse_config_text
 
 REPO = Path(__file__).resolve().parent.parent
 DESK = REPO / "configs" / "desk.cfg"
@@ -552,6 +552,30 @@ def test_validate_and_run_need_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "truth_f1.csv").exists()
+
+
+NO_NUMPY = """
+import sys
+from pathlib import Path
+
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from mfgp_search.config import load_config, resolve_config
+
+for name in ("desk", "planted"):
+    config, bench = resolve_config(load_config(Path("configs") / f"{name}.cfg"))
+    flat = {**config.to_flat_dict(), **{f"bench.{k}": v for k, v in bench.items()}}
+    assert resolve_config({k: str(v) for k, v in flat.items()}) == (config, bench), name
+"""
+
+
+def test_config_resolves_and_round_trips_without_numpy():
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], cwd=repo, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 BLAS_PIN = """

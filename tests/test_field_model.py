@@ -434,6 +434,29 @@ class TestMeasure:
             measure_cells(self.truth, [self.cell(5)], m, self.model, np.random.default_rng(0))
 
 
+# a fraction, a whole float and a bool: none is an int or a numpy integer
+NOT_INTEGERS = [1.5, 2.0, True]
+
+
+@pytest.mark.parametrize("level", NOT_INTEGERS)
+def test_every_level_check_refuses_a_level_that_is_not_an_integer(level):
+    domain = GridDomain(0.0, 10.0, 0.0, 10.0, 10)
+    model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.2, 0.1), z=(8.0, 4.0))
+    truth = sample_ground_truth(domain, model, seed=1)
+    x = np.zeros(2)
+    for call in (
+        lambda: model.prior_variance(level),
+        lambda: model.inaccessible_variance(level),
+        lambda: model.switch_threshold(level),
+        lambda: kernel_eval(level, x, x, model),
+        lambda: measure_cells(truth, [5], level, model, np.random.default_rng(0)),
+        lambda: truth.level_field(level),
+    ):
+        with pytest.raises(ValueError, match=f"fidelity level {level} is not an integer"):
+            call()
+    assert model.prior_variance(np.int64(2)) == model.prior_variance(2)
+
+
 class TestExports:
     def test_grid_csv_and_pgm(self, tmp_path):
         domain = GridDomain(0.0, 4.0, 0.0, 4.0, 4)

@@ -243,7 +243,7 @@ class TestCrossCovariance:
         assert np.shares_memory(windows(table), table)
         post = posterior(SampleLog(small_domain), two_level)
         for _ in range(2):
-            assert _WorkingSet(post, post.columns, 1)._reflected.base is table
+            assert _WorkingSet(post, post.columns)._reflected.base is table
 
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)

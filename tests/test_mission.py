@@ -28,6 +28,7 @@ from mfgp_search import (
     run_mission,
     run_missions,
 )
+from mfgp_search.config import BASELINES
 from mfgp_search.formats import dump_json
 
 from oracles import reference_mission
@@ -272,6 +273,19 @@ class TestRunMission:
             with pytest.raises(ValueError):
                 MissionConfig(**{**base, **bad})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_int_fields_refuse_what_is_not_an_integer(self, small_domain, small_model, value):
+        base = dict(domain=small_domain, model=small_model, delta=0.1, th=0.3)
+        for name in ("seed", "max_epochs", "epoch_sample_cap"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+                MissionConfig(**base, **{name: value})
+        with pytest.raises(ValueError, match=f"sample_cap must be an integer, got {value}"):
+            PlanLimits(sample_cap=value)
+        with pytest.raises(ValueError, match="resolution must be a positive integer"):
+            GridDomain(0, 4, 0, 4, value)
+        config = MissionConfig(**base, seed=np.int64(3), max_epochs=np.int64(2))
+        assert config.seed == 3 and config.max_epochs == 2
+
     def test_shapes_the_config_reader_cannot_produce_refused(self, small_model):
         with pytest.raises(ValueError, match="resolution"):
             GridDomain(0, 4, 0, 4, 2.5)  # 6.25 cells
@@ -332,7 +346,7 @@ def small_missions(draw):
         th=draw(st.sampled_from([0.0, 0.3, 0.5])),
         seed=draw(st.integers(0, 2**16)),
         mode=mode,
-        baseline=draw(st.sampled_from(mission.BASELINES)),
+        baseline=draw(st.sampled_from(BASELINES)),
         epoch_sample_cap=draw(st.integers(1, 12)),
         max_epochs=draw(st.integers(1, 5)),
         sigma_ratio=draw(st.sampled_from([0.5, 0.75, 0.95])),

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +286,34 @@ class TestPlanEpoch:
         cands = np.arange(grid20.n_cells)
         with pytest.raises(ValueError, match=rf"fidelity level {level} out of range \[1, 2\]"):
             plan_epoch(post, level, PlanLimits(sigma_ratio=0.3), cands)
+
+    @pytest.mark.parametrize("level", [1.5, 2.0, True])
+    def test_level_that_is_not_an_integer_refused(self, grid20, m2_model, level):
+        post = posterior(SampleLog(grid20), m2_model)
+        cands = np.arange(grid20.n_cells)
+        for call in (
+            lambda: plan_epoch(post, level, PlanLimits(sigma_ratio=0.3), cands),
+            lambda: update_fidelity(level, post),
+            lambda: append_sample_variance_only(post, 3, level),
+        ):
+            with pytest.raises(ValueError, match=f"fidelity level {level} is not an integer"):
+                call()
+
+    def test_working_set_holds_only_the_rows_it_fills(self, grid20, m2_model):
+        # a cap of 10**8 samples reserves nothing up front: the buffers start
+        # at 16 rows on an empty log and double, so the peak follows the
+        # rows planned (a reservation of the cap would ask for 320 GB)
+        post = posterior(SampleLog(grid20), m2_model)
+        row = 8 * grid20.n_cells
+        for steps in (10, 150):
+            tracemalloc.start()
+            try:
+                for _ in itertools.islice(planner._greedy_steps(post, 1, post.columns, 10**8), steps):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * row * max(steps, 16), (steps, peak / row)
 
     def test_empty_candidates_raise(self, grid20, m1_model):
         post = posterior(SampleLog(grid20), m1_model)
