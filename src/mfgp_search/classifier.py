@@ -25,8 +25,6 @@ class Label(IntEnum):
 
 
 LABEL_NAMES = {Label.UNCERTAIN: "uncertain", Label.EMPTY: "empty", Label.TARGET: "target"}
-# tri-level occupancy PGM: empty dark, uncertain mid, target bright
-_PGM_LEVELS = {Label.EMPTY: 0, Label.UNCERTAIN: 128, Label.TARGET: 255}
 
 
 def c_value(epsilon: float) -> float:
@@ -133,22 +131,3 @@ def check_termination(cmap: ClassificationMap, fraction: float = 0.99) -> bool:
     """Mission is done once the classified fraction reaches the threshold."""
     return cmap.classified_fraction() >= fraction
 
-
-def occupancy_rows(cmap: ClassificationMap):
-    """(x, y, label, epoch, time) per cell, row-major."""
-    centers = cmap.domain.cell_centers
-    for i in range(cmap.domain.n_cells):
-        yield (
-            centers[i, 0],
-            centers[i, 1],
-            LABEL_NAMES[Label(int(cmap.labels[i]))],
-            int(cmap.epoch[i]),
-            float(cmap.time[i]),
-        )
-
-
-def occupancy_pgm(cmap: ClassificationMap) -> np.ndarray:
-    levels = np.zeros(cmap.domain.n_cells, dtype=int)
-    for lab, value in _PGM_LEVELS.items():
-        levels[cmap.labels == lab] = value
-    return levels.reshape(cmap.domain.resolution, cmap.domain.resolution)

@@ -18,14 +18,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import __version__
 from ._linalg import NumericalError
-from .classifier import occupancy_pgm, occupancy_rows
+from .classifier import LABEL_NAMES
 from .config import ConfigError, MissionConfig, apply_overrides, load_config, resolve_config
-from .field_model import field_to_grid
 from .formats import dump_json, fmt, write_csv, write_grid_csv, write_pgm
 from .inference import diagnostics_lines
 from .mission import compare_decay, detection_time_study, run_mission
 
 MANIFEST_SCHEMA_VERSION = 1
+# occupancy.pgm's grey level per Label value: uncertain mid, empty dark, target bright
+_OCCUPANCY_GREY = (128, 0, 255)
 
 
 def _config_of(args) -> tuple[MissionConfig, dict]:
@@ -63,17 +64,23 @@ def write_manifest(
     (out_dir / "manifest.json").write_text(dump_json(manifest))
 
 
+def _write_occupancy(out_dir: Path, cmap):
+    """occupancy.csv and occupancy.pgm of a classification map."""
+    labels = cmap.labels.tolist()
+    names = [LABEL_NAMES[v] for v in labels]
+    write_grid_csv(
+        out_dir / "occupancy.csv", cmap.domain, label=names, epoch=cmap.epoch, time=cmap.time
+    )
+    grey = [_OCCUPANCY_GREY[v] for v in labels]
+    write_pgm(out_dir / "occupancy.pgm", cmap.domain, grey, lo=0, hi=255)
+
+
 def _write_run_outputs(out_dir: Path, report):
     config = report.config
     (out_dir / "report.json").write_text(dump_json(report.to_json_dict()))
-    write_csv(
-        out_dir / "occupancy.csv",
-        ["x", "y", "label", "epoch", "time"],
-        occupancy_rows(report.final_map),
-    )
-    write_pgm(out_dir / "occupancy.pgm", occupancy_pgm(report.final_map), lo=0, hi=255)
-    write_grid_csv(out_dir / "mean.csv", config.domain, report.posterior_mu)
-    write_grid_csv(out_dir / "variance.csv", config.domain, report.posterior_sigma2)
+    _write_occupancy(out_dir, report.final_map)
+    write_grid_csv(out_dir / "mean.csv", config.domain, value=report.posterior_mu)
+    write_grid_csv(out_dir / "variance.csv", config.domain, value=report.posterior_sigma2)
     write_csv(
         out_dir / "plans.csv",
         ["epoch", "order", "x", "y", "fidelity", "sigma_before"],
@@ -88,11 +95,9 @@ def _write_run_outputs(out_dir: Path, report):
     lines = diagnostics_lines(report.log, config.model)
     (out_dir / "samples.log").write_text("\n".join(lines) + "\n" if lines else "")
     for m in range(1, config.model.levels + 1):
-        write_grid_csv(out_dir / f"truth_f{m}.csv", config.domain, report.truth.level_field(m))
-        write_pgm(
-            out_dir / f"truth_f{m}.pgm",
-            field_to_grid(config.domain, report.truth.level_field(m)),
-        )
+        field = report.truth.level_field(m)
+        write_grid_csv(out_dir / f"truth_f{m}.csv", config.domain, value=field)
+        write_pgm(out_dir / f"truth_f{m}.pgm", config.domain, field)
 
 
 def cmd_run(args) -> int:
@@ -128,14 +133,7 @@ def cmd_bench(args) -> int:
     )
     seeds = range(config.seed, config.seed + bench["seeds"])
     table = detection_time_study(config, seeds, delta_bins=bench["delta_bins"])
-    write_csv(
-        out_dir / "detection_time.csv",
-        ["bin", "delta_min", "delta_max", "mean_time", "classified", "censored"],
-        (
-            (r["bin"], r["delta_min"], r["delta_max"], r["mean_time"], r["classified"], r["censored"])
-            for r in table.rows
-        ),
-    )
+    write_csv(out_dir / "detection_time.csv", list(table.rows[0]), map(dict.values, table.rows))
     print(f"bench complete: decay.csv, detection_time.csv in {out_dir}")
     return 0
 

@@ -175,7 +175,3 @@ def measure_cells(truth: GroundTruth, cells, m: int, model: FidelityModel, rng) 
     model._check_level(m)
     return truth.level_field(m)[cells] + rng.normal(0.0, model.s[m - 1], size=len(cells))
 
-
-def field_to_grid(domain: GridDomain, values: np.ndarray) -> np.ndarray:
-    """Reshape a row-major cell vector to a (resolution, resolution) grid."""
-    return np.asarray(values).reshape(domain.resolution, domain.resolution)

@@ -109,19 +109,30 @@ def write_csv(path, header: list[str], rows):
     Path(path).write_text(",".join(header) + "\n" + body)
 
 
-def write_grid_csv(path, domain: GridDomain, values):
-    """Row-major per-cell grid dump with an x,y,value header."""
-    centers = domain.cell_centers
+def _per_cell(domain: GridDomain, values, name: str) -> np.ndarray:
+    """``values`` as an array, or a ValueError that calls them ``name``
+    unless they hold one value per cell of ``domain``."""
     values = np.asarray(values)
     if values.shape != (domain.n_cells,):
-        raise ValueError(f"need one value per cell: shape ({domain.n_cells},), got {values.shape}")
-    rows = zip(centers[:, 0].tolist(), centers[:, 1].tolist(), values.tolist())
-    write_csv(path, ["x", "y", "value"], rows)
+        raise ValueError(
+            f"{name} must hold one value per cell: shape ({domain.n_cells},), got {values.shape}"
+        )
+    return values
 
 
-def write_pgm(path, grid: np.ndarray, lo: float | None = None, hi: float | None = None):
-    """ASCII PGM (P2) of a 2D grid, linearly scaled to [0, 255]."""
-    grid = np.asarray(grid, dtype=float)
+def write_grid_csv(path, domain: GridDomain, **columns):
+    """Row-major per-cell rows: the cell centre's x, y and then one column
+    per keyword, named by it and holding one value per cell."""
+    centers = domain.cell_centers
+    values = [centers[:, 0].tolist(), centers[:, 1].tolist()]
+    values += [_per_cell(domain, v, f"column {k!r}").tolist() for k, v in columns.items()]
+    write_csv(path, ["x", "y", *columns], zip(*values))
+
+
+def write_pgm(path, domain: GridDomain, values, lo: float | None = None, hi: float | None = None):
+    """ASCII PGM (P2) of one value per cell, row-major, linearly scaled to [0, 255]."""
+    grid = _per_cell(domain, values, "values").astype(float)
+    grid = grid.reshape(domain.resolution, domain.resolution)
     lo = float(np.min(grid)) if lo is None else lo
     hi = float(np.max(grid)) if hi is None else hi
     if hi <= lo:

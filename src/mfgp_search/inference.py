@@ -39,6 +39,13 @@ SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring f
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
 
 
+def _is_whole(value) -> bool:
+    """A cell index or level as a record may carry it: an integer or a
+    whole float (3 or 3.0), never a bool (True, np.True_ or a 0-d bool
+    array), which float() would read as 1."""
+    return getattr(value, "dtype", type(value)) != bool and float(value).is_integer()
+
+
 class SampleLog:
     """Ordered (cell, value, fidelity) records collected by the vehicle.
 
@@ -64,15 +71,16 @@ class SampleLog:
     def extend(self, cells, values, fidelity: int):
         """Append one record per flat cell index in ``cells``, with the
         matching entry of ``values``, all at level ``fidelity``.  A cell
-        index that is not a whole number or a value that is not finite is
-        refused, naming its entry, and so is a fidelity that is not a whole
-        number.  A whole float (cell 3.0, level 2.0) passes here, where the
-        model's level checks refuse it: records may enter as floats read
-        back from an array, and the log stores each as an int once, so
-        every reader of the log gets integers."""
+        index that is not a whole number (``_is_whole``; a bool is not) or a
+        value that is not finite is refused, naming its entry, and so is a
+        fidelity that is not a whole number.  A whole float (cell 3.0,
+        level 2.0) passes here, where the model's level checks refuse it:
+        records may enter as floats read back from an array, and the log
+        stores each as an int once, so every reader of the log gets
+        integers."""
         index = []
         for k, c in enumerate(cells):
-            if not float(c).is_integer():
+            if not _is_whole(c):
                 raise ValueError(f"cell index {c} at entry {k} is not a whole number")
             index.append(int(c))
         values = np.asarray(values, dtype=float)
@@ -84,7 +92,7 @@ class SampleLog:
             raise ValueError(f"value {values[k]} at entry {k} is not finite")
         if index and not (0 <= min(index) and max(index) < self.domain.n_cells):
             raise ValueError(f"cell index out of range [0, {self.domain.n_cells})")
-        if not float(fidelity).is_integer():
+        if not _is_whole(fidelity):
             raise ValueError(f"fidelity level {fidelity} is not a whole number")
         if fidelity < 1:
             raise ValueError(f"fidelity level {fidelity} out of range: levels start at 1")
@@ -396,16 +404,16 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
     """Add a hypothetical sample at the flat cell index ``cell`` and level
     ``m_new`` to the variance.
 
-    ``cell`` must be one whole number (3.0 passes) among the snapshot's
-    columns, and ``m_new`` at least the level of the last record.  Runs the
-    working-set step (``_WorkingSet.add``) on a copy of this snapshot's
-    rows, in O(n * len(columns)) and without a factor.  The variance of the
+    ``cell`` must be one whole number (3.0 passes, True does not) among the
+    snapshot's columns, and ``m_new`` at least the level of the last record.
+    Runs the working-set step (``_WorkingSet.add``) on a copy of this
+    snapshot's rows, in O(n * len(columns)) and without a factor.  The variance of the
     result matches a full recompute with the extended log (observed values
     are irrelevant to the variance).  If the new pivot breaks down numerically,
     falls back to a full refactorization with placeholder observations,
     restricted to the same columns.
     """
-    if np.ndim(cell) != 0 or not float(cell).is_integer():
+    if np.ndim(cell) != 0 or not _is_whole(cell):
         raise ValueError(f"cell {cell!r} is not one whole-number cell index")
     cell = int(cell)
     state.model._check_level(m_new)
@@ -449,8 +457,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     _check_top_level(log, model)
     cov = windows(covariance_tables(log.domain, model))
     mrec = log.fidelities()
-    flat, col = np.unique(log.cell_indices(), return_inverse=True)
-    rows, cols = np.divmod(flat, log.domain.resolution)  # the distinct cells
+    flat, col = np.unique(log.cell_indices(), return_inverse=True)  # the distinct cells
     _, var, noise = model._moments
     s2 = noise[mrec]
     d = var[mrec] + s2
@@ -459,7 +466,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     for start in range(0, n, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at = col[block]
-        x = cov[mrec[block, None] - 1, rows[at, None], cols[at, None], rows, cols]
+        x = _grid_cov(cov, flat[at], mrec[block])[:, flat]
         x -= gram[at]
         linv, pivots = _block_factor(x, at, d[block] - gram[at, at], "information-chain", start, 0.0)
         wb = linv @ x

@@ -649,12 +649,14 @@ def per_value_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_value_grid_csv(domain, values) -> str:
-    """x,y,value CSV text of a per-cell array, one cell at a time."""
+def per_value_grid_csv(domain, **columns) -> str:
+    """x, y and named-column CSV text of per-cell arrays, one cell at a time."""
     centers = domain.cell_centers
-    values = np.asarray(values)
-    rows = ((centers[i, 0], centers[i, 1], values[i]) for i in range(domain.n_cells))
-    return per_value_csv(["x", "y", "value"], rows)
+    values = [np.asarray(v) for v in columns.values()]
+    rows = (
+        (centers[i, 0], centers[i, 1], *(v[i] for v in values)) for i in range(domain.n_cells)
+    )
+    return per_value_csv(["x", "y", *columns], rows)
 
 
 def sample_log_lines(X, mrec, var_before, terms) -> list[str]:

@@ -19,7 +19,7 @@ from mfgp_search import (
     run_missions,
     sample_ground_truth,
 )
-from mfgp_search.classifier import occupancy_pgm, occupancy_rows
+from mfgp_search.cli import _write_occupancy
 
 
 class TestConfidenceInterval:
@@ -220,7 +220,7 @@ class TestCoverageProperty:
 
 
 class TestExports:
-    def test_occupancy_rows_and_pgm(self, setup):
+    def test_occupancy_rows_and_pgm(self, setup, tmp_path):
         domain, model = setup
         log = SampleLog(domain)
         for _ in range(30):
@@ -229,12 +229,17 @@ class TestExports:
         cmap = classify_epoch(
             post, ClassificationMap.initial(domain), ConfidenceParams(0.1, 0.5), 1, 3.5
         )
-        rows = list(occupancy_rows(cmap))
+        _write_occupancy(tmp_path, cmap)
+        header, *rows = (tmp_path / "occupancy.csv").read_text().splitlines()
+        assert header == "x,y,label,epoch,time"
+        rows = [r.split(",") for r in rows]
         assert len(rows) == domain.n_cells
         labels = {r[2] for r in rows}
         assert labels <= {"uncertain", "empty", "target"}
         target_row = rows[44]
-        assert target_row[2] == "target" and target_row[3] == 1 and target_row[4] == 3.5
-        img = occupancy_pgm(cmap)
-        assert img.shape == (10, 10)
-        assert img.ravel()[44] == 255
+        assert [float(v) for v in target_row[:2]] == domain.cell_centers[44].tolist()
+        assert target_row[2:] == ["target", "1", "3.5"]
+        magic, width, height, top, *img = (tmp_path / "occupancy.pgm").read_text().split()
+        assert (magic, width, height, top) == ("P2", "10", "10", "255")
+        assert len(img) == domain.n_cells
+        assert img[44] == "255"

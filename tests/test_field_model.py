@@ -18,7 +18,6 @@ from mfgp_search.formats import write_grid_csv, write_pgm
 from mfgp_search.field_model import (
     _gaussian_blur,
     covariance_tables,
-    field_to_grid,
     measure_cells,
     windows,
 )
@@ -221,7 +220,7 @@ class TestGroundTruth:
         truth = sample_ground_truth(
             self.domain, self.model, seed=5, mode="planted", bumps=(Bump(10.5, 10.5, 1.0, 2.0),)
         )
-        top = field_to_grid(self.domain, truth.f[-1])
+        top = truth.f[-1].reshape(self.domain.resolution, self.domain.resolution)
         for m in range(1, self.model.levels):
             l = self.model.l[m - 1]
             blurred = _gaussian_blur(top, (l / self.domain.cell_dy, l / self.domain.cell_dx))
@@ -260,7 +259,7 @@ class TestGroundTruth:
             bumps=(Bump(10.5, 10.5, 1.0, 2.0),),
         )
         def roughness(level):
-            g = field_to_grid(self.domain, truth.f[level])
+            g = truth.f[level].reshape(self.domain.resolution, self.domain.resolution)
             return np.abs(np.diff(g, axis=0)).mean() + np.abs(np.diff(g, axis=1)).mean()
         assert roughness(0) < roughness(1)
 
@@ -462,14 +461,14 @@ class TestExports:
         domain = GridDomain(0.0, 4.0, 0.0, 4.0, 4)
         values = np.arange(16, dtype=float)
         csv_path = tmp_path / "field.csv"
-        write_grid_csv(csv_path, domain, values)
+        write_grid_csv(csv_path, domain, value=values)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "x,y,value"
         assert len(lines) == 17
         assert lines[1].split(",")[2] == "0"
 
         pgm_path = tmp_path / "field.pgm"
-        write_pgm(pgm_path, field_to_grid(domain, values))
+        write_pgm(pgm_path, domain, values)
         head = pgm_path.read_text().splitlines()
         assert head[0] == "P2"
         assert head[1] == "4 4"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgp_search import GridDomain, SampleLog, inference
-from mfgp_search.formats import dump_json, fmt, write_csv, write_grid_csv
+from mfgp_search.formats import dump_json, fmt, write_csv, write_grid_csv, write_pgm
 from mfgp_search.inference import _chain_terms, diagnostics_lines
 
 from conftest import random_mixed_log
@@ -110,14 +110,25 @@ class TestGridCsv:
             info = np.iinfo(dtype)
             ints = st.integers(int(info.min), int(info.max))
             values = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), dtype=dtype)
+        columns = {"value": values}
+        if data.draw(st.booleans(), label="occupancy columns"):
+            # string, int and float columns side by side, as occupancy.csv holds them
+            columns["label"] = data.draw(st.lists(TEXT, min_size=n, max_size=n))
+            columns["epoch"] = np.array(data.draw(st.lists(INT64, min_size=n, max_size=n)))
+            columns["time"] = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
         path = out_dir / "grid.csv"
-        write_grid_csv(path, domain, values)
-        assert path.read_bytes() == per_value_grid_csv(domain, values).encode()
+        write_grid_csv(path, domain, **columns)
+        assert path.read_bytes() == per_value_grid_csv(domain, **columns).encode()
 
     def test_one_value_per_cell(self, out_dir):
         domain = GridDomain(0.0, 4.0, 0.0, 4.0, 4)
-        with pytest.raises(ValueError):
-            write_grid_csv(out_dir / "short.csv", domain, np.zeros(15))
+        with pytest.raises(ValueError, match="column 'time' must hold one value per cell"):
+            write_grid_csv(out_dir / "short.csv", domain, value=np.zeros(16), time=np.zeros(15))
+        with pytest.raises(ValueError, match="one value per cell"):
+            write_pgm(out_dir / "short.pgm", domain, np.zeros(15))
+        with pytest.raises(ValueError, match="one value per cell"):
+            write_pgm(out_dir / "square.pgm", domain, np.zeros((4, 4)))
+        assert not any((out_dir / f).exists() for f in ("short.csv", "short.pgm", "square.pgm"))
 
 
 JSON_SCALARS = st.one_of(

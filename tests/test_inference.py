@@ -103,6 +103,9 @@ class TestSampleLog:
             ([1, float("nan")], [0.0, 0.0], "cell index nan at entry 1 is not a whole number"),
             ([3, 4], [0.5, float("nan")], "value nan at entry 1 is not finite"),
             ([3, 4], [-np.inf, 0.5], "value -inf at entry 0 is not finite"),
+            # float(True) is 1.0: a bool would log cell 1
+            ([True, np.True_], [0.1, 0.2], "cell index True at entry 0 is not a whole number"),
+            ([1, np.True_], [0.1, 0.2], "cell index True at entry 1 is not a whole number"),
         ],
     )
     def test_extend_refuses_bad_records(self, small_domain, cells, values, message):
@@ -111,9 +114,9 @@ class TestSampleLog:
             log.extend(cells, values, 1)
         assert len(log) == 0
 
-    @pytest.mark.parametrize("fidelity", [1.5, np.float64(2.25), float("nan")])
+    @pytest.mark.parametrize("fidelity", [1.5, np.float64(2.25), float("nan"), True, np.True_])
     def test_extend_refuses_a_fractional_fidelity(self, small_domain, fidelity):
-        # int() would store 1.5 as level 1
+        # int() would store 1.5 or True as level 1
         log = SampleLog(small_domain)
         with pytest.raises(ValueError, match=f"fidelity level {fidelity} is not a whole number"):
             log.extend([3], [0.5], fidelity)
@@ -453,9 +456,10 @@ class TestAppendVarianceOnly:
         with pytest.raises(ValueError, match="outside"):
             restrict(part, np.array([1, 6]))
 
-    @pytest.mark.parametrize("cell", [(3.0, 5.0), [3], 2.5])
+    @pytest.mark.parametrize("cell", [(3.0, 5.0), [3], 2.5, True, np.True_, np.array(True)])
     def test_append_refuses_what_is_not_one_whole_cell(self, small_domain, two_level, cell):
-        # a coordinate pair of two columns, a one-cell list and a fraction
+        # a coordinate pair of two columns, a one-cell list, a fraction and
+        # bools, which float() would read as cell 1
         post = posterior(SampleLog(small_domain), two_level)
         with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not one whole"):
             append_sample_variance_only(post, cell, 1)
