@@ -8,68 +8,82 @@ empty regions, and reports detection times — all against a built-in
 synthetic simulator.
 """
 
-import importlib
+# Importing the package loads no numpy: every module reads it from ``_np``,
+# which binds it lazily, so the CLI pins the BLAS thread count before it loads.
+from ._linalg import NumericalError
+from .classifier import (
+    ClassificationMap,
+    Label,
+    c_value,
+    check_termination,
+    classify_epoch,
+    confidence_interval,
+)
+from .config import Bump, ConfidenceParams, FidelityModel, GridDomain, MissionConfig, PlanLimits
+from .field_model import GroundTruth, kernel_eval, sample_ground_truth
+from .inference import (
+    PosteriorField,
+    SampleLog,
+    append_sample_variance_only,
+    greedy_info_gain,
+    posterior,
+)
+from .mission import (
+    DecayCurves,
+    DetectionTimeTable,
+    MissionReport,
+    compare_decay,
+    detection_time_study,
+    run_mission,
+    run_missions,
+)
+from .planner import (
+    EpochPlan,
+    PlanningComplete,
+    plan_epoch,
+    select_next_point,
+    update_fidelity,
+)
+from .router import Tour, build_tour, execute_epoch, plan_tours
 
 __version__ = "0.1.0"
 
-# Public names and the submodule of each.  They load on first access (PEP
-# 562), so importing the package loads no numpy: the CLI pins the BLAS
-# thread count before numpy's first import.
-_EXPORTS = {
-    "_linalg": ("NumericalError",),
-    "classifier": (
-        "ClassificationMap",
-        "Label",
-        "c_value",
-        "check_termination",
-        "classify_epoch",
-        "confidence_interval",
-    ),
-    "config": (
-        "Bump",
-        "ConfidenceParams",
-        "FidelityModel",
-        "GridDomain",
-        "MissionConfig",
-        "PlanLimits",
-    ),
-    "field_model": ("GroundTruth", "kernel_eval", "sample_ground_truth"),
-    "inference": (
-        "PosteriorField",
-        "SampleLog",
-        "append_sample_variance_only",
-        "greedy_info_gain",
-        "posterior",
-    ),
-    "mission": (
-        "DecayCurves",
-        "DetectionTimeTable",
-        "MissionReport",
-        "compare_decay",
-        "detection_time_study",
-        "run_mission",
-        "run_missions",
-    ),
-    "planner": (
-        "EpochPlan",
-        "PlanningComplete",
-        "plan_epoch",
-        "select_next_point",
-        "update_fidelity",
-    ),
-    "router": ("Tour", "build_tour", "execute_epoch", "plan_tours"),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted(_MODULE_OF)
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "Bump",
+    "ClassificationMap",
+    "ConfidenceParams",
+    "DecayCurves",
+    "DetectionTimeTable",
+    "EpochPlan",
+    "FidelityModel",
+    "GridDomain",
+    "GroundTruth",
+    "Label",
+    "MissionConfig",
+    "MissionReport",
+    "NumericalError",
+    "PlanLimits",
+    "PlanningComplete",
+    "PosteriorField",
+    "SampleLog",
+    "Tour",
+    "append_sample_variance_only",
+    "build_tour",
+    "c_value",
+    "check_termination",
+    "classify_epoch",
+    "compare_decay",
+    "confidence_interval",
+    "detection_time_study",
+    "execute_epoch",
+    "greedy_info_gain",
+    "kernel_eval",
+    "plan_epoch",
+    "plan_tours",
+    "posterior",
+    "run_mission",
+    "run_missions",
+    "sample_ground_truth",
+    "select_next_point",
+    "update_fidelity",
+]

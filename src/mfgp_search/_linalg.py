@@ -1,6 +1,8 @@
 """Shared dense linear-algebra helpers: the jittered Cholesky and its error."""
 
-import numpy as np
+from __future__ import annotations
+
+from ._np import np
 
 DEFAULT_JITTER = 1e-10
 

@@ -8,12 +8,13 @@ tolerance each epoch keeps the total misclassification probability of any
 cell below delta.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
+from ._np import np
 from .config import ConfidenceParams, GridDomain
 from .inference import PosteriorField
 

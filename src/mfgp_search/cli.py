@@ -12,12 +12,14 @@ from pathlib import Path
 
 # BLAS splits a product differently on another thread count, which changes
 # its roundoff, so the artifacts are byte-stable only on a fixed count.  The
-# pools read these when numpy first loads, and the package imports none.
+# pools read these when numpy first loads, and importing the package loads
+# none (``_np``): ``run`` and ``bench`` load it in ``_open_out``.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from . import __version__
 from ._linalg import NumericalError
+from ._np import load_numpy
 from .classifier import LABEL_NAMES
 from .config import ConfigError, MissionConfig, apply_overrides, load_config, resolve_config
 from .formats import dump_json, fmt, write_csv, write_grid_csv, write_pgm
@@ -36,7 +38,10 @@ def _config_of(args) -> tuple[MissionConfig, dict]:
 
 
 def _open_out(args, config: MissionConfig, bench: dict) -> Path:
-    """Create the command's --out directory and write its manifest.json there."""
+    """Load numpy, then create the command's --out directory and write its
+    manifest.json there.  A numpy that cannot load fails before anything is
+    written, and the library calls that follow do not pay for its import."""
+    load_numpy()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, Path(args.config), config, args.set or [], bench)

@@ -6,12 +6,13 @@ check their own inputs.  Their float, int and str fields are the keys of the
 flat ``section.key = value`` text (``_config_fields``): ``resolve_config``
 reads them and ``MissionConfig.to_flat_dict`` writes them.  The module loads
 no numpy; the array members (``GridDomain.cell_centers``,
-``FidelityModel._moments``) import it on first use.
+``FidelityModel._moments``) read it from ``_np`` on first use.
 """
 
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -67,7 +68,7 @@ class GridDomain:
     @cached_property
     def cell_centers(self):
         """(n_cells, 2) read-only array of cell-center coordinates, row-major."""
-        import numpy as np
+        from ._np import np
 
         xs = self.x_min + (np.arange(self.resolution) + 0.5) * self.cell_dx
         ys = self.y_min + (np.arange(self.resolution) + 0.5) * self.cell_dy
@@ -131,6 +132,11 @@ class FidelityModel:
             raise ValueError("altitudes z must be positive and strictly decreasing")
         if any(x <= 0 for x in self.s):
             raise ValueError("noise levels s must be positive")
+        for m, x in enumerate(self.s, start=1):
+            if x**2 < sys.float_info.min:
+                raise ValueError(
+                    f"noise level s_{m} = {x!r}: its square underflows (below sys.float_info.min)"
+                )
 
     @property
     def levels(self) -> int:
@@ -142,7 +148,7 @@ class FidelityModel:
         of mu_i for i <= m), prior variance (sum of v_i^2) and noise variance
         s_m^2; column 0 is unused.  The sums run left to right (``np.cumsum``)
         on every Python version, and the noise keeps Python's ``s ** 2``."""
-        import numpy as np
+        from ._np import np
 
         table = np.zeros((3, self.levels + 1))
         table[:, 1:] = np.cumsum(self.mu), np.cumsum(np.square(self.v)), [s**2 for s in self.s]
@@ -247,11 +253,22 @@ class ConfidenceParams:
         if not math.isfinite(self.th):
             raise ValueError("th must be finite")
 
+    @property
+    def last_epoch(self) -> int:
+        """The last epoch j whose tolerance delta / 2^j is a normal float (at
+        least ``sys.float_info.min``): 1018 at delta = 0.1."""
+        return math.frexp(self.delta)[1] - sys.float_info.min_exp
+
     def epsilon(self, epoch: int) -> float:
         """Per-epoch tolerance delta / 2^j; halves every epoch."""
         if epoch < 1:
             raise ValueError("epoch index starts at 1")
-        return self.delta / 2.0**epoch
+        if epoch > self.last_epoch:
+            raise ValueError(
+                f"epoch {epoch}: the tolerance delta / 2^{epoch} underflows "
+                f"(the last epoch at delta={self.delta!r} is {self.last_epoch})"
+            )
+        return math.ldexp(self.delta, -epoch)
 
 
 BASELINES = ("multi-fidelity", "single-fidelity-only")
@@ -305,6 +322,12 @@ class MissionConfig:
             raise ValueError("seed must be non-negative")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
+        last = self.params().last_epoch
+        if self.max_epochs > last:
+            raise ValueError(
+                f"max_epochs must be at most {last} at delta={self.delta!r}: the last "
+                "epoch's tolerance delta / 2^max_epochs is below sys.float_info.min"
+            )
         _check_truth_inputs(self.domain, self.mode, self.bumps, self.background)
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")

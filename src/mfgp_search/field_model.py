@@ -15,12 +15,13 @@ the prior draw factors the two R x R axis correlations and never the n x n
 kernel (Saatci 2011, ch. 5).
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ._linalg import jittered_cholesky
+from ._np import np
 from .config import Bump, FidelityModel, GridDomain, _check_fidelity_level, _check_truth_inputs
 
 

@@ -8,24 +8,29 @@ text ``fmt`` gives each number; ``fmt`` itself prints the scalars and
 booleans of JSON and the values ``validate`` lists.
 """
 
+from __future__ import annotations
+
 import json
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
+from ._np import np
 from .config import GridDomain
 
 
 def fmt(value) -> str:
-    """Canonical text for a number: 17 significant digits for floats."""
-    if isinstance(value, (bool, np.bool_)):
+    """Canonical text for a number: 17 significant digits for floats.  A
+    plain bool, int or float is printed without naming numpy, so printing
+    one (as ``validate`` does) loads none."""
+    if not isinstance(value, (bool, int, float)):
+        if not isinstance(value, (np.bool_, np.integer, np.floating)):
+            raise TypeError(f"not a number: {value!r}")
+        value = value.item()
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    raise TypeError(f"not a number: {value!r}")
+    return format(float(value), ".17g")
 
 
 def _spec(values) -> str | None:

@@ -26,12 +26,13 @@ rows, which the planner keeps open for a whole epoch; snapshots are made
 only at the API.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, replace
 from itertools import chain
 
-import numpy as np
-
 from ._linalg import DEFAULT_JITTER, NumericalError
+from ._np import np
 from .config import FidelityModel, GridDomain
 from .field_model import covariance_tables, windows
 

@@ -6,11 +6,12 @@ eliminate empty regions, and stop once enough of the floor is classified.
 Everything is deterministic given the mission seed.
 """
 
+from __future__ import annotations
+
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
+from ._np import np
 from .classifier import ClassificationMap, Label, check_termination, classify_epoch
 from .config import MissionConfig
 from .field_model import GroundTruth, sample_ground_truth

@@ -7,11 +7,12 @@ candidate cell) until the predicted maximum standard deviation drops to the
 configured fraction of its value at the epoch start, or a sample cap is hit.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .config import FidelityModel, PlanLimits
 from .inference import PosteriorField, _WorkingSet, append_sample_variance_only
 

@@ -9,11 +9,12 @@ tour distance is read from one distance matrix per tour
 (``_distance_matrix``): the tour keeps its legs, and the clock charges them.
 """
 
+from __future__ import annotations
+
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .config import FidelityModel, GridDomain
 from .field_model import GroundTruth, measure_cells
 from .inference import SampleLog

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,14 @@ class TestConfidenceParams:
         for a, b in zip(eps, eps[1:]):
             assert b == pytest.approx(a / 2)
         assert sum(params.epsilon(j) for j in range(1, 60)) == pytest.approx(0.1)
+
+    def test_epsilon_past_the_last_normal_tolerance_refused(self):
+        params = ConfidenceParams(delta=0.1, th=0.5)
+        assert params.last_epoch == 1018
+        assert params.epsilon(1018) == 0.1 / 2.0**1018 >= sys.float_info.min
+        for epoch in (1019, 1100):  # 0.1 / 2.0**1100 raised OverflowError
+            with pytest.raises(ValueError, match=f"epoch {epoch}: the tolerance"):
+                params.epsilon(epoch)
 
 
 @pytest.fixture

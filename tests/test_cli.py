@@ -92,6 +92,8 @@ REJECTED = [
     ({"planted.background": -0.1}, "planted mode only"),
     ({"mission.start_x": 1, "mission.start_y": 1, "mission.start_z": -3}, "below the floor"),
     ({"mission.start_x": "nan", "mission.start_y": 1, "mission.start_z": 8}, "start must be finite"),
+    ({"mission.max_epochs": 1019}, "max_epochs must be at most 1018"),
+    ({"model.s_1": 1e-200}, "s_1 = 1e-200: its square underflows"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse
 BENCH_REJECTED = [
@@ -404,6 +406,7 @@ VALID = {
     "mission.sigma_ratio": [0.75, 0.5, 1.0],
     "mission.sample_time": [1.0, 0.0],
     "mission.termination_fraction": [0.99, 0.5],
+    "mission.max_epochs": [4, 1018],  # 1018 at delta 0.1: the last normal tolerance
     "mission.epoch_sample_cap": [1, 5, 200],
     "mission.baseline": ["multi-fidelity", "single-fidelity-only"],
     "mission.mode": ["prior-draw", "planted"],
@@ -523,6 +526,16 @@ def test_manifest_round_trips_config_and_bench(kv):
     assert resolve_config(resolved) == (config, bench)
 
 
+def _python(script: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``python -c script *args`` in a fresh interpreter at the repository
+    root, with the package's sources first on its path."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=REPO, env=env, capture_output=True, text=True
+    )
+
+
 NO_SCIPY = """
 import sys
 
@@ -543,13 +556,7 @@ assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 
 
 def test_validate_and_run_need_no_scipy(tmp_path):
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out")],
-        cwd=repo, env=env, capture_output=True, text=True,
-    )
+    proc = _python(NO_SCIPY, str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "truth_f1.csv").exists()
 
@@ -569,38 +576,152 @@ for name in ("desk", "planted"):
 
 
 def test_config_resolves_and_round_trips_without_numpy():
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY], cwd=repo, env=env, capture_output=True, text=True
-    )
+    proc = _python(NO_NUMPY)
     assert proc.returncode == 0, proc.stderr
 
 
+# numpy is loaded once one of its submodules is: the lazy module that the
+# package registers as sys.modules["numpy"] imports numpy.linalg when it runs.
 BLAS_PIN = """
 import os
 import sys
 
 import mfgp_search
 
-assert "numpy" not in sys.modules, "importing the package loaded numpy"
+assert "numpy.linalg" not in sys.modules, "importing the package loaded numpy"
 import mfgp_search.cli
 
-assert "numpy" in sys.modules
-print(*(os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+assert "numpy.linalg" not in sys.modules, "importing the CLI loaded numpy"
+pins = [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
+mfgp_search.cli.load_numpy()
+assert "numpy.linalg" in sys.modules
+print(*pins)
 """
 
 
 def test_cli_pins_one_blas_thread_before_numpy_loads():
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", BLAS_PIN], cwd=repo, env=env, capture_output=True, text=True
-    )
+    proc = _python(BLAS_PIN, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "1"]
+
+
+EVERY_MODULE = """
+import importlib
+import pkgutil
+import sys
+
+import mfgp_search
+
+for info in pkgutil.iter_modules(mfgp_search.__path__):
+    importlib.import_module(f"mfgp_search.{info.name}")
+print(*sorted(m for m in sys.modules if m.startswith("numpy.")))
+"""
+
+
+def test_importing_every_module_loads_no_numpy():
+    proc = _python(EVERY_MODULE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+VALIDATE_WITHOUT_NUMPY = """
+import sys
+
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from mfgp_search.cli import main
+
+sys.exit(main(["validate", "--config", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("name", ["desk", "planted"])
+def test_validate_prints_the_same_without_numpy(name, capsys):
+    cfg = str(REPO / "configs" / f"{name}.cfg")
+    assert main(["validate", "--config", cfg]) == 0
+    proc = _python(VALIDATE_WITHOUT_NUMPY, cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+
+
+# Spies on the library entry points that the CLI calls, rebound on the cli
+# module as perfbench/launch.py rebinds them: each records whether numpy had
+# loaded when it was entered.
+NUMPY_BEFORE_THE_LIBRARY = """
+import sys
+
+import mfgp_search.cli as cli
+
+entered = {}
+
+
+def spy(name):
+    fn = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        entered[name] = "numpy.linalg" in sys.modules
+        return fn(*args, **kwargs)
+
+    setattr(cli, name, wrapper)
+
+
+for name in ("run_mission", "compare_decay", "detection_time_study"):
+    spy(name)
+assert cli.main(sys.argv[1:]) in (0, 2)
+print(*(f"{name}={loaded}" for name, loaded in sorted(entered.items())))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, config, entered",
+    [
+        ("run", "planted", ["run_mission=True"]),
+        ("bench", "desk", ["compare_decay=True", "detection_time_study=True"]),
+    ],
+)
+def test_numpy_loads_before_the_library_calls(tmp_path, command, config, entered):
+    sets = ["domain.resolution=6", "mission.max_epochs=1", "bench.seeds=2", "bench.samples=5"]
+    args = [command, "--config", f"configs/{config}.cfg", "--out", str(tmp_path / "o")]
+    proc = _python(NUMPY_BEFORE_THE_LIBRARY, *args, *(a for s in sets for a in ("--set", s)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == entered
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "from numpy.linalg import norm; assert norm([3.0, 4.0]) == 5.0",
+        "import numpy.random; assert numpy.random.default_rng(0).integers(1) == 0",
+        "import numpy; assert numpy.zeros(2).tolist() == [0.0, 0.0]",
+    ],
+)
+def test_numpy_imports_after_the_package(statement):
+    script = f"import mfgp_search.mission\n{statement}\n"
+    script += "import sys\nfrom mfgp_search._np import np\nassert sys.modules['numpy'] is np\n"
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+# perfbench/launch.py times the CLI by rebinding these names on the modules
+# that ``import mfgp_search.cli`` leaves in sys.modules.
+LAUNCH_CONTRACT = """
+import importlib.util
+import sys
+
+spec = importlib.util.spec_from_file_location("launch", "perfbench/launch.py")
+launch = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(launch)
+import mfgp_search.cli
+
+targets = launch.TOP_LEVEL + launch.TRACED + (("mfgp_search.mission", "run_mission", ""),)
+missing = [f"{m}.{a}" for m, a, _ in targets if not callable(getattr(sys.modules.get(m), a, None))]
+assert not missing, missing
+assert "numpy.linalg" not in sys.modules, "resolving the names loaded numpy"
+"""
+
+
+def test_perfbench_finds_every_name_it_rebinds():
+    proc = _python(LAUNCH_CONTRACT)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_exports_resolve_to_their_modules():
@@ -609,8 +730,9 @@ def test_package_exports_resolve_to_their_modules():
     import mfgp_search
 
     for name in mfgp_search.__all__:
-        module = importlib.import_module(f"mfgp_search.{mfgp_search._MODULE_OF[name]}")
-        assert getattr(mfgp_search, name) is getattr(module, name)
+        value = getattr(mfgp_search, name)
+        assert value.__module__.startswith("mfgp_search."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value
         assert name in dir(mfgp_search)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         mfgp_search.no_such_name

@@ -76,6 +76,13 @@ class TestFidelityModel:
         with pytest.raises(ValueError, match="finite"):
             FidelityModel(mu=(nan, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 0.1), z=(8, 4))
 
+    def test_noise_whose_square_underflows_refused(self):
+        # s^2 = 0 would make every information gain infinite
+        with pytest.raises(ValueError, match=r"s_2 = 1e-200: its square underflows"):
+            FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 1e-200), z=(8, 4))
+        tiny = FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 1e-150), z=(8, 4))
+        assert tiny._moments[2, 2] > 0.0  # the noise variance
+
     def test_level_variance_strictly_increasing(self):
         m = FidelityModel(
             mu=(0, 0, 0), v=(0.6, 0.4, 0.2), l=(8, 4, 2), s=(0.1, 0.1, 0.1), z=(9, 6, 3)
@@ -408,8 +415,9 @@ class TestMeasure:
         return self.domain.index_of(*self.domain.cell_centers[i])
 
     def test_vanishing_noise_returns_field_exactly(self):
+        # noise far below the field's ulp, whose square is still a normal float
         quiet = FidelityModel(
-            mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(1e-300, 1e-300), z=(8.0, 4.0)
+            mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(1e-150, 1e-150), z=(8.0, 4.0)
         )
         rng = np.random.default_rng(0)
         assert measure_cells(self.truth, [self.cell(37)], 2, quiet, rng)[0] == self.truth.f[1, 37]
