@@ -35,8 +35,9 @@ np = _bind()
 
 
 def load_numpy():
-    """Load numpy now, if it has not loaded: its import cost and any import
-    error land here instead of inside the first array operation."""
-    import numpy  # raises ImportError where sys.modules blocks numpy
-
-    numpy.ndarray  # a lazy module runs its import on the first attribute access
+    """Load numpy and ``numpy.random`` now, if they have not loaded: their
+    import cost and any import error land here instead of inside the first
+    array operation or the first generator.  numpy 2 leaves ``numpy.random``
+    to its own lazy ``__getattr__``, and it brings ``secrets`` and
+    ``hashlib`` with it."""
+    import numpy.random  # raises ImportError where sys.modules blocks numpy

@@ -46,7 +46,7 @@ def confidence_interval(mu, sigma, epsilon: float):
     return mu - c * sigma, mu + c * sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationMap:
     """Per-cell tri-state labels with classification bookkeeping.
 
@@ -54,7 +54,8 @@ class ClassificationMap:
     the uncertain set (-1 while uncertain).  ``interval`` is the (low, up)
     confidence interval over every cell that ``classify_epoch`` built this
     map with, so callers that score the epoch read the same arrays; it is
-    None on a map no epoch has classified.
+    None on a map no epoch has classified.  Like every record that holds
+    arrays, a map compares and hashes by identity.
     """
 
     domain: GridDomain

@@ -38,9 +38,10 @@ def _config_of(args) -> tuple[MissionConfig, dict]:
 
 
 def _open_out(args, config: MissionConfig, bench: dict) -> Path:
-    """Load numpy, then create the command's --out directory and write its
-    manifest.json there.  A numpy that cannot load fails before anything is
-    written, and the library calls that follow do not pay for its import."""
+    """Load numpy and numpy.random, then create the command's --out
+    directory and write its manifest.json there.  A numpy that cannot load
+    fails before anything is written, and the library calls that follow
+    import no module."""
     load_numpy()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

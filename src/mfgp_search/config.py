@@ -133,7 +133,7 @@ class FidelityModel:
         if any(x <= 0 for x in self.s):
             raise ValueError("noise levels s must be positive")
         for m, x in enumerate(self.s, start=1):
-            if x**2 < sys.float_info.min:
+            if x * x < sys.float_info.min:
                 raise ValueError(
                     f"noise level s_{m} = {x!r}: its square underflows (below sys.float_info.min)"
                 )
@@ -147,11 +147,11 @@ class FidelityModel:
         """(3, M+1) read-only table: column m holds level m's prior mean (sum
         of mu_i for i <= m), prior variance (sum of v_i^2) and noise variance
         s_m^2; column 0 is unused.  The sums run left to right (``np.cumsum``)
-        on every Python version, and the noise keeps Python's ``s ** 2``."""
+        on every Python version."""
         from ._np import np
 
         table = np.zeros((3, self.levels + 1))
-        table[:, 1:] = np.cumsum(self.mu), np.cumsum(np.square(self.v)), [s**2 for s in self.s]
+        table[:, 1:] = np.cumsum(self.mu), np.cumsum(np.square(self.v)), np.square(self.s)
         table.setflags(write=False)
         return table
 
@@ -180,7 +180,7 @@ class FidelityModel:
         if level >= self.levels:
             raise ValueError("no switch threshold at the top fidelity level")
         lm, ln = self.l[level - 1], self.l[level]
-        return (ln * ln) / (lm * lm) * self.v[level] ** 2
+        return (ln * ln) / (lm * lm) * (self.v[level] * self.v[level])
 
     def _check_level(self, m: int):
         _check_fidelity_level(m, self.levels)

@@ -72,11 +72,12 @@ def windows(table: np.ndarray) -> np.ndarray:
     return view[:, ::-1, ::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Synthetic per-level score fields over the grid.
 
-    ``f`` has shape (M, n_cells) with level m stored at row m-1.
+    ``f`` has shape (M, n_cells) with level m stored at row m-1.  Compares
+    and hashes by identity, as every record that holds arrays does.
     """
 
     domain: GridDomain
@@ -157,7 +158,7 @@ def sample_ground_truth(
         offset = np.subtract.outer(np.arange(R), np.arange(R))
         rng = np.random.default_rng(seed)
         for m in range(1, M + 1):
-            scale = 2.0 * model.l[m - 1] ** 2
+            scale = 2.0 * (model.l[m - 1] * model.l[m - 1])
             L_y, L_x = (
                 jittered_cholesky(np.exp(-np.square(offset * h) / scale))[0]
                 for h in (domain.cell_dy, domain.cell_dx)

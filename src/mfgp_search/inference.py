@@ -173,7 +173,7 @@ def _block_factor(x, at, d, what: str, first: int, jitter: float):
     return np.linalg.inv(factor), np.square(np.diagonal(factor))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorField:
     """Posterior mean/variance plus the W rows that appends extend.
 
@@ -185,7 +185,8 @@ class PosteriorField:
     appending a hypothetical sample produces a new snapshot with one more
     row of W.  Appends maintain only the variance (the mean is carried over
     unchanged), which is all the planner needs: the variance never depends
-    on observed values.
+    on observed values.  Compares and hashes by identity, as every record
+    that holds arrays does.
     """
 
     domain: GridDomain

@@ -40,10 +40,11 @@ class EpochRecord:
     coverage_outside: int = 0  # cells whose true score escaped [L, U] this epoch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MissionReport:
     """One mission's record, built once at its end.  The per-cell figures
-    are read from their owners: the final map, the truth and the log."""
+    are read from their owners: the final map, the truth and the log.
+    Compares and hashes by identity, as every record that holds arrays does."""
 
     config: MissionConfig
     epochs: list[EpochRecord]

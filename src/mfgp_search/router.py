@@ -39,25 +39,13 @@ class Tour:
         return self.waypoints[-1] if self.waypoints else self.start
 
 
-def _axis_squares(coords: np.ndarray) -> np.ndarray:
-    """Squared pairwise differences along one axis, bit-identical to ``(a - b) ** 2``.
-
-    Python's ``**`` goes through libm ``pow``, which differs from ``d * d`` in
-    the last bit for a fraction of inputs; squaring the few distinct
-    differences with ``**`` keeps the tours and the mission clock on the
-    bits they are pinned to.
-    """
-    uniq, inv = np.unique(coords, return_inverse=True)
-    diffs = (uniq[:, None] - uniq[None, :]).tolist()
-    squares = np.array([[d**2 for d in row] for row in diffs])
-    return squares[inv[:, None], inv[None, :]]
-
-
 def _distance_matrix(start, pts3) -> np.ndarray:
-    """(k+1)² distances with the start as row 0 and point i as row i + 1."""
+    """(k+1)² distances with the start as row 0 and point i as row i + 1:
+    sqrt(dx*dx + dy*dy + dz*dz), squared as IEEE products and summed x, y, z."""
     xyz = np.array([start, *pts3], dtype=float)
-    sq = _axis_squares(xyz[:, 0]) + _axis_squares(xyz[:, 1]) + _axis_squares(xyz[:, 2])
-    return np.sqrt(sq)
+    d = xyz[:, None, :] - xyz[None, :, :]
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list[int]:

@@ -308,7 +308,8 @@ IMPROVE_EPS = 1e-12  # the router's minimum 2-opt gain
 
 
 def scalar_dist3(a, b) -> float:
-    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def scalar_path_length(start, order, pts3) -> float:

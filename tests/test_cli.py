@@ -686,6 +686,47 @@ def test_numpy_loads_before_the_library_calls(tmp_path, command, config, entered
     assert proc.stdout.splitlines()[-1].split() == entered
 
 
+# The same spies, recording every module that enters sys.modules while a
+# library call runs: ``run`` and ``bench`` load numpy.random before them.
+NOTHING_IMPORTED_IN_THE_LIBRARY = """
+import sys
+
+import mfgp_search.cli as cli
+
+imported = []
+
+
+def spy(name):
+    fn = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        before = set(sys.modules)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            imported.extend(sorted(set(sys.modules) - before))
+
+    setattr(cli, name, wrapper)
+
+
+for name in ("run_mission", "compare_decay", "detection_time_study"):
+    spy(name)
+assert cli.main(sys.argv[1:]) in (0, 2)
+print("imported:", *imported)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, config", [("run", "desk"), ("run", "planted"), ("bench", "desk")]
+)
+def test_library_calls_import_no_module(tmp_path, command, config):
+    sets = ["domain.resolution=6", "mission.max_epochs=1", "bench.seeds=2", "bench.samples=5"]
+    args = [command, "--config", f"configs/{config}.cfg", "--out", str(tmp_path / "o")]
+    proc = _python(NOTHING_IMPORTED_IN_THE_LIBRARY, *args, *(a for s in sets for a in ("--set", s)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "imported:"
+
+
 @pytest.mark.parametrize(
     "statement",
     [

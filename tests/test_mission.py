@@ -30,6 +30,7 @@ from mfgp_search import (
 )
 from mfgp_search.config import BASELINES
 from mfgp_search.formats import dump_json
+from mfgp_search.inference import posterior
 
 from oracles import reference_mission
 
@@ -237,6 +238,25 @@ class TestRunMission:
         assert listed == tupled and hash(listed) == hash(tupled)
         assert listed.start == (1.5, 1.5, 8.0) and type(listed.start[2]) is float
         assert listed.bumps == (bump,)
+
+    def test_records_with_arrays_compare_and_hash_by_identity(self):
+        # field-wise == would compare arrays and raise; these records hold arrays
+        domain = GridDomain(0.0, 6.0, 0.0, 6.0, 6)
+        model = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(4.0, 2.0), s=(0.1, 0.1), z=(8.0, 4.0))
+        config = MissionConfig(
+            domain=domain, model=model, delta=0.1, th=0.3, mode="planted",
+            bumps=(Bump(3.0, 3.0, 1.0, 1.5),), max_epochs=1,
+        )
+        a, b = run_mission(config), run_mission(config)
+        for x, y in [
+            (a, b),
+            (a.final_map, b.final_map),
+            (a.truth, b.truth),
+            (posterior(a.log, model), posterior(b.log, model)),
+        ]:
+            assert (x == y) is False and x != y
+            assert x == x and hash(x) == hash(x)
+            assert len({x, y}) == 2
 
     def test_default_limits_are_the_planners(self, small_domain, small_model):
         # the 3/4 rule and the epoch cap are written once, in PlanLimits

@@ -182,7 +182,7 @@ class TestMatchesScalarOracle:
         self.check(*case)
 
     def test_distance_matrix_bits(self):
-        # Python's ** rounds some squares differently from d * d
+        # squares are IEEE products: libm pow (Python's **) rounds some differently
         rng = np.random.default_rng(5)
         for _ in range(5):
             pts3 = [(x, y, 4.0) for x, y in tour_points(rng, 60)]
