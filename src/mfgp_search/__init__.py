@@ -30,7 +30,6 @@ from .inference import (
 )
 from .mission import (
     DecayCurves,
-    DetectionTimeTable,
     MissionReport,
     compare_decay,
     detection_time_study,
@@ -53,7 +52,6 @@ __all__ = [
     "ClassificationMap",
     "ConfidenceParams",
     "DecayCurves",
-    "DetectionTimeTable",
     "EpochPlan",
     "FidelityModel",
     "GridDomain",

@@ -138,8 +138,8 @@ def cmd_bench(args) -> int:
         zip(curves.n, curves.multi_fidelity, curves.single_fidelity),
     )
     seeds = range(config.seed, config.seed + bench["seeds"])
-    table = detection_time_study(config, seeds, delta_bins=bench["delta_bins"])
-    write_csv(out_dir / "detection_time.csv", list(table.rows[0]), map(dict.values, table.rows))
+    rows = detection_time_study(config, seeds, delta_bins=bench["delta_bins"])
+    write_csv(out_dir / "detection_time.csv", list(rows[0]), map(dict.values, rows))
     print(f"bench complete: decay.csv, detection_time.csv in {out_dir}")
     return 0
 

@@ -33,7 +33,8 @@ def kernel_eval(m: int, x, xp, model: FidelityModel):
     model._check_level(m)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    d2 = np.sum((x - xp) ** 2, axis=-1)
+    diff = x - xp
+    d2 = np.sum(diff * diff, axis=-1)
     vm = model.v[m - 1]
     lm = model.l[m - 1]
     return vm * vm * np.exp(-d2 / (2.0 * lm * lm))
@@ -148,7 +149,8 @@ def sample_ground_truth(
         centers = domain.cell_centers
         top = np.full(n, float(background))
         for b in bumps:
-            d2 = (centers[:, 0] - b.x) ** 2 + (centers[:, 1] - b.y) ** 2
+            dx, dy = centers[:, 0] - b.x, centers[:, 1] - b.y
+            d2 = dx * dx + dy * dy
             top += b.amplitude * np.exp(-d2 / (2.0 * b.radius * b.radius))
         f[M - 1] = top
         for m in range(M - 1, 0, -1):

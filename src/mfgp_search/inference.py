@@ -315,37 +315,31 @@ def restrict(state: PosteriorField, columns: np.ndarray) -> PosteriorField:
 
 
 class _WorkingSet:
-    """The one writable copy of a snapshot's W rows, records and variance,
-    over the sorted cells ``columns`` (which must be among the snapshot's
-    own).
+    """The one writable copy of a snapshot's W rows and variance, over the
+    sorted cells ``columns`` (which must be among the snapshot's own).
 
-    The constructor gathers W[:, columns], sigma2 and mu at those columns
-    and the records once, into buffers with room for max(n, 16) more rows.
-    ``add`` is the one variance-append step and writes row n in place; a
-    full buffer doubles first, copying its filled rows, so the set holds
-    memory for the rows it fills, not for every append it may take.
-    ``snapshot`` freezes views of the set into a PosteriorField; the set
-    takes no appends after that.  Nothing is shared with the snapshot the
-    set was made from or with any other set.
+    The constructor gathers W[:, columns] and sigma2 at those columns once;
+    W, with room for max(n, 16) more rows, is the set's one buffer.  ``add``
+    is the one variance-append step: it writes row n of W in place and lists
+    the sample's (position, level).  A full W doubles first, copying its
+    filled rows, so the set holds memory for the rows it fills.  ``snapshot``
+    builds the records and gathers mu when it is taken, and freezes views of
+    the set into a PosteriorField; the set takes no appends after that.
+    Nothing is shared with the snapshot the set was made from or with any
+    other set.
     """
 
     def __init__(self, state: PosteriorField, columns: np.ndarray):
         columns = np.asarray(columns)
         if len(columns) == 0 or np.any(np.diff(columns) <= 0):
             raise ValueError("columns must be non-empty, sorted and unique")
-        local = state.column_of(columns)
+        local = self._local = state.column_of(columns)
         n = self.n = len(state.fidelities)
         self.base = state
-        rows = max(2 * n, n + 16)
-        self.w = np.empty((rows, len(columns)))
+        self.w = np.empty((max(2 * n, n + 16), len(columns)))
         np.take(state.w, local, axis=1, out=self.w[:n])
-        self.cells = np.empty(rows, dtype=int)
-        self.fidelities = np.empty(rows, dtype=int)
-        self.counts = np.empty(rows, dtype=int)
-        self.cells[:n], self.fidelities[:n], self.counts[:n] = (
-            state.cells, state.fidelities, state.counts,
-        )
-        self.columns, self.mu, self.sigma2 = columns.copy(), state.mu[local], state.sigma2[local]
+        self.columns, self.sigma2 = columns.copy(), state.sigma2[local]
+        self.appended: list[tuple[int, int]] = []  # (position, level) of each add
         # kappa of the cell at column k is one slice and gather of the flat
         # layer sums (the layout ``covariance_tables`` documents): the slice
         # starts at the level's block plus _start[k], and the columns sit
@@ -375,31 +369,31 @@ class _WorkingSet:
         row, _, _ = _next_row(self.w[:n], position, kappa, d + jitter, max(1e-12 * d, 1e-300))
         if row is None:
             return False
-        if n == len(self.cells):  # full: double every buffer, copying the filled rows
-            for name in ("w", "cells", "fidelities", "counts"):
-                filled = getattr(self, name)
-                grown = np.empty((2 * n, *filled.shape[1:]), filled.dtype)
-                grown[:n] = filled
-                setattr(self, name, grown)
+        if n == len(self.w):  # full: double W, copying the filled rows
+            grown = np.empty((2 * n, self.w.shape[1]))
+            grown[:n] = self.w
+            self.w = grown
         self.w[n] = row
-        self.cells[n] = self.columns[position]
-        self.fidelities[n] = level
-        self.counts[n] = 1
+        self.appended.append((position, level))
         self.sigma2 -= np.square(row)
         _clamp_sigma2(self.sigma2, jitter)
         self.n = n + 1
         return True
 
     def snapshot(self) -> PosteriorField:
-        """The PosteriorField of the set so far; freezes the set's variance."""
-        n = self.n
+        """The PosteriorField of the set so far (appended samples count 1);
+        freezes the set's variance."""
+        base = self.base
+        positions, levels = np.array(self.appended, dtype=int).reshape(-1, 2).T
         views = {
-            "w": self.w[:n], "cells": self.cells[:n], "fidelities": self.fidelities[:n],
-            "counts": self.counts[:n], "columns": self.columns,
-            "mu": self.mu, "sigma2": self.sigma2,
+            "w": self.w[: self.n], "columns": self.columns, "sigma2": self.sigma2,
+            "cells": np.concatenate((base.cells, self.columns[positions])),
+            "fidelities": np.concatenate((base.fidelities, levels)),
+            "counts": np.concatenate((base.counts, np.ones_like(levels))),
+            "mu": base.mu[self._local],
         }
         _freeze(*views.values())
-        return replace(self.base, **views)
+        return replace(base, **views)
 
 
 def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) -> PosteriorField:

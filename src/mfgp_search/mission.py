@@ -276,18 +276,10 @@ def _linear_quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
 
 
-@dataclass
-class DetectionTimeTable:
-    """Mean classification time per bin of distance-to-threshold."""
-
-    rows: list[dict]
-
-
-def detection_time_study(
-    config: MissionConfig, seeds, delta_bins: int = 3
-) -> DetectionTimeTable:
+def detection_time_study(config: MissionConfig, seeds, delta_bins: int = 3) -> list[dict]:
     """Bin cells by their distance to the threshold and average the time at
-    which each cell was classified, pooled over per-seed missions.
+    which each cell was classified, pooled over per-seed missions: one row
+    per bin.
 
     Cells never classified within the epoch cap are censored: counted per
     bin, excluded from the means.
@@ -324,4 +316,4 @@ def detection_time_study(
                 "censored": int(np.sum(sel & ~classified)),
             }
         )
-    return DetectionTimeTable(rows=rows)
+    return rows

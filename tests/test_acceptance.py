@@ -320,8 +320,8 @@ def test_c11_determinism():
 
 def test_c12_detection_time_trend():
     t0 = time.monotonic()
-    table = detection_time_study(DESK_CONFIG, seeds=range(30), delta_bins=3)
-    times = [r["mean_time"] for r in table.rows]
+    rows = detection_time_study(DESK_CONFIG, seeds=range(30), delta_bins=3)
+    times = [r["mean_time"] for r in rows]
     ok = all(np.isfinite(t) for t in times) and times[0] > times[1] > times[2]
     elapsed = time.monotonic() - t0
     verdict(

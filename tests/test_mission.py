@@ -476,19 +476,18 @@ class TestDetectionTimeStudy:
             detection_time_study(study_config, range(1), delta_bins=0)
 
     def test_bins_and_censoring_bookkeeping(self, study_config):
-        table = detection_time_study(study_config, seeds=range(8))
-        assert len(table.rows) == 3
-        total = sum(r["classified"] + r["censored"] for r in table.rows)
+        rows = detection_time_study(study_config, seeds=range(8))
+        assert len(rows) == 3
+        total = sum(r["classified"] + r["censored"] for r in rows)
         assert total == 8 * study_config.domain.n_cells - _boundary_cells(
             study_config, range(8)
         )
-        for r in table.rows:
+        for r in rows:
             assert r["censored"] >= 0
             assert r["delta_min"] <= r["delta_max"]
 
     def test_larger_margin_classifies_faster(self, study_config):
-        table = detection_time_study(study_config, seeds=range(12))
-        times = [r["mean_time"] for r in table.rows]
+        times = [r["mean_time"] for r in detection_time_study(study_config, seeds=range(12))]
         assert times[0] > times[-1]
 
     def test_tighter_delta_takes_longer(self, small_domain, small_model):

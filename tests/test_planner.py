@@ -374,7 +374,7 @@ class TestPlanEpoch:
         real_add = inference._WorkingSet.add
 
         def breaking_add(self, position, level):
-            if self.counts[: self.n].sum() == post.n + k:
+            if self.base.n + len(self.appended) == post.n + k:
                 return False
             return real_add(self, position, level)
 

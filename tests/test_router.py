@@ -1,5 +1,7 @@
+import math
 from collections import Counter
 from dataclasses import replace
+from operator import sub
 
 import numpy as np
 import pytest
@@ -191,6 +193,23 @@ class TestMatchesScalarOracle:
             rows = [start, *pts3]
             expected = [[scalar_dist3(a, b) for b in rows] for a in rows]
             assert dist.tolist() == expected
+
+    def test_squares_that_pow_rounds_differently(self):
+        # 120 uniform points on the 20 m floor, enough that glibc's pow (behind
+        # math.pow and **) rounds some squared difference, and through it some
+        # distance, differently from the product; the drawn tour cases hold
+        # too few points to be sure of reaching the squaring rule
+        rng = np.random.default_rng(0)
+        points = tour_points(rng, 120)
+        start = (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)), 7.0)
+        rows = [start, *((x, y, 4.0) for x, y in points)]
+        pairs = [(a, b) for a in rows for b in rows]
+        assert any(math.pow(d, 2) != d * d for a, b in pairs for d in map(sub, a, b))
+        pow_dist = [math.sqrt(sum(math.pow(d, 2) for d in map(sub, a, b))) for a, b in pairs]
+        expected = [scalar_dist3(a, b) for a, b in pairs]
+        assert pow_dist != expected
+        assert _distance_matrix(start, rows[1:]).ravel().tolist() == expected
+        self.check(points, 4.0, start)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_tours(self, n):
