@@ -104,7 +104,7 @@ class FidelityModel:
     lowest fidelity) and are stored as tuples, so a model built from lists
     hashes and compares like one built from tuples.  Amplitudes, length
     scales, and altitudes must be strictly decreasing with the level index;
-    noise must be positive.
+    noise must be positive, and no l_m^2 or s_m^2 may underflow.
     """
 
     mu: tuple[float, ...]
@@ -132,11 +132,12 @@ class FidelityModel:
             raise ValueError("altitudes z must be positive and strictly decreasing")
         if any(x <= 0 for x in self.s):
             raise ValueError("noise levels s must be positive")
-        for m, x in enumerate(self.s, start=1):
-            if x * x < sys.float_info.min:
-                raise ValueError(
-                    f"noise level s_{m} = {x!r}: its square underflows (below sys.float_info.min)"
-                )
+        for what, xs in (("length scale l", self.l), ("noise level s", self.s)):
+            for m, x in enumerate(xs, start=1):
+                if x * x < sys.float_info.min:
+                    raise ValueError(
+                        f"{what}_{m} = {x!r}: its square underflows (below sys.float_info.min)"
+                    )
 
     @property
     def levels(self) -> int:
@@ -315,13 +316,12 @@ class MissionConfig:
         if self.start is not None:
             object.__setattr__(self, "start", tuple(float(x) for x in self.start))
         self.params()  # delta in (0, 1/2), th finite
-        for name in ("seed", "max_epochs", "epoch_sample_cap"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
+        for name, least in (("seed", 0), ("max_epochs", 1), ("epoch_sample_cap", 1)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         last = self.params().last_epoch
         if self.max_epochs > last:
             raise ValueError(
@@ -331,7 +331,7 @@ class MissionConfig:
         _check_truth_inputs(self.domain, self.mode, self.bumps, self.background)
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        self.limits()  # sigma_ratio in (0, 1], sample_cap positive
+        self.limits()  # sigma_ratio in (0, 1]
         if not 0.0 <= self.sample_time < math.inf:
             raise ValueError("sample_time must be non-negative and finite")
         if not 0.0 < self.termination_fraction <= 1.0:

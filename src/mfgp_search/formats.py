@@ -11,6 +11,7 @@ booleans of JSON and the values ``validate`` lists.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -45,8 +46,18 @@ def _spec(values) -> str | None:
     return None
 
 
+def _json_spec(values) -> str | None:
+    """``_spec`` of values bound for JSON, which has no inf or NaN (``dump_json``)."""
+    spec = _spec(values)
+    if spec == "%.17g" and not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"float {fmt(bad)} is not JSON compliant: JSON has no inf or NaN")
+    return spec
+
+
 def dump_json(obj) -> str:
-    """Serialize to JSON with fixed float formatting and stable key order."""
+    """Serialize to JSON with fixed float formatting and stable key order; an
+    inf or NaN float raises ValueError, as ``json.dumps(..., allow_nan=False)`` does."""
     return _json_value(obj, indent=0) + "\n"
 
 
@@ -58,6 +69,7 @@ def _json_value(obj, indent: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        _json_spec((obj,))
         return fmt(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -70,14 +82,14 @@ def _json_value(obj, indent: int) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        spec = _spec(seq)
+        spec = _json_spec(seq)
         if spec is not None:
             return ("[" + ", ".join([spec] * len(seq)) + "]") % tuple(seq)
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             return "[" + ", ".join(_json_value(v, indent + 1) for v in seq) + "]"
         rows = all(isinstance(v, (list, tuple, np.ndarray)) for v in seq)
         if rows and len(set(map(len, seq))) == 1:
-            specs = [_spec(column) for column in zip(*seq)]
+            specs = [_json_spec(column) for column in zip(*seq)]
             if None not in specs:
                 row = inner + "[" + ", ".join(specs) + "]"
                 body = ",\n".join([row] * len(seq)) % tuple(chain.from_iterable(seq))
@@ -91,8 +103,8 @@ def write_csv(path, header: list[str], rows):
     """CSV with canonical numeric formatting; strings pass through.
 
     Every row has one value per header column.  A column holds floats,
-    integers, booleans or strings, one kind per column; a column that mixes
-    kinds or holds anything else raises TypeError.
+    integers or strings, one kind per column; a column that mixes kinds or
+    holds anything else (a bool, say) raises TypeError.
     """
     rows = list(rows)
     width = len(header)
@@ -104,9 +116,7 @@ def write_csv(path, header: list[str], rows):
         column = flat[c::width]
         spec = _spec(column)
         if spec is None:
-            if all(isinstance(v, (bool, np.bool_)) for v in column):
-                flat[c::width] = ["true" if v else "false" for v in column]
-            elif not all(isinstance(v, str) for v in column):
+            if not all(isinstance(v, str) for v in column):
                 raise TypeError(f"column {name!r} mixes kinds or holds a non-number")
             spec = "%s"
         specs.append(spec)

@@ -33,18 +33,22 @@ from itertools import chain
 
 from ._linalg import DEFAULT_JITTER, NumericalError
 from ._np import np
-from .config import FidelityModel, GridDomain
+from .config import FidelityModel, GridDomain, _is_int
 from .field_model import covariance_tables, windows
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
 
 
-def _is_whole(value) -> bool:
-    """A cell index or level as a record may carry it: an integer or a
-    whole float (3 or 3.0), never a bool (True, np.True_ or a 0-d bool
-    array), which float() would read as 1."""
-    return getattr(value, "dtype", type(value)) != bool and float(value).is_integer()
+def _check_next_level(level, levels):
+    """ValueError unless ``level`` is an integer (``_is_int``), at least 1 and
+    at least the last of the record levels ``levels`` (they never decrease)."""
+    if not _is_int(level):
+        raise ValueError(f"fidelity level {level} is not an integer")
+    if level < 1:
+        raise ValueError(f"fidelity level {level} out of range: levels start at 1")
+    if len(levels) and level < levels[-1]:
+        raise ValueError(f"fidelity must be non-decreasing: got {level} after {levels[-1]}")
 
 
 class SampleLog:
@@ -72,17 +76,13 @@ class SampleLog:
     def extend(self, cells, values, fidelity: int):
         """Append one record per flat cell index in ``cells``, with the
         matching entry of ``values``, all at level ``fidelity``.  A cell
-        index that is not a whole number (``_is_whole``; a bool is not) or a
-        value that is not finite is refused, naming its entry, and so is a
-        fidelity that is not a whole number.  A whole float (cell 3.0,
-        level 2.0) passes here, where the model's level checks refuse it:
-        records may enter as floats read back from an array, and the log
-        stores each as an int once, so every reader of the log gets
-        integers."""
+        index that is not an integer (``_is_int``: 3.0 and True are not) or
+        a value that is not finite is refused, naming its entry, and so is a
+        fidelity that ``_check_next_level`` refuses."""
         index = []
         for k, c in enumerate(cells):
-            if not _is_whole(c):
-                raise ValueError(f"cell index {c} at entry {k} is not a whole number")
+            if not _is_int(c):
+                raise ValueError(f"cell index {c} at entry {k} is not an integer")
             index.append(int(c))
         values = np.asarray(values, dtype=float)
         if len(index) != len(values):
@@ -93,14 +93,7 @@ class SampleLog:
             raise ValueError(f"value {values[k]} at entry {k} is not finite")
         if index and not (0 <= min(index) and max(index) < self.domain.n_cells):
             raise ValueError(f"cell index out of range [0, {self.domain.n_cells})")
-        if not _is_whole(fidelity):
-            raise ValueError(f"fidelity level {fidelity} is not a whole number")
-        if fidelity < 1:
-            raise ValueError(f"fidelity level {fidelity} out of range: levels start at 1")
-        if self._fidelities and fidelity < self._fidelities[-1]:
-            raise ValueError(
-                f"fidelity must be non-decreasing: got {fidelity} after {self._fidelities[-1]}"
-            )
+        _check_next_level(fidelity, self._fidelities)
         self._cells += index
         self._values += values.tolist()
         self._fidelities += [int(fidelity)] * len(index)
@@ -400,8 +393,8 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
     """Add a hypothetical sample at the flat cell index ``cell`` and level
     ``m_new`` to the variance.
 
-    ``cell`` must be one whole number (3.0 passes, True does not) among the
-    snapshot's columns, and ``m_new`` at least the level of the last record.
+    ``cell`` must be an integer (``_is_int``) among the snapshot's columns,
+    and ``m_new`` a level of the model at least that of the last record.
     Runs the working-set step (``_WorkingSet.add``) on a copy of this
     snapshot's rows, in O(n * len(columns)) and without a factor.  The variance of the
     result matches a full recompute with the extended log (observed values
@@ -409,15 +402,10 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
     falls back to a full refactorization with placeholder observations,
     restricted to the same columns.
     """
-    if np.ndim(cell) != 0 or not _is_whole(cell):
-        raise ValueError(f"cell {cell!r} is not one whole-number cell index")
-    cell = int(cell)
+    if not _is_int(cell):
+        raise ValueError(f"cell {cell!r} is not an integer")
     state.model._check_level(m_new)
-    n = len(state.fidelities)
-    if n and m_new < state.fidelities[-1]:
-        raise ValueError(
-            f"fidelity must be non-decreasing: got {m_new} after {state.fidelities[-1]}"
-        )
+    _check_next_level(m_new, state.fidelities)
     working = _WorkingSet(state, state.columns)
     if not working.add(int(state.column_of(cell)), m_new):
         return _refactorized_append(state, cell, m_new)
@@ -427,7 +415,7 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
 def _refactorized_append(state: PosteriorField, cell: int, m_new: int) -> PosteriorField:
     log = SampleLog(state.domain)
     for c, m, k in zip(state.cells, state.fidelities, state.counts):
-        log.extend([c] * k, [0.0] * k, int(m))
+        log.extend([c] * k, [0.0] * k, m)
     log.extend([cell], [0.0], m_new)
     # Variance-only contract: carry the previous mean through, as the
     # incremental path does.

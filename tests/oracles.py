@@ -615,13 +615,16 @@ def reference_fmt(value) -> str:
 
 
 def per_value_json(obj, indent: int = 0) -> str:
-    """JSON text of obj, one value at a time (without the final newline)."""
+    """JSON text of obj, one value at a time (without the final newline).
+    An inf or NaN float raises ValueError, as json.dumps(allow_nan=False) does."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise ValueError(f"{obj!r} is not JSON compliant")
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return reference_fmt(obj)
     if isinstance(obj, dict):

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfgp_search.cli import (
@@ -94,6 +94,8 @@ REJECTED = [
     ({"mission.start_x": "nan", "mission.start_y": 1, "mission.start_z": 8}, "start must be finite"),
     ({"mission.max_epochs": 1019}, "max_epochs must be at most 1018"),
     ({"model.s_1": 1e-200}, "s_1 = 1e-200: its square underflows"),
+    ({"model.l_1": 1e-200, "model.l_2": 1e-201}, "l_1 = 1e-200: its square underflows"),
+    ({"mission.epoch_sample_cap": 0}, "mission block: epoch_sample_cap must be at least 1"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse
 BENCH_REJECTED = [
@@ -222,6 +224,17 @@ class TestRun:
         cfg.write_text(small_cfg_text(**{"mission.max_epochs": 1}))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_non_finite_report_refused(self, tmp_path, capsys):
+        # the clock overflows to inf, which JSON has no text for
+        out = tmp_path / "o"
+        planted = str(REPO / "configs" / "planted.cfg")
+        args = ["run", "--config", planted, "--out", str(out), "--set", "mission.sample_time=1e308"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: float inf is not JSON compliant: JSON has no inf or NaN\n"
+        assert "mission" not in captured.out
+        assert not (out / "report.json").exists()
 
     def test_out_of_memory_reported_as_an_error(self, small_cfg, tmp_path, capsys, monkeypatch):
         # a sample cap too large for the planner's working set fails to allocate
@@ -468,6 +481,8 @@ def tiny_overrides(draw) -> dict:
 
 @settings(max_examples=200, deadline=None)
 @given(tiny_overrides())
+# l_m^2 underflows to 0: the switch threshold would divide by it
+@example({"model.l_1": 1e-200, "model.l_2": 1e-201, "mission.max_epochs": 1})
 def test_validate_accepts_only_what_run_accepts(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "tiny.cfg"

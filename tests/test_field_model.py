@@ -10,7 +10,10 @@ from mfgp_search import (
     FidelityModel,
     GridDomain,
     MissionConfig,
+    SampleLog,
+    append_sample_variance_only,
     kernel_eval,
+    posterior,
     sample_ground_truth,
 )
 from mfgp_search import field_model
@@ -82,6 +85,15 @@ class TestFidelityModel:
             FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 1e-200), z=(8, 4))
         tiny = FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 2), s=(0.1, 1e-150), z=(8, 4))
         assert tiny._moments[2, 2] > 0.0  # the noise variance
+
+    def test_length_scale_whose_square_underflows_refused(self):
+        # l_m^2 = 0 would divide by zero in the switch threshold
+        with pytest.raises(ValueError, match=r"length scale l_1 = 1e-200: its square underflows"):
+            FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(1e-200, 1e-201), s=(0.1, 0.1), z=(8, 4))
+        with pytest.raises(ValueError, match=r"length scale l_2 = 1e-170: its square underflows"):
+            FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(4, 1e-170), s=(0.1, 0.1), z=(8, 4))
+        tiny = FidelityModel(mu=(0, 0), v=(0.5, 0.3), l=(1e-150, 1e-151), s=(0.1, 0.1), z=(8, 4))
+        assert 0.0 < tiny.switch_threshold(1) < float("inf")
 
     def test_level_variance_strictly_increasing(self):
         m = FidelityModel(
@@ -441,8 +453,8 @@ class TestMeasure:
             measure_cells(self.truth, [self.cell(5)], m, self.model, np.random.default_rng(0))
 
 
-# a fraction, a whole float and a bool: none is an int or a numpy integer
-NOT_INTEGERS = [1.5, 2.0, True]
+# a fraction, whole floats, a bool and a 0-d array: none is an int or a numpy integer
+NOT_INTEGERS = [1.5, 2.0, True, pytest.param(np.float64(2.0), id="float64-2.0"), np.array(2)]
 
 
 @pytest.mark.parametrize("level", NOT_INTEGERS)
@@ -458,6 +470,8 @@ def test_every_level_check_refuses_a_level_that_is_not_an_integer(level):
         lambda: kernel_eval(level, x, x, model),
         lambda: measure_cells(truth, [5], level, model, np.random.default_rng(0)),
         lambda: truth.level_field(level),
+        lambda: SampleLog(domain).extend([5], [0.5], level),
+        lambda: append_sample_variance_only(posterior(SampleLog(domain), model), 5, level),
     ):
         with pytest.raises(ValueError, match=f"fidelity level {level} is not an integer"):
             call()

@@ -1,11 +1,13 @@
 """The %-template writers print exactly what the per-value writers print.
 
 Each property builds values of the kinds the artifacts hold (Python and
-numpy floats and integers, strings, booleans), mixed with the special
-values that stress 17-digit printing, and compares the template writer's
-output byte for byte with the per-value oracle in ``tests/oracles.py``.
+numpy floats and integers, strings, and booleans in JSON), mixed with the
+special values that stress 17-digit printing, and compares the template
+writer's output byte for byte with the per-value oracle in
+``tests/oracles.py``.  Both refuse inf and NaN in JSON.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -42,7 +44,6 @@ CSV_KINDS = {
     "np.int64": INT64,
     "int and np.int64": st.one_of(INTS, INT64),
     "str": TEXT,
-    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
 }
 
 
@@ -69,10 +70,14 @@ class TestCsv:
 
     @pytest.mark.parametrize(
         "column",
-        [[1.5, 2], [2, 1.5], [np.int64(7), 0.5], [2**60 + 1, np.float64(2.5)], [1, "a"], [True, 1]],
+        [
+            [1.5, 2], [2, 1.5], [np.int64(7), 0.5], [2**60 + 1, np.float64(2.5)], [1, "a"],
+            [True, 1], [True, False], [np.True_, np.False_],
+        ],
     )
     def test_mixed_column_raises(self, out_dir, column):
-        # A float in an integer column would print truncated through %d.
+        # A float in an integer column would print truncated through %d, and
+        # no artifact holds a bool column.
         path = out_dir / "mixed.csv"
         path.unlink(missing_ok=True)
         with pytest.raises(TypeError):
@@ -95,7 +100,7 @@ class TestGridCsv:
     @settings(max_examples=60, deadline=None)
     @given(
         resolution=st.integers(1, 6),
-        dtype=st.sampled_from([np.float64, np.float32, np.int64, np.int32, np.bool_]),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64, np.int32]),
         data=st.data(),
     )
     def test_matches_per_value_writer(self, out_dir, resolution, dtype, data):
@@ -104,8 +109,6 @@ class TestGridCsv:
         if dtype in (np.float64, np.float32):
             with np.errstate(over="ignore"):  # float32 overflows to inf
                 values = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=dtype)
-        elif dtype is np.bool_:
-            values = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         else:
             info = np.iinfo(dtype)
             ints = st.integers(int(info.min), int(info.max))
@@ -131,39 +134,78 @@ class TestGridCsv:
         assert not any((out_dir / f).exists() for f in ("short.csv", "short.pgm", "square.pgm"))
 
 
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), FLOATS, FLOATS.map(np.float64), INTS, INT64, st.text(max_size=6)
-)
-JSON_LEAVES = st.one_of(
-    JSON_SCALARS,
-    st.lists(FLOATS, max_size=6),
-    st.lists(st.one_of(INTS, INT64), max_size=6),
-    st.lists(FLOATS, max_size=6).map(np.array),
-    # Strings with quotes, backslashes, control and non-ASCII characters.
-    st.lists(st.text(max_size=6), max_size=4),
-    st.lists(st.one_of(FLOATS, INTS, st.booleans(), st.none()), max_size=5),
-    # Pairs like the report's decay curve, pairs whose first column mixes
-    # integers and floats, and ragged rows.
-    st.lists(st.tuples(INTS, FLOATS).map(list), min_size=1, max_size=6),
-    st.lists(st.tuples(st.one_of(INTS, FLOATS), INT64).map(list), min_size=1, max_size=6),
-    st.lists(st.lists(FLOATS, max_size=3), max_size=4),
-    st.integers(1, 4).map(lambda n: np.arange(2.0 * n).reshape(n, 2) / 3.0),
-)
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=5), children, max_size=4),
-    ),
-    max_leaves=20,
-)
+FINITE = FLOATS.filter(np.isfinite)
+
+
+def json_values(floats):
+    """JSON documents of the shapes the reports hold, with floats from ``floats``."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), floats, floats.map(np.float64), INTS, INT64, st.text(max_size=6)
+    )
+    leaves = st.one_of(
+        scalars,
+        st.lists(floats, max_size=6),
+        st.lists(st.one_of(INTS, INT64), max_size=6),
+        st.lists(floats, max_size=6).map(np.array),
+        # Strings with quotes, backslashes, control and non-ASCII characters.
+        st.lists(st.text(max_size=6), max_size=4),
+        st.lists(st.one_of(floats, INTS, st.booleans(), st.none()), max_size=5),
+        # Pairs like the report's decay curve, pairs whose first column mixes
+        # integers and floats, and ragged rows.
+        st.lists(st.tuples(INTS, floats).map(list), min_size=1, max_size=6),
+        st.lists(st.tuples(st.one_of(INTS, floats), INT64).map(list), min_size=1, max_size=6),
+        st.lists(st.lists(floats, max_size=3), max_size=4),
+        st.integers(1, 4).map(lambda n: np.arange(2.0 * n).reshape(n, 2) / 3.0),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(st.text(max_size=5), children, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+def _json_or_refusal(write, obj):
+    try:
+        return write(obj)
+    except ValueError:
+        return "refused"
 
 
 class TestJson:
     @settings(max_examples=300, deadline=None)
-    @given(obj=JSON_VALUES)
+    @given(obj=json_values(FINITE))
     def test_matches_per_value_writer(self, obj):
-        assert dump_json(obj) == per_value_json(obj) + "\n"
+        text = dump_json(obj)
+        assert text == per_value_json(obj) + "\n"
+        json.loads(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=json_values(FLOATS))
+    def test_refuses_what_the_per_value_writer_refuses(self, obj):
+        # an inf or NaN anywhere in obj is refused on every path
+        assert _json_or_refusal(dump_json, obj) == _json_or_refusal(
+            lambda o: per_value_json(o) + "\n", obj
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.float64(np.inf), np.float32(np.nan)])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda x: x,  # a scalar, printed by fmt
+            lambda x: {"clock_total": x},
+            lambda x: [0.5, x, 2.0],  # a %.17g list template
+            lambda x: np.array([0.5, x]),
+            lambda x: [[1, 0.5], [2, x]],  # a row template
+            lambda x: [1, "a", x],  # a mixed list, printed value by value
+        ],
+        ids=["scalar", "dict", "list", "array", "rows", "mixed"],
+    )
+    def test_non_finite_floats_refused(self, bad, place):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json(place(bad))
 
     def test_override_strings_stay_quoted(self):
         obj = {"overrides": ["bench.seeds=6", 'a"b', "50%"], "n": [1, 2]}

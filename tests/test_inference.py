@@ -69,7 +69,7 @@ class TestSampleLog:
 
     def test_append_refuses_a_fractional_cell(self, small_domain):
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError, match="cell index 0.5 at entry 0 is not a whole number"):
+        with pytest.raises(ValueError, match="cell index 0.5 at entry 0 is not an integer"):
             log.append(0.5, 0.1, 1)
         assert len(log) == 0
 
@@ -98,14 +98,18 @@ class TestSampleLog:
             ([-1], [0.0], "out of range"),
             ([1, 2], [0.0], "2 cells"),
             # int() would store 2.7 as cell 2, and one NaN value makes every posterior mean NaN
-            ([1, 2.7], [0.0, 0.0], "cell index 2.7 at entry 1 is not a whole number"),
-            ([np.float64(-0.5)], [0.0], "cell index -0.5 at entry 0 is not a whole number"),
-            ([1, float("nan")], [0.0, 0.0], "cell index nan at entry 1 is not a whole number"),
+            ([1, 2.7], [0.0, 0.0], "cell index 2.7 at entry 1 is not an integer"),
+            ([np.float64(-0.5)], [0.0], "cell index -0.5 at entry 0 is not an integer"),
+            ([1, float("nan")], [0.0, 0.0], "cell index nan at entry 1 is not an integer"),
             ([3, 4], [0.5, float("nan")], "value nan at entry 1 is not finite"),
             ([3, 4], [-np.inf, 0.5], "value -inf at entry 0 is not finite"),
             # float(True) is 1.0: a bool would log cell 1
-            ([True, np.True_], [0.1, 0.2], "cell index True at entry 0 is not a whole number"),
-            ([1, np.True_], [0.1, 0.2], "cell index True at entry 1 is not a whole number"),
+            ([True, np.True_], [0.1, 0.2], "cell index True at entry 0 is not an integer"),
+            ([1, np.True_], [0.1, 0.2], "cell index True at entry 1 is not an integer"),
+            # one integer rule: a whole float or a 0-d array is not a cell index either
+            ([1, 3.0], [0.0, 0.0], "cell index 3.0 at entry 1 is not an integer"),
+            ([np.float64(3.0)], [0.0], "cell index 3.0 at entry 0 is not an integer"),
+            ([2, np.array(3)], [0.0, 0.0], "cell index 3 at entry 1 is not an integer"),
         ],
     )
     def test_extend_refuses_bad_records(self, small_domain, cells, values, message):
@@ -114,15 +118,20 @@ class TestSampleLog:
             log.extend(cells, values, 1)
         assert len(log) == 0
 
-    @pytest.mark.parametrize("fidelity", [1.5, np.float64(2.25), float("nan"), True, np.True_])
+    @pytest.mark.parametrize("fidelity", [1.5, np.float64(2.25), float("nan"), True, np.True_, 2.0])
     def test_extend_refuses_a_fractional_fidelity(self, small_domain, fidelity):
-        # int() would store 1.5 or True as level 1
+        # int() would store 1.5 or True as level 1; 2.0 is refused as every level check does
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError, match=f"fidelity level {fidelity} is not a whole number"):
+        with pytest.raises(ValueError, match=f"fidelity level {fidelity} is not an integer"):
             log.extend([3], [0.5], fidelity)
         assert len(log) == 0
-        log.extend([3], [0.5], 2.0)
-        assert log.fidelities().tolist() == [2]
+
+    def test_extend_takes_numpy_integers(self, small_domain):
+        log = SampleLog(small_domain)
+        log.extend([np.int64(3), np.int32(4)], [0.5, 0.25], np.int64(2))
+        assert log.cell_indices().tolist() == [3, 4]
+        assert log.fidelities().tolist() == [2, 2]
+        assert all(type(v) is int for v in (*log._cells, *log._fidelities))
 
     def test_level_above_model_named(self, small_domain, two_level):
         log = SampleLog(small_domain)
@@ -456,18 +465,23 @@ class TestAppendVarianceOnly:
         with pytest.raises(ValueError, match="outside"):
             restrict(part, np.array([1, 6]))
 
-    @pytest.mark.parametrize("cell", [(3.0, 5.0), [3], 2.5, True, np.True_, np.array(True)])
+    @pytest.mark.parametrize(
+        "cell",
+        [(3.0, 5.0), [3], 2.5, True, np.True_, np.array(True), 3.0, np.float64(3.0), np.array(3)],
+    )
     def test_append_refuses_what_is_not_one_whole_cell(self, small_domain, two_level, cell):
-        # a coordinate pair of two columns, a one-cell list, a fraction and
-        # bools, which float() would read as cell 1
+        # a coordinate pair of two columns, a one-cell list, a fraction,
+        # bools, which float() would read as cell 1, and a whole float or a
+        # 0-d array, which the one integer rule refuses as it refuses levels
         post = posterior(SampleLog(small_domain), two_level)
-        with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not one whole"):
+        with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not an integer"):
             append_sample_variance_only(post, cell, 1)
 
-    def test_append_takes_a_whole_float_cell(self, small_domain, two_level):
+    def test_append_takes_numpy_integers(self, small_domain, two_level):
         post = posterior(SampleLog(small_domain), two_level)
         _same_snapshot(
-            append_sample_variance_only(post, 3.0, 1), append_sample_variance_only(post, 3, 1)
+            append_sample_variance_only(post, np.int64(3), np.int32(1)),
+            append_sample_variance_only(post, 3, 1),
         )
 
     def test_cell_off_the_grid_is_outside_every_snapshot(self, small_domain, two_level):

@@ -306,6 +306,18 @@ class TestRunMission:
         config = MissionConfig(**base, seed=np.int64(3), max_epochs=np.int64(2))
         assert config.seed == 3 and config.max_epochs == 2
 
+    @pytest.mark.parametrize(
+        "name, least", [("seed", 0), ("max_epochs", 1), ("epoch_sample_cap", 1)]
+    )
+    def test_int_fields_refuse_a_value_below_their_least(
+        self, small_domain, small_model, name, least
+    ):
+        base = dict(domain=small_domain, model=small_model, delta=0.1, th=0.3)
+        for value in (least - 1, -5):
+            with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
+                MissionConfig(**base, **{name: value})
+        assert getattr(MissionConfig(**base, **{name: least}), name) == least
+
     def test_shapes_the_config_reader_cannot_produce_refused(self, small_model):
         with pytest.raises(ValueError, match="resolution"):
             GridDomain(0, 4, 0, 4, 2.5)  # 6.25 cells
