@@ -29,7 +29,6 @@ from .inference import (
     posterior,
 )
 from .mission import (
-    DecayCurves,
     MissionReport,
     compare_decay,
     detection_time_study,
@@ -51,7 +50,6 @@ __all__ = [
     "Bump",
     "ClassificationMap",
     "ConfidenceParams",
-    "DecayCurves",
     "EpochPlan",
     "FidelityModel",
     "GridDomain",

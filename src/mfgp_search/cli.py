@@ -131,12 +131,8 @@ def cmd_bench(args) -> int:
     if bench["seeds"] < 2:
         print("warning: detection-time study with a single seed is noisy", file=sys.stderr)
     out_dir = _open_out(args, config, bench)
-    curves = compare_decay(config, n_samples=bench["samples"])
-    write_csv(
-        out_dir / "decay.csv",
-        ["n", "multi_fidelity_max_var", "single_fidelity_max_var"],
-        zip(curves.n, curves.multi_fidelity, curves.single_fidelity),
-    )
+    rows = compare_decay(config, n_samples=bench["samples"])
+    write_csv(out_dir / "decay.csv", list(rows[0]), map(dict.values, rows))
     seeds = range(config.seed, config.seed + bench["seeds"])
     rows = detection_time_study(config, seeds, delta_bins=bench["delta_bins"])
     write_csv(out_dir / "detection_time.csv", list(rows[0]), map(dict.values, rows))

@@ -15,6 +15,7 @@ import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import get_args
 
@@ -32,7 +33,9 @@ class GridDomain:
     """Uniform cell grid over the rectangle [x_min, x_max] x [y_min, y_max].
 
     Cells are indexed row-major: index ``i`` maps to row ``i // resolution``
-    (the y axis) and column ``i % resolution`` (the x axis).
+    (the y axis) and column ``i % resolution`` (the x axis).  The squared
+    floor diagonal, which bounds every squared tour distance, must not
+    overflow.
     """
 
     x_min: float
@@ -46,6 +49,8 @@ class GridDomain:
             raise ValueError("domain extents must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("domain extents must satisfy x_max > x_min and y_max > y_min")
+        if not self.diagonal < math.inf:
+            raise ValueError("domain diagonal: (x_max - x_min)^2 + (y_max - y_min)^2 overflows")
         if not (_is_int(self.resolution) and self.resolution >= 1):
             raise ValueError("resolution must be a positive integer")
 
@@ -60,6 +65,11 @@ class GridDomain:
     @property
     def cell_dy(self) -> float:
         return (self.y_max - self.y_min) / self.resolution
+
+    @property
+    def diagonal(self) -> float:
+        w, h = self.x_max - self.x_min, self.y_max - self.y_min
+        return math.sqrt(w * w + h * h)
 
     @property
     def side(self) -> float:
@@ -104,7 +114,9 @@ class FidelityModel:
     lowest fidelity) and are stored as tuples, so a model built from lists
     hashes and compares like one built from tuples.  Amplitudes, length
     scales, and altitudes must be strictly decreasing with the level index;
-    noise must be positive, and no l_m^2 or s_m^2 may underflow.
+    noise must be positive.  No v_m^2, l_m^2 or s_m^2 may overflow, no l_m^2
+    or s_m^2 may underflow, and the running sums of mu_m and of v_m^2 (the
+    prior means and variances of ``_moments``) must stay finite.
     """
 
     mu: tuple[float, ...]
@@ -132,12 +144,20 @@ class FidelityModel:
             raise ValueError("altitudes z must be positive and strictly decreasing")
         if any(x <= 0 for x in self.s):
             raise ValueError("noise levels s must be positive")
-        for what, xs in (("length scale l", self.l), ("noise level s", self.s)):
+        for what, xs, low in (
+            ("amplitude v", self.v, 0.0),
+            ("length scale l", self.l, sys.float_info.min),
+            ("noise level s", self.s, sys.float_info.min),
+        ):
             for m, x in enumerate(xs, start=1):
-                if x * x < sys.float_info.min:
-                    raise ValueError(
-                        f"{what}_{m} = {x!r}: its square underflows (below sys.float_info.min)"
-                    )
+                if not low <= x * x < math.inf:
+                    side = "overflows" if x > 1.0 else "underflows (below sys.float_info.min)"
+                    raise ValueError(f"{what}_{m} = {x!r}: its square {side}")
+        for what, terms in (("mu_{}", self.mu), ("v_{}^2", [x * x for x in self.v])):
+            # summed left to right, as np.cumsum sums the table of _moments
+            for m, total in enumerate(accumulate(terms), start=1):
+                if not math.isfinite(total):
+                    raise ValueError(f"{what.format(1)} + ... + {what.format(m)} overflows")
 
     @property
     def levels(self) -> int:
@@ -346,6 +366,17 @@ class MissionConfig:
                 raise ValueError(f"start {self.start[:2]} lies outside the domain")
             if self.start[2] < 0.0:
                 raise ValueError(f"start altitude {self.start[2]} lies below the floor (z = 0)")
+        # a leg spans at most the diagonal, a climb at most the top altitude;
+        # a sample count past the float range cannot be converted to a float
+        top = max(self.model.z[0], self.start[2] if self.start else 0.0)
+        step = self.sample_time + self.domain.diagonal + top
+        samples = self.max_epochs * self.epoch_sample_cap
+        if not (samples < sys.float_info.max and samples * step < math.inf):
+            raise ValueError(
+                "the worst-case clock max_epochs * epoch_sample_cap * (sample_time + floor "
+                "diagonal + top altitude) is not finite: "
+                f"{self.max_epochs} * {self.epoch_sample_cap} * {step!r}"
+            )
 
     @property
     def initial_level(self) -> int:

@@ -8,7 +8,7 @@ lower-amplitude version of the field.  The grid and the per-level
 hyperparameters are ``config.GridDomain`` and ``config.FidelityModel``.
 Every covariance that inference reads comes from one cached table over cell
 offsets per (domain, model), ``covariance_tables``: the running sum of the
-layer kernels, which ``windows`` views as one grid per cell.  On the grid a
+layer kernels, whose rows ``covariance_rows`` gathers.  On the grid a
 layer's kernel is v_m^2 K_y (x) K_x, the Kronecker product of the
 squared-exponential correlations along the rows and along the columns, so
 the prior draw factors the two R x R axis correlations and never the n x n
@@ -63,14 +63,17 @@ def covariance_tables(domain: GridDomain, model: FidelityModel) -> np.ndarray:
     return table
 
 
-def windows(table: np.ndarray) -> np.ndarray:
-    """(M, R, R, R, R) read-only view of the (M, 2R-1, 2R-1) table of
-    ``covariance_tables``: [t, r, c] is table t between the cell (r, c)
-    and every cell, as an R x R grid.  Gathering a cell's grid copies R rows
-    of R contiguous entries and computes nothing."""
-    R = (table.shape[-1] + 1) // 2
-    view = np.lib.stride_tricks.sliding_window_view(table, (R, R), axis=(1, 2))
-    return view[:, ::-1, ::-1]
+def covariance_rows(domain: GridDomain, model: FidelityModel, cells, levels) -> np.ndarray:
+    """(len(cells), n_cells) covariances of the records at the flat cell
+    indices ``cells`` and the levels ``levels`` with the full field at every
+    cell.  A record's row is its cell's R x R window of the level's table in
+    ``covariance_tables``, read through a sliding-window view: each gather
+    copies R rows of R contiguous entries and computes nothing."""
+    R = domain.resolution
+    table = covariance_tables(domain, model)
+    view = np.lib.stride_tricks.sliding_window_view(table, (R, R), axis=(1, 2))[:, ::-1, ::-1]
+    rows, cols = np.divmod(cells, R)
+    return view[levels - 1, rows, cols].reshape(len(cells), R * R)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,8 @@ two records truncates the layer sum at the lower of their two levels, and the
 cross-covariance of a record with the full-fidelity field truncates at the
 record's level.  Every record sits on a cell center and the layer kernels are
 stationary, so all of these covariances are reads of the layer sums in
-``field_model.covariance_tables``, through its window view
-(``field_model.windows``), indexed by a level and two cells.  The posterior
+``field_model.covariance_tables``, whose rows ``field_model.covariance_rows``
+gathers, indexed by a level and two cells.  The posterior
 serves the whole grid through W = L^-1 K_xn, L the Cholesky factor of the
 observation covariance (GPML Alg. 2.1).  Records sorted by level see the
 full field's covariance with every earlier record, so the solve of a new
@@ -34,7 +34,7 @@ from itertools import chain
 from ._linalg import DEFAULT_JITTER, NumericalError
 from ._np import np
 from .config import FidelityModel, GridDomain, _is_int
-from .field_model import covariance_tables, windows
+from .field_model import covariance_rows, covariance_tables
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
@@ -112,14 +112,6 @@ class SampleLog:
         return np.array(self._fidelities, dtype=int)
 
 
-def _grid_cov(cov, cells: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(n, n_cells) covariance of each record, at the flat cell index
-    ``cells`` and level ``m``, with the full field at every cell, from the
-    ``windows`` view ``cov`` of the layer sums."""
-    rows, cols = np.divmod(cells, cov.shape[-1])
-    return cov[m - 1, rows, cols].reshape(len(m), cov.shape[-1] ** 2)
-
-
 def _next_row(w: np.ndarray, j: int, kappa: np.ndarray, d: float, floor: float):
     """Row of W = L^-1 K for one more record, from W alone.
 
@@ -141,15 +133,14 @@ def _block_factor(x, at, d, what: str, first: int, jitter: float):
 
     ``x`` holds the block's covariance rows with every earlier record taken
     off, and column at[k] is record k's own cell.  So the block's Schur
-    complement S has x[k, at[l]] above its diagonal for k < l (the identity
-    of ``_next_row``) and ``d`` on it, and LAPACK factors it.  A block whose
-    S is not positive definite is rerun one record at a time with
-    ``_next_row``, only to name the record of the first pivot <= 0 (or of
-    the smallest pivot) in a NumericalError; ``first`` is the block's first
-    record.
+    complement S has x[k, at[l]] at (l, k) below its diagonal (the identity
+    of ``_next_row``) and ``d`` on it, the only entries LAPACK reads.  A
+    block whose S is not positive definite is rerun from ``x`` one record at
+    a time with ``_next_row``, only to name the record of the first pivot
+    <= 0 (or of the smallest pivot) in a NumericalError; ``first`` is the
+    block's first record.
     """
-    s = np.triu(x[:, at], 1)
-    s += s.T
+    s = x[:, at].T.copy()
     np.fill_diagonal(s, d)
     try:
         factor = np.linalg.cholesky(s)
@@ -269,7 +260,7 @@ def posterior(
     a -= mean  # ybar - nu, made L^-1 (ybar - nu) block by block below
     jitter = jitter_scale * float(np.max(var + noise)) if r else 0.0
     d = var + (noise + jitter) / counts
-    w = _grid_cov(windows(covariance_tables(domain, model)), cells, levels)
+    w = covariance_rows(domain, model, cells, levels)
     for start in range(0, r, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at, prev = cells[block], w[:start]
@@ -439,7 +430,6 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     """
     n = len(log)
     _check_top_level(log, model)
-    cov = windows(covariance_tables(log.domain, model))
     mrec = log.fidelities()
     flat, col = np.unique(log.cell_indices(), return_inverse=True)  # the distinct cells
     _, var, noise = model._moments
@@ -450,7 +440,7 @@ def _chain_terms(log: SampleLog, model: FidelityModel):
     for start in range(0, n, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         at = col[block]
-        x = _grid_cov(cov, flat[at], mrec[block])[:, flat]
+        x = covariance_rows(log.domain, model, flat[at], mrec[block])[:, flat]
         x -= gram[at]
         linv, pivots = _block_factor(x, at, d[block] - gram[at, at], "information-chain", start, 0.0)
         wb = linv @ x

@@ -219,15 +219,6 @@ def run_mission(config: MissionConfig) -> MissionReport:
     )
 
 
-@dataclass
-class DecayCurves:
-    """Max posterior variance versus sample count for the two samplers."""
-
-    n: list[int]
-    multi_fidelity: list[float]
-    single_fidelity: list[float]
-
-
 def _variance_decay(config: MissionConfig, n_samples: int, force_top: bool) -> list[float]:
     domain, model = config.domain, config.model
     post = posterior(SampleLog(domain), model)
@@ -235,8 +226,10 @@ def _variance_decay(config: MissionConfig, n_samples: int, force_top: bool) -> l
     return [post.max_sigma2()] + [max_var for _, _, _, max_var, _ in steps]
 
 
-def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
-    """Variance-only greedy sampling with and without fidelity switching.
+def compare_decay(config: MissionConfig, n_samples: int = 80) -> list[dict]:
+    """Variance-only greedy sampling with and without fidelity switching: one
+    row per sample count n = 0..n_samples, with the max posterior variance
+    of each sampler after n samples.
 
     No classification or elimination happens here; the curves depend only on
     sampling locations, so they are observation-independent.
@@ -245,7 +238,10 @@ def compare_decay(config: MissionConfig, n_samples: int = 80) -> DecayCurves:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     multi = _variance_decay(config, n_samples, force_top=False)
     single = _variance_decay(config, n_samples, force_top=True)
-    return DecayCurves(n=list(range(n_samples + 1)), multi_fidelity=multi, single_fidelity=single)
+    return [
+        {"n": n, "multi_fidelity_max_var": m, "single_fidelity_max_var": s}
+        for n, (m, s) in enumerate(zip(multi, single))
+    ]
 
 
 def run_missions(config: MissionConfig, seeds) -> Iterator[MissionReport]:

@@ -39,7 +39,7 @@ from mfgp_search.inference import (
     posterior,
     restrict,
 )
-from mfgp_search.mission import DecayCurves, EpochRecord
+from mfgp_search.mission import EpochRecord
 from mfgp_search.planner import (
     EpochPlan,
     PlannedSample,
@@ -449,13 +449,13 @@ def snapshot_plan(post, level, limits, candidates, epoch=1) -> EpochPlan:
             )
 
 
-def snapshot_decay(config, n_samples: int) -> DecayCurves:
+def snapshot_decay(config, n_samples: int) -> list[dict]:
     """The uncertainty-decay comparison with one new snapshot per sample.
 
     Greedy sampling over the whole grid from the prior, through
     ``append_sample_variance_only``, with the fidelity switch (multi) and
-    at the top level throughout (single); records the max variance before
-    the first sample and after each one.
+    at the top level throughout (single); one row per sample count with the
+    max variance before the first sample and after each one.
     """
     domain, model = config.domain, config.model
 
@@ -471,11 +471,10 @@ def snapshot_decay(config, n_samples: int) -> DecayCurves:
             out.append(post.max_sigma2())
         return out
 
-    return DecayCurves(
-        n=list(range(n_samples + 1)),
-        multi_fidelity=curve(1, True),
-        single_fidelity=curve(model.levels, False),
-    )
+    return [
+        {"n": n, "multi_fidelity_max_var": m, "single_fidelity_max_var": s}
+        for n, (m, s) in enumerate(zip(curve(1, True), curve(model.levels, False)))
+    ]
 
 
 def reference_mission(config) -> dict:

@@ -261,9 +261,9 @@ def test_c08_multi_fidelity_speedup():
         config = MissionConfig(
             domain=DESK_DOMAIN, model=DESK_MODEL, delta=0.1, th=0.3, seed=seed
         )
-        curves = compare_decay(config, n_samples=n_samples)
-        m = np.array(curves.multi_fidelity)[: quarter + 1]
-        s = np.array(curves.single_fidelity)[: quarter + 1]
+        rows = compare_decay(config, n_samples=n_samples)[: quarter + 1]
+        m = np.array([r["multi_fidelity_max_var"] for r in rows])
+        s = np.array([r["single_fidelity_max_var"] for r in rows])
         if np.all(m <= s + 1e-12):
             hits += 1
     verdict(8, "multi-fidelity-speedup", hits >= 16, f"{hits}/20 seeds dominate early")

@@ -2,10 +2,12 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from mfgp_search.cli import (
     load_config,
     main,
     resolve_config,
+    run_mission,
     write_manifest,
 )
 from mfgp_search.config import parse_config_text
@@ -96,6 +99,15 @@ REJECTED = [
     ({"model.s_1": 1e-200}, "s_1 = 1e-200: its square underflows"),
     ({"model.l_1": 1e-200, "model.l_2": 1e-201}, "l_1 = 1e-200: its square underflows"),
     ({"mission.epoch_sample_cap": 0}, "mission block: epoch_sample_cap must be at least 1"),
+    # squares, running sums and the clock that overflow
+    ({"mission.sample_time": 1e308}, "worst-case clock max_epochs * epoch_sample_cap"),
+    ({"model.s_1": 1e200}, "model block: noise level s_1 = 1e+200: its square overflows"),
+    ({"model.v_1": 1e200, "model.v_2": 1e199}, "amplitude v_1 = 1e+200: its square overflows"),
+    ({"model.mu_1": 1e308, "model.mu_2": 1e308}, "model block: mu_1 + ... + mu_2 overflows"),
+    ({"model.v_1": 1.3e154, "model.v_2": 1e154}, "model block: v_1^2 + ... + v_2^2 overflows"),
+    ({"model.l_1": 1e200, "model.l_2": 1e199}, "length scale l_1 = 1e+200: its square overflows"),
+    ({"domain.x_max": 1e300, "domain.y_max": 1e300}, "(x_max - x_min)^2 + (y_max - y_min)^2"),
+    ({"mission.epoch_sample_cap": 10**400}, "worst-case clock"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse
 BENCH_REJECTED = [
@@ -225,12 +237,15 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_non_finite_report_refused(self, tmp_path, capsys):
-        # the clock overflows to inf, which JSON has no text for
+    def test_non_finite_report_refused(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # config refuses a clock that can overflow (REJECTED), so an inf
+        # clock is planted in the report: JSON has no text for it
+        def inf_clock(config):
+            return replace(run_mission(config), clock_total=math.inf)
+
+        monkeypatch.setattr("mfgp_search.cli.run_mission", inf_clock)
         out = tmp_path / "o"
-        planted = str(REPO / "configs" / "planted.cfg")
-        args = ["run", "--config", planted, "--out", str(out), "--set", "mission.sample_time=1e308"]
-        assert main(args) == 1
+        assert main(["run", "--config", str(small_cfg), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: float inf is not JSON compliant: JSON has no inf or NaN\n"
         assert "mission" not in captured.out

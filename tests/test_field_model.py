@@ -20,9 +20,9 @@ from mfgp_search import field_model
 from mfgp_search.formats import write_grid_csv, write_pgm
 from mfgp_search.field_model import (
     _gaussian_blur,
+    covariance_rows,
     covariance_tables,
     measure_cells,
-    windows,
 )
 
 from oracles import sq_exp
@@ -330,14 +330,14 @@ class TestPriorDrawCovariance:
     """The prior draw's layer m is mu_m + v_m (L_y (x) L_x) z, the Kronecker
     product of the two axis factors applied to the seed's row-major normals."""
 
-    def test_windows_equal_kernel_on_centre_differences(self, desk_domain, desk_model):
+    def test_covariance_rows_equal_kernel_on_centre_differences(self, desk_domain, desk_model):
         # desk centres are binary fractions: offsets and centre differences agree
         centers, n = desk_domain.cell_centers, desk_domain.n_cells
-        sums = windows(covariance_tables(desk_domain, desk_model))
         K = 0.0
         for m in (1, 2):
             K = K + kernel_eval(m, centers[:, None], centers[None], desk_model)
-            assert np.array_equal(sums[m - 1].reshape(n, n), K)
+            rows = covariance_rows(desk_domain, desk_model, np.arange(n), np.full(n, m))
+            assert np.array_equal(rows, K)
 
     @pytest.mark.parametrize(
         "domain",

@@ -14,12 +14,13 @@ from mfgp_search import (
     greedy_info_gain,
     posterior,
 )
-from mfgp_search import inference
+from mfgp_search import field_model, inference
 from mfgp_search._linalg import DEFAULT_JITTER, jittered_cholesky
-from mfgp_search.field_model import covariance_tables, sample_ground_truth, windows
+from mfgp_search.field_model import covariance_rows, covariance_tables, sample_ground_truth
 from mfgp_search.inference import (
+    SIGMA2_TOL,
     _chain_terms,
-    _grid_cov,
+    _clamp_sigma2,
     _WorkingSet,
     diagnostics_lines,
     restrict,
@@ -225,19 +226,18 @@ class TestCovarianceTable:
 class TestCrossCovariance:
     def test_empty_log(self, small_domain, two_level):
         log = SampleLog(small_domain)
-        cov = windows(covariance_tables(small_domain, two_level))
-        assert _grid_cov(cov, log.cell_indices(), log.fidelities()).size == 0
+        rows = covariance_rows(small_domain, two_level, log.cell_indices(), log.fidelities())
+        assert rows.shape == (0, small_domain.n_cells)
 
     def test_top_fidelity_self_covariance_is_prior_variance(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(7, 0.0, 2)
-        cov = windows(covariance_tables(small_domain, two_level))
-        vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
+        vec = covariance_rows(small_domain, two_level, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.34)
 
-    def test_windows_match_offset_gather(self, desk_model):
-        # the window views copy table entries, so the gather is bit for bit
-        # the per-offset lookup, also on a grid whose offsets are inexact
+    def test_covariance_rows_match_offset_gather(self, desk_model):
+        # the rows copy table entries, so the gather is bit for bit the
+        # per-offset lookup, also on a grid whose offsets are inexact
         domain = GridDomain(0.0, 20.0, 0.0, 13.0, 30)
         rng = np.random.default_rng(11)
         rc = rng.integers(0, 30, size=(50, 2))
@@ -245,14 +245,23 @@ class TestCrossCovariance:
         grid = np.column_stack(np.divmod(np.arange(domain.n_cells), 30))
         table = covariance_tables(domain, desk_model)
         expected = _pair_cov(table, rc[:, None], m[:, None], grid[None], desk_model.levels)
-        cov = windows(table)
-        assert np.array_equal(_grid_cov(cov, rc[:, 0] * 30 + rc[:, 1], m), expected)
-        assert not cov.flags.writeable
+        rows = covariance_rows(domain, desk_model, rc[:, 0] * 30 + rc[:, 1], m)
+        assert np.array_equal(rows, expected)
+        # a copy: the posterior solves in place in the rows it gets
+        assert not np.shares_memory(rows, table)
 
-    def test_one_reflected_table_per_domain_and_model(self, small_domain, two_level):
-        # the windows and every working set read the one cached table
+    def test_one_reflected_table_per_domain_and_model(self, small_domain, two_level, monkeypatch):
+        # the row gathers and every working set read the one cached table
         table = covariance_tables(small_domain, two_level)
-        assert np.shares_memory(windows(table), table)
+        read = []
+
+        def spy(domain, model):
+            read.append(covariance_tables(domain, model))
+            return read[-1]
+
+        monkeypatch.setattr(field_model, "covariance_tables", spy)
+        covariance_rows(small_domain, two_level, np.array([3, 7]), np.array([1, 2]))
+        assert len(read) == 1 and read[0] is table
         post = posterior(SampleLog(small_domain), two_level)
         for _ in range(2):
             assert _WorkingSet(post, post.columns)._reflected.base is table
@@ -260,8 +269,7 @@ class TestCrossCovariance:
     def test_low_fidelity_truncates_layer_sum(self, small_domain, two_level):
         log = SampleLog(small_domain)
         log.append(7, 0.0, 1)
-        cov = windows(covariance_tables(small_domain, two_level))
-        vec = _grid_cov(cov, log.cell_indices(), log.fidelities())[:, 7]
+        vec = covariance_rows(small_domain, two_level, log.cell_indices(), log.fidelities())[:, 7]
         assert vec[0] == pytest.approx(0.25)
 
 
@@ -291,6 +299,11 @@ class TestPosterior:
         post = posterior(SampleLog(small_domain), two_level)
         assert np.all(post.mu == pytest.approx(0.15))
         assert np.all(post.sigma2 == pytest.approx(0.34))
+
+    def test_max_over_no_candidates_refused(self, small_domain, two_level):
+        post = posterior(SampleLog(small_domain), two_level)
+        with pytest.raises(ValueError, match="empty candidate set"):
+            post.max_sigma2(np.array([], dtype=int))
 
     def test_single_sample_scalar_update(self, small_domain, one_level):
         log = SampleLog(small_domain)
@@ -349,6 +362,20 @@ class TestPosterior:
         with pytest.raises(NumericalError) as err:
             posterior(log, model, jitter_scale=0.0)
         assert err.value.jitter == 0.0
+
+
+class TestVarianceClamp:
+    def test_small_negatives_clamp_to_zero_in_place(self):
+        sigma2 = np.array([0.5, -1e-12, -SIGMA2_TOL, 0.0])
+        assert _clamp_sigma2(sigma2, 0.0) is sigma2
+        assert sigma2.tolist() == [0.5, 0.0, 0.0, 0.0]
+
+    def test_a_variance_below_the_tolerance_raises(self):
+        sigma2 = np.array([0.5, -2e-8])
+        with pytest.raises(NumericalError, match=r"posterior variance fell to -2e-08") as err:
+            _clamp_sigma2(sigma2, 0.25)
+        assert err.value.jitter == 0.25
+        assert sigma2.tolist() == [0.5, -2e-8]
 
 
 class TestAppendVarianceOnly:
@@ -782,6 +809,11 @@ class TestLeanAssembly:
         assert jitter == DEFAULT_JITTER * float(np.max(np.diagonal(kept)))
         assert np.array_equal(L, np.linalg.cholesky(kept + jitter * np.eye(30)))
         assert np.array_equal(K, kept + jitter * np.eye(30))
+
+    def test_jittered_cholesky_refuses_an_indefinite_matrix(self):
+        with pytest.raises(NumericalError, match="covariance not positive definite") as err:
+            jittered_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert err.value.jitter == DEFAULT_JITTER
 
 
 class TestGreedyInfoGain:

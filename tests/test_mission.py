@@ -428,33 +428,34 @@ class TestCompareDecay:
         config = MissionConfig(
             domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0
         )
-        curves = compare_decay(config, n_samples=20)
-        assert curves.multi_fidelity[0] == pytest.approx(small_model.prior_variance())
-        assert curves.single_fidelity[0] == pytest.approx(small_model.prior_variance())
-        assert curves.n == list(range(21))
+        rows = compare_decay(config, n_samples=20)
+        assert rows[0]["multi_fidelity_max_var"] == pytest.approx(small_model.prior_variance())
+        assert rows[0]["single_fidelity_max_var"] == pytest.approx(small_model.prior_variance())
+        assert [r["n"] for r in rows] == list(range(21))
 
     def test_multi_fidelity_dominates_early(self, small_domain, small_model):
         config = MissionConfig(
             domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0
         )
-        curves = compare_decay(config, n_samples=40)
-        m = np.array(curves.multi_fidelity)
-        s = np.array(curves.single_fidelity)
+        rows = compare_decay(config, n_samples=40)
+        m = np.array([r["multi_fidelity_max_var"] for r in rows])
+        s = np.array([r["single_fidelity_max_var"] for r in rows])
         assert np.all(m[:11] <= s[:11] + 1e-12)
 
     def test_curves_monotone(self, small_domain, small_model):
         config = MissionConfig(
             domain=small_domain, model=small_model, delta=0.1, th=0.3, seed=0
         )
-        curves = compare_decay(config, n_samples=30)
-        for curve in (curves.multi_fidelity, curves.single_fidelity):
+        rows = compare_decay(config, n_samples=30)
+        for key in ("multi_fidelity_max_var", "single_fidelity_max_var"):
+            curve = [r[key] for r in rows]
             assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_negative_sample_count_refused(self, small_domain, small_model):
         config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
         with pytest.raises(ValueError, match="n_samples must be >= 0, got -1"):
             compare_decay(config, -1)
-        assert compare_decay(config, 0).n == [0]
+        assert [r["n"] for r in compare_decay(config, 0)] == [0]
 
 
 @pytest.fixture(scope="module")

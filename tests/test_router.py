@@ -390,6 +390,18 @@ class TestExecuteEpoch:
                 plan, wrong, truth, model, SampleLog(domain), 0.0, np.random.default_rng(0), start
             )
 
+    def test_tour_count_must_match_the_groups(self, epoch_setup):
+        domain, model, truth = epoch_setup
+        post = posterior(SampleLog(domain), model)
+        plan = plan_epoch(post, 1, PlanLimits(sigma_ratio=0.9), np.arange(domain.n_cells))
+        start = (0.0, 0.0, model.z[0])
+        tours = plan_tours(plan, domain, model, start)
+        log = SampleLog(domain)
+        for wrong in ([], tours + tours):
+            with pytest.raises(ValueError, match="tours do not match the plan's fidelity groups"):
+                execute_epoch(plan, wrong, truth, model, log, 0.0, np.random.default_rng(0), start)
+        assert len(log) == 0
+
     def test_log_on_another_grid_rejected(self, epoch_setup):
         # one cell index per waypoint serves the truth and the log
         domain, model, truth = epoch_setup
