@@ -20,12 +20,24 @@ from pathlib import Path
 from typing import get_args
 
 MAX_EXACT_CELLS = 10_000
+MAX_BLUR_TAPS = 10_000  # taps on each side of a planted level's blur kernel
 
 
 def _is_int(value) -> bool:
     """The one integer rule of levels and int fields: an int or a numpy
     integer (``numbers.Integral``), never a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, low, high=None):
+    """``value`` if it is an integer (``_is_int``) in [low, high] (no upper
+    bound when ``high`` is None); else a ValueError naming ``name``, the
+    value and the bound.  The message is built only on refusal: fidelity
+    levels are checked on every planning step."""
+    if _is_int(value) and low <= value and (high is None or value <= high):
+        return value
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +47,7 @@ class GridDomain:
     Cells are indexed row-major: index ``i`` maps to row ``i // resolution``
     (the y axis) and column ``i % resolution`` (the x axis).  The squared
     floor diagonal, which bounds every squared tour distance, must not
-    overflow.
+    overflow, and a cell's width and height must not underflow to 0.
     """
 
     x_min: float
@@ -45,14 +57,18 @@ class GridDomain:
     resolution: int
 
     def __post_init__(self):
+        _check_int("resolution", self.resolution, 1)
         if not all(math.isfinite(v) for v in (self.x_min, self.x_max, self.y_min, self.y_max)):
             raise ValueError("domain extents must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("domain extents must satisfy x_max > x_min and y_max > y_min")
         if not self.diagonal < math.inf:
             raise ValueError("domain diagonal: (x_max - x_min)^2 + (y_max - y_min)^2 overflows")
-        if not (_is_int(self.resolution) and self.resolution >= 1):
-            raise ValueError("resolution must be a positive integer")
+        if not (self.cell_dx > 0.0 and self.cell_dy > 0.0):
+            raise ValueError(
+                f"cell width (x_max - x_min) / resolution = {self.cell_dx!r} and height "
+                f"(y_max - y_min) / resolution = {self.cell_dy!r} must both be positive"
+            )
 
     @property
     def n_cells(self) -> int:
@@ -204,15 +220,7 @@ class FidelityModel:
         return (ln * ln) / (lm * lm) * (self.v[level] * self.v[level])
 
     def _check_level(self, m: int):
-        _check_fidelity_level(m, self.levels)
-
-
-def _check_fidelity_level(m: int, levels: int):
-    """ValueError naming ``m`` unless it is an integer (``_is_int``) in 1..levels."""
-    if not _is_int(m):
-        raise ValueError(f"fidelity level {m} is not an integer")
-    if not 1 <= m <= levels:
-        raise ValueError(f"fidelity level {m} out of range [1, {levels}]")
+        _check_int("fidelity level", m, 1, self.levels)
 
 
 @dataclass(frozen=True)
@@ -225,11 +233,16 @@ class Bump:
     radius: float
 
 
-def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], background: float):
+def _check_truth_inputs(
+    domain: GridDomain, model: FidelityModel, mode: str, bumps: tuple[Bump, ...], background: float
+):
     """ValueError for a ground truth ``sample_ground_truth`` does not draw:
     a grid over MAX_EXACT_CELLS, an unknown mode, a bump radius that is not
-    positive, a bump or background that is not finite, or a bump or a
-    non-zero background outside planted mode, which would go unused."""
+    positive or whose square underflows, a bump or background that is not
+    finite, a bump or a non-zero background outside planted mode, which
+    would go unused, or in planted mode a level whose blur reaches more
+    than MAX_BLUR_TAPS cells to a side (int(4 l_m / cell size + 0.5) taps,
+    as ``field_model._gaussian_blur`` sizes them)."""
     if domain.n_cells > MAX_EXACT_CELLS:
         raise ValueError(
             f"grid has {domain.n_cells} cells; the posterior is exact over every cell, "
@@ -245,6 +258,20 @@ def _check_truth_inputs(domain: GridDomain, mode: str, bumps: tuple[Bump, ...], 
         raise ValueError("bumps and background must be finite")
     if mode != "planted" and (bumps or background != 0.0):
         raise ValueError(f"bumps and background apply in planted mode only, not in {mode}")
+    for k, b in enumerate(bumps, start=1):
+        if not b.radius * b.radius >= sys.float_info.min:
+            raise ValueError(
+                f"planted.bump_{k}.radius = {b.radius!r}: its square underflows "
+                "(below sys.float_info.min)"
+            )
+    if mode == "planted":
+        cell = min(domain.cell_dx, domain.cell_dy)
+        for m, lm in enumerate(model.l[:-1], start=1):
+            if not 4.0 * (lm / cell) + 0.5 < MAX_BLUR_TAPS + 1:
+                raise ValueError(
+                    f"model.l_{m} = {lm!r}: the planted blur of level {m} reaches 4 l_{m} / "
+                    f"cell size = {4.0 * (lm / cell):g} cells to a side, over {MAX_BLUR_TAPS}"
+                )
 
 
 @dataclass(frozen=True)
@@ -255,10 +282,7 @@ class PlanLimits:
     def __post_init__(self):
         if not 0.0 < self.sigma_ratio <= 1.0:
             raise ValueError("sigma_ratio must be in (0, 1]")
-        if not _is_int(self.sample_cap):
-            raise ValueError(f"sample_cap must be an integer, got {self.sample_cap}")
-        if self.sample_cap < 1:
-            raise ValueError("sample_cap must be positive")
+        _check_int("sample_cap", self.sample_cap, 1)
 
 
 @dataclass(frozen=True)
@@ -337,18 +361,14 @@ class MissionConfig:
             object.__setattr__(self, "start", tuple(float(x) for x in self.start))
         self.params()  # delta in (0, 1/2), th finite
         for name, least in (("seed", 0), ("max_epochs", 1), ("epoch_sample_cap", 1)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+            _check_int(name, getattr(self, name), least)
         last = self.params().last_epoch
         if self.max_epochs > last:
             raise ValueError(
                 f"max_epochs must be at most {last} at delta={self.delta!r}: the last "
                 "epoch's tolerance delta / 2^max_epochs is below sys.float_info.min"
             )
-        _check_truth_inputs(self.domain, self.mode, self.bumps, self.background)
+        _check_truth_inputs(self.domain, self.model, self.mode, self.bumps, self.background)
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
         self.limits()  # sigma_ratio in (0, 1]
@@ -468,10 +488,9 @@ _CASTS = {float: float, int: _as_int, str: str}
 _BENCH_KEYS = {"samples": (80, 0), "seeds": (30, 1), "delta_bins": (3, 1)}
 
 
-def _at_least(key: str, value: int, low: int) -> int:
-    if value < low:
-        raise ConfigError(f"config key {key!r}: must be >= {low}")
-    return value
+def _get_int(kv: dict, key: str, low: int, default=MISSING) -> int:
+    """``_get`` of an integer key whose values start at ``low``."""
+    return _get(kv, key, lambda v: _check_int(key, _as_int(v), low), default)
 
 
 def _read(kv: dict, cls, section: str, level: int | None = None) -> dict:
@@ -486,13 +505,13 @@ def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
     """Build a MissionConfig (and bench settings) from flat key-values; refuse a key left unread."""
     kv = {str(k): str(v) for k, v in kv.items()}
     domain = GridDomain(**_read(kv, GridDomain, "domain"))
-    levels = _at_least("model.levels", _get(kv, "model.levels", _as_int), 1)
+    levels = _get_int(kv, "model.levels", 1)
     rows = [_read(kv, FidelityModel, "model", m) for m in range(1, levels + 1)]
     try:
         model = FidelityModel(**{name: tuple(r[name] for r in rows) for name in rows[0]})
     except ValueError as exc:
         raise ConfigError(f"model block: {exc}") from exc
-    n_bumps = _at_least("planted.bumps", _get(kv, "planted.bumps", _as_int, default=0), 0)
+    n_bumps = _get_int(kv, "planted.bumps", 0, default=0)
     bumps = tuple(Bump(**_read(kv, Bump, f"planted.bump_{k}")) for k in range(1, n_bumps + 1))
     start = None
     if any(key in kv for key in _START_KEYS):
@@ -509,7 +528,7 @@ def resolve_config(kv: dict) -> tuple[MissionConfig, dict]:
     except ValueError as exc:
         raise ConfigError(f"mission block: {exc}") from exc
     bench = {
-        name: _at_least(f"bench.{name}", _get(kv, f"bench.{name}", _as_int, default), low)
+        name: _get_int(kv, f"bench.{name}", low, default)
         for name, (default, low) in _BENCH_KEYS.items()
     }
     if kv:

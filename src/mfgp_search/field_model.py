@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from ._linalg import jittered_cholesky
 from ._np import np
-from .config import Bump, FidelityModel, GridDomain, _check_fidelity_level, _check_truth_inputs
+from .config import Bump, FidelityModel, GridDomain, _check_int, _check_truth_inputs
 
 
 def kernel_eval(m: int, x, xp, model: FidelityModel):
@@ -88,7 +88,7 @@ class GroundTruth:
     f: np.ndarray
 
     def level_field(self, m: int) -> np.ndarray:
-        _check_fidelity_level(m, len(self.f))
+        _check_int("fidelity level", m, 1, len(self.f))
         return self.f[m - 1]
 
     def target_mask(self, th: float) -> np.ndarray:
@@ -101,14 +101,18 @@ def _gaussian_blur(grid: np.ndarray, sigmas: tuple[float, float]) -> np.ndarray:
     cells along axis a.
 
     Along an axis the kernel is exp(-x^2 / (2 sigma^2)) on x = -r..r,
-    r = int(4 sigma + 0.5), normalised to sum 1.  Each axis (0, then 1) is
-    padded by reflection (edge cells repeated) and summed as the center term,
-    then each symmetric pair of taps, farthest pair first.  That order
-    reproduces scipy.ndimage.gaussian_filter(grid, sigmas) bit for bit.
+    r = int(4 sigma + 0.5), normalised to sum 1; at r = 0 it is the one tap
+    1, so the axis is left as it is (sigma^2 may underflow there).  Each
+    axis (0, then 1) is padded by reflection (edge cells repeated) and
+    summed as the center term, then each symmetric pair of taps, farthest
+    pair first.  That order reproduces scipy.ndimage.gaussian_filter(grid,
+    sigmas) bit for bit.
     """
     out = np.asarray(grid, dtype=float)
     for axis, sigma in enumerate(sigmas):
         r = int(4.0 * sigma + 0.5)
+        if r == 0:
+            continue
         phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
         w = (phi / phi.sum())[r:]
         p = np.pad(np.moveaxis(out, axis, 0), [(r, r), (0, 0)], mode="symmetric")
@@ -143,7 +147,7 @@ def sample_ground_truth(
     both axes, so coarser levels are smoother.  The seed is unused.  Inputs
     that ``_check_truth_inputs`` refuses raise ValueError before any work.
     """
-    _check_truth_inputs(domain, mode, bumps, background)
+    _check_truth_inputs(domain, model, mode, bumps, background)
     M = model.levels
     n = domain.n_cells
     R = domain.resolution

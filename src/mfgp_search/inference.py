@@ -33,22 +33,17 @@ from itertools import chain
 
 from ._linalg import DEFAULT_JITTER, NumericalError
 from ._np import np
-from .config import FidelityModel, GridDomain, _is_int
+from .config import FidelityModel, GridDomain, _check_int
 from .field_model import covariance_rows, covariance_tables
 
 SIGMA2_TOL = 1e-8  # most negative clamped variance tolerated before declaring failure
 _CHAIN_BLOCK = 64  # records per block of the posterior and the information chain
 
 
-def _check_next_level(level, levels):
-    """ValueError unless ``level`` is an integer (``_is_int``), at least 1 and
-    at least the last of the record levels ``levels`` (they never decrease)."""
-    if not _is_int(level):
-        raise ValueError(f"fidelity level {level} is not an integer")
-    if level < 1:
-        raise ValueError(f"fidelity level {level} out of range: levels start at 1")
-    if len(levels) and level < levels[-1]:
-        raise ValueError(f"fidelity must be non-decreasing: got {level} after {levels[-1]}")
+def _check_next_level(level, levels, top=None):
+    """``_check_int`` of ``level`` from the last of the record levels
+    ``levels`` (they never decrease; 1 when there is none) up to ``top``."""
+    _check_int("fidelity level", level, levels[-1] if len(levels) else 1, top)
 
 
 class SampleLog:
@@ -76,14 +71,13 @@ class SampleLog:
     def extend(self, cells, values, fidelity: int):
         """Append one record per flat cell index in ``cells``, with the
         matching entry of ``values``, all at level ``fidelity``.  A cell
-        index that is not an integer (``_is_int``: 3.0 and True are not) or
-        a value that is not finite is refused, naming its entry, and so is a
-        fidelity that ``_check_next_level`` refuses."""
-        index = []
-        for k, c in enumerate(cells):
-            if not _is_int(c):
-                raise ValueError(f"cell index {c} at entry {k} is not an integer")
-            index.append(int(c))
+        index that is not an integer (``_is_int``: 3.0 and True are not) in
+        [0, n_cells - 1], or a value that is not finite, is refused, naming
+        its entry, and so is a fidelity that ``_check_next_level`` refuses."""
+        last = self.domain.n_cells - 1
+        index = [
+            int(_check_int(f"cell index at entry {k}", c, 0, last)) for k, c in enumerate(cells)
+        ]
         values = np.asarray(values, dtype=float)
         if len(index) != len(values):
             raise ValueError(f"{len(index)} cells but {len(values)} values")
@@ -91,8 +85,6 @@ class SampleLog:
         if not finite.all():
             k = int(np.argmin(finite))
             raise ValueError(f"value {values[k]} at entry {k} is not finite")
-        if index and not (0 <= min(index) and max(index) < self.domain.n_cells):
-            raise ValueError(f"cell index out of range [0, {self.domain.n_cells})")
         _check_next_level(fidelity, self._fidelities)
         self._cells += index
         self._values += values.tolist()
@@ -384,8 +376,9 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
     """Add a hypothetical sample at the flat cell index ``cell`` and level
     ``m_new`` to the variance.
 
-    ``cell`` must be an integer (``_is_int``) among the snapshot's columns,
-    and ``m_new`` a level of the model at least that of the last record.
+    ``cell`` must be a cell of the grid (``_check_int``) among the
+    snapshot's columns, and ``m_new`` a level of the model at least that of
+    the last record.
     Runs the working-set step (``_WorkingSet.add``) on a copy of this
     snapshot's rows, in O(n * len(columns)) and without a factor.  The variance of the
     result matches a full recompute with the extended log (observed values
@@ -393,10 +386,8 @@ def append_sample_variance_only(state: PosteriorField, cell: int, m_new: int) ->
     falls back to a full refactorization with placeholder observations,
     restricted to the same columns.
     """
-    if not _is_int(cell):
-        raise ValueError(f"cell {cell!r} is not an integer")
-    state.model._check_level(m_new)
-    _check_next_level(m_new, state.fidelities)
+    _check_int("cell", cell, 0, state.domain.n_cells - 1)
+    _check_next_level(m_new, state.fidelities, state.model.levels)
     working = _WorkingSet(state, state.columns)
     if not working.add(int(state.column_of(cell)), m_new):
         return _refactorized_append(state, cell, m_new)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 from ._np import np
 from .classifier import ClassificationMap, Label, check_termination, classify_epoch
-from .config import MissionConfig
+from .config import BASELINES, MissionConfig, _check_int
 from .field_model import GroundTruth, sample_ground_truth
 from .inference import SampleLog, posterior
 from .planner import _greedy_steps, plan_epoch
@@ -219,25 +219,23 @@ def run_mission(config: MissionConfig) -> MissionReport:
     )
 
 
-def _variance_decay(config: MissionConfig, n_samples: int, force_top: bool) -> list[float]:
-    domain, model = config.domain, config.model
-    post = posterior(SampleLog(domain), model)
-    steps = _greedy_steps(post, model.levels if force_top else 1, post.columns, n_samples)
+def _variance_decay(config: MissionConfig, n_samples: int) -> list[float]:
+    post = posterior(SampleLog(config.domain), config.model)
+    steps = _greedy_steps(post, config.initial_level, post.columns, n_samples)
     return [post.max_sigma2()] + [max_var for _, _, _, max_var, _ in steps]
 
 
 def compare_decay(config: MissionConfig, n_samples: int = 80) -> list[dict]:
     """Variance-only greedy sampling with and without fidelity switching: one
     row per sample count n = 0..n_samples, with the max posterior variance
-    of each sampler after n samples.
+    of each sampler after n samples.  The samplers are ``config`` under
+    each of ``BASELINES``, starting at its ``MissionConfig.initial_level``.
 
     No classification or elimination happens here; the curves depend only on
     sampling locations, so they are observation-independent.
     """
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    multi = _variance_decay(config, n_samples, force_top=False)
-    single = _variance_decay(config, n_samples, force_top=True)
+    _check_int("n_samples", n_samples, 0)
+    multi, single = (_variance_decay(replace(config, baseline=b), n_samples) for b in BASELINES)
     return [
         {"n": n, "multi_fidelity_max_var": m, "single_fidelity_max_var": s}
         for n, (m, s) in enumerate(zip(multi, single))
@@ -282,8 +280,7 @@ def detection_time_study(config: MissionConfig, seeds, delta_bins: int = 3) -> l
     """
     if config.mode != "prior-draw":
         raise ValueError("detection-time study requires prior-draw mode")
-    if delta_bins < 1:
-        raise ValueError(f"delta_bins must be >= 1, got {delta_bins}")
+    _check_int("delta_bins", delta_bins, 1)
     deltas, times, classified = [], [], []
     for report in run_missions(config, seeds):
         deltas.append(report.delta_x)

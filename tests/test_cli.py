@@ -98,7 +98,10 @@ REJECTED = [
     ({"mission.max_epochs": 1019}, "max_epochs must be at most 1018"),
     ({"model.s_1": 1e-200}, "s_1 = 1e-200: its square underflows"),
     ({"model.l_1": 1e-200, "model.l_2": 1e-201}, "l_1 = 1e-200: its square underflows"),
-    ({"mission.epoch_sample_cap": 0}, "mission block: epoch_sample_cap must be at least 1"),
+    (
+        {"mission.epoch_sample_cap": 0},
+        "mission block: epoch_sample_cap must be an integer >= 1, got 0",
+    ),
     # squares, running sums and the clock that overflow
     ({"mission.sample_time": 1e308}, "worst-case clock max_epochs * epoch_sample_cap"),
     ({"model.s_1": 1e200}, "model block: noise level s_1 = 1e+200: its square overflows"),
@@ -107,6 +110,13 @@ REJECTED = [
     ({"model.v_1": 1.3e154, "model.v_2": 1e154}, "model block: v_1^2 + ... + v_2^2 overflows"),
     ({"model.l_1": 1e200, "model.l_2": 1e199}, "length scale l_1 = 1e+200: its square overflows"),
     ({"domain.x_max": 1e300, "domain.y_max": 1e300}, "(x_max - x_min)^2 + (y_max - y_min)^2"),
+    # a cell width, a bump's r^2 and a planted blur that the run cannot compute
+    ({"domain.x_max": 5e-324}, "cell width (x_max - x_min) / resolution = 0.0"),
+    (_bump(1e-300), "planted.bump_1.radius = 1e-300: its square underflows"),
+    (
+        {**_bump(1.0), "model.l_1": 1e100, "model.l_2": 1e99},
+        "model.l_1 = 1e+100: the planted blur of level 1 reaches",
+    ),
     ({"mission.epoch_sample_cap": 10**400}, "worst-case clock"),
 ]
 # (bench overrides, key named in the error) that validate and bench both refuse

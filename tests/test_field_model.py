@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -301,7 +302,9 @@ class TestGroundTruth:
     @pytest.mark.parametrize("m", [0, -1, 3])
     def test_level_out_of_range_rejected(self, m):
         truth = sample_ground_truth(self.domain, self.model, seed=0, mode="planted")
-        with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
+        with pytest.raises(
+            ValueError, match=rf"^fidelity level must be an integer in \[1, 2\], got {m}$"
+        ):
             truth.level_field(m)
 
 
@@ -414,6 +417,14 @@ class TestGaussianBlur:
         grid = np.random.default_rng(size).normal(size=(size, size))
         assert np.array_equal(_gaussian_blur(grid, sigmas), gaussian_filter(grid, sigma))
 
+    @pytest.mark.parametrize("sigma", [0.12, 1e-160])
+    def test_one_tap_leaves_the_axis_as_it_is(self, sigma):
+        # r = int(4 sigma + 0.5) is 0 below sigma = 0.125; at 1e-160,
+        # sigma^2 underflows to 0 and the kernel's exponent would divide by it
+        grid = np.random.default_rng(5).normal(size=(6, 6))
+        assert np.array_equal(_gaussian_blur(grid, (sigma, sigma)), grid)
+        assert np.array_equal(_gaussian_blur(grid, (sigma, 1.6)), _gaussian_blur(grid, (0.0, 1.6)))
+
 
 class TestMeasure:
     def setup_method(self):
@@ -449,7 +460,9 @@ class TestMeasure:
 
     @pytest.mark.parametrize("m", [0, -1, 3])
     def test_level_out_of_range_rejected(self, m):
-        with pytest.raises(ValueError, match=f"fidelity level {m} out of range"):
+        with pytest.raises(
+            ValueError, match=rf"^fidelity level must be an integer in \[1, 2\], got {m}$"
+        ):
             measure_cells(self.truth, [self.cell(5)], m, self.model, np.random.default_rng(0))
 
 
@@ -473,7 +486,11 @@ def test_every_level_check_refuses_a_level_that_is_not_an_integer(level):
         lambda: SampleLog(domain).extend([5], [0.5], level),
         lambda: append_sample_variance_only(posterior(SampleLog(domain), model), 5, level),
     ):
-        with pytest.raises(ValueError, match=f"fidelity level {level} is not an integer"):
+        with pytest.raises(
+            ValueError,
+            match=r"^fidelity level must be an integer (in \[1, 2\]|>= 1), got "
+            + re.escape(repr(level)) + "$",
+        ):
             call()
     assert model.prior_variance(np.int64(2)) == model.prior_variance(2)
 

@@ -70,14 +70,18 @@ class TestSampleLog:
 
     def test_append_refuses_a_fractional_cell(self, small_domain):
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError, match="cell index 0.5 at entry 0 is not an integer"):
+        with pytest.raises(
+            ValueError, match=r"^cell index at entry 0 must be an integer in \[0, 99\], got 0.5$"
+        ):
             log.append(0.5, 0.1, 1)
         assert len(log) == 0
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_level_below_one_refused(self, small_domain, level):
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError, match=f"fidelity level {level} out of range"):
+        with pytest.raises(
+            ValueError, match=f"^fidelity level must be an integer >= 1, got {level}$"
+        ):
             log.append(3, 0.5, level)
         assert len(log) == 0
 
@@ -95,27 +99,65 @@ class TestSampleLog:
     @pytest.mark.parametrize(
         "cells, values, message",
         [
-            ([100], [0.0], "out of range"),
-            ([-1], [0.0], "out of range"),
+            pytest.param(
+                [100], [0.0], "cell index at entry 0 must be an integer in [0, 99], got 100",
+                id="cells0-values0-out of range",
+            ),
+            pytest.param(
+                [-1], [0.0], "cell index at entry 0 must be an integer in [0, 99], got -1",
+                id="cells1-values1-out of range",
+            ),
             ([1, 2], [0.0], "2 cells"),
             # int() would store 2.7 as cell 2, and one NaN value makes every posterior mean NaN
-            ([1, 2.7], [0.0, 0.0], "cell index 2.7 at entry 1 is not an integer"),
-            ([np.float64(-0.5)], [0.0], "cell index -0.5 at entry 0 is not an integer"),
-            ([1, float("nan")], [0.0, 0.0], "cell index nan at entry 1 is not an integer"),
+            pytest.param(
+                [1, 2.7], [0.0, 0.0],
+                "cell index at entry 1 must be an integer in [0, 99], got 2.7",
+                id="cells3-values3-cell index 2.7 at entry 1 is not an integer",
+            ),
+            pytest.param(
+                [np.float64(-0.5)], [0.0],
+                "cell index at entry 0 must be an integer in [0, 99], got np.float64(-0.5)",
+                id="cells4-values4-cell index -0.5 at entry 0 is not an integer",
+            ),
+            pytest.param(
+                [1, float("nan")], [0.0, 0.0],
+                "cell index at entry 1 must be an integer in [0, 99], got nan",
+                id="cells5-values5-cell index nan at entry 1 is not an integer",
+            ),
             ([3, 4], [0.5, float("nan")], "value nan at entry 1 is not finite"),
             ([3, 4], [-np.inf, 0.5], "value -inf at entry 0 is not finite"),
             # float(True) is 1.0: a bool would log cell 1
-            ([True, np.True_], [0.1, 0.2], "cell index True at entry 0 is not an integer"),
-            ([1, np.True_], [0.1, 0.2], "cell index True at entry 1 is not an integer"),
+            pytest.param(
+                [True, np.True_], [0.1, 0.2],
+                "cell index at entry 0 must be an integer in [0, 99], got True",
+                id="cells8-values8-cell index True at entry 0 is not an integer",
+            ),
+            pytest.param(
+                [1, np.True_], [0.1, 0.2],
+                "cell index at entry 1 must be an integer in [0, 99], got np.True_",
+                id="cells9-values9-cell index True at entry 1 is not an integer",
+            ),
             # one integer rule: a whole float or a 0-d array is not a cell index either
-            ([1, 3.0], [0.0, 0.0], "cell index 3.0 at entry 1 is not an integer"),
-            ([np.float64(3.0)], [0.0], "cell index 3.0 at entry 0 is not an integer"),
-            ([2, np.array(3)], [0.0, 0.0], "cell index 3 at entry 1 is not an integer"),
+            pytest.param(
+                [1, 3.0], [0.0, 0.0],
+                "cell index at entry 1 must be an integer in [0, 99], got 3.0",
+                id="cells10-values10-cell index 3.0 at entry 1 is not an integer",
+            ),
+            pytest.param(
+                [np.float64(3.0)], [0.0],
+                "cell index at entry 0 must be an integer in [0, 99], got np.float64(3.0)",
+                id="cells11-values11-cell index 3.0 at entry 0 is not an integer",
+            ),
+            pytest.param(
+                [2, np.array(3)], [0.0, 0.0],
+                "cell index at entry 1 must be an integer in [0, 99], got array(3)",
+                id="cells12-values12-cell index 3 at entry 1 is not an integer",
+            ),
         ],
     )
     def test_extend_refuses_bad_records(self, small_domain, cells, values, message):
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             log.extend(cells, values, 1)
         assert len(log) == 0
 
@@ -123,7 +165,9 @@ class TestSampleLog:
     def test_extend_refuses_a_fractional_fidelity(self, small_domain, fidelity):
         # int() would store 1.5 or True as level 1; 2.0 is refused as every level check does
         log = SampleLog(small_domain)
-        with pytest.raises(ValueError, match=f"fidelity level {fidelity} is not an integer"):
+        with pytest.raises(
+            ValueError, match=re.escape(f"fidelity level must be an integer >= 1, got {fidelity!r}")
+        ):
             log.extend([3], [0.5], fidelity)
         assert len(log) == 0
 
@@ -143,7 +187,9 @@ class TestSampleLog:
             lambda: greedy_info_gain(log, two_level),
             lambda: diagnostics_lines(log, two_level),
         ):
-            with pytest.raises(ValueError, match=r"fidelity level 3 out of range \[1, 2\]"):
+            with pytest.raises(
+                ValueError, match=r"^fidelity level must be an integer in \[1, 2\], got 3$"
+            ):
                 call()
 
 
@@ -501,7 +547,9 @@ class TestAppendVarianceOnly:
         # bools, which float() would read as cell 1, and a whole float or a
         # 0-d array, which the one integer rule refuses as it refuses levels
         post = posterior(SampleLog(small_domain), two_level)
-        with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} is not an integer"):
+        with pytest.raises(
+            ValueError, match=re.escape(f"cell must be an integer in [0, 99], got {cell!r}")
+        ):
             append_sample_variance_only(post, cell, 1)
 
     def test_append_takes_numpy_integers(self, small_domain, two_level):
@@ -536,7 +584,9 @@ class TestAppendVarianceOnly:
         post = posterior(SampleLog(small_domain), two_level)
         post = append_sample_variance_only(post, 0, 2)
         # far apart, so the rank-one step itself would not break down
-        with pytest.raises(ValueError, match="non-decreasing"):
+        with pytest.raises(
+            ValueError, match=r"^fidelity level must be an integer in \[2, 2\], got 1$"
+        ):
             append_sample_variance_only(post, 99, 1)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -20,6 +21,8 @@ from mfgp_search import (
     Label,
     MissionConfig,
     PlanLimits,
+    SampleLog,
+    append_sample_variance_only,
     classifier,
     compare_decay,
     confidence_interval,
@@ -27,8 +30,9 @@ from mfgp_search import (
     mission,
     run_mission,
     run_missions,
+    sample_ground_truth,
 )
-from mfgp_search.config import BASELINES
+from mfgp_search.config import BASELINES, ConfigError, parse_config_text, resolve_config
 from mfgp_search.formats import dump_json
 from mfgp_search.inference import posterior
 
@@ -297,11 +301,13 @@ class TestRunMission:
     def test_int_fields_refuse_what_is_not_an_integer(self, small_domain, small_model, value):
         base = dict(domain=small_domain, model=small_model, delta=0.1, th=0.3)
         for name in ("seed", "max_epochs", "epoch_sample_cap"):
-            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            with pytest.raises(
+                ValueError, match=f"^{name} must be an integer >= [01], got {value}$"
+            ):
                 MissionConfig(**base, **{name: value})
-        with pytest.raises(ValueError, match=f"sample_cap must be an integer, got {value}"):
+        with pytest.raises(ValueError, match=f"^sample_cap must be an integer >= 1, got {value}$"):
             PlanLimits(sample_cap=value)
-        with pytest.raises(ValueError, match="resolution must be a positive integer"):
+        with pytest.raises(ValueError, match=f"^resolution must be an integer >= 1, got {value}$"):
             GridDomain(0, 4, 0, 4, value)
         config = MissionConfig(**base, seed=np.int64(3), max_epochs=np.int64(2))
         assert config.seed == 3 and config.max_epochs == 2
@@ -314,7 +320,9 @@ class TestRunMission:
     ):
         base = dict(domain=small_domain, model=small_model, delta=0.1, th=0.3)
         for value in (least - 1, -5):
-            with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
+            with pytest.raises(
+                ValueError, match=f"^{name} must be an integer >= {least}, got {value}$"
+            ):
                 MissionConfig(**base, **{name: value})
         assert getattr(MissionConfig(**base, **{name: least}), name) == least
 
@@ -453,9 +461,28 @@ class TestCompareDecay:
 
     def test_negative_sample_count_refused(self, small_domain, small_model):
         config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
-        with pytest.raises(ValueError, match="n_samples must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="^n_samples must be an integer >= 0, got -1$"):
             compare_decay(config, -1)
         assert [r["n"] for r in compare_decay(config, 0)] == [0]
+
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_sample_count_that_is_not_an_integer_refused(
+        self, small_domain, small_model, n_samples
+    ):
+        # range() raised TypeError at 2.5 and took True as 1
+        config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
+        with pytest.raises(
+            ValueError, match=f"^n_samples must be an integer >= 0, got {n_samples}$"
+        ):
+            compare_decay(config, n_samples)
+
+    def test_each_sampler_starts_at_its_baselines_level(self, small_domain, small_model):
+        # the config's own baseline does not pick either sampler's start
+        config = MissionConfig(domain=small_domain, model=small_model, delta=0.1, th=0.3)
+        for baseline in BASELINES:
+            assert compare_decay(replace(config, baseline=baseline), 12) == compare_decay(
+                config, 12
+            )
 
 
 @pytest.fixture(scope="module")
@@ -485,8 +512,16 @@ class TestDetectionTimeStudy:
                 detection_time_study(study_config, seeds)
 
     def test_no_bin_refused(self, study_config):
-        with pytest.raises(ValueError, match="delta_bins must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="^delta_bins must be an integer >= 1, got 0$"):
             detection_time_study(study_config, range(1), delta_bins=0)
+
+    @pytest.mark.parametrize("delta_bins", [2.5, True])
+    def test_bin_count_that_is_not_an_integer_refused(self, study_config, delta_bins):
+        # np.linspace raised TypeError at 2.5 and took True as 1
+        with pytest.raises(
+            ValueError, match=f"^delta_bins must be an integer >= 1, got {delta_bins}$"
+        ):
+            detection_time_study(study_config, range(1), delta_bins=delta_bins)
 
     def test_bins_and_censoring_bookkeeping(self, study_config):
         rows = detection_time_study(study_config, seeds=range(8))
@@ -630,3 +665,104 @@ def test_bench_never_imports_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "detection_time.csv").exists()
+
+
+INT_DOMAIN = GridDomain(0.0, 4.0, 0.0, 4.0, 4)  # 16 cells
+INT_MODEL = FidelityModel(mu=(0.0, 0.0), v=(0.5, 0.3), l=(2.0, 1.0), s=(0.1, 0.1), z=(8.0, 4.0))
+INT_CONFIG = MissionConfig(domain=INT_DOMAIN, model=INT_MODEL, delta=0.1, th=0.3, max_epochs=1)
+
+
+def _empty_posterior():
+    return posterior(SampleLog(INT_DOMAIN), INT_MODEL)
+
+
+# One case per call site of config._check_int: a call that hands it the
+# value, the refusal before ", got <value>", and a value out of range.
+INT_SITES = [
+    pytest.param(
+        lambda v: GridDomain(0, 4, 0, 4, v), "resolution must be an integer >= 1", 0,
+        id="GridDomain.resolution",
+    ),
+    pytest.param(
+        INT_MODEL.prior_variance, "fidelity level must be an integer in [1, 2]", 3,
+        id="FidelityModel._check_level",
+    ),
+    pytest.param(
+        lambda v: sample_ground_truth(INT_DOMAIN, INT_MODEL, 0).level_field(v),
+        "fidelity level must be an integer in [1, 2]", 0,
+        id="GroundTruth.level_field",
+    ),
+    pytest.param(
+        lambda v: PlanLimits(sample_cap=v), "sample_cap must be an integer >= 1", 0,
+        id="PlanLimits.sample_cap",
+    ),
+    pytest.param(
+        lambda v: replace(INT_CONFIG, seed=v), "seed must be an integer >= 0", -1,
+        id="MissionConfig.seed",
+    ),
+    pytest.param(
+        lambda v: replace(INT_CONFIG, max_epochs=v), "max_epochs must be an integer >= 1", 0,
+        id="MissionConfig.max_epochs",
+    ),
+    pytest.param(
+        lambda v: replace(INT_CONFIG, epoch_sample_cap=v),
+        "epoch_sample_cap must be an integer >= 1", 0,
+        id="MissionConfig.epoch_sample_cap",
+    ),
+    pytest.param(
+        lambda v: SampleLog(INT_DOMAIN).extend([2, v], [0.0, 0.0], 1),
+        "cell index at entry 1 must be an integer in [0, 15]", 16,
+        id="SampleLog.extend-cell",
+    ),
+    pytest.param(
+        lambda v: SampleLog(INT_DOMAIN).extend([2], [0.0], v),
+        "fidelity level must be an integer >= 1", 0,
+        id="SampleLog.extend-level",
+    ),
+    pytest.param(
+        lambda v: append_sample_variance_only(_empty_posterior(), v, 1),
+        "cell must be an integer in [0, 15]", -1,
+        id="append_sample_variance_only-cell",
+    ),
+    pytest.param(
+        lambda v: append_sample_variance_only(_empty_posterior(), 2, v),
+        "fidelity level must be an integer in [1, 2]", 3,
+        id="append_sample_variance_only-level",
+    ),
+    pytest.param(
+        lambda v: compare_decay(INT_CONFIG, v), "n_samples must be an integer >= 0", -1,
+        id="compare_decay",
+    ),
+    pytest.param(
+        lambda v: detection_time_study(INT_CONFIG, [0], delta_bins=v),
+        "delta_bins must be an integer >= 1", 0,
+        id="detection_time_study",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, refusal, out_of_range", INT_SITES)
+def test_every_int_check_refuses_a_whole_float_a_bool_and_a_value_out_of_range(
+    call, refusal, out_of_range
+):
+    for value in (2.0, True, out_of_range):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{refusal}, got {value!r}')}$"):
+            call(value)
+
+
+# The config reader's integer keys: _as_int casts their text first, so "2.0"
+# is the integer 2 and "True" is refused by the cast; _check_int gets an int
+# and refuses one below the key's least, naming the key.
+@pytest.mark.parametrize(
+    "key, least",
+    [("model.levels", 1), ("planted.bumps", 0), ("bench.samples", 0), ("bench.seeds", 1),
+     ("bench.delta_bins", 1)],
+)
+def test_every_int_key_refuses_a_value_out_of_range(key, least):
+    kv = {**INT_CONFIG.to_flat_dict(), key: str(least - 1)}
+    message = f"config key {key!r}: {key} must be an integer >= {least}, got {least - 1}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_config(kv)
+    kv[key] = "True"
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'config key {key!r}: ')}"):
+        resolve_config(kv)

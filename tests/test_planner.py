@@ -116,7 +116,9 @@ class TestUpdateFidelity:
 
     def test_level_outside_the_posteriors_model_refused(self, grid20, m2_model):
         post = posterior(SampleLog(grid20), m2_model)
-        with pytest.raises(ValueError, match=r"fidelity level 3 out of range \[1, 2\]"):
+        with pytest.raises(
+            ValueError, match=r"^fidelity level must be an integer in \[1, 2\], got 3$"
+        ):
             update_fidelity(3, post)
 
     def test_levels_advance_one_at_a_time(self, grid20):
@@ -284,7 +286,9 @@ class TestPlanEpoch:
         # the level is checked against the posterior's own two-level model
         post = posterior(SampleLog(grid20), m2_model)
         cands = np.arange(grid20.n_cells)
-        with pytest.raises(ValueError, match=rf"fidelity level {level} out of range \[1, 2\]"):
+        with pytest.raises(
+            ValueError, match=rf"^fidelity level must be an integer in \[1, 2\], got {level}$"
+        ):
             plan_epoch(post, level, PlanLimits(sigma_ratio=0.3), cands)
 
     @pytest.mark.parametrize("level", [1.5, 2.0, True])
@@ -296,7 +300,9 @@ class TestPlanEpoch:
             lambda: update_fidelity(level, post),
             lambda: append_sample_variance_only(post, 3, level),
         ):
-            with pytest.raises(ValueError, match=f"fidelity level {level} is not an integer"):
+            with pytest.raises(
+                ValueError, match=rf"^fidelity level must be an integer in \[1, 2\], got {level}$"
+            ):
                 call()
 
     def test_working_set_holds_only_the_rows_it_fills(self, grid20, m2_model):
